@@ -12,7 +12,6 @@ from .builders import (
     build_anchored,
     build_cousin,
     build_straddle_verified,
-    schedule_at,
 )
 from .catalog import CATALOG_NAMES, CatalogEntry, catalog, catalog_entry
 from .dsl import UNDEFINED, CompiledFunction, FunctionDef, ParseError, evaluate, parse, render
@@ -32,12 +31,13 @@ from .integrate import (
     VerificationRow,
     decompose,
     plain_kh,
+    report_json,
     residue_check,
+    residue_table,
     total_kh,
 )
 from .models import (
     ExceptionalSet,
-    ResidualVerdict,
     SingularFunctionModel,
     consistency_check,
     evaluate_extended,
@@ -52,6 +52,7 @@ from .partition import (
     TaggedPartition,
     ValidationReport,
     Violation,
+    anchor_cells,
     anchored_gauge,
     is_fine,
     partition_to_csv,

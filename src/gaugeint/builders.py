@@ -31,9 +31,9 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import AnchorOverlapError, BudgetExceeded, StraddleFailure
+from .errors import BudgetExceeded, StraddleFailure
 from .models import SingularFunctionModel
-from .partition import Gauge, Interval, TaggedPartition, anchored_gauge, validate
+from .partition import Gauge, Interval, TaggedPartition, anchor_cells, anchored_gauge, validate
 
 _WAVE = 4096
 
@@ -99,10 +99,6 @@ class RefinementSchedule:
         )
 
 
-def schedule_at(schedule: RefinementSchedule, n: int) -> ScheduleStep:
-    return schedule.at(n)
-
-
 @dataclass(frozen=True)
 class BuildLimits:
     max_pairs: int = 10_000_000
@@ -118,40 +114,8 @@ class BuildLimits:
 
 
 # ---------------------------------------------------------------------------
-# Anchor layout
+# Span walk and materialization
 # ---------------------------------------------------------------------------
-
-def _anchor_layout(span: Interval, points: Sequence[float], r: float):
-    """Anchor cells [e-r, e+r] (one-sided at span endpoints), validated:
-    pairwise non-overlapping, inside the span, edges off the point set."""
-    if r <= 0:
-        raise ValueError("anchor radius must be positive")
-    pts = sorted(float(p) for p in points if span.lo <= p <= span.hi)
-    ptset = set(pts)
-    anchors = []
-    for e in pts:
-        lo = e if e == span.lo else e - r
-        hi = e if e == span.hi else e + r
-        if lo == hi or (e != span.lo and lo == e) or (e != span.hi and hi == e):
-            raise AnchorOverlapError(
-                f"anchor radius {r!r} underflows at exceptional point {e!r}"
-            )
-        if (e != span.lo and lo <= span.lo) or (e != span.hi and hi >= span.hi):
-            raise AnchorOverlapError(
-                f"anchor [{lo!r}, {hi!r}] around {e!r} leaves the open span"
-            )
-        if (lo != e and lo in ptset) or (hi != e and hi in ptset):
-            raise AnchorOverlapError(
-                f"anchor edge of {e!r} lands on another exceptional point"
-            )
-        anchors.append((lo, hi, e))
-    for (l1, h1, e1), (l2, h2, e2) in zip(anchors, anchors[1:]):
-        if h1 > l2:
-            raise AnchorOverlapError(
-                f"anchors around {e1!r} and {e2!r} overlap ([{l1!r},{h1!r}] vs [{l2!r},{h2!r}])"
-            )
-    return anchors
-
 
 def _gaps(span: Interval, anchors) -> Iterator[tuple]:
     """Ordered walk of the span: ("gap", g0, g1) and ("anchor", lo, hi, e)."""
@@ -178,6 +142,27 @@ def _mesh_positions(g0: float, g1: float, h: float) -> np.ndarray:
     return positions
 
 
+def _chunk_arrays(item) -> tuple:
+    """``(los, his, tags)`` of one walk item: an anchor cell tagged at its
+    point, or a run of cells tagged at their left endpoints."""
+    if item[0] == "anchor":
+        _, lo, hi, e = item
+        return [lo], [hi], [e]
+    positions = item[1]
+    return positions[:-1], positions[1:], positions[:-1]
+
+
+def _materialize(span: Interval, chunks) -> TaggedPartition:
+    """Concatenate ``(los, his, tags)`` chunks into a partition and check the
+    partition laws, which every builder guarantees by construction."""
+    los, his, tags = (np.concatenate(parts) for parts in zip(*chunks))
+    part = TaggedPartition(los, his, tags, span)
+    report = validate(part, span)
+    if not report.ok:  # pragma: no cover - construction guarantees validity
+        raise AssertionError(f"build produced invalid partition: {report.violations[:3]}")
+    return part
+
+
 # ---------------------------------------------------------------------------
 # build_anchored
 # ---------------------------------------------------------------------------
@@ -199,31 +184,19 @@ def build_anchored(
     if h <= 0:
         raise ValueError("mesh width must be positive")
     limits = limits or BuildLimits()
-    anchors = _anchor_layout(span, points, r)
-    los, his, tags = [], [], []
+    anchors = anchor_cells(span, sorted(map(float, points)), r)
+    chunks = []
     for item in _gaps(span, anchors):
-        if item[0] == "anchor":
-            _, lo, hi, e = item
-            los.append(np.asarray([lo]))
-            his.append(np.asarray([hi]))
-            tags.append(np.asarray([e]))
-        else:
-            _, g0, g1 = item
-            pos = _mesh_positions(g0, g1, h)
-            los.append(pos[:-1])
-            his.append(pos[1:])
-            tags.append(pos[:-1])
-    los = np.concatenate(los)
-    if len(los) > limits.max_pairs:
+        if item[0] == "gap":
+            item = ("cells", _mesh_positions(item[1], item[2], h))
+        chunks.append(_chunk_arrays(item))
+    pairs = sum(len(chunk[0]) for chunk in chunks)
+    if pairs > limits.max_pairs:
         raise BudgetExceeded(
-            f"anchored build needs {len(los)} pairs (cap {limits.max_pairs})",
+            f"anchored build needs {pairs} pairs (cap {limits.max_pairs})",
             pairs_built=0,
         )
-    part = TaggedPartition(los, np.concatenate(his), np.concatenate(tags), span)
-    report = validate(part, span)
-    if not report.ok:  # pragma: no cover - construction guarantees validity
-        raise AssertionError(f"anchored build produced invalid partition: {report.violations[:3]}")
-    return part
+    return _materialize(span, chunks)
 
 
 def anchored_gauge_for(points: Sequence[float], r: float, h: float,
@@ -238,10 +211,22 @@ def anchored_gauge_for(points: Sequence[float], r: float, h: float,
 # ---------------------------------------------------------------------------
 
 class _Counter:
-    __slots__ = ("pairs",)
+    """Pairs accepted so far by one straddle build, held to the pair cap."""
 
-    def __init__(self):
+    __slots__ = ("pairs", "cap")
+
+    def __init__(self, cap: int):
         self.pairs = 0
+        self.cap = cap
+
+    def add(self, n: int, position: float) -> None:
+        self.pairs += n
+        if self.pairs > self.cap:
+            raise BudgetExceeded(
+                f"straddle build passed {self.pairs} pairs (cap {self.cap})",
+                pairs_built=self.pairs,
+                position=position,
+            )
 
 
 def _gap_waves(model, g0, g1, eps, limits, counter, h_cap, min_width):
@@ -285,13 +270,7 @@ def _gap_waves(model, g0, g1, eps, limits, counter, h_cap, min_width):
                 )
             w = half
             continue
-        counter.pairs += n_pass
-        if counter.pairs > limits.max_pairs:
-            raise BudgetExceeded(
-                f"straddle build passed {counter.pairs} pairs (cap {limits.max_pairs})",
-                pairs_built=counter.pairs,
-                position=float(x),
-            )
+        counter.add(n_pass, float(x))
         yield positions[: n_pass + 1], f_tags[:n_pass], F_pos[: n_pass + 1]
         x = float(positions[n_pass])
         halvings = 0
@@ -324,21 +303,15 @@ def straddle_chunks(
     if eps <= 0:
         raise ValueError("straddle tolerance must be positive")
     limits = limits or BuildLimits()
-    anchors = _anchor_layout(span, tuple(model.E), r)
-    counter = _Counter()
+    anchors = anchor_cells(span, model.E, r)
+    counter = _Counter(limits.max_pairs)
     h_cap = h if h is not None else span.length
     if h_cap <= 0:
         raise ValueError("mesh cap must be positive")
     min_width = limits.min_width(span.length)
     for item in _gaps(span, anchors):
         if item[0] == "anchor":
-            counter.pairs += 1
-            if counter.pairs > limits.max_pairs:
-                raise BudgetExceeded(
-                    f"straddle build passed {counter.pairs} pairs (cap {limits.max_pairs})",
-                    pairs_built=counter.pairs,
-                    position=item[1],
-                )
+            counter.add(1, item[1])
             yield item
         else:
             _, g0, g1 = item
@@ -363,25 +336,8 @@ def build_straddle_verified(
     point) and ``BudgetExceeded`` when the pair cap is passed.
     """
     span = span or model.span
-    los, his, tags = [], [], []
-    for item in straddle_chunks(model, span, r, eps, limits, h):
-        if item[0] == "anchor":
-            _, lo, hi, e = item
-            los.append(np.asarray([lo]))
-            his.append(np.asarray([hi]))
-            tags.append(np.asarray([e]))
-        else:
-            positions = item[1]
-            los.append(positions[:-1])
-            his.append(positions[1:])
-            tags.append(positions[:-1])
-    part = TaggedPartition(
-        np.concatenate(los), np.concatenate(his), np.concatenate(tags), span
-    )
-    report = validate(part, span)
-    if not report.ok:  # pragma: no cover - construction guarantees validity
-        raise AssertionError(f"straddle build produced invalid partition: {report.violations[:3]}")
-    return part
+    chunks = [_chunk_arrays(item) for item in straddle_chunks(model, span, r, eps, limits, h)]
+    return _materialize(span, chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +407,4 @@ def build_cousin(
                 pairs_built=len(los),
                 position=u,
             )
-    part = TaggedPartition(np.asarray(los), np.asarray(his), np.asarray(tags), span)
-    report = validate(part, span)
-    if not report.ok:  # pragma: no cover
-        raise AssertionError(f"cousin build produced invalid partition: {report.violations[:3]}")
-    return part
+    return _materialize(span, [(los, his, tags)])

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from .builders import (
     RefinementSchedule,
+    anchored_gauge_for,
     build_anchored,
     build_cousin,
     build_straddle_verified,
@@ -34,21 +35,26 @@ from .builders import (
 from .catalog import CATALOG_NAMES, catalog_entry
 from .dsl import CompiledFunction, ParseError, parse, render
 from .errors import BuildError, EvaluationError, GaugeIntError
-from .integrate import DecompositionReport, SequenceRow, TotalReport, decompose, total_kh
-from .models import (
-    ExceptionalSet,
-    SingularFunctionModel,
-    consistency_check,
-    residual_estimate,
+from .integrate import (
+    DecompositionReport,
+    TotalReport,
+    decompose,
+    report_json,
+    residue_table,
+    total_kh,
 )
-from .partition import Interval, anchored_gauge, partition_to_csv
-from .sums import basic_sum_sequence
-from .verdicts import Converged, verdict_to_json
+from .models import ExceptionalSet, SingularFunctionModel, consistency_check
+from .partition import Interval, partition_to_csv
+from .verdicts import Converged
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_BUILD = 3
+
+
+OUTPUTS = ("table", "json", "csv")
+BUILDERS = ("anchored", "straddle", "cousin")
 
 
 class JobError(Exception):
@@ -74,7 +80,11 @@ class Job:
     expression: str | None = None  # for the parse command
 
     def validate(self) -> None:
+        if self.output not in OUTPUTS or self.builder not in BUILDERS:
+            raise JobError(f"output must be one of {OUTPUTS} and builder one of {BUILDERS}")
         if self.span is not None:
+            if len(self.span) != 2:
+                raise JobError('span needs exactly two numbers "a,b"')
             a, b = self.span
             if not a < b:
                 raise JobError(f"span must satisfy a < b, got [{a}, {b}]")
@@ -143,7 +153,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         if name == "parse":
             cmd.add_argument("expression", nargs="?", help="expression text (or use --function)")
             cmd.add_argument("--function", dest="function")
-            cmd.add_argument("--output", choices=("table", "json", "csv"), default="table")
+            cmd.add_argument("--output", choices=OUTPUTS, default="table")
             continue
         cmd.add_argument("--job", help="JSON job file; flags override its fields")
         cmd.add_argument("--catalog", help="built-in model name")
@@ -157,10 +167,29 @@ def build_arg_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--tol", type=float)
         cmd.add_argument("--div-threshold", type=float, dest="div_threshold")
         cmd.add_argument("--seed", type=int)
-        cmd.add_argument("--output", choices=("table", "json", "csv"), default=None)
+        cmd.add_argument("--output", choices=OUTPUTS, default=None)
         cmd.add_argument("--emit-convergence", dest="emit_convergence", metavar="PATH")
-        cmd.add_argument("--builder", choices=("anchored", "straddle", "cousin"), default=None)
+        cmd.add_argument("--builder", choices=BUILDERS, default=None)
     return parser
+
+
+# job-file key -> (Job attribute, JSON type it must hold; ``list`` means a
+# list of numbers).  A file can put any type in any field, and a wrong one
+# is a usage error, not a crash.
+_NUMBER = (int, float)
+_JOB_FIELDS = {
+    "F": ("F", (str, type(None))), "f": ("f", (str, type(None))),
+    "E": ("E", list), "span": ("span", list), "epsilon": ("epsilons", list),
+    "anchor": ("anchor", (*_NUMBER, type(None))), "max_depth": ("max_depth", int),
+    "tol": ("tol", _NUMBER), "div_threshold": ("div_threshold", _NUMBER),
+    "seed": ("seed", int), "output": ("output", str), "builder": ("builder", str),
+}
+
+
+def _has_type(value, kind) -> bool:
+    if kind is list:
+        return isinstance(value, list) and all(_has_type(x, _NUMBER) for x in value)
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def job_from_args(args: argparse.Namespace) -> Job:
@@ -180,18 +209,15 @@ def job_from_args(args: argparse.Namespace) -> Job:
             raise JobError(f"cannot read job file: {exc}") from None
         if not isinstance(doc, dict):
             raise JobError("job file must hold a JSON object")
-        known = {
-            "F": "F", "f": "f", "E": "E", "span": "span", "epsilon": "epsilons",
-            "anchor": "anchor", "max_depth": "max_depth", "tol": "tol",
-            "div_threshold": "div_threshold", "seed": "seed", "output": "output",
-            "builder": "builder",
-        }
         for key, value in doc.items():
             if key == "command":  # the subcommand on the command line wins
                 continue
-            if key not in known:
+            if key not in _JOB_FIELDS:
                 raise JobError(f"unknown job field {key!r}")
-            setattr(job, known[key], value)
+            name, kind = _JOB_FIELDS[key]
+            if not _has_type(value, kind):
+                raise JobError(f"job field {key!r} has the wrong type: {value!r}")
+            setattr(job, name, value)
         if job.span is not None:
             job.span = tuple(float(x) for x in job.span)
         job.E = [float(x) for x in job.E]
@@ -212,9 +238,7 @@ def job_from_args(args: argparse.Namespace) -> Job:
     if args.exceptional is not None:
         job.E = args.exceptional
     if args.span is not None:
-        if len(args.span) != 2:
-            raise JobError('--span needs exactly two numbers "a,b"')
-        job.span = (args.span[0], args.span[1])
+        job.span = tuple(args.span)
     if args.epsilon is not None:
         job.epsilons = args.epsilon
     for name in ("anchor", "max_depth", "tol", "div_threshold", "seed",
@@ -222,8 +246,6 @@ def job_from_args(args: argparse.Namespace) -> Job:
         value = getattr(args, name, None)
         if value is not None:
             setattr(job, name, value)
-    if job.output is None:
-        job.output = "table"
     job.validate()
     return job
 
@@ -294,17 +316,9 @@ class ResidualsSummary:
 
     basic_sum_verdict: object
     residuals: dict
-    bs_rows: tuple = ()
 
     def to_json(self) -> dict:
-        return {
-            "total": None,
-            "verification": [],
-            "kh": None,
-            "basic_sum": verdict_to_json(self.basic_sum_verdict),
-            "residuals": {repr(e): verdict_to_json(v) for e, v in self.residuals.items()},
-            "identity_gap": None,
-        }
+        return report_json(basic_sum=self.basic_sum_verdict, residuals=self.residuals)
 
 
 def emit(report, output_format: str, model=None) -> str:
@@ -428,27 +442,10 @@ def cmd_verify(job: Job) -> int:
 def cmd_residues(job: Job) -> int:
     model = job.resolve_model()
     _surface_warnings(model, job.seed)
-    schedule = RefinementSchedule.for_model(model)
-    residuals = {
-        e: residual_estimate(model, e, schedule, max_depth=job.max_depth,
-                             tol=job.tol, div_threshold=job.div_threshold)
-        for e in model.E
-    }
-    bs_rows = ()
-    if len(model.E) > 0:
-        trace, bs_verdict = basic_sum_sequence(
-            model, schedule, max_depth=job.max_depth, tol=job.tol,
-            div_threshold=job.div_threshold,
-        )
-        bs_rows = tuple(
-            SequenceRow(n, schedule.at(n).h, schedule.at(n).r, schedule.at(n).eps, v)
-            for n, v in trace
-        )
-    else:
-        bs_verdict = Converged(value=0.0, error_estimate=0.0, depth=0)
-
-    summary = ResidualsSummary(basic_sum_verdict=bs_verdict, residuals=residuals,
-                               bs_rows=bs_rows)
+    bs_rows, bs_verdict, residuals = residue_table(
+        model, RefinementSchedule.for_model(model), job.max_depth, job.tol, job.div_threshold
+    )
+    summary = ResidualsSummary(basic_sum_verdict=bs_verdict, residuals=residuals)
     if job.emit_convergence:
         with open(job.emit_convergence, "w", encoding="utf-8") as fh:
             fh.write(convergence_csv([("basic_sum", bs_rows)]))
@@ -466,7 +463,7 @@ def cmd_partition(job: Job) -> int:
     elif job.builder == "straddle":
         part = build_straddle_verified(model, r=r, eps=job.epsilons[0])
     else:
-        gauge = anchored_gauge(mesh=h, anchor_radii={e: r for e in model.E}, isolating=False)
+        gauge = anchored_gauge_for(model.E, r, h)
         part = build_cousin(model.span, gauge, tag_policy="midpoint", seed=job.seed)
     sys.stdout.write(partition_to_csv(part, tuple(model.E)))
     return EXIT_OK

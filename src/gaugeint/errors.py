@@ -20,7 +20,9 @@ class BuildError(GaugeIntError):
 
 
 class AnchorOverlapError(BuildError):
-    """Anchor intervals around exceptional points overlap or leave the span."""
+    """Anchor cells around exceptional points break the anchor rule: a cell
+    is narrower than the floating-point floor (8 ulp * max(1, |e|)), leaves
+    the span, holds another exceptional point, or overlaps its neighbour."""
 
 
 class StraddleFailure(BuildError):

@@ -14,6 +14,9 @@
 * ``residue_check`` -- the degenerate case: when the derivative vanishes off
   the exceptional set, the endpoint difference must equal the sum of the
   residuals.
+* ``residue_table`` -- the anchor-only ladders (basic-sum rows and verdict,
+  residual table) shared by ``decompose`` and the ``residues`` command.
+* ``report_json`` -- the fixed six-key JSON envelope every report renders to.
 
 Each depth or tolerance row is an independent pure computation; reports are
 assembled deterministically by index.
@@ -48,8 +51,30 @@ __all__ = [
     "plain_kh",
     "decompose",
     "residue_check",
+    "residue_table",
+    "report_json",
     "classify",
 ]
+
+
+def report_json(
+    total: float | None = None,
+    verification: Sequence[VerificationRow] = (),
+    kh: ConvergenceVerdict | None = None,
+    basic_sum: ConvergenceVerdict | None = None,
+    residuals: Mapping[float, ConvergenceVerdict] | None = None,
+    identity_gap: float | None = None,
+) -> dict:
+    """The JSON document of a report: always the same six keys, with the
+    parts a report does not compute left null (or empty)."""
+    return {
+        "total": total,
+        "verification": [row.to_json() for row in verification],
+        "kh": verdict_to_json(kh),
+        "basic_sum": verdict_to_json(basic_sum),
+        "residuals": {repr(e): verdict_to_json(v) for e, v in (residuals or {}).items()},
+        "identity_gap": identity_gap,
+    }
 
 
 @dataclass(frozen=True)
@@ -111,14 +136,7 @@ class TotalReport:
     verified: bool
 
     def to_json(self) -> dict:
-        return {
-            "total": self.total,
-            "verification": [row.to_json() for row in self.rows],
-            "kh": None,
-            "basic_sum": None,
-            "residuals": {},
-            "identity_gap": None,
-        }
+        return report_json(total=self.total, verification=self.rows)
 
 
 def total_kh(
@@ -232,14 +250,57 @@ class DecompositionReport:
     build_diagnostic: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "total": self.total,
-            "verification": [row.to_json() for row in self.verification.rows],
-            "kh": verdict_to_json(self.kh_verdict),
-            "basic_sum": verdict_to_json(self.basic_sum_verdict),
-            "residuals": {repr(e): verdict_to_json(v) for e, v in self.residuals.items()},
-            "identity_gap": self.identity_gap,
-        }
+        return report_json(
+            total=self.total,
+            verification=self.verification.rows,
+            kh=self.kh_verdict,
+            basic_sum=self.basic_sum_verdict,
+            residuals=self.residuals,
+            identity_gap=self.identity_gap,
+        )
+
+
+def _residuals(model, schedule, max_depth, tol, div_threshold) -> dict:
+    """Residual verdict per exceptional point, in point order."""
+    return {
+        e: residual_estimate(model, e, schedule, max_depth=max_depth, tol=tol,
+                             div_threshold=div_threshold)
+        for e in model.E
+    }
+
+
+def _residual_sum(residuals: Mapping[float, ConvergenceVerdict]) -> float | None:
+    """Kahan sum of the residual values; None unless there is at least one
+    residual and every residual converged."""
+    if not residuals or not all(isinstance(v, Converged) for v in residuals.values()):
+        return None
+    acc = KahanAccumulator()
+    for v in residuals.values():
+        acc.add(v.value)
+    return acc.total
+
+
+def residue_table(
+    model: SingularFunctionModel,
+    schedule: RefinementSchedule,
+    max_depth: int,
+    tol: float,
+    div_threshold: float,
+) -> Tuple[Tuple[SequenceRow, ...], ConvergenceVerdict, dict]:
+    """The anchor-only ladders: ``(bs_rows, bs_verdict, residuals)``.
+
+    ``bs_rows`` are the basic-sum depth rows, ``bs_verdict`` their verdict
+    and ``residuals`` maps each exceptional point to its residual verdict.
+    With an empty exceptional set the basic sum is exactly 0 at depth 0.
+    """
+    if len(model.E) > 0:
+        trace, bs_verdict = basic_sum_sequence(
+            model, schedule, max_depth=max_depth, tol=tol, div_threshold=div_threshold
+        )
+    else:
+        trace, bs_verdict = ((0, 0.0),), Converged(value=0.0, error_estimate=0.0, depth=0)
+    bs_rows = tuple(SequenceRow(n, *schedule.at(n), v) for n, v in trace)
+    return bs_rows, bs_verdict, _residuals(model, schedule, max_depth, tol, div_threshold)
 
 
 def decompose(
@@ -251,7 +312,6 @@ def decompose(
     div_threshold: float = 1e12,
     limits: BuildLimits | None = None,
     anchor_r: float | None = None,
-    residual_side_ratio: float = 1.0,
 ) -> DecompositionReport:
     """Full decomposition: total value, plain-integral verdict, basic-sum
     verdict, residual table, and the additivity identity check.
@@ -265,44 +325,25 @@ def decompose(
     schedule = schedule or RefinementSchedule.for_model(model)
     limits = limits or BuildLimits()
 
-    total = increment(model, model.span)
     verification = total_kh(model, epsilons=epsilons, r=anchor_r, limits=limits)
+    total = verification.total
 
     kh_rows, kh_verdict, diagnostic = _plain_kh_rows(
         model, schedule, max_depth, tol, div_threshold, limits
     )
 
-    if len(model.E) > 0:
-        bs_trace, bs_verdict = basic_sum_sequence(
-            model, schedule, max_depth=max_depth, tol=tol, div_threshold=div_threshold
-        )
-    else:
-        bs_trace, bs_verdict = ((0, 0.0),), Converged(value=0.0, error_estimate=0.0, depth=0)
-    bs_rows = tuple(
-        SequenceRow(n, schedule.at(n).h, schedule.at(n).r, schedule.at(n).eps, v)
-        for n, v in bs_trace
+    bs_rows, bs_verdict, residuals = residue_table(
+        model, schedule, max_depth, tol, div_threshold
     )
-
-    residuals = {
-        e: residual_estimate(
-            model, e, schedule, max_depth=max_depth, tol=tol,
-            div_threshold=div_threshold, side_ratio=residual_side_ratio,
-        )
-        for e in model.E
-    }
 
     identity_gap = None
     if isinstance(kh_verdict, Converged) and isinstance(bs_verdict, Converged):
         identity_gap = abs(total - (kh_verdict.value + bs_verdict.value))
 
     residue_sum_gap = None
-    if isinstance(bs_verdict, Converged) and residuals and all(
-        isinstance(v, Converged) for v in residuals.values()
-    ):
-        acc = KahanAccumulator()
-        for v in residuals.values():
-            acc.add(v.value)
-        residue_sum_gap = abs(acc.total - bs_verdict.value)
+    residual_sum = _residual_sum(residuals)
+    if isinstance(bs_verdict, Converged) and residual_sum is not None:
+        residue_sum_gap = abs(residual_sum - bs_verdict.value)
 
     one_sided = (
         isinstance(kh_verdict, Converged) != isinstance(bs_verdict, Converged)
@@ -338,14 +379,7 @@ class ResidueReport:
     residuals: Mapping[float, ConvergenceVerdict]
 
     def to_json(self) -> dict:
-        return {
-            "total": self.lhs,
-            "verification": [],
-            "kh": None,
-            "basic_sum": None,
-            "residuals": {repr(e): verdict_to_json(v) for e, v in self.residuals.items()},
-            "identity_gap": self.gap,
-        }
+        return report_json(total=self.lhs, residuals=self.residuals, identity_gap=self.gap)
 
 
 def _sample_off_points(model: SingularFunctionModel, count: int) -> np.ndarray:
@@ -385,17 +419,7 @@ def residue_check(
     lhs = float(model.F_values(np.asarray([model.span.hi]))[0]) - float(
         model.F_values(np.asarray([model.span.lo]))[0]
     )
-    residuals = {
-        e: residual_estimate(model, e, schedule, max_depth=max_depth, tol=tol,
-                             div_threshold=div_threshold)
-        for e in model.E
-    }
-    rhs = None
-    gap = None
-    if residuals and all(isinstance(v, Converged) for v in residuals.values()):
-        acc = KahanAccumulator()
-        for v in residuals.values():
-            acc.add(v.value)
-        rhs = acc.total
-        gap = abs(lhs - rhs)
+    residuals = _residuals(model, schedule, max_depth, tol, div_threshold)
+    rhs = _residual_sum(residuals)
+    gap = None if rhs is None else abs(lhs - rhs)
     return ResidueReport(lhs=lhs, rhs=rhs, gap=gap, residuals=residuals)

@@ -21,13 +21,9 @@ from typing import Callable, Iterable, Tuple
 
 import numpy as np
 
-from .errors import EvaluationError
-from .partition import Interval
+from .errors import AnchorOverlapError, EvaluationError
+from .partition import Interval, anchor_cells
 from .verdicts import ConvergenceVerdict, SequenceClassifier
-
-# a residual estimate is an ordinary convergence verdict whose converged
-# payload carries the residual value
-ResidualVerdict = ConvergenceVerdict
 
 
 @dataclass(frozen=True)
@@ -63,6 +59,20 @@ class ExceptionalSet:
         return min(b - a for a, b in zip(walls, walls[1:]))
 
 
+def _finite_values(name: str, fn: Callable, xs) -> np.ndarray:
+    """``fn(xs)`` as floats; a non-finite value raises ``EvaluationError``
+    naming up to four offending points."""
+    with np.errstate(all="ignore"):
+        out = np.asarray(fn(xs), dtype=float)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        pts = np.atleast_1d(xs)[np.atleast_1d(bad)][:4]
+        raise EvaluationError(
+            f"{name} is non-finite off the exceptional set (near x={pts[0]!r})", pts
+        )
+    return out
+
+
 @dataclass(frozen=True)
 class SingularFunctionModel:
     """F, its derivative f off E, the exceptional set, and the working span.
@@ -87,26 +97,11 @@ class SingularFunctionModel:
 
     def F_values(self, xs: np.ndarray) -> np.ndarray:
         """F on points known to avoid E; non-finite values are errors."""
-        with np.errstate(all="ignore"):
-            out = np.asarray(self.F(xs), dtype=float)
-        bad = ~np.isfinite(out)
-        if bad.any():
-            pts = np.atleast_1d(xs)[np.atleast_1d(bad)][:4]
-            raise EvaluationError(
-                f"F is non-finite off the exceptional set (near x={pts[0]!r})", pts
-            )
-        return out
+        return _finite_values("F", self.F, xs)
 
     def f_values(self, xs: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            out = np.asarray(self.f(xs), dtype=float)
-        bad = ~np.isfinite(out)
-        if bad.any():
-            pts = np.atleast_1d(xs)[np.atleast_1d(bad)][:4]
-            raise EvaluationError(
-                f"f is non-finite off the exceptional set (near x={pts[0]!r})", pts
-            )
-        return out
+        """f on points known to avoid E; non-finite values are errors."""
+        return _finite_values("f", self.f, xs)
 
     def _masked(self, raw: Callable, xs) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -141,12 +136,7 @@ def evaluate_extended(model: SingularFunctionModel, x: float) -> Tuple[float, fl
     """
     if not model.span.contains(x):
         raise ValueError(f"{x!r} outside span")
-    if x in model.E:
-        return (0.0, 0.0)
-    return (
-        float(model.F_values(np.asarray([x]))[0]),
-        float(model.f_values(np.asarray([x]))[0]),
-    )
+    return model.extended_value(x), model.extended_derivative(x)
 
 
 def increment(model: SingularFunctionModel, interval: Interval) -> float:
@@ -160,17 +150,6 @@ def increment(model: SingularFunctionModel, interval: Interval) -> float:
 # Residuals
 # ---------------------------------------------------------------------------
 
-def _bracket(model: SingularFunctionModel, e: float, r_minus: float, r_plus: float):
-    """Clip a symmetric bracket to the span (one-sided at endpoint members)."""
-    lo = e - r_minus
-    hi = e + r_plus
-    if e == model.span.lo:
-        lo = e
-    if e == model.span.hi:
-        hi = e
-    return lo, hi
-
-
 def residual_estimate(
     model: SingularFunctionModel,
     e: float,
@@ -182,26 +161,26 @@ def residual_estimate(
 ) -> ConvergenceVerdict:
     """Limit of raw-F increments over shrinking brackets around ``e``.
 
-    Brackets are symmetric ``[e - r_n, e + r_n]`` by default (``side_ratio``
-    scales the right radius to probe one-sided pathologies).  F itself is
-    evaluated at the bracket ends, not its extension; at a span-endpoint
-    member the bracket is one-sided and F is evaluated at ``e``.
+    Brackets are the anchor cells ``[e - r_n, e + r_n]`` of
+    :func:`anchor_cells` (``side_ratio`` scales the right radius to probe
+    one-sided pathologies).  F itself is evaluated at the bracket ends, not
+    its extension; at a span-endpoint member the bracket is one-sided and F
+    is evaluated at ``e``.
 
-    Never raises: evaluation failures and exhausted brackets are folded into
-    the verdict.
+    Raises only on bad arguments (``e`` outside E, a nonpositive radius):
+    evaluation failures and cells that break the anchor rule end the
+    sequence and are named in the verdict's note.
     """
     if e not in model.E:
         raise ValueError(f"{e!r} is not an exceptional point of the model")
-    others = [p for p in model.E if p != e]
+    i = model.E.points.index(e)
     clf = SequenceClassifier(tol=tol, div_threshold=div_threshold)
     for n in range(max_depth + 1):
         step = schedule.at(n)
-        lo, hi = _bracket(model, e, step.r, step.r * side_ratio)
-        if hi - lo <= 0 or hi - lo < 8 * np.finfo(float).eps * max(1.0, abs(e)):
-            clf.note(f"bracket width exhausted floating point at depth {n}")
-            break
-        if any(lo <= p <= hi for p in others) or lo < model.span.lo or hi > model.span.hi:
-            clf.note(f"bracket at depth {n} left the span or met another exceptional point")
+        try:
+            lo, hi, _ = anchor_cells(model.span, model.E, step.r, step.r * side_ratio)[i]
+        except AnchorOverlapError as exc:
+            clf.note(f"depth {n}: {exc}")
             break
         try:
             ends = model.F_values(np.asarray([lo, hi]))

@@ -13,10 +13,16 @@ core free of tolerance plumbing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Tuple
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
+
+from .errors import AnchorOverlapError
+
+# narrowest anchor cell, relative to max(1, |e|): eight machine epsilons
+_ANCHOR_FLOOR = 8 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -165,6 +171,45 @@ def validate(partition: TaggedPartition, span: Interval) -> ValidationReport:
             )
 
     return ValidationReport(ok=not v, violations=tuple(v))
+
+
+def anchor_cells(
+    span: Interval, points: Sequence[float], r: float, r_right: float | None = None
+) -> list[tuple[float, float, float]]:
+    """The anchor cells ``(lo, hi, e)``, one per point, in point order.
+
+    Each cell is ``[e - r, e + r_right]`` (``r_right`` defaults to ``r``),
+    one-sided at a point that sits on a span endpoint.  ``points`` must be
+    strictly increasing, as an ``ExceptionalSet`` holds them.  One rule,
+    checked cell by cell, raises ``AnchorOverlapError`` naming the first
+    breach: the width is at least 8 ulp * max(1, |e|), the cell lies inside
+    the closed span, it holds no other point, and it does not overlap the
+    previous cell (touching is allowed).
+    """
+    if r_right is None:
+        r_right = r
+    if not (r > 0 and r_right > 0):
+        raise ValueError("anchor radius must be positive")
+    a, b = span.lo, span.hi
+    pts = tuple(points)
+    last = len(pts) - 1
+    cells = []
+    for i, e in enumerate(pts):
+        lo = e if e == a else e - r
+        hi = e if e == b else e + r_right
+        if not hi - lo >= _ANCHOR_FLOOR * max(1.0, abs(e)):
+            breach = "is narrower than the floating-point floor"
+        elif lo < a or hi > b:
+            breach = f"leaves the span [{a!r}, {b!r}]"
+        elif (i > 0 and pts[i - 1] >= lo) or (i < last and pts[i + 1] <= hi):
+            breach = "holds another exceptional point"
+        elif cells and cells[-1][1] > lo:
+            breach = f"overlaps the cell around {cells[-1][2]!r}"
+        else:
+            cells.append((lo, hi, e))
+            continue
+        raise AnchorOverlapError(f"anchor cell [{lo!r}, {hi!r}] around {e!r} {breach}")
+    return cells
 
 
 def restrict(

@@ -24,8 +24,9 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from .errors import AnchorOverlapError
 from .models import SingularFunctionModel
-from .partition import Interval, TaggedPair, TaggedPartition, restriction_mask
+from .partition import Interval, TaggedPair, TaggedPartition, anchor_cells, restriction_mask
 from .verdicts import ConvergenceVerdict, SequenceClassifier
 
 
@@ -108,12 +109,11 @@ def increment_sum(
 
 
 def anchor_increments(model: SingularFunctionModel, r: float) -> float:
-    """Sum of extended-F increments over the anchor cells [e-r, e+r]
-    (one-sided at span endpoints); the depth-n term of the basic sum."""
+    """Sum of extended-F increments over the anchor cells of radius ``r``
+    (see :func:`anchor_cells`); the depth-n term of the basic sum.  Raises
+    ``AnchorOverlapError`` when the cells break the anchor rule."""
     acc = KahanAccumulator()
-    for e in model.E:
-        lo = e if e == model.span.lo else e - r
-        hi = e if e == model.span.hi else e + r
+    for lo, hi, _ in anchor_cells(model.span, model.E, r):
         acc.add(model.extended_value(hi) - model.extended_value(lo))
     return acc.total
 
@@ -128,38 +128,21 @@ def basic_sum_sequence(
     """Depth-indexed anchor-increment sums with their convergence verdict.
 
     The radius shrinks with the schedule; the sequence stops as soon as the
-    classifier reaches a verdict.  Bracket validity (staying inside the span,
-    clear of other exceptional points, wide enough for floating point) is
-    checked per depth and folds into the verdict rather than raising.
+    classifier reaches a verdict.  A depth whose cells break the anchor rule
+    ends the sequence and names the breach in the verdict's note
+    (``depth n: <reason>``) rather than raising.
     """
     if len(model.E) == 0:
         raise ValueError("basic sum requires a nonempty exceptional set")
-    points = tuple(model.E)
-    span = model.span
     clf = SequenceClassifier(tol=tol, div_threshold=div_threshold)
     verdict = None
-    eps64 = np.finfo(float).eps
     for n in range(max_depth + 1):
-        r = schedule.at(n).r
-        usable = True
-        for i, e in enumerate(points):
-            lo = e if e == span.lo else e - r
-            hi = e if e == span.hi else e + r
-            if hi - lo < 8 * eps64 * max(1.0, abs(e)):
-                clf.note(f"anchor radius exhausted floating point at depth {n}")
-                usable = False
-                break
-            if lo < span.lo or hi > span.hi:
-                clf.note(f"anchor at depth {n} leaves the span")
-                usable = False
-                break
-            if (i > 0 and points[i - 1] >= lo) or (i + 1 < len(points) and points[i + 1] <= hi):
-                clf.note(f"anchors collide at depth {n}")
-                usable = False
-                break
-        if not usable:
+        try:
+            value = anchor_increments(model, schedule.at(n).r)
+        except AnchorOverlapError as exc:
+            clf.note(f"depth {n}: {exc}")
             break
-        verdict = clf.push(n, anchor_increments(model, r))
+        verdict = clf.push(n, value)
         if verdict is not None:
             break
     if verdict is None:

@@ -19,7 +19,6 @@ from gaugeint import (
     build_straddle_verified,
     catalog,
     is_fine,
-    schedule_at,
     validate,
 )
 from gaugeint.builders import anchored_gauge_for
@@ -35,7 +34,7 @@ def model_from(F, f, points, lo, hi):
 class TestSchedule:
     def test_defaults_depth_zero(self):
         sched = RefinementSchedule.for_span(Interval(-1.0, 1.0), [0.0])
-        step = schedule_at(sched, 0)
+        step = sched.at(0)
         assert step.h == 2.0
         assert step.r == pytest.approx(min(0.1, 0.5), rel=1e-15)
         assert step.eps == 1e-2

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -151,6 +153,17 @@ class TestJobFiles:
         out = run_cli("integrate", "--job", str(job))
         assert out.returncode == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"E": 0.5}, {"span": [1]}, {"epsilon": ["a"]}, {"max_depth": "5"},
+    ])
+    def test_wrong_field_type_is_usage_error(self, tmp_path, doc):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"F": "heaviside", **doc}))
+        out = run_cli("integrate", "--job", str(job))
+        assert out.returncode == 2
+        assert out.stderr.startswith("error:")
+        assert "Traceback" not in out.stderr
+
 
 class TestPartitionCommand:
     def test_anchored_dump(self):
@@ -188,6 +201,17 @@ class TestResiduesCommand:
                       "--span", "0,1", "--output", "csv")
         assert out.returncode == 0
         assert out.stdout.strip() == "point,kind,value,error_estimate,depth,sign"
+
+    def test_empty_exceptional_set_emits_depth_zero_row(self, tmp_path):
+        target = tmp_path / "conv.csv"
+        out = run_cli("residues", "--function", "x^2", "--derivative", "2*x",
+                      "--span", "0,1", "--emit-convergence", str(target))
+        assert out.returncode == 0
+        assert target.read_text().splitlines() == [
+            "# series: basic_sum",
+            "depth,h,r,epsilon,value,delta",
+            "0,1,0.050000000000000003,0.01,0,",
+        ]
 
     def test_json(self):
         out = run_cli("residues", "--catalog", "heaviside", "--output", "json")

@@ -16,8 +16,19 @@ from gaugeint import (
     decompose,
     plain_kh,
     residue_check,
+    residue_table,
     total_kh,
 )
+from gaugeint.cli import ResidualsSummary
+
+ENVELOPE = {"total", "verification", "kh", "basic_sum", "residuals", "identity_gap"}
+
+
+def residues_summary(model):
+    bs_rows, bs_verdict, residuals = residue_table(
+        model, RefinementSchedule.for_model(model), 20, 1e-6, 1e12
+    )
+    return ResidualsSummary(basic_sum_verdict=bs_verdict, residuals=residuals)
 
 
 def scaled_model(model, c):
@@ -212,13 +223,21 @@ class TestDecompose:
         assert report.basic_sum_verdict == Converged(value=0.0, error_estimate=0.0, depth=0)
         assert report.residuals == {}
 
-    def test_json_document_schema(self):
-        report = decompose(catalog("heaviside"))
-        doc = report.to_json()
-        assert set(doc) == {"total", "verification", "kh", "basic_sum",
-                            "residuals", "identity_gap"}
-        assert doc["kh"]["kind"] == "converged"
-        assert doc["residuals"]["0.0"]["value"] == 1.0
+    @pytest.mark.parametrize("make, filled", [
+        (decompose, ENVELOPE),
+        (total_kh, {"total", "verification"}),
+        (residue_check, {"total", "residuals", "identity_gap"}),
+        (residues_summary, {"basic_sum", "residuals"}),
+    ], ids=["decompose", "total_kh", "residue_check", "residues_summary"])
+    def test_json_document_schema(self, make, filled):
+        doc = make(catalog("heaviside")).to_json()
+        assert set(doc) == ENVELOPE
+        for key in ENVELOPE - filled:
+            assert doc[key] in (None, [], {}), key
+        if "kh" in filled:
+            assert doc["kh"]["kind"] == "converged"
+        if "residuals" in filled:
+            assert doc["residuals"]["0.0"]["value"] == 1.0
 
 
 class TestResidueCheck:

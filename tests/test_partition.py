@@ -3,11 +3,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugeint import (
+    AnchorOverlapError,
+    ExceptionalSet,
     Gauge,
     Interval,
+    RefinementSchedule,
+    SingularFunctionModel,
     TaggedPair,
     TaggedPartition,
+    anchor_cells,
     anchored_gauge,
+    basic_sum_sequence,
+    build_anchored,
+    catalog,
     is_fine,
     partition_to_csv,
     restrict,
@@ -162,3 +170,74 @@ class TestCsvDump:
         # 17-significant-digit rendering must round-trip
         lo = float(lines[1].split(",")[0])
         assert lo == -1.0
+
+
+class TestAnchorCells:
+    # (span, points, r, r_right, cells or the breach the error names)
+    CASES = {
+        "interior point": ((0.0, 1.0), [0.5], 0.125, None, [(0.375, 0.625, 0.5)]),
+        "asymmetric radii": ((0.0, 1.0), [0.5], 0.125, 0.25, [(0.375, 0.75, 0.5)]),
+        "left endpoint member": ((0.0, 1.0), [0.0], 0.125, None, [(0.0, 0.125, 0.0)]),
+        "right endpoint member": ((0.0, 1.0), [1.0], 0.125, None, [(0.875, 1.0, 1.0)]),
+        "touching cells and span edges": (
+            (0.0, 1.0), [0.25, 0.75], 0.25, None, [(0.0, 0.5, 0.25), (0.5, 1.0, 0.75)],
+        ),
+        "no points": ((0.0, 1.0), [], 0.125, None, []),
+        "overlapping cells": ((0.0, 1.0), [0.3, 0.5], 0.15, None, "overlaps the cell around 0.3"),
+        "cell leaves the span": ((0.0, 1.0), [0.05], 0.1, None, "leaves the span"),
+        "right side leaves the span": ((0.0, 1.0), [0.5], 0.1, 0.6, "leaves the span"),
+        "other point inside a cell": (
+            (0.0, 1.0), [0.3, 0.35], 0.1, None, "holds another exceptional point",
+        ),
+        "endpoint cell holds a point": (
+            (0.0, 1.0), [0.0, 0.05], 0.1, None, "holds another exceptional point",
+        ),
+        "8-ulp floor": ((0.0, 1.0), [0.5], 8e-16, None, "floating-point floor"),
+        "just above the floor": ((0.0, 1.0), [0.5], 1e-15, None, [(0.5 - 1e-15, 0.5 + 1e-15, 0.5)]),
+        "floor scales with |e|": ((0.0, 2e6), [1e6], 8e-10, None, "floating-point floor"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rule(self, case):
+        bounds, points, r, r_right, expected = self.CASES[case]
+        span = Interval(*bounds)
+        if isinstance(expected, str):
+            with pytest.raises(AnchorOverlapError, match=expected):
+                anchor_cells(span, points, r, r_right)
+        else:
+            assert anchor_cells(span, points, r, r_right) == expected
+
+    @pytest.mark.parametrize("r, r_right", [(0.0, None), (-0.1, None), (0.1, 0.0)])
+    def test_nonpositive_radius_rejected(self, r, r_right):
+        with pytest.raises(ValueError):
+            anchor_cells(UNIT, [0.5], r, r_right)
+
+
+def _two_step_model():
+    return SingularFunctionModel(
+        F=lambda x: (x > 0.3) + (x > 0.5) + 0.0 * x, f=lambda x: 0.0 * x,
+        E=ExceptionalSet([0.3, 0.5]), span=UNIT,
+    )
+
+
+class TestOneAnchorRule:
+    """The builders raise exactly where the basic-sum ladder stops."""
+
+    @pytest.mark.parametrize("model, schedule, max_depth", [
+        # oscillation never settles: the ladder runs into the 8-ulp floor
+        (catalog("osc_sin_inv"), None, 60),
+        # first radius larger than the gap to the span edge
+        (catalog("staircase3"), RefinementSchedule(h0=3.0, r0=0.6), 20),
+        # cells overlap without holding the other point
+        (_two_step_model(), RefinementSchedule(h0=1.0, r0=0.15), 20),
+    ])
+    def test_builder_raises_at_the_ladder_stop(self, model, schedule, max_depth):
+        schedule = schedule or RefinementSchedule.for_model(model)
+        trace, verdict = basic_sum_sequence(model, schedule, max_depth=max_depth)
+        stop = len(trace)
+        assert verdict.note.startswith(f"depth {stop}: ")
+        for n in range(stop):
+            build_anchored(model.span, tuple(model.E), r=schedule.at(n).r, h=model.span.length)
+        with pytest.raises(AnchorOverlapError) as exc:
+            build_anchored(model.span, tuple(model.E), r=schedule.at(stop).r, h=model.span.length)
+        assert verdict.note == f"depth {stop}: {exc.value}"
