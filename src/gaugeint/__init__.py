@@ -20,6 +20,7 @@ from .errors import (
     BudgetExceeded,
     BuildError,
     EvaluationError,
+    FloorReached,
     GaugeIntError,
     NotLocallyConstant,
     StraddleFailure,

@@ -5,11 +5,13 @@ Three builders:
 * ``build_anchored`` -- uniform mesh cells plus one anchor cell per
   exceptional point, the standard gauge construction that forces exceptional
   points to be tags.
-* ``build_straddle_verified`` -- anchors plus off-anchor cells whose widths
-  are searched until each cell individually satisfies the one-sided
-  differentiability (straddle) inequality |F(x+w) - F(x) - f(x) w| <= eps w
-  at its left-endpoint tag.  This realizes, constructively, the gauge whose
-  existence the fundamental-theorem argument asserts.
+* ``build_straddle_verified`` -- anchors plus off-anchor cells [u, v] whose
+  widths are searched until each cell individually satisfies Henstock's
+  straddle inequality |F(v) - F(u) - f(t) (v - u)| <= eps (v - u) at its
+  midpoint tag t = (u + v) / 2.  The inequality holds for any tag in [u, v];
+  the midpoint makes the per-cell error O(w^3) instead of the left
+  endpoint's O(w^2), so far wider cells pass.  This realizes, constructively,
+  the gauge whose existence the fundamental-theorem argument asserts.
 * ``build_cousin`` -- bisection until every piece admits a tag whose gauge
   ball strictly contains it (a constructive proof of nonemptiness for any
   positive gauge).
@@ -19,7 +21,9 @@ equal-width cells, checks the inequality on the whole batch, accepts the
 passing prefix, and halves or grows the width adaptively.  Width control is
 geometric with factor 2 downward; the upward growth is throttled by the
 observed error headroom so the accepted widths track the largest passing
-width without thrashing.
+width without thrashing.  A search that cannot go on at some position stops
+with ``FloorReached`` when its rejected errors only reflect rounding, and
+with ``StraddleFailure`` when they kept their size as the width halved.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, StraddleFailure
+from .errors import BudgetExceeded, FloorReached, StraddleFailure
 from .models import SingularFunctionModel
 from .partition import Gauge, Interval, TaggedPartition, anchor_cells, anchored_gauge, validate
 
@@ -142,14 +146,21 @@ def _mesh_positions(g0: float, g1: float, h: float) -> np.ndarray:
     return positions
 
 
+def _midpoints(positions: np.ndarray) -> np.ndarray:
+    """Midpoint tags of the cells between consecutive breakpoints; each lies
+    inside its closed cell in binary64."""
+    return 0.5 * (positions[:-1] + positions[1:])
+
+
 def _chunk_arrays(item) -> tuple:
-    """``(los, his, tags)`` of one walk item: an anchor cell tagged at its
-    point, or a run of cells tagged at their left endpoints."""
+    """``(los, his, tags)`` of one :func:`straddle_chunks` item: an anchor
+    cell tagged at its point, or a run of cells tagged at their midpoints,
+    the same values the wave engine evaluated f at."""
     if item[0] == "anchor":
         _, lo, hi, e = item
         return [lo], [hi], [e]
     positions = item[1]
-    return positions[:-1], positions[1:], positions[:-1]
+    return positions[:-1], positions[1:], _midpoints(positions)
 
 
 def _materialize(span: Interval, chunks) -> TaggedPartition:
@@ -188,8 +199,10 @@ def build_anchored(
     chunks = []
     for item in _gaps(span, anchors):
         if item[0] == "gap":
-            item = ("cells", _mesh_positions(item[1], item[2], h))
-        chunks.append(_chunk_arrays(item))
+            positions = _mesh_positions(item[1], item[2], h)
+            chunks.append((positions[:-1], positions[1:], positions[:-1]))
+        else:
+            chunks.append(_chunk_arrays(item))
     pairs = sum(len(chunk[0]) for chunk in chunks)
     if pairs > limits.max_pairs:
         raise BudgetExceeded(
@@ -229,12 +242,36 @@ class _Counter:
             )
 
 
+def _eval_floor(F_lo: float, F_hi: float, f_t: float, t: float) -> float:
+    """Evaluation floor of one cell's straddle error: 8 ulp of F plus the
+    ulp of the tag carried through f."""
+    return 8.0 * (float(np.spacing(max(abs(F_lo), abs(F_hi))))
+                  + abs(f_t) * float(np.spacing(abs(t))))
+
+
+def _width_search_failure(tag, width, error, rejected, site, mismatch) -> StraddleFailure:
+    """The error that ends a failed width search at one position.
+
+    ``rejected`` holds the first cell's rejected errors above their
+    evaluation floor, one entry per halving.  A wrong derivative or an
+    undeclared jump keeps that error at its size as the width halves (the
+    last two at a ratio >= 0.4), and a single such error was never seen to
+    shrink; otherwise the search only ran into rounding.
+    """
+    if rejected and (len(rejected) == 1 or rejected[-1] >= 0.4 * rejected[-2]):
+        return StraddleFailure(tag, width, error, mismatch)
+    return FloorReached(tag, width, error,
+                        f"{site}; rejected errors are at the floating-point evaluation floor")
+
+
 def _gap_waves(model, g0, g1, eps, limits, counter, h_cap, min_width):
     """Yield (positions, f_tags, F_positions) for contiguous runs of cells
-    covering [g0, g1], every cell passing the straddle check."""
+    covering [g0, g1], every cell passing the straddle check at its midpoint
+    tag."""
     x = g0
     w = min(h_cap, g1 - g0)
     halvings = 0
+    rejected: list[float] = []
     while x < g1:
         remaining = g1 - x
         w = min(w, remaining)
@@ -250,10 +287,12 @@ def _gap_waves(model, g0, g1, eps, limits, counter, h_cap, min_width):
             n_cells = _WAVE
             positions = x + w * np.arange(_WAVE + 1)
         widths = np.diff(positions)
+        tags = _midpoints(positions)
         if not (widths > 0).all():
-            raise StraddleFailure(float(x), float(w), math.nan,
-                                  "cell width underflows at floating point")
-        tags = positions[:-1]
+            i = int(np.argmin(widths > 0))
+            raise _width_search_failure(float(tags[i]), float(w), math.nan, rejected,
+                                        "cell width underflows",
+                                        "cell width underflows at floating point")
         F_pos = model.F_values(positions)
         f_tags = model.f_values(tags)
         errs = np.abs(np.diff(F_pos) - f_tags * widths)
@@ -261,11 +300,14 @@ def _gap_waves(model, g0, g1, eps, limits, counter, h_cap, min_width):
         ok = errs <= bounds
         n_pass = n_cells if bool(ok.all()) else int(np.argmin(ok))
         if n_pass == 0:
+            err = float(errs[0])
+            if err > _eval_floor(F_pos[0], F_pos[1], f_tags[0], tags[0]):
+                rejected.append(err)
             halvings += 1
             half = w * 0.5
             if halvings > limits.max_halvings or half < min_width:
-                raise StraddleFailure(
-                    float(x), float(w), float(errs[0]),
+                raise _width_search_failure(
+                    float(tags[0]), float(w), err, rejected, "width search exhausted",
                     "width search exhausted; declared derivative does not match F here",
                 )
             w = half
@@ -274,6 +316,7 @@ def _gap_waves(model, g0, g1, eps, limits, counter, h_cap, min_width):
         yield positions[: n_pass + 1], f_tags[:n_pass], F_pos[: n_pass + 1]
         x = float(positions[n_pass])
         halvings = 0
+        rejected.clear()
         if n_pass < n_cells:
             w *= 0.5
         else:
@@ -329,11 +372,13 @@ def build_straddle_verified(
 ) -> TaggedPartition:
     """Materialized form of :func:`straddle_chunks`.
 
-    Every exceptional point tags the cell [e-r, e+r]; every other cell
+    Every exceptional point tags the cell [e-r, e+r]; every other cell is
+    tagged at its midpoint, bit for bit the point f was evaluated at, and
     passes the straddle inequality individually, so the per-pair error sum is
-    bounded by eps times the span length.  Raises ``StraddleFailure`` when
-    the width search bottoms out (wrong derivative or undeclared singular
-    point) and ``BudgetExceeded`` when the pair cap is passed.
+    bounded by eps times the span length.  Raises ``FloorReached`` when the
+    width search runs into floating-point rounding, ``StraddleFailure`` when
+    it bottoms out on a real mismatch (wrong derivative or undeclared jump)
+    and ``BudgetExceeded`` when the pair cap is passed.
     """
     span = span or model.span
     chunks = [_chunk_arrays(item) for item in straddle_chunks(model, span, r, eps, limits, h)]

@@ -28,8 +28,11 @@ class AnchorOverlapError(BuildError):
 class StraddleFailure(BuildError):
     """The width search bottomed out without satisfying the straddle check.
 
-    Signals that the declared derivative does not match the function near
-    ``tag``, or that ``tag`` sits next to an undeclared singularity.
+    Raised as this class, it signals that the declared derivative does not
+    match the function near ``tag``, or that ``tag`` sits next to an
+    undeclared jump: the rejected error kept its size as the cell width
+    halved.  ``tag`` is the midpoint of the failing cell.  The subclass
+    :class:`FloorReached` marks a search that only ran into rounding.
     """
 
     def __init__(self, tag: float, width: float, error: float, detail: str = ""):
@@ -43,6 +46,17 @@ class StraddleFailure(BuildError):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
+
+
+class FloorReached(StraddleFailure):
+    """The width search hit the floating-point floor, not a mismatch.
+
+    No rejected error above the evaluation floor 8 * (ulp(F) + |f(t)| *
+    ulp(t)) kept its size as the cell width halved: the search failed because
+    eps * width fell under what binary64 evaluation of F resolves at ``tag``,
+    not because f disagrees with F there.  A build that walks up to an
+    undeclared pole also ends here, since F grows past its resolution first.
+    """
 
 
 class BudgetExceeded(BuildError):

@@ -8,6 +8,7 @@ from gaugeint import (
     BudgetExceeded,
     BuildLimits,
     ExceptionalSet,
+    FloorReached,
     Gauge,
     Interval,
     RefinementSchedule,
@@ -153,18 +154,21 @@ class TestBuildStraddle:
         assert np.count_nonzero(holds) == 1
 
     def test_reciprocal_width_profile(self):
-        # accepted widths obey w <= eps * x^2 * (x + w): the closed form of
-        # the per-cell error for F = 1/x
+        # off-anchor cells are tagged at their midpoints, and accepted widths
+        # obey w <= 2 t sqrt(eps lo hi): the closed form of the midpoint
+        # per-cell error w^3 / (4 t^2 lo hi) for F = 1/x
         model = catalog("reciprocal")
         eps = 1e-3
         part = build_straddle_verified(model, r=0.05, eps=eps)
+        off = ~restriction_mask(part, tuple(model.E))
+        assert np.all(part.tags[off] == 0.5 * (part.los[off] + part.his[off]))
         sel = part.tags >= 0.06
-        x = part.tags[sel]
-        w = part.widths[sel]
-        cap = eps * x**2 * (x + w)
-        assert np.all(w <= cap * (1 + 1e-9))
-        utilization = w / cap
-        assert np.median(utilization) >= 0.2
+        lo, hi, t = part.los[sel], part.his[sel], part.tags[sel]
+        cap = 2 * t * np.sqrt(eps * lo * hi)
+        assert np.all(part.widths[sel] <= cap * (1 + 1e-9))
+        # measured median utilization 0.0043; the floor sits at half of it
+        utilization = part.widths[sel] / cap
+        assert np.median(utilization) >= 0.002
 
     def test_wrong_derivative_fails(self):
         model = model_from(
@@ -199,6 +203,50 @@ class TestBuildStraddle:
         a = build_straddle_verified(model, r=0.01, eps=1e-3)
         b = build_straddle_verified(model, r=0.01, eps=1e-3)
         assert np.array_equal(a.los, b.los) and np.array_equal(a.tags, b.tags)
+
+
+def first_ladder_failure(model):
+    """The build error that ends the model's default straddle ladder."""
+    sched = RefinementSchedule.for_model(model)
+    for n in range(21):
+        step = sched.at(n)
+        try:
+            build_straddle_verified(model, r=step.r, eps=step.eps, h=step.h)
+        except StraddleFailure as exc:
+            return exc
+    return None
+
+
+class TestMidpointTags:
+    @pytest.mark.parametrize("name, eps, most", [
+        ("parabola", 1e-6, 5),
+        ("reciprocal", 1e-4, 25_000),
+        ("sqrt_singular", 1e-4, 1_000),
+    ])
+    def test_pair_count(self, name, eps, most):
+        # measured 3, 20,082 and 513 pairs (1,048,577, 5,514,958 and 33,358
+        # with left-endpoint tags)
+        assert len(build_straddle_verified(catalog(name), r=0.05, eps=eps)) <= most
+
+    @pytest.mark.parametrize("name", [
+        "jump_linear", "osc_sin_inv", "parabola", "reciprocal", "sqrt_singular",
+    ])
+    def test_default_ladder_stops_at_floor(self, name):
+        assert isinstance(first_ladder_failure(catalog(name)), FloorReached)
+
+    @pytest.mark.parametrize("F, f, span", [
+        (np.abs, lambda x: np.ones_like(np.asarray(x)), (-1.0, 1.0)),
+        (lambda x: np.asarray(x) ** 2, lambda x: 3 * np.asarray(x), (0.0, 1.0)),
+        (lambda x: np.where(np.asarray(x) < 0.3, 0.0, 1.0),
+         lambda x: np.zeros_like(np.asarray(x, dtype=float)), (0.0, 1.0)),
+    ], ids=["abs-wrong-slope", "parabola-wrong-slope", "undeclared-jump"])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3])
+    def test_mismatch_is_not_floor(self, F, f, span, eps):
+        model = model_from(F=F, f=f, points=[], lo=span[0], hi=span[1])
+        with pytest.raises(StraddleFailure) as exc:
+            build_straddle_verified(model, r=0.05, eps=eps)
+        assert not isinstance(exc.value, FloorReached)
+        assert span[0] <= exc.value.tag <= span[1]
 
 
 class TestBuildCousin:

@@ -175,7 +175,22 @@ class TestPartitionCommand:
         assert float(first[0]) == -1.0
 
     def test_straddle_dump(self):
+        # the midpoint rule is exact for a quadratic: one cell per gap
         out = run_cli("partition", "--catalog", "parabola", "--builder", "straddle",
+                      "--epsilon", "1e-2")
+        assert out.returncode == 0
+        lines = out.stdout.strip().splitlines()
+        assert lines[0] == "lo,hi,tag,in_exceptional"
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 3
+        cells = [(float(lo), float(hi), float(tag), flag) for lo, hi, tag, flag in rows]
+        assert cells[0][0] == 0.0 and cells[-1][1] == 1.0
+        assert all(a[1] == b[0] for a, b in zip(cells, cells[1:]))
+        assert [c[2] for c in cells if c[3] == "1"] == [0.5]
+        for lo, hi, tag, flag in cells:
+            if flag == "0":
+                assert tag == (lo + hi) / 2
+        out = run_cli("partition", "--catalog", "reciprocal", "--builder", "straddle",
                       "--epsilon", "1e-2")
         assert out.returncode == 0
         assert len(out.stdout.strip().splitlines()) > 10

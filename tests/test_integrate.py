@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gaugeint import (
+    CATALOG_NAMES,
     BuildLimits,
     Converged,
     Diverged,
@@ -189,6 +190,12 @@ class TestDecompose:
             assert abs(report.kh_verdict.value - entry.kh_value) <= 1e-2, name
             assert abs(report.basic_sum_verdict.value - entry.basic_sum) <= 1e-2, name
             assert report.identity_gap <= 1e-5, name
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_defaults_stay_under_pair_cap(self, name):
+        report = decompose(catalog(name))
+        assert "(cap " not in (report.build_diagnostic or ""), report.build_diagnostic
+        assert all(row.ok for row in report.verification.rows)
 
     def test_lemma_consistency_bound(self):
         # whenever both limits converge, the identity gap sits within the
