@@ -1,4 +1,4 @@
-"""Piecewise-function mini-language: parser, printer, evaluators.
+"""Piecewise-function mini-language: parser, printer, evaluator.
 
 Grammar (whitespace insignificant)::
 
@@ -21,19 +21,20 @@ Numeric literals: decimal digits with optional fraction and optional
 exponent (``1``, ``0.5``, ``1e-3``).  Calls: sin cos tan exp log sqrt abs
 sign (1-argument), min max (2-argument).  ``log`` is the natural logarithm.
 
-Evaluation is real-valued.  Division by zero, log of a nonpositive value,
-sqrt of a negative value, a negative base raised to a non-integral power,
-overflow, and falling off the end of a piecewise definition all yield the
-``UNDEFINED`` sentinel in the strict scalar evaluator.  The vectorized
-evaluator signals those cases with non-finite entries instead, which callers
-treat as evaluation failures; unlike the strict evaluator it lets an
-intermediate infinity flow onward (IEEE semantics), so an expression whose
-badness cancels may still come out finite there.
+Evaluation is real-valued.  A point is undefined where any subexpression
+is: division by zero, log of a nonpositive value, sqrt of a negative value, a
+negative base raised to a non-integral power or zero to a negative one,
+overflow, and falling off the end of a piecewise definition.  An undefined
+operand never gives a defined result, even where IEEE arithmetic would
+(``1/(1/x)``, ``exp(-1/x^2)`` and ``min(1/x, 5)`` at 0).  One compiler serves
+both entry points: :class:`CompiledFunction` returns a non-finite value at an
+undefined point, and :func:`evaluate` returns the ``UNDEFINED`` sentinel.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Tuple, Union
@@ -410,165 +411,145 @@ def render(defn: FunctionDef | Node) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Strict scalar evaluation
+# Evaluation
 # ---------------------------------------------------------------------------
 
 _REL = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt,
+    ">=": operator.ge, "==": operator.eq, "!=": operator.ne,
+}
+
+_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    "abs": np.abs, "sign": np.sign, "min": np.minimum, "max": np.maximum,
+}
+
+# Operands an op could map from a non-finite value to a finite one:
+# a/inf = 0, exp(-inf) = 0, sign(inf) = 1, min(inf, 5) = 5, NaN^0 = 1^NaN = 1.
+# Every other op keeps a non-finite operand non-finite, and leaves are finite.
+_GUARDED = {"/": (1,), "pow": (0, 1), "exp": (0,), "sign": (0,), "min": (0, 1), "max": (0, 1)}
+
+
+def _pointwise(fn, nin: int):
+    """``fn`` from :mod:`math` applied per element; a domain or overflow
+    error gives NaN."""
+    def safe(*args):
+        try:
+            return fn(*args)
+        except (ValueError, OverflowError):
+            return math.nan
+
+    ufunc = np.frompyfunc(safe, nin, 1)
+    return lambda *args: np.asarray(ufunc(*args), dtype=float)
+
+
+_NUMPY_PRIMS = {
+    "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
+    "log": np.log, "sqrt": np.sqrt, "pow": np.power,
+}
+# libm through ``math``, so that ``evaluate`` agrees bit for bit with a plain
+# scalar walk (numpy's power may differ from ``math.pow`` in the last place)
+_MATH_PRIMS = {
+    name: _pointwise(getattr(math, name), 2 if name == "pow" else 1) for name in _NUMPY_PRIMS
 }
 
 
-def _finite(v: float):
-    return v if math.isfinite(v) else UNDEFINED
+def _compile(node: Node, prims: dict):
+    """Compile ``node`` into a closure ``fn(xs)`` over a float array.
 
-
-def _eval_scalar(node: Node, x: float):
+    The result is non-finite exactly where the grammar leaves the point
+    undefined.  Leaves are numpy scalars, so arithmetic never raises.
+    """
     if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return x
+        value = np.float64(node.value)
+        return lambda xs: value
     if isinstance(node, Const):
-        return math.pi if node.name == "pi" else math.e
+        value = np.float64(math.pi if node.name == "pi" else math.e)
+        return lambda xs: value
+    if isinstance(node, Var):
+        return lambda xs: xs
     if isinstance(node, Unary):
-        v = _eval_scalar(node.operand, x)
-        return UNDEFINED if v is UNDEFINED else -v
-    if isinstance(node, Bin):
-        a = _eval_scalar(node.left, x)
-        if a is UNDEFINED:
-            return UNDEFINED
-        b = _eval_scalar(node.right, x)
-        if b is UNDEFINED:
-            return UNDEFINED
-        if node.op == "+":
-            return _finite(a + b)
-        if node.op == "-":
-            return _finite(a - b)
-        if node.op == "*":
-            return _finite(a * b)
-        if node.op == "/":
-            return UNDEFINED if b == 0.0 else _finite(a / b)
-        # "^": real-valued power only
-        if a < 0.0 and b != math.floor(b):
-            return UNDEFINED
-        if a == 0.0 and b < 0.0:
-            return UNDEFINED
-        try:
-            return _finite(math.pow(a, b))
-        except (OverflowError, ValueError):
-            return UNDEFINED
-    if isinstance(node, Call):
-        args = []
-        for arg in node.args:
-            v = _eval_scalar(arg, x)
-            if v is UNDEFINED:
-                return UNDEFINED
-            args.append(v)
-        try:
-            if node.name == "sign":
-                a = args[0]
-                return float((a > 0) - (a < 0))
-            if node.name == "abs":
-                return abs(args[0])
-            if node.name == "min":
-                return min(args)
-            if node.name == "max":
-                return max(args)
-            return _finite(getattr(math, node.name)(*args))
-        except (OverflowError, ValueError):
-            return UNDEFINED
+        inner = _compile(node.operand, prims)
+        return lambda xs: -inner(xs)
     if isinstance(node, Piecewise):
-        for cond, expr in node.branches:
-            if _cond_holds(cond, x):
-                return _eval_scalar(expr, x)
-        return UNDEFINED
-    raise TypeError(f"cannot evaluate {node!r}")
+        return _compile_piecewise(node, prims)
+    if isinstance(node, Bin):
+        name = "pow" if node.op == "^" else node.op
+        operands = (node.left, node.right)
+    elif isinstance(node, Call):
+        name, operands = node.name, node.args
+    else:
+        raise TypeError(f"cannot evaluate {node!r}")
+    op = prims[name] if name in prims else _OPS[name]
+    fns = [_compile(n, prims) for n in operands]
+    watch = [i for i in _GUARDED.get(name, ()) if not isinstance(operands[i], (Num, Var, Const))]
+
+    def run(xs):
+        vals = [f(xs) for f in fns]
+        out = op(*vals)
+        for i in watch:
+            # v - v is +0 for finite v and NaN otherwise; out - 0.0 is out bit for bit
+            out -= vals[i] - vals[i]
+        return out
+
+    return run
 
 
-def _cond_holds(cond: Cond, x: float) -> bool:
-    for chain in cond.chains:
-        vals = [x if isinstance(op, Var) else op.value for op in chain.operands]
-        if not all(_REL[op](a, b) for op, a, b in zip(chain.ops, vals, vals[1:])):
-            return False
-    return True
+def _compile_piecewise(node: Piecewise, prims: dict):
+    """First matching branch wins; a point no branch matches is NaN."""
+    branches = [
+        ([(_REL[op], _compile(a, prims), _compile(b, prims))
+          for chain in cond.chains
+          for op, a, b in zip(chain.ops, chain.operands, chain.operands[1:])],
+         _compile(expr, prims))
+        for cond, expr in node.branches
+    ]
+
+    def run(xs):
+        out = np.full(xs.shape, np.nan)
+        remaining = np.ones(xs.shape, dtype=bool)
+        for tests, expr in branches:
+            mask = remaining.copy()
+            for rel, a, b in tests:
+                mask &= rel(a(xs), b(xs))
+            if mask.any():
+                out[mask] = expr(xs[mask])
+            remaining &= ~mask
+        return out
+
+    return run
+
+
+def _run(fn, x):
+    """``fn`` on ``x`` as a float array; a float back for a scalar ``x``."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    with np.errstate(all="ignore"):
+        out = fn(arr)
+    if np.shape(out) != arr.shape:  # a constant expression
+        out = np.broadcast_to(out, arr.shape)
+    return float(out[0]) if np.ndim(x) == 0 else np.array(out)
 
 
 def evaluate(defn: FunctionDef | Node, x: float):
-    """Strict scalar evaluation: returns a float or ``UNDEFINED``."""
+    """Strict scalar evaluation: returns a float or ``UNDEFINED``.
+
+    A one-point call of the same compiled closure as :class:`CompiledFunction`,
+    with the primitives taken from :mod:`math`."""
     node = defn.ast if isinstance(defn, FunctionDef) else defn
-    return _eval_scalar(node, float(x))
-
-
-# ---------------------------------------------------------------------------
-# Vectorized evaluation
-# ---------------------------------------------------------------------------
-
-_NP_FUNCS = {
-    "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
-    "log": np.log, "sqrt": np.sqrt, "abs": np.abs, "sign": np.sign,
-    "min": np.minimum, "max": np.maximum,
-}
-
-
-def _eval_vec(node: Node, xs: np.ndarray):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return xs
-    if isinstance(node, Const):
-        return math.pi if node.name == "pi" else math.e
-    if isinstance(node, Unary):
-        return -_eval_vec(node.operand, xs)
-    if isinstance(node, Bin):
-        a = _eval_vec(node.left, xs)
-        b = _eval_vec(node.right, xs)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return np.divide(a, b)
-        return np.power(a, b)
-    if isinstance(node, Call):
-        args = [_eval_vec(a, xs) for a in node.args]
-        return _NP_FUNCS[node.name](*args)
-    if isinstance(node, Piecewise):
-        out = np.full(xs.shape, np.nan)
-        remaining = np.ones(xs.shape, dtype=bool)
-        for cond, expr in node.branches:
-            mask = remaining & _cond_mask(cond, xs)
-            if mask.any():
-                out[mask] = _eval_vec(expr, xs[mask])
-            remaining &= ~mask
-        return out
-    raise TypeError(f"cannot evaluate {node!r}")
-
-
-def _cond_mask(cond: Cond, xs: np.ndarray) -> np.ndarray:
-    mask = np.ones(xs.shape, dtype=bool)
-    for chain in cond.chains:
-        vals = [xs if isinstance(op, Var) else op.value for op in chain.operands]
-        for op, a, b in zip(chain.ops, vals, vals[1:]):
-            mask &= _REL[op](a, b)
-    return mask
+    value = _run(_compile(node, _MATH_PRIMS), float(x))
+    return value if math.isfinite(value) else UNDEFINED
 
 
 class CompiledFunction:
-    """Callable wrapper around a parsed definition.
+    """Callable wrapper around a parsed definition, compiled once.
 
     Accepts a scalar or an ndarray and evaluates with numpy throughout, so
-    scalar and vector calls share one code path.  Undefined points surface as
-    non-finite outputs; strict undefinedness semantics live in
-    :func:`evaluate`.
+    scalar and vector calls share one code path.  A point the grammar leaves
+    undefined comes out non-finite, the same points at which
+    :func:`evaluate` returns ``UNDEFINED``.
     """
 
-    __slots__ = ("defn", "source")
+    __slots__ = ("defn", "source", "_fn")
 
     def __init__(self, defn: FunctionDef | str):
         if isinstance(defn, str):
@@ -577,14 +558,10 @@ class CompiledFunction:
         else:
             self.defn = defn
             self.source = render(defn)
+        self._fn = _compile(self.defn.ast, _NUMPY_PRIMS)
 
     def __call__(self, x):
-        scalar = np.ndim(x) == 0
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        with np.errstate(all="ignore"):
-            out = _eval_vec(self.defn.ast, arr)
-        out = np.broadcast_to(np.asarray(out, dtype=float), arr.shape)
-        return float(out[0]) if scalar else np.array(out)
+        return _run(self._fn, x)
 
     def __repr__(self):
         return f"CompiledFunction({self.source!r})"

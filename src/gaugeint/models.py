@@ -68,7 +68,7 @@ def _finite_values(name: str, fn: Callable, xs) -> np.ndarray:
     if bad.any():
         pts = np.atleast_1d(xs)[np.atleast_1d(bad)][:4]
         raise EvaluationError(
-            f"{name} is non-finite off the exceptional set (near x={pts[0]!r})", pts
+            f"{name} is non-finite off the exceptional set (near x={float(pts[0])!r})", pts
         )
     return out
 

@@ -311,11 +311,8 @@ def partition_to_csv(
 ) -> str:
     """Render the partition dump: one row per pair, 17-significant-digit
     decimals, header ``lo,hi,tag,in_exceptional``."""
-    mask = restriction_mask(partition, exceptional)
+    rows = zip(partition.los.tolist(), partition.his.tolist(), partition.tags.tolist(),
+               restriction_mask(partition, exceptional).tolist())
     lines = ["lo,hi,tag,in_exceptional"]
-    for i in range(len(partition)):
-        lines.append(
-            f"{partition.los[i]:.17g},{partition.his[i]:.17g},"
-            f"{partition.tags[i]:.17g},{int(mask[i])}"
-        )
+    lines.extend("%.17g,%.17g,%.17g,%d" % row for row in rows)
     return "\n".join(lines) + "\n"

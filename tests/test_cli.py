@@ -56,6 +56,20 @@ class TestExitCodes:
                       "--span", "0,1")
         assert out.returncode == 3
 
+    def test_evaluation_error_names_plain_point(self):
+        out = run_cli("verify", "--function", "x", "--derivative=1/x", "--span=-1,1")
+        assert out.returncode == 3
+        assert out.stderr.splitlines()[-1] == (
+            "evaluation error: f is non-finite off the exceptional set (near x=0.0)"
+        )
+
+    def test_undeclared_point_hidden_by_ieee_is_three(self):
+        # 1/(1/x) is undefined at 0, not 0 as IEEE arithmetic would give
+        out = run_cli("verify", "--function", "x", "--derivative", "1/(1/x)*0 + 1",
+                      "--span=-1,1")
+        assert out.returncode == 3
+        assert "evaluation error" in out.stderr
+
     def test_unverified_row_is_one(self):
         out = run_cli("verify", "--catalog", "reciprocal",
                       "--epsilon", "1e-3,1e-12", "--anchor", "0.05")

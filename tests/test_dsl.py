@@ -342,8 +342,8 @@ class TestAgreement:
         assert out[0] == 1.0
 
     def test_vector_path_agrees_with_strict_scalar_where_defined(self):
-        # the vectorized evaluator drives the builders; wherever the strict
-        # evaluator yields a value, the vector path must produce the same one
+        # the vectorized evaluator drives the builders; it must be non-finite
+        # exactly where the reference walk is undefined, and agree elsewhere
         rng = random.Random(313)
         xs = np.asarray([-2.0, -1.0, -0.5, -1e-3, 0.0, 1e-3, 0.5, 1.0, 2.0, 3.5])
         checked = 0
@@ -353,9 +353,21 @@ class TestAgreement:
             with np.errstate(all="ignore"):
                 vec = fn(xs)
             for x, got in zip(xs, vec):
-                want = evaluate(ast, float(x))
+                want = ref_eval(ast, float(x))
                 if want is UNDEFINED:
+                    assert not np.isfinite(got), (render(ast), x)
                     continue
                 checked += 1
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-300), render(ast)
         assert checked > 1000
+
+    @pytest.mark.parametrize("text", [
+        "1/(1/x)", "min(1/x, 5)", "exp(-1/x^2)", "(1/x)^0", "1^(1/x)", "sign(1/x)",
+        "max(log(x), 1)",
+    ])
+    def test_undefined_operand_stays_undefined(self, text):
+        # IEEE maps these infinities to finite values; the grammar does not
+        assert not np.isfinite(CompiledFunction(text)(0.0))
+        assert not np.isfinite(CompiledFunction(text)(np.asarray([0.0, 1.0]))[0])
+        assert evaluate(parse(text), 0.0) is UNDEFINED
+        assert evaluate(parse(text), 1.0) == ref_eval(parse(text).ast, 1.0)
