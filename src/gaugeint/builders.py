@@ -14,7 +14,8 @@ Three builders:
   the gauge whose existence the fundamental-theorem argument asserts.
 * ``build_cousin`` -- bisection until every piece admits a tag whose gauge
   ball strictly contains it (a constructive proof of nonemptiness for any
-  positive gauge).
+  positive gauge).  It bisects a sorted frontier of open pieces, leftmost
+  ``_WAVE`` at a time, with one bulk gauge evaluation per candidate tag.
 
 The straddle builder works in vectorized waves: it proposes a batch of
 equal-width cells, checks the inequality on the whole batch, accepts the
@@ -402,54 +403,84 @@ def build_cousin(
     midpoint, or a seeded-random point), then midpoint, left, right.  A piece
     whose width falls below the minimum relative width raises
     ``BudgetExceeded`` -- the gauge is effectively zero at floating point.
+
+    The open pieces form a frontier sorted by left endpoint.  Each step takes
+    its leftmost ``_WAVE`` pieces, makes one ``gauge.at`` call per candidate
+    on the pieces still open, and puts the halves of the rejected pieces back
+    in front.  A piece's fate does not depend on the order, so the partition
+    is the one a left-to-right depth-first walk builds, and so is the error:
+    the leftmost failure (a piece under the minimum width or past bisection,
+    or the (cap+1)-th pair) is raised once every piece to its left is
+    settled.  The random policy draws one tag per piece in frontier order.
     """
     if tag_policy not in ("left", "midpoint", "random"):
         raise ValueError(f"unknown tag policy {tag_policy!r}")
     limits = limits or BuildLimits()
+    cap = limits.max_pairs
     rng = random.Random(seed)
     min_width = limits.min_width(span.length)
 
-    los, his, tags = [], [], []
-    stack = [(span.lo, span.hi)]
-    while stack:
-        u, v = stack.pop()
-        if v - u < min_width:
-            raise BudgetExceeded(
-                f"bisection width {v - u:.3e} below minimum {min_width:.3e}; "
-                "gauge is effectively zero here",
-                pairs_built=len(los),
-                position=u,
-            )
+    chunks = []      # accepted (los, his, tags), all left of the failure
+    pairs = 0
+    failure = None   # (position, message or None for the pair cap), leftmost so far
+    fu = np.array([span.lo], dtype=float)
+    fv = np.array([span.hi], dtype=float)
+    while len(fu):
+        u, v, fu, fv = fu[:_WAVE], fv[:_WAVE], fu[_WAVE:], fv[_WAVE:]
+        mid = 0.5 * (u + v)
         if tag_policy == "left":
-            first = u
+            candidates = (u, mid, v)
         elif tag_policy == "midpoint":
-            first = 0.5 * (u + v)
+            candidates = (mid, u, v)
         else:
-            first = rng.uniform(u, v)
-        accepted = None
-        for x in (first, 0.5 * (u + v), u, v):
-            delta = gauge(x)
-            if delta > 0 and x - delta < u and v < x + delta:
-                accepted = x
+            draws = np.array([rng.random() for _ in range(len(u))])
+            candidates = (u + (v - u) * draws, mid, u, v)
+        narrow = v - u < min_width
+        tags = np.empty(len(u))
+        done = ~narrow
+        rejected = np.flatnonzero(done)
+        for x in candidates:
+            if not len(rejected):
                 break
-        if accepted is None:
-            mid = 0.5 * (u + v)
-            if not (u < mid < v):
-                raise BudgetExceeded(
-                    f"cannot bisect [{u!r}, {v!r}] further at floating point",
-                    pairs_built=len(los),
-                    position=u,
-                )
-            stack.append((mid, v))
-            stack.append((u, mid))
-            continue
-        los.append(u)
-        his.append(v)
-        tags.append(accepted)
-        if len(los) > limits.max_pairs:
-            raise BudgetExceeded(
-                f"bisection passed {len(los)} pairs (cap {limits.max_pairs})",
-                pairs_built=len(los),
-                position=u,
-            )
-    return _materialize(span, [(los, his, tags)])
+            xs = x[rejected]
+            delta = gauge.at(xs)
+            fits = (delta > 0) & (xs - delta < u[rejected]) & (v[rejected] < xs + delta)
+            tags[rejected[fits]] = xs[fits]
+            rejected = rejected[~fits]
+        done[rejected] = False
+        chunks.append((u[done], v[done], tags[done]))
+        pairs += len(chunks[-1][0])
+        ru, rm, rv = u[rejected], mid[rejected], v[rejected]
+        fu = np.concatenate([np.stack((ru, rm), axis=1).ravel(), fu])
+        fv = np.concatenate([np.stack((rm, rv), axis=1).ravel(), fv])
+
+        event = None
+        stuck = np.zeros(len(u), dtype=bool)
+        stuck[rejected[~((ru < rm) & (rm < rv))]] = True
+        if (narrow | stuck).any():
+            i = int(np.argmax(narrow | stuck))
+            u_i, v_i = float(u[i]), float(v[i])
+            if narrow[i]:
+                event = (u_i, f"bisection width {v_i - u_i:.3e} below minimum "
+                              f"{min_width:.3e}; gauge is effectively zero here")
+            else:
+                event = (u_i, f"cannot bisect [{u_i!r}, {v_i!r}] further at floating point")
+        if pairs > cap:
+            position = float(np.partition(np.concatenate([c[0] for c in chunks]), cap)[cap])
+            if event is None or position < event[0]:
+                event = (position, None)
+        if event is not None:
+            # the new failure lies left of the old one; drop what lies right of it
+            failure = event
+            accepted = [np.concatenate(parts) for parts in zip(*chunks)]
+            left = accepted[0] < event[0]
+            chunks = [tuple(a[left] for a in accepted)]
+            pairs = len(chunks[0][0])
+            keep = int(np.searchsorted(fu, event[0]))
+            fu, fv = fu[:keep], fv[:keep]
+    if failure is not None:
+        position, message = failure
+        if message is None:
+            message, pairs = f"bisection passed {cap + 1} pairs (cap {cap})", cap + 1
+        raise BudgetExceeded(message, pairs_built=pairs, position=position)
+    return _materialize(span, chunks)

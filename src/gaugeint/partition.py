@@ -215,17 +215,17 @@ def anchor_cells(
 def restrict(
     partition: TaggedPartition, points: Iterable[float]
 ) -> Tuple[Tuple[TaggedPair, ...], Tuple[TaggedPair, ...]]:
-    """Split pairs by tag membership in ``points`` (exact float equality).
+    """Split pairs by tag membership in ``points`` (exact float equality,
+    decided by :func:`restriction_mask`).
 
     Returns ``(on, off)`` preserving partition order; together they are the
     whole partition.
     """
-    pts = frozenset(float(p) for p in points)
-    on: list[TaggedPair] = []
-    off: list[TaggedPair] = []
-    for pair in partition:
-        (on if pair.tag in pts else off).append(pair)
-    return tuple(on), tuple(off)
+    mask = restriction_mask(partition, points).tolist()
+    pairs = partition.pairs()
+    on = tuple(pair for pair, hit in zip(pairs, mask) if hit)
+    off = tuple(pair for pair, hit in zip(pairs, mask) if not hit)
+    return on, off
 
 
 def restriction_mask(partition: TaggedPartition, points: Iterable[float]) -> np.ndarray:
@@ -252,6 +252,19 @@ class GaugeDescriptor:
             if not r > 0:
                 raise ValueError(f"anchor radius at {e} must be positive")
 
+    def widths(self, xs) -> np.ndarray:
+        """delta at each of ``xs``: 2*r at an anchor point (exact float
+        equality), 2*mesh elsewhere, pinched to the distance from the nearest
+        anchor when isolating.  ``fmin`` keeps 2*mesh at a NaN distance."""
+        xs = np.asarray(xs, dtype=float)
+        out = np.full(xs.shape, 2.0 * self.mesh)
+        if self.isolating:
+            for e in self.anchor_radii:
+                np.fmin(out, np.abs(xs - e), out=out)
+        for e, r in self.anchor_radii.items():
+            out[xs == e] = 2.0 * r
+        return out
+
 
 @dataclass(frozen=True)
 class Gauge:
@@ -261,6 +274,9 @@ class Gauge:
     evaluator; it is checked pointwise where the gauge is used.  A gauge that
     evaluates to an effectively-zero width surfaces as ``BudgetExceeded``
     in the bisection builder rather than as a construction-time error.
+
+    ``at`` evaluates a gauge with a descriptor by the descriptor's vectorized
+    formula, and a black-box gauge one point at a time.
     """
 
     evaluator: Callable[[float], float]
@@ -269,7 +285,9 @@ class Gauge:
     def __call__(self, x: float) -> float:
         return float(self.evaluator(x))
 
-    def at(self, xs: np.ndarray) -> np.ndarray:
+    def at(self, xs) -> np.ndarray:
+        if self.descriptor is not None:
+            return self.descriptor.widths(xs)
         return np.array([self.evaluator(float(x)) for x in xs], dtype=float)
 
 
@@ -279,21 +297,12 @@ def anchored_gauge(mesh: float, anchor_radii: Mapping[float, float] | None = Non
 
     With ``isolating`` set, the width near (but not at) an anchor point e is
     pinched to the distance from e, which forces every fine partition to tag
-    e at e itself -- the usual gauge argument for exceptional points.
+    e at e itself -- the usual gauge argument for exceptional points.  One
+    formula, :meth:`GaugeDescriptor.widths`, serves ``gauge(x)`` and
+    ``gauge.at(xs)``, so the two agree bit for bit.
     """
     desc = GaugeDescriptor(mesh=mesh, anchor_radii=dict(anchor_radii or {}), isolating=isolating)
-    anchors = sorted(desc.anchor_radii)
-
-    def evaluate(x: float) -> float:
-        radius = desc.anchor_radii.get(x)
-        if radius is not None:
-            return 2.0 * radius
-        width = 2.0 * desc.mesh
-        if desc.isolating and anchors:
-            width = min(width, min(abs(x - e) for e in anchors))
-        return width
-
-    return Gauge(evaluator=evaluate, descriptor=desc)
+    return Gauge(evaluator=lambda x: desc.widths([x])[0], descriptor=desc)
 
 
 def is_fine(partition: TaggedPartition, gauge: Gauge) -> bool:

@@ -303,6 +303,164 @@ class TestBuildCousin:
         assert np.all(part.tags[holds] == 0.0)
 
 
+def cousin_depth_first(span, gauge, tag_policy="midpoint", limits=None):
+    """Reference Cousin bisection: the one-piece-at-a-time depth-first walk
+    (left and midpoint policies) that ``build_cousin`` must reproduce."""
+    limits = limits or BuildLimits()
+    min_width = limits.min_width(span.length)
+    los, his, tags = [], [], []
+    stack = [(span.lo, span.hi)]
+    while stack:
+        u, v = stack.pop()
+        if v - u < min_width:
+            raise BudgetExceeded(
+                f"bisection width {v - u:.3e} below minimum {min_width:.3e}; "
+                "gauge is effectively zero here",
+                pairs_built=len(los),
+                position=u,
+            )
+        first = u if tag_policy == "left" else 0.5 * (u + v)
+        accepted = None
+        for x in (first, 0.5 * (u + v), u, v):
+            delta = gauge(x)
+            if delta > 0 and x - delta < u and v < x + delta:
+                accepted = x
+                break
+        if accepted is None:
+            mid = 0.5 * (u + v)
+            if not (u < mid < v):
+                raise BudgetExceeded(
+                    f"cannot bisect [{u!r}, {v!r}] further at floating point",
+                    pairs_built=len(los),
+                    position=u,
+                )
+            stack.append((mid, v))
+            stack.append((u, mid))
+            continue
+        los.append(u)
+        his.append(v)
+        tags.append(accepted)
+        if len(los) > limits.max_pairs:
+            raise BudgetExceeded(
+                f"bisection passed {len(los)} pairs (cap {limits.max_pairs})",
+                pairs_built=len(los),
+                position=u,
+            )
+    return np.array(los), np.array(his), np.array(tags)
+
+
+def cousin_outcome(build, span, gauge, policy, cap):
+    limits = BuildLimits(max_pairs=cap) if cap else None
+    try:
+        result = build(span, gauge, tag_policy=policy, limits=limits)
+    except BudgetExceeded as exc:
+        return ("error", type(exc), str(exc), exc.pairs_built, exc.position)
+    if isinstance(result, tuple):
+        los, his, tags = result
+    else:
+        los, his, tags = result.los, result.his, result.tags
+    return ("ok", los.tobytes(), his.tobytes(), tags.tobytes())
+
+
+def seeded_anchored_cases(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        lo = rng.uniform(-2.0, 0.5)
+        span = Interval(lo, lo + rng.uniform(0.5, 2.5))
+        points = sorted(rng.uniform(span.lo, span.hi) for _ in range(rng.randint(0, 3)))
+        if points and rng.random() < 0.25:
+            points[0] = span.lo
+        radii = {e: 10 ** rng.uniform(-5, -1) for e in points}
+        gauge = anchored_gauge(mesh=10 ** rng.uniform(-3, -0.5), anchor_radii=radii,
+                               isolating=rng.random() < 0.5)
+        yield span, gauge, rng.choice([50, 500, None])
+
+
+class TestCousinMatchesDepthFirst:
+    """The batched frontier gives the depth-first walk's partition and error,
+    bit for bit, under the left and midpoint policies."""
+
+    @pytest.mark.parametrize("policy", ["left", "midpoint"])
+    def test_seeded_anchored_gauges(self, policy):
+        failures = 0
+        for span, gauge, cap in seeded_anchored_cases(200, seed=2024):
+            expected = cousin_outcome(cousin_depth_first, span, gauge, policy, cap)
+            assert cousin_outcome(build_cousin, span, gauge, policy, cap) == expected
+            failures += expected[0] == "error"
+        assert 0 < failures < 200
+
+    @pytest.mark.parametrize("policy", ["left", "midpoint"])
+    @pytest.mark.parametrize("cap", [None, 100, 1000])
+    @pytest.mark.parametrize("span", [Interval(0.0, 1.0), Interval(-1.0, 1.0), Interval(0.0, 2.0)])
+    @pytest.mark.parametrize("fn", [
+        lambda x: 2.0,
+        lambda x: 0.3,
+        lambda x: max(0.1, abs(x)),
+        lambda x: max(0.05, abs(x) / 2),
+        lambda x: 1e-3,
+        lambda x: 0.05 if 0.1 < x < 0.9 else 1.1,  # both ends fit where the midpoint does not
+    ], ids=["whole", "constant", "abs", "half_abs", "fine", "ends_only"])
+    def test_generic_gauges(self, fn, span, cap, policy):
+        gauge = Gauge(fn)
+        assert (cousin_outcome(build_cousin, span, gauge, policy, cap)
+                == cousin_outcome(cousin_depth_first, span, gauge, policy, cap))
+
+    @pytest.mark.parametrize("policy", ["left", "midpoint"])
+    @pytest.mark.parametrize("fn,span,message", [
+        (lambda x: 0.0, Interval(0.0, 1.0), "gauge is effectively zero"),
+        (lambda x: 1e-400, Interval(0.0, 1.0), "gauge is effectively zero"),
+        (lambda x: 0.0 if x <= 0.2 else 0.01, Interval(0.0, 1.0), "gauge is effectively zero"),
+        # near 1 adjacent floats come before the width floor
+        (lambda x: 0.0, Interval(1.0, 2.0), "cannot bisect"),
+    ], ids=["zero", "underflow", "zero_on_left", "zero_unbisectable"])
+    def test_zero_gauges(self, fn, span, message, policy):
+        outcome = cousin_outcome(build_cousin, span, Gauge(fn), policy, None)
+        assert outcome == cousin_outcome(cousin_depth_first, span, Gauge(fn), policy, None)
+        assert outcome[0] == "error" and message in outcome[2]
+        assert outcome[3] == 0 and outcome[4] == span.lo
+
+    @pytest.mark.parametrize("cap,pairs_built", [(100, 101), (1000, 1001)])
+    def test_cap_before_zero_side(self, cap, pairs_built):
+        gauge = Gauge(lambda x: 0.0 if x > 0.5 else 1e-4)
+        span = Interval(0.0, 1.0)
+        outcome = cousin_outcome(build_cousin, span, gauge, "midpoint", cap)
+        assert outcome == cousin_outcome(cousin_depth_first, span, gauge, "midpoint", cap)
+        assert outcome[1] is BudgetExceeded and outcome[3] == pairs_built
+
+    @pytest.mark.parametrize("span", [Interval(0.0, 2.0), Interval(0.0, 1.5)])
+    @pytest.mark.parametrize("cap", [50, 51, 52, None])
+    def test_cap_and_unbisectable_piece_in_one_wave(self, span, cap):
+        # pieces ending at 1 never fit and bisect down to adjacent floats,
+        # accepting one left sibling per level on the way
+        gauge = Gauge(lambda x: (1.0 - x) / 2 if x < 1.0 else 0.0)
+        outcome = cousin_outcome(build_cousin, span, gauge, "midpoint", cap)
+        assert outcome == cousin_outcome(cousin_depth_first, span, gauge, "midpoint", cap)
+        assert outcome[0] == "error"
+
+    def test_zero_side_before_cap(self):
+        gauge = Gauge(lambda x: 0.0 if x < 0.5 else 1e-4)
+        span = Interval(0.0, 1.0)
+        outcome = cousin_outcome(build_cousin, span, gauge, "midpoint", 1000)
+        assert outcome == cousin_outcome(cousin_depth_first, span, gauge, "midpoint", 1000)
+        assert outcome[3] == 0 and outcome[4] == 0.0
+        assert "effectively zero" in outcome[2]
+
+    def test_zero_gauge_on_right_end(self):
+        gauge = Gauge(lambda x: 0.0 if 0.7 <= x <= 1.0 else 0.01)
+        span = Interval(0.0, 1.0)
+        outcome = cousin_outcome(build_cousin, span, gauge, "midpoint", None)
+        assert outcome == cousin_outcome(cousin_depth_first, span, gauge, "midpoint", None)
+        assert outcome[0] == "error" and 0 < outcome[3] and 0.7 <= outcome[4] < 0.75
+
+    def test_catalog_dump_gauges(self):
+        for name in ("heaviside", "staircase3"):
+            model = catalog(name)
+            r0 = RefinementSchedule.for_model(model).r0
+            gauge = anchored_gauge(mesh=1e-3, anchor_radii={e: r0 for e in model.E})
+            expected = cousin_outcome(cousin_depth_first, model.span, gauge, "midpoint", None)
+            assert cousin_outcome(build_cousin, model.span, gauge, "midpoint", None) == expected
+
+
 class TestBuilderSweep:
     def test_thousand_randomized_builds_validate(self):
         rng = random.Random(4242)

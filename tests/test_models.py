@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,12 +13,46 @@ from gaugeint import (
     Interval,
     RefinementSchedule,
     SingularFunctionModel,
+    CompiledFunction,
     catalog,
+    catalog_entry,
     consistency_check,
     evaluate_extended,
     increment,
     residual_estimate,
 )
+from gaugeint.models import DerivativeMismatch
+
+
+def consistency_one_point(model, sample_count=64, seed=0):
+    """Reference for ``consistency_check``: the same samples, f and then F
+    evaluated one sample at a time."""
+    r0 = RefinementSchedule.for_model(model).r0
+    h = 1e-6 * model.span.length
+    rng = random.Random(seed)
+    xs = []
+    attempts = 0
+    while len(xs) < sample_count and attempts < sample_count * 50:
+        attempts += 1
+        x = rng.uniform(model.span.lo + h, model.span.hi - h)
+        if all(abs(x - p) >= r0 for p in model.E):
+            xs.append(x)
+    warnings = []
+    for x in xs:
+        declared = float(model.f_values(np.asarray([x]))[0])
+        fp, fm = model.F_values(np.asarray([x + h, x - h]))
+        estimated = (float(fp) - float(fm)) / (2 * h)
+        mismatch = abs(declared - estimated) / max(1.0, abs(declared), abs(estimated))
+        if mismatch > 1e-3:
+            warnings.append(DerivativeMismatch(x, declared, estimated, mismatch))
+    return warnings
+
+
+def check_outcome(check, model, seed):
+    try:
+        return check(model, sample_count=32, seed=seed)
+    except EvaluationError as exc:
+        return ("error", str(exc), exc.points)
 
 
 def simple_model(F, f, points, lo, hi):
@@ -192,3 +227,40 @@ class TestConsistencyCheck:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             consistency_check(catalog("parabola"), sample_count=0)
+
+    @pytest.mark.parametrize("name", ["heaviside", "reciprocal", "sqrt_singular", "parabola",
+                                      "staircase3", "osc_sin_inv", "jump_linear"])
+    @pytest.mark.parametrize("dsl", [False, True])
+    def test_matches_one_point_walk(self, name, dsl):
+        entry = catalog_entry(name)
+        model = entry.model
+        if dsl:
+            model = SingularFunctionModel(F=CompiledFunction(entry.dsl_F),
+                                          f=CompiledFunction(entry.dsl_f),
+                                          E=model.E, span=model.span)
+        for seed in range(3):
+            assert (check_outcome(consistency_check, model, seed)
+                    == check_outcome(consistency_one_point, model, seed))
+
+    def test_warnings_match_one_point_walk(self):
+        model = simple_model(CompiledFunction("x^3"), CompiledFunction("piecewise{ x < 1 : 3*x^2 ; x >= 1 : 2*x^2 }"),
+                             [], -2.0, 2.0)
+        warnings = consistency_check(model, sample_count=32, seed=5)
+        assert 0 < len(warnings) < 32
+        assert warnings == consistency_one_point(model, sample_count=32, seed=5)
+
+    @pytest.mark.parametrize("F,f,named", [
+        ("log(x)", "1/x", "F"),               # F breaks at the first negative sample
+        ("x", "sqrt(x)", "f"),                # f breaks there
+        ("log(x)", "sqrt(x)", "f"),           # both break at one sample: f first
+        ("log(x + 0.3)", "log(x - 0.5)", None),
+        ("log(x - 0.5)", "log(x + 0.3)", None),
+    ])
+    def test_skip_names_first_offending_sample(self, F, f, named):
+        model = simple_model(CompiledFunction(F), CompiledFunction(f), [], -1.0, 1.0)
+        for seed in range(4):
+            outcome = check_outcome(consistency_check, model, seed)
+            assert outcome == check_outcome(consistency_one_point, model, seed)
+            assert outcome[0] == "error"
+            if named:
+                assert outcome[1].startswith(f"{named} is non-finite")

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from gaugeint import (
     restrict,
     validate,
 )
+from gaugeint.partition import restriction_mask
 
 
 def make_partition(cells, span):
@@ -118,6 +120,14 @@ class TestRestrict:
         assert sorted(tags) == [-0.5, 0.0, 0.5]
         assert [p.tag for p in on] == [0.0, 0.5]
 
+    @pytest.mark.parametrize("points", [[-0.0], [0.0, 0.5], [float("nan")], [0.49999999999999994], [0.5]])
+    def test_same_rule_as_mask(self, points):
+        points = list(points)
+        on, off = restrict(self.part, iter(points))
+        mask = restriction_mask(self.part, points)
+        assert [p.tag for p in on] == self.part.tags[mask].tolist()
+        assert [p.tag for p in off] == self.part.tags[~mask].tolist()
+
 
 class TestIsFine:
     def test_inside_open_ball(self):
@@ -157,6 +167,68 @@ class TestAnchoredGauge:
         assert gauge(0.01) == pytest.approx(0.01)
         plain = anchored_gauge(mesh=0.25, anchor_radii={0.0: 0.1}, isolating=False)
         assert plain(0.01) == 0.5
+
+
+def anchored_reference(mesh, anchor_radii, isolating):
+    """The anchored gauge formula one point at a time, in plain floats."""
+    anchors = sorted(anchor_radii)
+
+    def evaluate(x):
+        radius = anchor_radii.get(x)
+        if radius is not None:
+            return 2.0 * radius
+        width = 2.0 * mesh
+        if isolating and anchors:
+            width = min(width, min(abs(x - e) for e in anchors))
+        return width
+
+    return evaluate
+
+
+class TestAnchoredGaugeAt:
+    """``gauge.at(xs)`` is ``[gauge(x) for x in xs]`` bit for bit, and both
+    agree with the one-point reference formula."""
+
+    CASES = [
+        (0.25, {}, True),
+        (0.25, {0.0: 0.1}, True),
+        (0.25, {0.0: 0.1}, False),
+        (0.05, {-0.5: 0.01, 0.0: 0.02, 1.0 / 3.0: 0.003}, True),
+        (0.05, {-0.5: 0.01, 0.0: 0.02, 1.0 / 3.0: 0.003}, False),
+        (1e-4, {-1.0: 0.1, 2.5: 1e-9}, True),
+    ]
+
+    @staticmethod
+    def points(anchors, seed):
+        rng = np.random.default_rng(seed)
+        pts = [0.0, -0.0, 1e300, -1e300, 1e-300, float("inf"), -float("inf"), float("nan")]
+        for e in anchors:
+            pts += [e, np.nextafter(e, np.inf), np.nextafter(e, -np.inf), e + 1e-3, e - 0.3]
+        pts += list(rng.uniform(-3.0, 3.0, 200))
+        if len(anchors) > 1:
+            a = sorted(anchors)
+            pts += [0.5 * (p + q) for p, q in zip(a, a[1:])]
+        return np.array(pts, dtype=float)
+
+    @pytest.mark.parametrize("mesh,radii,isolating", CASES)
+    def test_at_matches_pointwise(self, mesh, radii, isolating):
+        gauge = anchored_gauge(mesh=mesh, anchor_radii=radii, isolating=isolating)
+        reference = anchored_reference(mesh, radii, isolating)
+        xs = self.points(radii, seed=len(radii))
+        bulk = gauge.at(xs)
+        pointwise = np.array([gauge(float(x)) for x in xs])
+        expected = np.array([reference(float(x)) for x in xs])
+        assert bulk.tobytes() == pointwise.tobytes() == expected.tobytes()
+
+    def test_signed_zero_hits_the_anchor(self):
+        gauge = anchored_gauge(mesh=0.25, anchor_radii={0.0: 0.1}, isolating=True)
+        assert gauge.at(np.array([-0.0, 0.0])).tolist() == [0.2, 0.2]
+        assert gauge(-0.0) == 0.2
+
+    def test_black_box_gauge_pointwise(self):
+        gauge = Gauge(lambda x: abs(x) + 0.5)
+        xs = np.array([-1.0, 0.0, 2.5])
+        assert gauge.at(xs).tolist() == [1.5, 0.5, 3.0]
 
 
 class TestCsvDump:
