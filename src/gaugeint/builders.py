@@ -344,13 +344,13 @@ def straddle_chunks(
     memory flat for multi-million-pair builds.
     """
     span = span or model.span
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("straddle tolerance must be positive")
     limits = limits or BuildLimits()
     anchors = anchor_cells(span, model.E, r)
     counter = _Counter(limits.max_pairs)
     h_cap = h if h is not None else span.length
-    if h_cap <= 0:
+    if not h_cap > 0:
         raise ValueError("mesh cap must be positive")
     min_width = limits.min_width(span.length)
     for item in _gaps(span, anchors):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -91,14 +92,16 @@ class Job:
             for e in self.E:
                 if not a < e < b:
                     raise JobError(f"exceptional point {e} not strictly inside ({a}, {b})")
+        if not self.epsilons:
+            raise JobError("at least one epsilon value is required")
         if len(set(self.epsilons)) != len(self.epsilons):
             raise JobError("epsilon values must be distinct")
-        if any(e <= 0 for e in self.epsilons):
-            raise JobError("epsilon values must be positive")
+        if not all(0 < e < math.inf for e in self.epsilons):  # NaN fails too
+            raise JobError("epsilon values must be finite and positive")
         if self.max_depth < 0:
             raise JobError("max-depth must be nonnegative")
-        if self.tol <= 0 or self.div_threshold <= 0:
-            raise JobError("tol and div-threshold must be positive")
+        if not (0 < self.tol < math.inf and 0 < self.div_threshold < math.inf):
+            raise JobError("tol and div-threshold must be finite and positive")
 
     def resolve_model(self) -> SingularFunctionModel:
         if self.F is None:

@@ -37,8 +37,8 @@ from .verdicts import (
     Converged,
     ConvergenceVerdict,
     Inconclusive,
-    SequenceClassifier,
-    classify,
+    Trace,
+    run_ladder,
     verdict_to_json,
 )
 
@@ -53,7 +53,6 @@ __all__ = [
     "residue_check",
     "residue_table",
     "report_json",
-    "classify",
 ]
 
 
@@ -186,28 +185,20 @@ class SequenceRow:
     value: float
 
 
-def _plain_kh_rows(model, schedule, max_depth, tol, div_threshold, limits):
+def _rows(schedule: RefinementSchedule, trace: Trace) -> Tuple[SequenceRow, ...]:
+    """A ladder's trace as depth rows with the schedule step of each depth."""
+    return tuple(SequenceRow(n, *schedule.at(n), v) for n, v in trace)
+
+
+def _plain_ladder(model, schedule, max_depth, tol, div_threshold, limits):
     """Depth-indexed Riemann sums over shrinking straddle builds, classified
     incrementally so the ladder stops at the first verdict."""
-    clf = SequenceClassifier(tol=tol, div_threshold=div_threshold)
-    rows: list[SequenceRow] = []
-    verdict = None
-    diagnostic = None
-    for n in range(max_depth + 1):
+    def riemann(n):
         step = schedule.at(n)
-        try:
-            sums = _straddle_sums(model, step.r, step.eps, limits, h=step.h)
-        except BuildError as exc:
-            diagnostic = f"build failed at depth {n}: {exc}"
-            clf.note(diagnostic)
-            break
-        rows.append(SequenceRow(n, step.h, step.r, step.eps, sums.riemann))
-        verdict = clf.push(n, sums.riemann)
-        if verdict is not None:
-            break
-    if verdict is None:
-        verdict = clf.finish()
-    return rows, verdict, diagnostic
+        return n, _straddle_sums(model, step.r, step.eps, limits, h=step.h).riemann
+
+    return run_ladder(riemann, max_depth, tol, div_threshold,
+                      {BuildError: "build failed at depth {depth}: {exc}"})
 
 
 def plain_kh(
@@ -226,8 +217,7 @@ def plain_kh(
     """
     schedule = schedule or RefinementSchedule.for_model(model)
     limits = limits or BuildLimits()
-    _, verdict, _ = _plain_kh_rows(model, schedule, max_depth, tol, div_threshold, limits)
-    return verdict
+    return _plain_ladder(model, schedule, max_depth, tol, div_threshold, limits)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +289,8 @@ def residue_table(
         )
     else:
         trace, bs_verdict = ((0, 0.0),), Converged(value=0.0, error_estimate=0.0, depth=0)
-    bs_rows = tuple(SequenceRow(n, *schedule.at(n), v) for n, v in trace)
-    return bs_rows, bs_verdict, _residuals(model, schedule, max_depth, tol, div_threshold)
+    return _rows(schedule, trace), bs_verdict, _residuals(
+        model, schedule, max_depth, tol, div_threshold)
 
 
 def decompose(
@@ -328,9 +318,7 @@ def decompose(
     verification = total_kh(model, epsilons=epsilons, r=anchor_r, limits=limits)
     total = verification.total
 
-    kh_rows, kh_verdict, diagnostic = _plain_kh_rows(
-        model, schedule, max_depth, tol, div_threshold, limits
-    )
+    kh_trace, kh_verdict = _plain_ladder(model, schedule, max_depth, tol, div_threshold, limits)
 
     bs_rows, bs_verdict, residuals = residue_table(
         model, schedule, max_depth, tol, div_threshold
@@ -361,9 +349,9 @@ def decompose(
         identity_tolerance=2 * tol,
         residue_sum_gap=residue_sum_gap,
         lemma_consistent=not one_sided,
-        kh_rows=tuple(kh_rows),
+        kh_rows=_rows(schedule, kh_trace),
         bs_rows=bs_rows,
-        build_diagnostic=diagnostic,
+        build_diagnostic=getattr(kh_verdict, "note", "") or None,
     )
 
 

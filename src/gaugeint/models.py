@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AnchorOverlapError, EvaluationError
 from .partition import Interval, anchor_cells
-from .verdicts import ConvergenceVerdict, SequenceClassifier
+from .verdicts import ConvergenceVerdict, run_ladder
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,6 @@ class ExceptionalSet:
             raise ValueError("exceptional points must be finite")
         if any(a >= b for a, b in zip(pts, pts[1:])):
             raise ValueError("exceptional points must be strictly increasing")
-        if len(set(pts)) != len(pts):
-            raise ValueError("exceptional points must be distinct")
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
@@ -50,13 +48,6 @@ class ExceptionalSet:
 
     def __contains__(self, x) -> bool:
         return float(x) in set(self.points)
-
-    def min_gap(self, span: Interval) -> float:
-        """Smallest gap between adjacent points of E united with the span
-        endpoints (duplicates collapse, so endpoint members do not produce a
-        zero gap)."""
-        walls = sorted({span.lo, span.hi, *self.points})
-        return min(b - a for a, b in zip(walls, walls[1:]))
 
 
 def _finite_values(name: str, fn: Callable, xs) -> np.ndarray:
@@ -157,13 +148,11 @@ def residual_estimate(
     max_depth: int = 20,
     tol: float = 1e-6,
     div_threshold: float = 1e12,
-    side_ratio: float = 1.0,
 ) -> ConvergenceVerdict:
     """Limit of raw-F increments over shrinking brackets around ``e``.
 
     Brackets are the anchor cells ``[e - r_n, e + r_n]`` of
-    :func:`anchor_cells` (``side_ratio`` scales the right radius to probe
-    one-sided pathologies).  F itself is evaluated at the bracket ends, not
+    :func:`anchor_cells`.  F itself is evaluated at the bracket ends, not
     its extension; at a span-endpoint member the bracket is one-sided and F
     is evaluated at ``e``.
 
@@ -174,23 +163,16 @@ def residual_estimate(
     if e not in model.E:
         raise ValueError(f"{e!r} is not an exceptional point of the model")
     i = model.E.points.index(e)
-    clf = SequenceClassifier(tol=tol, div_threshold=div_threshold)
-    for n in range(max_depth + 1):
-        step = schedule.at(n)
-        try:
-            lo, hi, _ = anchor_cells(model.span, model.E, step.r, step.r * side_ratio)[i]
-        except AnchorOverlapError as exc:
-            clf.note(f"depth {n}: {exc}")
-            break
-        try:
-            ends = model.F_values(np.asarray([lo, hi]))
-        except EvaluationError as exc:
-            clf.note(f"F evaluation failed at depth {n}: {exc}")
-            break
-        verdict = clf.push(n, float(ends[1] - ends[0]))
-        if verdict is not None:
-            return verdict
-    return clf.finish()
+
+    def bracket(n):
+        lo, hi, _ = anchor_cells(model.span, model.E, schedule.at(n).r)[i]
+        ends = model.F_values(np.asarray([lo, hi]))
+        return n, float(ends[1] - ends[0])
+
+    return run_ladder(bracket, max_depth, tol, div_threshold, {
+        AnchorOverlapError: "depth {depth}: {exc}",
+        EvaluationError: "F evaluation failed at depth {depth}: {exc}",
+    })[1]
 
 
 def consistency_check(

@@ -174,21 +174,19 @@ def validate(partition: TaggedPartition, span: Interval) -> ValidationReport:
 
 
 def anchor_cells(
-    span: Interval, points: Sequence[float], r: float, r_right: float | None = None
+    span: Interval, points: Sequence[float], r: float
 ) -> list[tuple[float, float, float]]:
     """The anchor cells ``(lo, hi, e)``, one per point, in point order.
 
-    Each cell is ``[e - r, e + r_right]`` (``r_right`` defaults to ``r``),
-    one-sided at a point that sits on a span endpoint.  ``points`` must be
-    strictly increasing, as an ``ExceptionalSet`` holds them.  One rule,
-    checked cell by cell, raises ``AnchorOverlapError`` naming the first
-    breach: the width is at least 8 ulp * max(1, |e|), the cell lies inside
-    the closed span, it holds no other point, and it does not overlap the
-    previous cell (touching is allowed).
+    Each cell is ``[e - r, e + r]``, one-sided at a point that sits on a
+    span endpoint.  ``points`` must be strictly increasing, as an
+    ``ExceptionalSet`` holds them.  One rule, checked cell by cell, raises
+    ``AnchorOverlapError`` naming the first breach: the width is at least
+    8 ulp * max(1, |e|), the cell lies inside the closed span, it holds no
+    other point, and it does not overlap the previous cell (touching is
+    allowed).
     """
-    if r_right is None:
-        r_right = r
-    if not (r > 0 and r_right > 0):
+    if not r > 0:
         raise ValueError("anchor radius must be positive")
     a, b = span.lo, span.hi
     pts = tuple(points)
@@ -196,7 +194,7 @@ def anchor_cells(
     cells = []
     for i, e in enumerate(pts):
         lo = e if e == a else e - r
-        hi = e if e == b else e + r_right
+        hi = e if e == b else e + r
         if not hi - lo >= _ANCHOR_FLOOR * max(1.0, abs(e)):
             breach = "is narrower than the floating-point floor"
         elif lo < a or hi > b:

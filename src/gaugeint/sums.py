@@ -27,7 +27,7 @@ import numpy as np
 from .errors import AnchorOverlapError
 from .models import SingularFunctionModel
 from .partition import Interval, TaggedPair, TaggedPartition, anchor_cells, restriction_mask
-from .verdicts import ConvergenceVerdict, SequenceClassifier
+from .verdicts import ConvergenceVerdict, Trace, run_ladder
 
 
 class KahanAccumulator:
@@ -124,7 +124,7 @@ def basic_sum_sequence(
     max_depth: int = 20,
     tol: float = 1e-6,
     div_threshold: float = 1e12,
-) -> Tuple[Tuple[Tuple[int, float], ...], ConvergenceVerdict]:
+) -> Tuple[Trace, ConvergenceVerdict]:
     """Depth-indexed anchor-increment sums with their convergence verdict.
 
     The radius shrinks with the schedule; the sequence stops as soon as the
@@ -134,17 +134,7 @@ def basic_sum_sequence(
     """
     if len(model.E) == 0:
         raise ValueError("basic sum requires a nonempty exceptional set")
-    clf = SequenceClassifier(tol=tol, div_threshold=div_threshold)
-    verdict = None
-    for n in range(max_depth + 1):
-        try:
-            value = anchor_increments(model, schedule.at(n).r)
-        except AnchorOverlapError as exc:
-            clf.note(f"depth {n}: {exc}")
-            break
-        verdict = clf.push(n, value)
-        if verdict is not None:
-            break
-    if verdict is None:
-        verdict = clf.finish()
-    return tuple(clf.trace), verdict
+    return run_ladder(
+        lambda n: (n, anchor_increments(model, schedule.at(n).r)),
+        max_depth, tol, div_threshold, {AnchorOverlapError: "depth {depth}: {exc}"},
+    )

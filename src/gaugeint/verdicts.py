@@ -10,12 +10,18 @@ such a sequence into a single verdict:
   increasing in magnitude over the last five depths.
 * ``Inconclusive`` -- neither rule fired before the sequence ran out; the
   verdict carries the full trace for inspection.
+
+One driver, :func:`run_ladder`, runs every such sequence: it pushes
+``(depth, value)`` pairs into a :class:`SequenceClassifier` and stops at the
+first verdict.  A depth that raises one of the ladder's stop exceptions ends
+the sequence early, and the verdict's note names the cause.  The three limit
+ladders and :func:`classify` all go through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Callable, Mapping, Sequence, Tuple, Union
 
 CONVERGE_RUN = 3
 DIVERGE_RUN = 5
@@ -86,9 +92,9 @@ class SequenceClassifier:
     """
 
     def __init__(self, tol: float, div_threshold: float):
-        if tol <= 0:
+        if not tol > 0:
             raise ValueError("tol must be positive")
-        if div_threshold <= 0:
+        if not div_threshold > 0:
             raise ValueError("div_threshold must be positive")
         self.tol = tol
         self.div_threshold = div_threshold
@@ -126,6 +132,38 @@ class SequenceClassifier:
         return Inconclusive(trace=tuple(self.trace), note=self._note)
 
 
+Trace = Tuple[Tuple[int, float], ...]
+
+
+def run_ladder(
+    pair_at: Callable[[int], Tuple[int, float]],
+    max_depth: int,
+    tol: float,
+    div_threshold: float,
+    stops: Mapping[type, str],
+) -> Tuple[Trace, ConvergenceVerdict]:
+    """Classify ``pair_at(0), ..., pair_at(max_depth)``, each a ``(depth,
+    value)`` pair, up to the first verdict; returns ``(trace, verdict)``.
+
+    ``stops`` maps exception classes to note templates.  When ``pair_at(n)``
+    raises one of them (first match in order), the ladder ends with an
+    ``Inconclusive`` whose note is the template formatted with ``depth=n``
+    and ``exc``; any other exception propagates.
+    """
+    clf = SequenceClassifier(tol=tol, div_threshold=div_threshold)
+    for n in range(max_depth + 1):
+        try:
+            depth, value = pair_at(n)
+        except tuple(stops) as exc:
+            template = next(t for cls, t in stops.items() if isinstance(exc, cls))
+            clf.note(template.format(depth=n, exc=exc))
+            break
+        verdict = clf.push(depth, value)
+        if verdict is not None:
+            return tuple(clf.trace), verdict
+    return tuple(clf.trace), clf.finish()
+
+
 def classify(
     sequence: Sequence[Tuple[int, float]],
     tol: float,
@@ -138,12 +176,7 @@ def classify(
     """
     if not sequence:
         raise ValueError("cannot classify an empty sequence")
-    clf = SequenceClassifier(tol=tol, div_threshold=div_threshold)
-    for depth, value in sequence:
-        verdict = clf.push(depth, value)
-        if verdict is not None:
-            return verdict
-    return clf.finish()
+    return run_ladder(sequence.__getitem__, len(sequence) - 1, tol, div_threshold, {})[1]
 
 
 def verdict_to_json(verdict: ConvergenceVerdict | None) -> dict | None:

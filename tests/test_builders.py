@@ -198,6 +198,11 @@ class TestBuildStraddle:
         off = ~restriction_mask(part, (0.5,))
         assert np.all(part.widths[off] <= 0.001 * (1 + 1e-12))
 
+    @pytest.mark.parametrize("eps, h", [(0.0, None), (np.nan, None), (1e-3, 0.0), (1e-3, np.nan)])
+    def test_nonpositive_or_nan_tolerance_rejected(self, eps, h):
+        with pytest.raises(ValueError):
+            build_straddle_verified(catalog("parabola"), r=0.05, eps=eps, h=h)
+
     def test_determinism(self):
         model = catalog("sqrt_singular")
         a = build_straddle_verified(model, r=0.01, eps=1e-3)

@@ -51,6 +51,23 @@ class TestExitCodes:
                       "--span", "0,1", "--exceptional", "2.0")
         assert out.returncode == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["partition", "--catalog", "heaviside", "--builder", "straddle", "--epsilon="],
+        ["verify", "--catalog", "heaviside", "--epsilon="],
+        ["integrate", "--catalog", "heaviside", "--epsilon="],
+        ["verify", "--catalog", "reciprocal", "--epsilon=inf"],
+        ["verify", "--catalog", "reciprocal", "--epsilon=1e-3,nan"],
+        ["integrate", "--catalog", "heaviside", "--tol=nan"],
+        ["residues", "--catalog", "heaviside", "--tol=inf"],
+        ["residues", "--catalog", "heaviside", "--div-threshold=nan"],
+    ])
+    def test_empty_or_nonfinite_tolerance_is_two(self, argv):
+        out = run_cli(*argv)
+        assert out.returncode == 2
+        assert out.stderr.startswith("error:")
+        assert "Traceback" not in out.stderr
+        assert out.stdout == ""
+
     def test_wrong_derivative_build_failure_is_three(self):
         out = run_cli("integrate", "--function", "x^2", "--derivative", "3*x",
                       "--span", "0,1")
@@ -174,6 +191,21 @@ class TestJobFiles:
         job = tmp_path / "job.json"
         job.write_text(json.dumps({"F": "heaviside", **doc}))
         out = run_cli("integrate", "--job", str(job))
+        assert out.returncode == 2
+        assert out.stderr.startswith("error:")
+        assert "Traceback" not in out.stderr
+
+
+    @pytest.mark.parametrize("command, doc", [
+        ("partition", {"builder": "straddle", "epsilon": []}),
+        ("verify", {"epsilon": [1e-3, float("inf")]}),
+        ("integrate", {"tol": float("nan")}),
+        ("residues", {"div_threshold": float("inf")}),
+    ])
+    def test_empty_or_nonfinite_tolerance_is_usage_error(self, tmp_path, command, doc):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"F": "heaviside", **doc}))
+        out = run_cli(command, "--job", str(job))
         assert out.returncode == 2
         assert out.stderr.startswith("error:")
         assert "Traceback" not in out.stderr

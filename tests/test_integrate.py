@@ -6,6 +6,7 @@ from gaugeint import (
     BuildLimits,
     Converged,
     Diverged,
+    EvaluationError,
     ExceptionalSet,
     Inconclusive,
     Interval,
@@ -130,6 +131,31 @@ class TestPlainKH:
         verdict = plain_kh(model, max_depth=10, limits=BuildLimits(max_pairs=50_000))
         assert isinstance(verdict, Inconclusive)
         assert "build failed" in verdict.note
+
+
+    def test_evaluation_error_propagates(self):
+        model = SingularFunctionModel(
+            F=lambda x: np.asarray(x, dtype=float), f=lambda x: 1.0 / np.asarray(x, dtype=float),
+            E=ExceptionalSet(), span=Interval(-1.0, 1.0),
+        )
+        with pytest.raises(EvaluationError):
+            plain_kh(model)
+
+
+class TestBuildDiagnostic:
+    def test_equals_kh_note_when_a_build_fails(self):
+        report = decompose(catalog("reciprocal"), max_depth=10,
+                           limits=BuildLimits(max_pairs=50_000))
+        assert report.build_diagnostic.startswith(f"build failed at depth {len(report.kh_rows)}: ")
+        assert report.build_diagnostic == report.kh_verdict.note
+
+    @pytest.mark.parametrize("name, max_depth, kind", [
+        ("heaviside", 20, "converged"), ("parabola", 2, "inconclusive"),
+    ])
+    def test_none_without_a_build_failure(self, name, max_depth, kind):
+        report = decompose(catalog(name), max_depth=max_depth)
+        assert report.kh_verdict.kind == kind
+        assert report.build_diagnostic is None
 
 
 CRIT3_OPTS = dict(max_depth=20, tol=5e-3, div_threshold=1e12,

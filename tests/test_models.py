@@ -73,10 +73,6 @@ class TestExceptionalSet:
         assert 0.1 + 1e-18 in E  # rounds back to the same binary64 value
         assert 0.10000001 not in E
 
-    def test_min_gap(self):
-        E = ExceptionalSet([0.5, 1.5])
-        assert E.min_gap(Interval(0.0, 2.0)) == 0.5
-
     def test_point_outside_span_rejected_by_model(self):
         with pytest.raises(ValueError):
             simple_model(lambda x: x, lambda x: 1.0, [2.0], 0.0, 1.0)
@@ -174,12 +170,6 @@ class TestResidualEstimate:
         verdict = residual_estimate(model, 0.0, sched, max_depth=25, tol=1e-4)
         assert isinstance(verdict, Converged)
         assert abs(verdict.value) <= 1e-3
-
-    def test_asymmetric_probe(self):
-        model = catalog("heaviside")
-        sched = RefinementSchedule.for_model(model)
-        verdict = residual_estimate(model, 0.0, sched, side_ratio=0.5)
-        assert isinstance(verdict, Converged) and verdict.value == 1.0
 
     def test_non_exceptional_point_rejected(self):
         model = catalog("heaviside")

@@ -245,44 +245,43 @@ class TestCsvDump:
 
 
 class TestAnchorCells:
-    # (span, points, r, r_right, cells or the breach the error names)
+    # (span, points, r, cells or the breach the error names)
     CASES = {
-        "interior point": ((0.0, 1.0), [0.5], 0.125, None, [(0.375, 0.625, 0.5)]),
-        "asymmetric radii": ((0.0, 1.0), [0.5], 0.125, 0.25, [(0.375, 0.75, 0.5)]),
-        "left endpoint member": ((0.0, 1.0), [0.0], 0.125, None, [(0.0, 0.125, 0.0)]),
-        "right endpoint member": ((0.0, 1.0), [1.0], 0.125, None, [(0.875, 1.0, 1.0)]),
+        "interior point": ((0.0, 1.0), [0.5], 0.125, [(0.375, 0.625, 0.5)]),
+        "left endpoint member": ((0.0, 1.0), [0.0], 0.125, [(0.0, 0.125, 0.0)]),
+        "right endpoint member": ((0.0, 1.0), [1.0], 0.125, [(0.875, 1.0, 1.0)]),
         "touching cells and span edges": (
-            (0.0, 1.0), [0.25, 0.75], 0.25, None, [(0.0, 0.5, 0.25), (0.5, 1.0, 0.75)],
+            (0.0, 1.0), [0.25, 0.75], 0.25, [(0.0, 0.5, 0.25), (0.5, 1.0, 0.75)],
         ),
-        "no points": ((0.0, 1.0), [], 0.125, None, []),
-        "overlapping cells": ((0.0, 1.0), [0.3, 0.5], 0.15, None, "overlaps the cell around 0.3"),
-        "cell leaves the span": ((0.0, 1.0), [0.05], 0.1, None, "leaves the span"),
-        "right side leaves the span": ((0.0, 1.0), [0.5], 0.1, 0.6, "leaves the span"),
+        "no points": ((0.0, 1.0), [], 0.125, []),
+        "overlapping cells": ((0.0, 1.0), [0.3, 0.5], 0.15, "overlaps the cell around 0.3"),
+        "cell leaves the span": ((0.0, 1.0), [0.05], 0.1, "leaves the span"),
+        "right side leaves the span": ((0.0, 1.0), [0.95], 0.1, "leaves the span"),
         "other point inside a cell": (
-            (0.0, 1.0), [0.3, 0.35], 0.1, None, "holds another exceptional point",
+            (0.0, 1.0), [0.3, 0.35], 0.1, "holds another exceptional point",
         ),
         "endpoint cell holds a point": (
-            (0.0, 1.0), [0.0, 0.05], 0.1, None, "holds another exceptional point",
+            (0.0, 1.0), [0.0, 0.05], 0.1, "holds another exceptional point",
         ),
-        "8-ulp floor": ((0.0, 1.0), [0.5], 8e-16, None, "floating-point floor"),
-        "just above the floor": ((0.0, 1.0), [0.5], 1e-15, None, [(0.5 - 1e-15, 0.5 + 1e-15, 0.5)]),
-        "floor scales with |e|": ((0.0, 2e6), [1e6], 8e-10, None, "floating-point floor"),
+        "8-ulp floor": ((0.0, 1.0), [0.5], 8e-16, "floating-point floor"),
+        "just above the floor": ((0.0, 1.0), [0.5], 1e-15, [(0.5 - 1e-15, 0.5 + 1e-15, 0.5)]),
+        "floor scales with |e|": ((0.0, 2e6), [1e6], 8e-10, "floating-point floor"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_rule(self, case):
-        bounds, points, r, r_right, expected = self.CASES[case]
+        bounds, points, r, expected = self.CASES[case]
         span = Interval(*bounds)
         if isinstance(expected, str):
             with pytest.raises(AnchorOverlapError, match=expected):
-                anchor_cells(span, points, r, r_right)
+                anchor_cells(span, points, r)
         else:
-            assert anchor_cells(span, points, r, r_right) == expected
+            assert anchor_cells(span, points, r) == expected
 
-    @pytest.mark.parametrize("r, r_right", [(0.0, None), (-0.1, None), (0.1, 0.0)])
-    def test_nonpositive_radius_rejected(self, r, r_right):
+    @pytest.mark.parametrize("r", [0.0, -0.1])
+    def test_nonpositive_radius_rejected(self, r):
         with pytest.raises(ValueError):
-            anchor_cells(UNIT, [0.5], r, r_right)
+            anchor_cells(UNIT, [0.5], r)
 
 
 def _two_step_model():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugeint import Converged, Diverged, Inconclusive, classify
-from gaugeint.verdicts import SequenceClassifier
+from gaugeint.verdicts import SequenceClassifier, run_ladder
 
 
 def seq(values):
@@ -67,6 +67,10 @@ class TestClassify:
             SequenceClassifier(tol=0.0, div_threshold=1e12)
         with pytest.raises(ValueError):
             SequenceClassifier(tol=1e-6, div_threshold=-1.0)
+        with pytest.raises(ValueError):
+            SequenceClassifier(tol=math.nan, div_threshold=1e12)
+        with pytest.raises(ValueError):
+            SequenceClassifier(tol=1e-6, div_threshold=math.nan)
 
 
 class TestProperties:
@@ -112,6 +116,74 @@ class TestIncremental:
         assert isinstance(verdict, Inconclusive)
         assert verdict.trace == ((0, 1.0), (1, 2.0))
         assert verdict.note == "stopped early"
+
+
+class TestRunLadder:
+    @staticmethod
+    def recording(values, fail_at=None, error=None):
+        """A pair_at over ``values`` that records the depths it was asked
+        for and raises ``error`` at depth ``fail_at``."""
+        asked = []
+
+        def pair_at(n):
+            asked.append(n)
+            if n == fail_at:
+                raise error
+            return n, values[n]
+        return pair_at, asked
+
+    def test_verdict_at_first_depth_a_rule_fires(self):
+        pair_at, asked = self.recording([5.0, 1.0, 1.0, 1.0, 1.0, 99.0, 99.0])
+        trace, verdict = run_ladder(pair_at, 6, tol=1e-9, div_threshold=1e12, stops={})
+        assert verdict == Converged(value=1.0, error_estimate=0.0, depth=4)
+        assert asked == [0, 1, 2, 3, 4]
+        assert trace == ((0, 5.0), (1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0))
+
+    def test_divergence_stops_the_ladder(self):
+        pair_at, asked = self.recording([10.0**k for k in range(1, 30)])
+        _, verdict = run_ladder(pair_at, 28, tol=1e-9, div_threshold=1e12, stops={})
+        assert verdict == Diverged(sign=1)
+        assert asked == list(range(13))  # 10**13 is the first value past 1e12
+
+    def test_runs_out_at_max_depth(self):
+        pair_at, asked = self.recording([float(n) for n in range(10)])
+        trace, verdict = run_ladder(pair_at, 3, tol=1e-9, div_threshold=1e12, stops={})
+        assert verdict == Inconclusive(trace=trace, note="")
+        assert asked == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("error, note", [
+        (KeyError("k"), "first at depth 2: 'k'"),
+        (IndexError("i"), "second at depth 2: i"),
+    ])
+    def test_listed_exception_ends_with_its_note(self, error, note):
+        pair_at, asked = self.recording([1.0, 2.0, 3.0, 4.0], fail_at=2, error=error)
+        stops = {KeyError: "first at depth {depth}: {exc}",
+                 LookupError: "second at depth {depth}: {exc}"}
+        trace, verdict = run_ladder(pair_at, 3, tol=1e-9, div_threshold=1e12, stops=stops)
+        assert verdict == Inconclusive(trace=((0, 1.0), (1, 2.0)), note=note)
+        assert trace == verdict.trace
+        assert asked == [0, 1, 2]
+
+    def test_unlisted_exception_propagates(self):
+        pair_at, _ = self.recording([1.0, 2.0], fail_at=1, error=ZeroDivisionError("z"))
+        with pytest.raises(ZeroDivisionError):
+            run_ladder(pair_at, 3, tol=1e-9, div_threshold=1e12, stops={KeyError: "{exc}"})
+
+    @pytest.mark.parametrize("sequence, tol", [
+        (seq([1.0, 1.0, 1.0, 1.0]), 1e-9),
+        (seq([10.0**k for k in range(1, 16)]), 1e-9),
+        (seq([-(10.0**k) for k in range(1, 16)]), 1e-9),
+        (seq([2 * math.sin(2.0**n) for n in range(15)]), 1e-6),
+        (seq([float(2**n) for n in range(20)]), 1e-9),
+        (seq([2e12, 3e12, 2.5e12, 4e12, 3.5e12, 5e12]), 1e-9),
+        (seq([5.0, 1.0, 1.0, 1.0, 1.0, 99.0]), 1e-9),
+        (seq([0.0, 1.0, 1.001, 1.0015, 1.0018]), 1e-2),
+        ([(2, 1.0), (5, 1.0), (7, 1.0), (9, 1.0)], 1e-9),
+    ])
+    def test_classify_matches_the_driver(self, sequence, tol):
+        _, verdict = run_ladder(sequence.__getitem__, len(sequence) - 1, tol=tol,
+                                div_threshold=1e12, stops={})
+        assert classify(sequence, tol=tol, div_threshold=1e12) == verdict
 
 
 class TestJson:
