@@ -51,10 +51,14 @@ class ScheduleStep(NamedTuple):
 
 @dataclass(frozen=True)
 class RefinementSchedule:
-    """Depth-indexed gauge parameters: mesh, anchor radius, straddle tolerance.
+    """Depth-indexed gauge parameters: mesh cap, anchor radius, straddle tolerance.
 
-    Defaults follow the standard geometric family h_n = h0 * 2^-n,
-    r_n = r0 * 2^-n, eps_n = eps0 * 4^-n; the decay factors are adjustable
+    The mesh cap stays h0 at every depth (``for_span`` sets it to the span
+    length, i.e. no cap): the straddle check bounds the Riemann error by
+    eps times the span length whatever the cell widths are, so a shrinking
+    cap adds nothing to the certificate and only forces more cells.  The
+    anchor radius and the tolerance follow the geometric family
+    r_n = r0 * 2^-n, eps_n = eps0 * 4^-n; their decay factors are adjustable
     because deep runs on hard integrands need a slower tolerance decay to
     stay within pair budgets.
     """
@@ -62,7 +66,6 @@ class RefinementSchedule:
     h0: float
     r0: float
     eps0: float = 1e-2
-    h_factor: float = 0.5
     r_factor: float = 0.5
     eps_factor: float = 0.25
 
@@ -70,7 +73,7 @@ class RefinementSchedule:
         for name in ("h0", "r0", "eps0"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("h_factor", "r_factor", "eps_factor"):
+        for name in ("r_factor", "eps_factor"):
             if not 0 < getattr(self, name) < 1:
                 raise ValueError(f"{name} must lie strictly between 0 and 1")
 
@@ -80,7 +83,6 @@ class RefinementSchedule:
         span: Interval,
         points: Sequence[float] = (),
         eps0: float = 1e-2,
-        h_factor: float = 0.5,
         r_factor: float = 0.5,
         eps_factor: float = 0.25,
     ) -> "RefinementSchedule":
@@ -88,7 +90,7 @@ class RefinementSchedule:
         min_gap = min(b - a for a, b in zip(walls, walls[1:]))
         r0 = min(0.05 * span.length, 0.5 * min_gap)
         return cls(h0=span.length, r0=r0, eps0=eps0,
-                   h_factor=h_factor, r_factor=r_factor, eps_factor=eps_factor)
+                   r_factor=r_factor, eps_factor=eps_factor)
 
     @classmethod
     def for_model(cls, model: SingularFunctionModel, **kwargs) -> "RefinementSchedule":
@@ -98,7 +100,7 @@ class RefinementSchedule:
         if n < 0:
             raise ValueError("depth must be nonnegative")
         return ScheduleStep(
-            h=self.h0 * self.h_factor**n,
+            h=self.h0,
             r=self.r0 * self.r_factor**n,
             eps=self.eps0 * self.eps_factor**n,
         )

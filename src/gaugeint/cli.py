@@ -98,6 +98,8 @@ class Job:
             raise JobError("epsilon values must be distinct")
         if not all(0 < e < math.inf for e in self.epsilons):  # NaN fails too
             raise JobError("epsilon values must be finite and positive")
+        if not (self.anchor is None or 0 < self.anchor < math.inf):  # NaN fails too
+            raise JobError("anchor radius must be finite and positive")
         if self.max_depth < 0:
             raise JobError("max-depth must be nonnegative")
         if not (0 < self.tol < math.inf and 0 < self.div_threshold < math.inf):

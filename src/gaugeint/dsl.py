@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple, Union
 
 import numpy as np
@@ -136,6 +136,10 @@ Node = Union[Num, Var, Const, Unary, Bin, Call, Piecewise]
 @dataclass(frozen=True)
 class FunctionDef:
     ast: Node
+    # the closure :func:`evaluate` runs, compiled on its first call; kept on
+    # this object (an identity key) because AST equality would merge
+    # ``Num(0.0)`` and ``Num(-0.0)``
+    _math_fn: object = field(default=None, init=False, repr=False, compare=False)
 
 
 FUNCTIONS = {
@@ -534,9 +538,15 @@ def evaluate(defn: FunctionDef | Node, x: float):
     """Strict scalar evaluation: returns a float or ``UNDEFINED``.
 
     A one-point call of the same compiled closure as :class:`CompiledFunction`,
-    with the primitives taken from :mod:`math`."""
-    node = defn.ast if isinstance(defn, FunctionDef) else defn
-    value = _run(_compile(node, _MATH_PRIMS), float(x))
+    with the primitives taken from :mod:`math`, compiled once per
+    :class:`FunctionDef` (a bare node is compiled on every call)."""
+    if isinstance(defn, FunctionDef):
+        if defn._math_fn is None:
+            object.__setattr__(defn, "_math_fn", _compile(defn.ast, _MATH_PRIMS))
+        fn = defn._math_fn
+    else:
+        fn = _compile(defn, _MATH_PRIMS)
+    value = _run(fn, float(x))
     return value if math.isfinite(value) else UNDEFINED
 
 

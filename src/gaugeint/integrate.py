@@ -6,8 +6,10 @@
   tolerance-driven widths) whose Riemann sum must track the off-anchor
   increment sum within eps times the span length.
 * ``plain_kh`` -- estimates the ordinary gauge integral of the extended
-  derivative from Riemann sums over straddle-verified partitions whose mesh,
-  anchor radius and tolerance all shrink with depth.
+  derivative from Riemann sums over straddle-verified partitions whose
+  anchor radius and tolerance shrink with depth; the mesh cap stays the
+  schedule's ``h0`` (the span length by default), since the straddle check
+  alone bounds each sum's error by the tolerance times the span length.
 * ``decompose`` -- assembles the total value, the plain-integral verdict, the
   basic-sum verdict and the residual table, and checks the additivity
   identity total = plain + basic-sum when both limits converge.
@@ -191,8 +193,8 @@ def _rows(schedule: RefinementSchedule, trace: Trace) -> Tuple[SequenceRow, ...]
 
 
 def _plain_ladder(model, schedule, max_depth, tol, div_threshold, limits):
-    """Depth-indexed Riemann sums over shrinking straddle builds, classified
-    incrementally so the ladder stops at the first verdict."""
+    """Depth-indexed Riemann sums over straddle builds of shrinking tolerance,
+    classified incrementally so the ladder stops at the first verdict."""
     def riemann(n):
         step = schedule.at(n)
         return n, _straddle_sums(model, step.r, step.eps, limits, h=step.h).riemann

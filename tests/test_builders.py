@@ -43,7 +43,7 @@ class TestSchedule:
     def test_depth_three(self):
         sched = RefinementSchedule.for_span(Interval(-1.0, 1.0), [0.0])
         step = sched.at(3)
-        assert step.h == pytest.approx(0.25, rel=1e-15)
+        assert step.h == 2.0  # the mesh cap stays the span length
         assert step.r == pytest.approx(0.1 / 8, rel=1e-15)
         assert step.eps == pytest.approx(1e-2 / 64, rel=1e-15)
 
@@ -51,7 +51,7 @@ class TestSchedule:
         sched = RefinementSchedule.for_span(Interval(0.0, 3.0), [0.5, 1.5, 2.5])
         for n in range(8):
             a, b = sched.at(n), sched.at(n + 1)
-            assert b.h < a.h and b.r < a.r and b.eps < a.eps
+            assert b.h == a.h == 3.0 and b.r < a.r and b.eps < a.eps
 
     def test_r0_respects_min_gap(self):
         # min gap between {0, 0.02, 3} walls is 0.02, so r0 <= 0.01
@@ -233,11 +233,19 @@ class TestMidpointTags:
         # with left-endpoint tags)
         assert len(build_straddle_verified(catalog(name), r=0.05, eps=eps)) <= most
 
-    @pytest.mark.parametrize("name", [
-        "jump_linear", "osc_sin_inv", "parabola", "reciprocal", "sqrt_singular",
-    ])
+    @pytest.mark.parametrize("name", ["osc_sin_inv", "reciprocal", "sqrt_singular"])
     def test_default_ladder_stops_at_floor(self, name):
         assert isinstance(first_ladder_failure(catalog(name)), FloorReached)
+
+    @pytest.mark.parametrize("name", ["jump_linear", "parabola"])
+    def test_default_ladder_builds_three_pairs_per_depth(self, name):
+        # the midpoint rule is exact on both, and with the mesh cap at the
+        # span length nothing forces more than the two gap cells and the anchor
+        model = catalog(name)
+        assert first_ladder_failure(model) is None
+        sched = RefinementSchedule.for_model(model)
+        for step in map(sched.at, range(21)):
+            assert len(build_straddle_verified(model, r=step.r, eps=step.eps, h=step.h)) == 3
 
     @pytest.mark.parametrize("F, f, span", [
         (np.abs, lambda x: np.ones_like(np.asarray(x)), (-1.0, 1.0)),

@@ -68,6 +68,13 @@ class TestExitCodes:
         assert "Traceback" not in out.stderr
         assert out.stdout == ""
 
+    @pytest.mark.parametrize("radius", ["inf", "nan", "0", "-0.1"])
+    def test_nonfinite_or_nonpositive_anchor_is_two(self, radius):
+        out = run_cli("verify", "--catalog", "heaviside", f"--anchor={radius}")
+        assert out.returncode == 2
+        assert out.stderr == "error: anchor radius must be finite and positive\n"
+        assert out.stdout == ""
+
     def test_wrong_derivative_build_failure_is_three(self):
         out = run_cli("integrate", "--function", "x^2", "--derivative", "3*x",
                       "--span", "0,1")
@@ -209,6 +216,14 @@ class TestJobFiles:
         assert out.returncode == 2
         assert out.stderr.startswith("error:")
         assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("radius", [float("inf"), float("nan"), 0.0, -0.1])
+    def test_nonfinite_or_nonpositive_anchor_is_usage_error(self, tmp_path, radius):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"F": "heaviside", "anchor": radius}))
+        out = run_cli("verify", "--job", str(job))
+        assert out.returncode == 2
+        assert out.stderr == "error: anchor radius must be finite and positive\n"
 
 
 class TestPartitionCommand:

@@ -142,6 +142,42 @@ class TestPlainKH:
             plain_kh(model)
 
 
+    @pytest.mark.parametrize("name, value, depth", [("parabola", 1.0, 19), ("jump_linear", 2.0, 20)])
+    def test_defaults_converge_to_oracle(self, name, value, depth):
+        verdict = plain_kh(catalog(name))
+        assert isinstance(verdict, Converged)
+        assert verdict.depth == depth
+        assert abs(verdict.value - value) <= 1e-6
+
+
+def punctured_model(F, f):
+    """F and f on [0, 1] with the one declared exceptional point 0.5."""
+    return SingularFunctionModel(F=F, f=f, E=ExceptionalSet([0.5]), span=Interval(0.0, 1.0))
+
+
+class TestHonesty:
+    """A plain-integral verdict is never manufactured: a model whose declared
+    data is wrong somewhere off E ends with the build failure named."""
+
+    @pytest.mark.parametrize("F, f", [
+        (lambda x: np.asarray(x) ** 2 + 1e-3 * (np.asarray(x) >= 0.3), lambda x: 2 * np.asarray(x)),
+        (lambda x: np.asarray(x) ** 2 + 1e-7 * (np.asarray(x) >= 0.3), lambda x: 2 * np.asarray(x)),
+        (lambda x: np.asarray(x) ** 2, lambda x: 2 * np.asarray(x) + 1e-6),
+        (lambda x: np.sin(50 * np.asarray(x)), lambda x: 50 * np.cos(50 * np.asarray(x))),
+    ], ids=["undeclared-jump-1e-3", "undeclared-jump-1e-7", "slope-off-1e-6", "sin-50x"])
+    def test_stays_inconclusive(self, F, f):
+        verdict = plain_kh(punctured_model(F, f))
+        assert isinstance(verdict, Inconclusive)
+        assert verdict.note.startswith("build failed at depth ")
+
+    def test_kink_converges_to_true_integral(self):
+        # sign(x - 0.3) integrates to 0.7 - 0.3 over [0, 1]
+        verdict = plain_kh(punctured_model(lambda x: np.abs(np.asarray(x) - 0.3),
+                                           lambda x: np.sign(np.asarray(x) - 0.3)))
+        assert isinstance(verdict, Converged)
+        assert abs(verdict.value - 0.4) <= 1e-6
+
+
 class TestBuildDiagnostic:
     def test_equals_kh_note_when_a_build_fails(self):
         report = decompose(catalog("reciprocal"), max_depth=10,
@@ -216,6 +252,11 @@ class TestDecompose:
             assert abs(report.kh_verdict.value - entry.kh_value) <= 1e-2, name
             assert abs(report.basic_sum_verdict.value - entry.basic_sum) <= 1e-2, name
             assert report.identity_gap <= 1e-5, name
+
+    @pytest.mark.parametrize("name", ["parabola", "jump_linear"])
+    def test_defaults_close_identity(self, name):
+        report = decompose(catalog(name))
+        assert report.identity_gap == 0.0
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_defaults_stay_under_pair_cap(self, name):
