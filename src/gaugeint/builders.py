@@ -42,6 +42,10 @@ from .partition import Gauge, Interval, TaggedPartition, anchor_cells, anchored_
 
 _WAVE = 4096
 
+# Depths whose mesh cap halves with depth; the cap is the span length from
+# here on (see RefinementSchedule).
+MESH_DEPTHS = 13
+
 
 class ScheduleStep(NamedTuple):
     h: float
@@ -53,12 +57,19 @@ class ScheduleStep(NamedTuple):
 class RefinementSchedule:
     """Depth-indexed gauge parameters: mesh cap, anchor radius, straddle tolerance.
 
-    The mesh cap stays h0 at every depth (``for_span`` sets it to the span
-    length, i.e. no cap): the straddle check bounds the Riemann error by
-    eps times the span length whatever the cell widths are, so a shrinking
-    cap adds nothing to the certificate and only forces more cells.  The
-    anchor radius and the tolerance follow the geometric family
-    r_n = r0 * 2^-n, eps_n = eps0 * 4^-n; their decay factors are adjustable
+    Defaults follow the standard geometric family h_n = h0 * 2^-n,
+    r_n = r0 * 2^-n, eps_n = eps0 * 4^-n, except that the mesh cap is lifted
+    to h0 (the span length, from ``for_span``) from depth ``MESH_DEPTHS`` on.
+
+    The straddle check alone ties a Riemann sum to the off-anchor increments
+    of F, within eps times the span length, whatever the cell widths; it is
+    the shrinking cap that makes the midpoint tags sample f densely enough
+    to test f against F, so a model whose f is wrong on a region a few
+    finest caps wide fails a capped depth.  The per-cell bound eps_n * h_n
+    shrinks 8x per depth: on a unit span with |F| ~ 1 it is about 650 ulp of
+    F at depth 12 and meets the 8-ulp evaluation floor near depth 14, so the
+    cap is lifted at depth 13 and the deeper depths converge on a few wide
+    cells.  The radius and tolerance decay factors are adjustable
     because deep runs on hard integrands need a slower tolerance decay to
     stay within pair budgets.
     """
@@ -100,7 +111,7 @@ class RefinementSchedule:
         if n < 0:
             raise ValueError("depth must be nonnegative")
         return ScheduleStep(
-            h=self.h0,
+            h=self.h0 * 0.5**n if n < MESH_DEPTHS else self.h0,
             r=self.r0 * self.r_factor**n,
             eps=self.eps0 * self.eps_factor**n,
         )

@@ -36,7 +36,8 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple, Union
 
 import numpy as np
@@ -136,10 +137,17 @@ Node = Union[Num, Var, Const, Unary, Bin, Call, Piecewise]
 @dataclass(frozen=True)
 class FunctionDef:
     ast: Node
-    # the closure :func:`evaluate` runs, compiled on its first call; kept on
-    # this object (an identity key) because AST equality would merge
-    # ``Num(0.0)`` and ``Num(-0.0)``
-    _math_fn: object = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def _math_fn(self):
+        """The closure :func:`evaluate` runs, compiled on first use and kept
+        on this object (an identity key: AST equality would merge
+        ``Num(0.0)`` and ``Num(-0.0)``)."""
+        return _compile(self.ast, _MATH_PRIMS)
+
+    def __getstate__(self):
+        # pickle the tree only; the closure is compiled again on first use
+        return {"ast": self.ast}
 
 
 FUNCTIONS = {
@@ -541,8 +549,6 @@ def evaluate(defn: FunctionDef | Node, x: float):
     with the primitives taken from :mod:`math`, compiled once per
     :class:`FunctionDef` (a bare node is compiled on every call)."""
     if isinstance(defn, FunctionDef):
-        if defn._math_fn is None:
-            object.__setattr__(defn, "_math_fn", _compile(defn.ast, _MATH_PRIMS))
         fn = defn._math_fn
     else:
         fn = _compile(defn, _MATH_PRIMS)

@@ -7,9 +7,11 @@
   increment sum within eps times the span length.
 * ``plain_kh`` -- estimates the ordinary gauge integral of the extended
   derivative from Riemann sums over straddle-verified partitions whose
-  anchor radius and tolerance shrink with depth; the mesh cap stays the
-  schedule's ``h0`` (the span length by default), since the straddle check
-  alone bounds each sum's error by the tolerance times the span length.
+  mesh, anchor radius and tolerance shrink with depth.  The capped depths
+  test f against F on a fine mesh; from ``builders.MESH_DEPTHS`` on
+  the cap is lifted, since there the straddle check alone bounds each sum's
+  distance from the off-anchor increments of F by the tolerance times the
+  span length, and a fine mesh would only run into the rounding floor.
 * ``decompose`` -- assembles the total value, the plain-integral verdict, the
   basic-sum verdict and the residual table, and checks the additivity
   identity total = plain + basic-sum when both limits converge.
@@ -193,8 +195,8 @@ def _rows(schedule: RefinementSchedule, trace: Trace) -> Tuple[SequenceRow, ...]
 
 
 def _plain_ladder(model, schedule, max_depth, tol, div_threshold, limits):
-    """Depth-indexed Riemann sums over straddle builds of shrinking tolerance,
-    classified incrementally so the ladder stops at the first verdict."""
+    """Depth-indexed Riemann sums over shrinking straddle builds, classified
+    incrementally so the ladder stops at the first verdict."""
     def riemann(n):
         step = schedule.at(n)
         return n, _straddle_sums(model, step.r, step.eps, limits, h=step.h).riemann
@@ -216,6 +218,9 @@ def plain_kh(
     Converged means the Riemann sums settled to the integral's value;
     divergence and budget-limited inconclusiveness are honest outcomes (a
     build failure surfaces in the verdict's note, never as an exception).
+    The declared f is tested against F only on the schedule's capped
+    depths, so a mismatch on a region narrower than about twice the finest
+    cap (the span length / 4096 by default) can go unseen.
     """
     schedule = schedule or RefinementSchedule.for_model(model)
     limits = limits or BuildLimits()

@@ -22,7 +22,7 @@ from gaugeint import (
     is_fine,
     validate,
 )
-from gaugeint.builders import anchored_gauge_for
+from gaugeint.builders import MESH_DEPTHS, anchored_gauge_for
 from gaugeint.partition import restriction_mask
 
 
@@ -43,7 +43,7 @@ class TestSchedule:
     def test_depth_three(self):
         sched = RefinementSchedule.for_span(Interval(-1.0, 1.0), [0.0])
         step = sched.at(3)
-        assert step.h == 2.0  # the mesh cap stays the span length
+        assert step.h == pytest.approx(0.25, rel=1e-15)
         assert step.r == pytest.approx(0.1 / 8, rel=1e-15)
         assert step.eps == pytest.approx(1e-2 / 64, rel=1e-15)
 
@@ -51,7 +51,12 @@ class TestSchedule:
         sched = RefinementSchedule.for_span(Interval(0.0, 3.0), [0.5, 1.5, 2.5])
         for n in range(8):
             a, b = sched.at(n), sched.at(n + 1)
-            assert b.h == a.h == 3.0 and b.r < a.r and b.eps < a.eps
+            assert b.h < a.h and b.r < a.r and b.eps < a.eps
+
+    def test_mesh_cap_lifts_at_mesh_depths(self):
+        sched = RefinementSchedule.for_span(Interval(0.0, 3.0), [1.5])
+        assert sched.at(12).h == 3.0 / 4096
+        assert [sched.at(n).h for n in (MESH_DEPTHS, 14, 40)] == [3.0] * 3
 
     def test_r0_respects_min_gap(self):
         # min gap between {0, 0.02, 3} walls is 0.02, so r0 <= 0.01
@@ -238,14 +243,17 @@ class TestMidpointTags:
         assert isinstance(first_ladder_failure(catalog(name)), FloorReached)
 
     @pytest.mark.parametrize("name", ["jump_linear", "parabola"])
-    def test_default_ladder_builds_three_pairs_per_depth(self, name):
-        # the midpoint rule is exact on both, and with the mesh cap at the
-        # span length nothing forces more than the two gap cells and the anchor
+    def test_default_ladder_passes_every_depth(self, name):
+        # the midpoint rule is exact on both: the capped depths fill the mesh,
+        # and once the cap is lifted nothing forces more than the two gap
+        # cells and the anchor
         model = catalog(name)
         assert first_ladder_failure(model) is None
         sched = RefinementSchedule.for_model(model)
-        for step in map(sched.at, range(21)):
-            assert len(build_straddle_verified(model, r=step.r, eps=step.eps, h=step.h)) == 3
+        for n in range(21):
+            step = sched.at(n)
+            pairs = len(build_straddle_verified(model, r=step.r, eps=step.eps, h=step.h))
+            assert pairs == 3 if n >= MESH_DEPTHS else pairs >= 2**n
 
     @pytest.mark.parametrize("F, f, span", [
         (np.abs, lambda x: np.ones_like(np.asarray(x)), (-1.0, 1.0)),

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from gaugeint import UNDEFINED, CompiledFunction, ParseError, catalog_entry, evaluate, parse, render
 from gaugeint.catalog import CATALOG_NAMES
-from gaugeint.dsl import Bin, Call, Chain, Cond, Const, Num, Piecewise, Unary, Var
+from gaugeint.dsl import Bin, Call, Chain, Cond, Const, FunctionDef, Num, Piecewise, Unary, Var
 
 HEAVISIDE_TEXT = "piecewise{ x <= 0 : 0 ; 0 < x : 1 }"
 
@@ -198,6 +199,22 @@ class TestEvaluate:
         assert evaluate(parse("log(e)"), 0.0) == pytest.approx(1.0, rel=1e-15)
         assert evaluate(parse("max(x, 2)"), 1.0) == 2.0
         assert evaluate(parse("sign(x)"), -3.0) == -1.0
+
+    def test_compiled_once_per_definition(self):
+        defn = parse("1/x")
+        assert evaluate(defn, 2.0) == 0.5
+        assert defn._math_fn is defn._math_fn
+        # equal trees, distinct closures: Num(0.0) == Num(-0.0)
+        plus, minus = FunctionDef(Num(0.0)), FunctionDef(Num(-0.0))
+        assert plus == minus
+        assert math.copysign(1.0, evaluate(plus, 1.0)) == 1.0
+        assert math.copysign(1.0, evaluate(minus, 1.0)) == -1.0
+
+    def test_pickles_after_evaluation(self):
+        defn = parse("x^2")
+        assert evaluate(defn, 3.0) == 9.0
+        again = pickle.loads(pickle.dumps(defn))
+        assert again == defn and evaluate(again, 3.0) == 9.0
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,11 @@ def punctured_model(F, f):
     return SingularFunctionModel(F=F, f=f, E=ExceptionalSet([0.5]), span=Interval(0.0, 1.0))
 
 
+def f_bump(lo, hi, height):
+    """The derivative of x^2, wrong by ``height`` on [lo, hi] only."""
+    return lambda x: 2 * np.asarray(x) + height * ((np.asarray(x) >= lo) & (np.asarray(x) <= hi))
+
+
 class TestHonesty:
     """A plain-integral verdict is never manufactured: a model whose declared
     data is wrong somewhere off E ends with the build failure named."""
@@ -163,12 +168,26 @@ class TestHonesty:
         (lambda x: np.asarray(x) ** 2 + 1e-3 * (np.asarray(x) >= 0.3), lambda x: 2 * np.asarray(x)),
         (lambda x: np.asarray(x) ** 2 + 1e-7 * (np.asarray(x) >= 0.3), lambda x: 2 * np.asarray(x)),
         (lambda x: np.asarray(x) ** 2, lambda x: 2 * np.asarray(x) + 1e-6),
-        (lambda x: np.sin(50 * np.asarray(x)), lambda x: 50 * np.cos(50 * np.asarray(x))),
-    ], ids=["undeclared-jump-1e-3", "undeclared-jump-1e-7", "slope-off-1e-6", "sin-50x"])
+        # f alone is wrong, on regions no gap midpoint of an uncapped build
+        # reaches: only the capped depths see them
+        (lambda x: np.asarray(x) ** 2, f_bump(0.05, 0.15, 1.0)),
+        (lambda x: np.asarray(x) ** 2, f_bump(0.6, 0.62, 1.0)),
+        (lambda x: np.asarray(x) ** 2, f_bump(0.05, 0.15, 1e-4)),
+    ], ids=["undeclared-jump-1e-3", "undeclared-jump-1e-7", "slope-off-1e-6",
+            "f-bump-wide", "f-bump-narrow", "f-bump-1e-4"])
     def test_stays_inconclusive(self, F, f):
         verdict = plain_kh(punctured_model(F, f))
         assert isinstance(verdict, Inconclusive)
         assert verdict.note.startswith("build failed at depth ")
+
+    def test_fast_oscillation_stops_at_the_floor(self):
+        # correct data, but sin(50x) needs cells too narrow for the tolerance
+        # before the ladder can settle
+        verdict = plain_kh(punctured_model(lambda x: np.sin(50 * np.asarray(x)),
+                                           lambda x: 50 * np.cos(50 * np.asarray(x))))
+        assert isinstance(verdict, Inconclusive)
+        assert verdict.note.startswith("build failed at depth ")
+        assert verdict.note.endswith("rejected errors are at the floating-point evaluation floor")
 
     def test_kink_converges_to_true_integral(self):
         # sign(x - 0.3) integrates to 0.7 - 0.3 over [0, 1]
@@ -255,6 +274,8 @@ class TestDecompose:
 
     @pytest.mark.parametrize("name", ["parabola", "jump_linear"])
     def test_defaults_close_identity(self, name):
+        # past the capped depths each Riemann sum is the off-anchor increment
+        # sum of F to rounding, and the capped depths tested f against F
         report = decompose(catalog(name))
         assert report.identity_gap == 0.0
 
