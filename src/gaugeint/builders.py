@@ -69,24 +69,22 @@ class RefinementSchedule:
     shrinks 8x per depth: on a unit span with |F| ~ 1 it is about 650 ulp of
     F at depth 12 and meets the 8-ulp evaluation floor near depth 14, so the
     cap is lifted at depth 13 and the deeper depths converge on a few wide
-    cells.  The radius and tolerance decay factors are adjustable
-    because deep runs on hard integrands need a slower tolerance decay to
-    stay within pair budgets.
+    cells.  The tolerance decay factor is adjustable because deep runs on
+    hard integrands need a slower tolerance decay to stay within pair
+    budgets.
     """
 
     h0: float
     r0: float
     eps0: float = 1e-2
-    r_factor: float = 0.5
     eps_factor: float = 0.25
 
     def __post_init__(self):
         for name in ("h0", "r0", "eps0"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("r_factor", "eps_factor"):
-            if not 0 < getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie strictly between 0 and 1")
+        if not 0 < self.eps_factor < 1:
+            raise ValueError("eps_factor must lie strictly between 0 and 1")
 
     @classmethod
     def for_span(
@@ -94,14 +92,12 @@ class RefinementSchedule:
         span: Interval,
         points: Sequence[float] = (),
         eps0: float = 1e-2,
-        r_factor: float = 0.5,
         eps_factor: float = 0.25,
     ) -> "RefinementSchedule":
         walls = sorted({span.lo, span.hi, *map(float, points)})
         min_gap = min(b - a for a, b in zip(walls, walls[1:]))
         r0 = min(0.05 * span.length, 0.5 * min_gap)
-        return cls(h0=span.length, r0=r0, eps0=eps0,
-                   r_factor=r_factor, eps_factor=eps_factor)
+        return cls(h0=span.length, r0=r0, eps0=eps0, eps_factor=eps_factor)
 
     @classmethod
     def for_model(cls, model: SingularFunctionModel, **kwargs) -> "RefinementSchedule":
@@ -112,23 +108,25 @@ class RefinementSchedule:
             raise ValueError("depth must be nonnegative")
         return ScheduleStep(
             h=self.h0 * 0.5**n if n < MESH_DEPTHS else self.h0,
-            r=self.r0 * self.r_factor**n,
+            r=self.r0 * 0.5**n,
             eps=self.eps0 * self.eps_factor**n,
         )
 
 
 @dataclass(frozen=True)
 class BuildLimits:
+    """The pair cap of one build.  Width searches and bisections stop at
+    ``min_width``, 2^-60 times the span length, which a width starting at
+    most at the span length reaches within 61 halvings."""
+
     max_pairs: int = 10_000_000
-    max_halvings: int = 80
-    min_width_factor: float = 2.0**-60
 
     def __post_init__(self):
-        if self.max_pairs <= 0 or self.max_halvings <= 0 or self.min_width_factor <= 0:
+        if self.max_pairs <= 0:
             raise ValueError("build limits must be positive")
 
     def min_width(self, span_length: float) -> float:
-        return self.min_width_factor * span_length
+        return 2.0**-60 * span_length
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +224,10 @@ def build_anchored(
     return _materialize(span, chunks)
 
 
-def anchored_gauge_for(points: Sequence[float], r: float, h: float,
-                       isolating: bool = False) -> Gauge:
+def anchored_gauge_for(points: Sequence[float], r: float, h: float) -> Gauge:
     """The gauge a partition from :func:`build_anchored` is fine for."""
     return anchored_gauge(mesh=h, anchor_radii={float(e): r for e in points},
-                          isolating=isolating)
+                          isolating=False)
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +275,12 @@ def _width_search_failure(tag, width, error, rejected, site, mismatch) -> Stradd
                         f"{site}; rejected errors are at the floating-point evaluation floor")
 
 
-def _gap_waves(model, g0, g1, eps, limits, counter, h_cap, min_width):
+def _gap_waves(model, g0, g1, eps, counter, h_cap, min_width):
     """Yield (positions, f_tags, F_positions) for contiguous runs of cells
     covering [g0, g1], every cell passing the straddle check at its midpoint
     tag."""
     x = g0
     w = min(h_cap, g1 - g0)
-    halvings = 0
     rejected: list[float] = []
     while x < g1:
         remaining = g1 - x
@@ -317,9 +313,8 @@ def _gap_waves(model, g0, g1, eps, limits, counter, h_cap, min_width):
             err = float(errs[0])
             if err > _eval_floor(F_pos[0], F_pos[1], f_tags[0], tags[0]):
                 rejected.append(err)
-            halvings += 1
             half = w * 0.5
-            if halvings > limits.max_halvings or half < min_width:
+            if half < min_width:
                 raise _width_search_failure(
                     float(tags[0]), float(w), err, rejected, "width search exhausted",
                     "width search exhausted; declared derivative does not match F here",
@@ -329,7 +324,6 @@ def _gap_waves(model, g0, g1, eps, limits, counter, h_cap, min_width):
         counter.add(n_pass, float(x))
         yield positions[: n_pass + 1], f_tags[:n_pass], F_pos[: n_pass + 1]
         x = float(positions[n_pass])
-        halvings = 0
         rejected.clear()
         if n_pass < n_cells:
             w *= 0.5
@@ -372,7 +366,7 @@ def straddle_chunks(
             yield item
         else:
             _, g0, g1 = item
-            for chunk in _gap_waves(model, g0, g1, eps, limits, counter, h_cap, min_width):
+            for chunk in _gap_waves(model, g0, g1, eps, counter, h_cap, min_width):
                 yield ("cells",) + chunk
 
 

@@ -89,9 +89,6 @@ class Job:
             a, b = self.span
             if not a < b:
                 raise JobError(f"span must satisfy a < b, got [{a}, {b}]")
-            for e in self.E:
-                if not a < e < b:
-                    raise JobError(f"exceptional point {e} not strictly inside ({a}, {b})")
         if not self.epsilons:
             raise JobError("at least one epsilon value is required")
         if len(set(self.epsilons)) != len(self.epsilons):
@@ -112,7 +109,7 @@ class Job:
             entry = catalog_entry(self.F)
             model = entry.model
             span = Interval(*self.span) if self.span is not None else model.span
-            points = ExceptionalSet(self.E) if self.E else model.E
+            points = self._points_inside(span) if self.E else model.E
             if span != model.span or points != model.E:
                 model = SingularFunctionModel(
                     F=model.F, f=model.f, E=points, span=span, provenance=model.provenance
@@ -124,10 +121,18 @@ class Job:
         f = CompiledFunction(self.f)
         if self.span is None:
             raise JobError("--span is required for a non-catalog function")
+        span = Interval(*self.span)
         return SingularFunctionModel(
-            F=F, f=f, E=ExceptionalSet(self.E), span=Interval(*self.span),
-            provenance=f"dsl:{F.source}",
+            F=F, f=f, E=self._points_inside(span), span=span, provenance=f"dsl:{F.source}",
         )
+
+    def _points_inside(self, span: Interval) -> ExceptionalSet:
+        """The job's exceptional points, each strictly inside the resolved
+        span (a catalog model's own span when the job gives none)."""
+        for e in self.E:
+            if not span.lo < e < span.hi:
+                raise JobError(f"exceptional point {e} not strictly inside ({span.lo}, {span.hi})")
+        return ExceptionalSet(self.E)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@
   basic-sum verdict and the residual table, and checks the additivity
   identity total = plain + basic-sum when both limits converge.
 * ``residue_check`` -- the degenerate case: when the derivative vanishes off
-  the exceptional set, the endpoint difference must equal the sum of the
-  residuals.
+  the exceptional set, the endpoint difference of the extended function must
+  equal the sum of the residuals.
 * ``residue_table`` -- the anchor-only ladders (basic-sum rows and verdict,
   residual table) shared by ``decompose`` and the ``residues`` command.
 * ``report_json`` -- the fixed six-key JSON envelope every report renders to.
@@ -368,7 +368,7 @@ def decompose(
 
 @dataclass(frozen=True)
 class ResidueReport:
-    lhs: float                      # F(b) - F(a)
+    lhs: float                      # F(b) - F(a) of the extended F
     rhs: float | None               # sum of residuals, when all converge
     gap: float | None
     residuals: Mapping[float, ConvergenceVerdict]
@@ -399,6 +399,9 @@ def residue_check(
 ) -> ResidueReport:
     """Check F(b) - F(a) against the residual sum when f vanishes off E.
 
+    F is the extended F, so the left side is the value ``total_kh``
+    reports, and each residual is its point's extended-F increment.
+
     The precondition (an identically zero derivative off the exceptional
     set) is undecidable for a black box; it is enforced by sampling
     ``samples`` stratified points and raising ``NotLocallyConstant`` on the
@@ -411,9 +414,7 @@ def residue_check(
         raise NotLocallyConstant(nonzero[:4].tolist())
 
     schedule = schedule or RefinementSchedule.for_model(model)
-    lhs = float(model.F_values(np.asarray([model.span.hi]))[0]) - float(
-        model.F_values(np.asarray([model.span.lo]))[0]
-    )
+    lhs = increment(model, model.span)
     residuals = _residuals(model, schedule, max_depth, tol, div_threshold)
     rhs = _residual_sum(residuals)
     gap = None if rhs is None else abs(lhs - rhs)

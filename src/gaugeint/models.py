@@ -3,13 +3,14 @@ extensions of both by zero onto that set.
 
 The exceptional set E collects the finitely many points where F may be
 undefined or unbounded.  The extended functions are defined to be exactly 0
-on E and are never evaluated through F there; off E a non-finite value from
-F or f is an error (it signals an undeclared singularity).
+on E, where F and f are never evaluated: extended values go through one
+mask, anchor-cell increments through ``_cell_increments``.  Off E a
+non-finite value from F or f is an error (an undeclared singularity).
 
 Exceptional points normally lie strictly inside the span.  Points sitting on
 a span endpoint are also accepted (e.g. an integrable singularity at the left
-edge); anchoring and bracketing become one-sided there.  The job layer keeps
-the stricter interior-only rule for user input.
+edge); anchoring and bracketing become one-sided there, counting F(e) = 0.
+The job layer keeps the stricter interior-only rule for user input.
 """
 
 from __future__ import annotations
@@ -112,12 +113,6 @@ class SingularFunctionModel:
         """The extension of f by zero on E, vectorized."""
         return self._masked(self.f_values, xs)
 
-    def extended_value(self, x: float) -> float:
-        return 0.0 if x in self.E else float(self.F_values(np.asarray([x]))[0])
-
-    def extended_derivative(self, x: float) -> float:
-        return 0.0 if x in self.E else float(self.f_values(np.asarray([x]))[0])
-
 
 def evaluate_extended(model: SingularFunctionModel, x: float) -> Tuple[float, float]:
     """(extended F, extended derivative) at one point.
@@ -127,14 +122,29 @@ def evaluate_extended(model: SingularFunctionModel, x: float) -> Tuple[float, fl
     """
     if not model.span.contains(x):
         raise ValueError(f"{x!r} outside span")
-    return model.extended_value(x), model.extended_derivative(x)
+    return float(model.extended_values(x)[0]), float(model.extended_derivatives(x)[0])
 
 
 def increment(model: SingularFunctionModel, interval: Interval) -> float:
     """Interval increment of the extended F: value at hi minus value at lo."""
     if not (model.span.lo <= interval.lo and interval.hi <= model.span.hi):
         raise ValueError("interval outside model span")
-    return model.extended_value(interval.hi) - model.extended_value(interval.lo)
+    lo, hi = model.extended_values([interval.lo, interval.hi])
+    return float(hi - lo)
+
+
+def _cell_increments(model: SingularFunctionModel, cells) -> list:
+    """Extended-F increment of each anchor cell ``(lo, hi, e)``, from one
+    ``F_values`` call.  By the anchor rule a cell end lies on E only as its
+    own point at a span endpoint, where the extended F is 0: no mask needed."""
+    ends = [x for lo, hi, e in cells for x in (lo, hi) if x != e]
+    values = iter(model.F_values(np.asarray(ends)).tolist() if ends else ())
+    out = []
+    for lo, hi, e in cells:
+        F_lo = 0.0 if lo == e else next(values)
+        F_hi = 0.0 if hi == e else next(values)
+        out.append(F_hi - F_lo)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +159,11 @@ def residual_estimate(
     tol: float = 1e-6,
     div_threshold: float = 1e12,
 ) -> ConvergenceVerdict:
-    """Limit of raw-F increments over shrinking brackets around ``e``.
+    """Limit of extended-F increments over shrinking brackets around ``e``.
 
     Brackets are the anchor cells ``[e - r_n, e + r_n]`` of
-    :func:`anchor_cells`.  F itself is evaluated at the bracket ends, not
-    its extension; at a span-endpoint member the bracket is one-sided and F
-    is evaluated at ``e``.
+    :func:`anchor_cells` (one-sided at a span endpoint, counting F(e) = 0);
+    each term is ``e``'s term of the basic sum, from :func:`_cell_increments`.
 
     Raises only on bad arguments (``e`` outside E, a nonpositive radius):
     evaluation failures and cells that break the anchor rule end the
@@ -165,9 +174,8 @@ def residual_estimate(
     i = model.E.points.index(e)
 
     def bracket(n):
-        lo, hi, _ = anchor_cells(model.span, model.E, schedule.at(n).r)[i]
-        ends = model.F_values(np.asarray([lo, hi]))
-        return n, float(ends[1] - ends[0])
+        cell = anchor_cells(model.span, model.E, schedule.at(n).r)[i]
+        return n, _cell_increments(model, [cell])[0]
 
     return run_ladder(bracket, max_depth, tol, div_threshold, {
         AnchorOverlapError: "depth {depth}: {exc}",

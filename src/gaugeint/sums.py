@@ -1,16 +1,19 @@
 """The two sum functionals over tagged partitions and the basic-sum sequence.
 
-* ``riemann_sum`` -- sum of integrand(tag) * width over the pairs, split into
-  the contributions of pairs tagged on and off the exceptional set.
-* ``increment_sum`` -- sum of extended-F increments over pairs.  For a full
-  partition this telescopes exactly to the endpoint difference, and the
-  implementation returns that closed form when told the pairs cover the whole
-  span; summing the near-cancelling terms pairwise would throw the exactness
-  away for singular F.
+* ``riemann_sum`` -- sum of the extended derivative at each tag times the
+  width, split into the contributions of pairs tagged on and off the
+  exceptional set; pairs tagged on E contribute exactly 0 and f is never
+  evaluated there.
+* ``increment_sum`` -- sum of extended-F increments over pairs.  The
+  increment over a whole span telescopes exactly to the endpoint difference,
+  which :func:`models.increment` returns in closed form; summing the
+  near-cancelling terms pairwise would throw the exactness away for
+  singular F.
 * ``basic_sum_sequence`` -- the depth-indexed sums of extended-F increments
   over the anchor cells alone.  In an anchored fine partition the restriction
   to the exceptional set consists of exactly those cells, so nothing else
-  needs to be built.
+  needs to be built.  Each cell's increment is the residual ladder's term at
+  its point (see :func:`models._cell_increments`).
 
 Restricted sums cannot telescope, so they use compensated accumulation:
 numpy's pairwise reduction within a batch and a Kahan accumulator across
@@ -25,8 +28,8 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import AnchorOverlapError
-from .models import SingularFunctionModel
-from .partition import Interval, TaggedPair, TaggedPartition, anchor_cells, restriction_mask
+from .models import SingularFunctionModel, _cell_increments
+from .partition import TaggedPair, TaggedPartition, anchor_cells, restriction_mask
 from .verdicts import ConvergenceVerdict, Trace, run_ladder
 
 
@@ -57,49 +60,31 @@ class SumBreakdown:
     pair_count: Tuple[int, int]  # (all pairs, pairs tagged in E)
 
 
-def riemann_sum(
-    model: SingularFunctionModel,
-    partition: TaggedPartition,
-    use_extension: bool = True,
-) -> SumBreakdown:
-    """Sum integrand(tag) * width over the partition.
+def riemann_sum(model: SingularFunctionModel, partition: TaggedPartition) -> SumBreakdown:
+    """Sum the extended derivative at each tag times the width.
 
-    With ``use_extension`` the integrand is the derivative extended by zero,
-    so pairs tagged on the exceptional set contribute exactly 0; otherwise
-    the raw derivative is evaluated at every tag and evaluation errors
-    propagate.
+    Pairs tagged on the exceptional set contribute exactly 0; f is
+    evaluated at the other tags and its evaluation errors propagate.
     """
-    widths = partition.widths
     on_mask = restriction_mask(partition, tuple(model.E))
-    terms = np.zeros(len(partition))
     off_mask = ~on_mask
+    off_part = 0.0
     if off_mask.any():
-        terms[off_mask] = model.f_values(partition.tags[off_mask]) * widths[off_mask]
-    if not use_extension and on_mask.any():
-        terms[on_mask] = model.f_values(partition.tags[on_mask]) * widths[on_mask]
-    on_part = float(np.sum(terms[on_mask])) if on_mask.any() else 0.0
-    off_part = float(np.sum(terms[off_mask])) if off_mask.any() else 0.0
+        off_part = float(np.sum(model.f_values(partition.tags[off_mask])
+                                * partition.widths[off_mask]))
     return SumBreakdown(
-        total=on_part + off_part,
-        on_E=on_part,
+        total=off_part,
+        on_E=0.0,
         off_E=off_part,
         pair_count=(len(partition), int(np.count_nonzero(on_mask))),
     )
 
 
-def increment_sum(
-    model: SingularFunctionModel,
-    pairs: Sequence[TaggedPair],
-    full_span: Interval | None = None,
-) -> float:
+def increment_sum(model: SingularFunctionModel, pairs: Sequence[TaggedPair]) -> float:
     """Sum of extended-F increments over the given pairs.
 
-    Pass ``full_span`` when the pairs form a full partition of it: the sum
-    then telescopes and the exact closed form (endpoint difference of the
-    extended F) is returned instead of a pairwise float sum.
+    For the exact increment over a whole span use :func:`models.increment`.
     """
-    if full_span is not None:
-        return model.extended_value(full_span.hi) - model.extended_value(full_span.lo)
     if len(pairs) == 0:
         return 0.0
     los = np.asarray([p.interval.lo for p in pairs])
@@ -113,8 +98,8 @@ def anchor_increments(model: SingularFunctionModel, r: float) -> float:
     (see :func:`anchor_cells`); the depth-n term of the basic sum.  Raises
     ``AnchorOverlapError`` when the cells break the anchor rule."""
     acc = KahanAccumulator()
-    for lo, hi, _ in anchor_cells(model.span, model.E, r):
-        acc.add(model.extended_value(hi) - model.extended_value(lo))
+    for value in _cell_increments(model, anchor_cells(model.span, model.E, r)):
+        acc.add(value)
     return acc.total
 
 

@@ -51,6 +51,23 @@ class TestExitCodes:
                       "--span", "0,1", "--exceptional", "2.0")
         assert out.returncode == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["residues", "--catalog", "heaviside", "--exceptional=-1,0"],
+         "exceptional point -1.0 not strictly inside (-1.0, 1.0)"),
+        (["integrate", "--catalog", "heaviside", "--exceptional=0,1"],
+         "exceptional point 1.0 not strictly inside (-1.0, 1.0)"),
+        (["verify", "--catalog", "sqrt_singular", "--exceptional=0"],
+         "exceptional point 0.0 not strictly inside (0.0, 1.0)"),
+        (["partition", "--catalog", "parabola", "--exceptional=2"],
+         "exceptional point 2.0 not strictly inside (0.0, 1.0)"),
+    ], ids=["left-edge", "right-edge", "catalog-edge-point", "outside"])
+    def test_exceptional_on_catalog_span_edge_is_two(self, argv, message):
+        # the interior-only rule holds against the catalog's own span too
+        out = run_cli(*argv)
+        assert out.returncode == 2
+        assert out.stderr == f"error: {message}\n"
+        assert out.stdout == ""
+
     @pytest.mark.parametrize("argv", [
         ["partition", "--catalog", "heaviside", "--builder", "straddle", "--epsilon="],
         ["verify", "--catalog", "heaviside", "--epsilon="],

@@ -11,12 +11,16 @@ from gaugeint import (
     Inconclusive,
     Interval,
     NotLocallyConstant,
+    KahanAccumulator,
     RefinementSchedule,
     SingularFunctionModel,
+    basic_sum_sequence,
     catalog,
     catalog_entry,
     decompose,
+    increment,
     plain_kh,
+    residual_estimate,
     residue_check,
     residue_table,
     total_kh,
@@ -354,3 +358,79 @@ class TestResidueCheck:
         with pytest.raises(NotLocallyConstant) as exc:
             residue_check(catalog("jump_linear"))
         assert len(exc.value.points) >= 1
+
+
+def guarded_model(model):
+    """``model`` with F and f that raise on any point of its exceptional set."""
+    points = np.asarray(model.E.points)
+
+    def guard(name, fn):
+        def wrapped(x):
+            hit = np.isin(np.atleast_1d(np.asarray(x, dtype=float)), points)
+            if hit.any():
+                raise AssertionError(f"{name} called on the exceptional set")
+            return fn(x)
+        return wrapped
+
+    return SingularFunctionModel(F=guard("F", model.F), f=guard("f", model.f), E=model.E,
+                                 span=model.span, provenance=model.provenance)
+
+
+def step_model():
+    """F = 1 on [0, 1/2) and 3 on [1/2, 1], f = 0, E = {0, 1/2}."""
+    return SingularFunctionModel(
+        F=lambda x: np.where(np.asarray(x, dtype=float) < 0.5, 1.0, 3.0),
+        f=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        E=ExceptionalSet([0.0, 0.5]), span=Interval(0.0, 1.0),
+    )
+
+
+class TestExtensionRule:
+    """F = f = 0 on E: no computation evaluates F or f there, and every
+    endpoint difference is that of the extended F."""
+
+    def test_F_and_f_never_called_on_E(self):
+        for name in CATALOG_NAMES:
+            m = guarded_model(catalog(name))
+            sched = RefinementSchedule.for_model(m)
+            decompose(m)
+            total_kh(m)
+            basic_sum_sequence(m, sched)
+            for e in m.E:
+                residual_estimate(m, e, sched)
+            increment(m, m.span)
+            if name in ("heaviside", "staircase3"):
+                residue_check(m)
+
+    def test_step_residues_add_up_to_the_total(self):
+        m = step_model()
+        report = residue_check(m)
+        assert report.lhs == total_kh(m).total == 3.0
+        assert [v.value for v in report.residuals.values()] == [1.0, 2.0]
+        assert report.gap == 0.0
+        assert decompose(m).residue_sum_gap == 0.0
+
+    def test_log_residual_is_log_radius(self):
+        m = SingularFunctionModel(
+            F=lambda x: np.log(np.asarray(x, dtype=float)),
+            f=lambda x: 1.0 / np.asarray(x, dtype=float),
+            E=ExceptionalSet([0.0]), span=Interval(0.0, 1.0),
+        )
+        sched = RefinementSchedule.for_model(m)
+        verdict = residual_estimate(m, 0.0, sched)
+        assert isinstance(verdict, Inconclusive)
+        assert "evaluation" not in verdict.note
+        assert verdict.trace == tuple((n, float(np.log(sched.at(n).r))) for n in range(21))
+
+    @pytest.mark.parametrize("model", [catalog("staircase3"), step_model()],
+                             ids=["staircase3", "step"])
+    def test_basic_sum_is_the_sum_of_residuals_at_every_depth(self, model):
+        sched = RefinementSchedule.for_model(model)
+        trace, _ = basic_sum_sequence(model, sched)
+        for n, value in trace:
+            # a schedule whose depth 0 is depth n of ``sched``
+            at_n = RefinementSchedule(h0=sched.h0, r0=sched.at(n).r)
+            acc = KahanAccumulator()
+            for e in model.E:
+                acc.add(residual_estimate(model, e, at_n, max_depth=0).trace[0][1])
+            assert acc.total == value
