@@ -22,9 +22,15 @@ equal-width cells, checks the inequality on the whole batch, accepts the
 passing prefix, and halves or grows the width adaptively.  Width control is
 geometric with factor 2 downward; the upward growth is throttled by the
 observed error headroom so the accepted widths track the largest passing
-width without thrashing.  A search that cannot go on at some position stops
-with ``FloorReached`` when its rejected errors only reflect rounding, and
-with ``StraddleFailure`` when they kept their size as the width halved.
+width without thrashing.  A wave whose first cell fails only halves the
+width, so while the search is halving each wave is settled on its first
+cell alone and the full batch is evaluated once that cell passes; the
+partitions and errors are those of evaluating every wave in full, except
+that F or f non-finite only on a halving wave's later cells no longer
+raises ``EvaluationError`` from that wave.  A search that cannot go on at
+some position stops with ``FloorReached`` when its rejected errors only
+reflect rounding, and with ``StraddleFailure`` when they kept their size as
+the width halved.
 """
 
 from __future__ import annotations
@@ -275,13 +281,37 @@ def _width_search_failure(tag, width, error, rejected, site, mismatch) -> Stradd
                         f"{site}; rejected errors are at the floating-point evaluation floor")
 
 
+def _straddle_errors(model, positions):
+    """``(F_positions, tags, f_tags, widths, errs)`` of the cells between
+    consecutive breakpoints: F at the breakpoints, f at the midpoint tags and
+    each cell's straddle error.  The expressions are elementwise, so the
+    first cell's values do not depend on how many cells follow it."""
+    widths = positions[1:] - positions[:-1]
+    tags = _midpoints(positions)
+    F_pos = model.F_values(positions)
+    f_tags = model.f_values(tags)
+    errs = np.abs((F_pos[1:] - F_pos[:-1]) - f_tags * widths)
+    return F_pos, tags, f_tags, widths, errs
+
+
 def _gap_waves(model, g0, g1, eps, counter, h_cap, min_width):
     """Yield (positions, f_tags, F_positions) for contiguous runs of cells
     covering [g0, g1], every cell passing the straddle check at its midpoint
-    tag."""
+    tag.
+
+    A wave that rejects its first cell only halves the width, so while the
+    width search is halving, each wave is first decided on its first cell
+    alone (F at two breakpoints, f at one tag); the full wave is evaluated
+    once that cell passes.  The accepted cells, the rejected errors and the
+    errors raised are those of evaluating every wave in full, with one
+    exception: a halving wave no longer evaluates its later cells, so F or
+    f non-finite only there raises ``EvaluationError`` from a later wave, or
+    not at all when the width search fails first.
+    """
     x = g0
     w = min(h_cap, g1 - g0)
     rejected: list[float] = []
+    first_rejected = False
     while x < g1:
         remaining = g1 - x
         w = min(w, remaining)
@@ -296,20 +326,25 @@ def _gap_waves(model, g0, g1, eps, counter, h_cap, min_width):
         else:
             n_cells = _WAVE
             positions = x + w * np.arange(_WAVE + 1)
-        widths = np.diff(positions)
-        tags = _midpoints(positions)
-        if not (widths > 0).all():
-            i = int(np.argmin(widths > 0))
-            raise _width_search_failure(float(tags[i]), float(w), math.nan, rejected,
-                                        "cell width underflows",
+        # a width is positive exactly when its breakpoints increase
+        rising = positions[1:] > positions[:-1]
+        if not rising.all():
+            i = int(np.argmin(rising))
+            raise _width_search_failure(float(_midpoints(positions[i:i + 2])[0]), float(w),
+                                        math.nan, rejected, "cell width underflows",
                                         "cell width underflows at floating point")
-        F_pos = model.F_values(positions)
-        f_tags = model.f_values(tags)
-        errs = np.abs(np.diff(F_pos) - f_tags * widths)
-        bounds = eps * widths
-        ok = errs <= bounds
-        n_pass = n_cells if bool(ok.all()) else int(np.argmin(ok))
-        if n_pass == 0:
+        if first_rejected:
+            F_pos, tags, f_tags, widths, errs = _straddle_errors(model, positions[:2])
+            first_rejected = not errs[0] <= eps * widths[0]
+        if not first_rejected:
+            F_pos, tags, f_tags, widths, errs = _straddle_errors(model, positions)
+            bounds = eps * widths
+            ok = errs <= bounds
+            n_pass = int(np.argmin(ok))
+            if ok[n_pass]:
+                n_pass = n_cells
+            first_rejected = n_pass == 0
+        if first_rejected:
             err = float(errs[0])
             if err > _eval_floor(F_pos[0], F_pos[1], f_tags[0], tags[0]):
                 rejected.append(err)
@@ -328,7 +363,7 @@ def _gap_waves(model, g0, g1, eps, counter, h_cap, min_width):
         if n_pass < n_cells:
             w *= 0.5
         else:
-            headroom = float(np.max(errs / bounds)) if n_cells else 0.0
+            headroom = float(np.max(errs / bounds))
             if headroom < 0.25:
                 w = min(w * 2.0, h_cap)
             elif headroom < 0.6:

@@ -97,8 +97,7 @@ def _straddle_sums(model, r, eps, limits, h=None) -> _StraddleSums:
             pairs += 1  # extended derivative vanishes at the anchor tag
         else:
             _, positions, f_tags, F_pos = item
-            widths = np.diff(positions)
-            xi.add(float(np.sum(f_tags * widths)))
+            xi.add(float(np.sum(f_tags * (positions[1:] - positions[:-1]))))
             off.add(float(F_pos[-1] - F_pos[0]))  # run telescopes exactly
             pairs += len(f_tags)
     return _StraddleSums(riemann=xi.total, off_increments=off.total, pairs=pairs)
@@ -267,9 +266,10 @@ def _residuals(model, schedule, max_depth, tol, div_threshold) -> dict:
 
 
 def _residual_sum(residuals: Mapping[float, ConvergenceVerdict]) -> float | None:
-    """Kahan sum of the residual values; None unless there is at least one
-    residual and every residual converged."""
-    if not residuals or not all(isinstance(v, Converged) for v in residuals.values()):
+    """Kahan sum of the residual values; None unless every residual converged.
+    An empty table sums to 0.0, the residual sum over an empty exceptional
+    set."""
+    if not all(isinstance(v, Converged) for v in residuals.values()):
         return None
     acc = KahanAccumulator()
     for v in residuals.values():

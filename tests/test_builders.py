@@ -1,9 +1,12 @@
+import dataclasses
+import math
 import random
 
 import numpy as np
 import pytest
 
 from gaugeint import (
+    CATALOG_NAMES,
     AnchorOverlapError,
     BudgetExceeded,
     BuildLimits,
@@ -19,10 +22,20 @@ from gaugeint import (
     build_cousin,
     build_straddle_verified,
     catalog,
+    decompose,
     is_fine,
     validate,
 )
-from gaugeint.builders import MESH_DEPTHS, anchored_gauge_for
+from gaugeint import builders
+from gaugeint.builders import (
+    _WAVE,
+    MESH_DEPTHS,
+    _eval_floor,
+    _midpoints,
+    _width_search_failure,
+    anchored_gauge_for,
+    straddle_chunks,
+)
 from gaugeint.partition import restriction_mask
 
 
@@ -480,6 +493,176 @@ class TestCousinMatchesDepthFirst:
             gauge = anchored_gauge(mesh=1e-3, anchor_radii={e: r0 for e in model.E})
             expected = cousin_outcome(cousin_depth_first, model.span, gauge, "midpoint", None)
             assert cousin_outcome(build_cousin, model.span, gauge, "midpoint", None) == expected
+
+
+def gap_waves_in_full(model, g0, g1, eps, counter, h_cap, min_width):
+    """Reference wave engine: every wave evaluates F and f on all its cells,
+    also while the width search is halving.  ``_gap_waves`` must reproduce
+    its chunks, its rejected errors and the errors it raises bit for bit."""
+    x = g0
+    w = min(h_cap, g1 - g0)
+    rejected = []
+    while x < g1:
+        remaining = g1 - x
+        w = min(w, remaining)
+        n_cells = math.ceil(remaining / w)
+        if n_cells <= _WAVE + 1:
+            width = remaining / n_cells
+            positions = x + width * np.arange(n_cells + 1)
+            positions[0] = x
+            positions[-1] = g1
+        else:
+            n_cells = _WAVE
+            positions = x + w * np.arange(_WAVE + 1)
+        widths = np.diff(positions)
+        tags = _midpoints(positions)
+        if not (widths > 0).all():
+            i = int(np.argmin(widths > 0))
+            raise _width_search_failure(float(tags[i]), float(w), math.nan, rejected,
+                                        "cell width underflows",
+                                        "cell width underflows at floating point")
+        F_pos = model.F_values(positions)
+        f_tags = model.f_values(tags)
+        errs = np.abs(np.diff(F_pos) - f_tags * widths)
+        bounds = eps * widths
+        ok = errs <= bounds
+        n_pass = n_cells if bool(ok.all()) else int(np.argmin(ok))
+        if n_pass == 0:
+            err = float(errs[0])
+            if err > _eval_floor(F_pos[0], F_pos[1], f_tags[0], tags[0]):
+                rejected.append(err)
+            half = w * 0.5
+            if half < min_width:
+                raise _width_search_failure(
+                    float(tags[0]), float(w), err, rejected, "width search exhausted",
+                    "width search exhausted; declared derivative does not match F here",
+                )
+            w = half
+            continue
+        counter.add(n_pass, float(x))
+        yield positions[: n_pass + 1], f_tags[:n_pass], F_pos[: n_pass + 1]
+        x = float(positions[n_pass])
+        rejected.clear()
+        if n_pass < n_cells:
+            w *= 0.5
+        else:
+            headroom = float(np.max(errs / bounds)) if n_cells else 0.0
+            if headroom < 0.25:
+                w = min(w * 2.0, h_cap)
+            elif headroom < 0.6:
+                w = min(w * 1.3, h_cap)
+
+
+def straddle_items(model, r, eps, h, cap):
+    """The ``straddle_chunks`` items of one build, arrays as bytes, and the
+    error that ended it with its fields as reprs."""
+    limits = BuildLimits(max_pairs=cap) if cap else None
+    items = []
+    try:
+        for item in straddle_chunks(model, model.span, r, eps, limits, h):
+            items.append(tuple(a.tobytes() if isinstance(a, np.ndarray) else a for a in item))
+    except StraddleFailure as exc:
+        return items, (type(exc), str(exc), repr(exc.tag), repr(exc.width), repr(exc.error))
+    except BudgetExceeded as exc:
+        return items, (type(exc), str(exc), exc.pairs_built, repr(exc.position))
+    return items, None
+
+
+def punctured(F, f):
+    return model_from(F=F, f=f, points=[0.5], lo=0.0, hi=1.0)
+
+
+def f_bump(lo, hi, height):
+    """The derivative of x^2, wrong by ``height`` on [lo, hi] only."""
+    return lambda x: 2 * np.asarray(x) + height * ((np.asarray(x) >= lo) & (np.asarray(x) <= hi))
+
+
+# the honesty probes of the plain-integral ladder, a model on the
+# evaluation floor at a capped depth and a kink with a wrong slope
+PROBE_MODELS = {
+    "undeclared-jump-1e-3": (lambda x: np.asarray(x) ** 2 + 1e-3 * (np.asarray(x) >= 0.3),
+                             lambda x: 2 * np.asarray(x)),
+    "undeclared-jump-1e-7": (lambda x: np.asarray(x) ** 2 + 1e-7 * (np.asarray(x) >= 0.3),
+                             lambda x: 2 * np.asarray(x)),
+    "slope-off-1e-6": (lambda x: np.asarray(x) ** 2, lambda x: 2 * np.asarray(x) + 1e-6),
+    "f-bump-wide": (lambda x: np.asarray(x) ** 2, f_bump(0.05, 0.15, 1.0)),
+    "f-bump-narrow": (lambda x: np.asarray(x) ** 2, f_bump(0.6, 0.62, 1.0)),
+    "f-bump-1e-4": (lambda x: np.asarray(x) ** 2, f_bump(0.05, 0.15, 1e-4)),
+    "sin-50x": (lambda x: np.sin(50 * np.asarray(x)), lambda x: 50 * np.cos(50 * np.asarray(x))),
+    "kink": (lambda x: np.abs(np.asarray(x) - 0.3), lambda x: np.sign(np.asarray(x) - 0.3)),
+    "scaled-parabola": (lambda x: 1e4 * np.asarray(x) ** 2, lambda x: 2e4 * np.asarray(x)),
+    "kink-slope-one": (lambda x: np.abs(np.asarray(x) - 0.3),
+                       lambda x: np.ones_like(np.asarray(x, dtype=float))),
+}
+
+
+class TestWavesMatchFullEvaluation:
+    """Deciding halving waves on their first cell gives the items and errors
+    of evaluating every wave in full, bit for bit."""
+
+    def build_error(self, monkeypatch, model, r, eps, h=None, cap=None):
+        """Check one build against the reference engine; return the error
+        that ended it, or None."""
+        got = straddle_items(model, r, eps, h, cap)
+        with monkeypatch.context() as patch:
+            patch.setattr(builders, "_gap_waves", gap_waves_in_full)
+            assert got == straddle_items(model, r, eps, h, cap)
+        return got[1]
+
+    def ladder_errors(self, monkeypatch, model):
+        """Check the default ladder's builds up to the first failure, the
+        three ``total_kh`` builds and one build under a 1000-pair cap; return
+        the errors that ended them."""
+        sched = RefinementSchedule.for_model(model)
+        errors = []
+        for n in range(21):
+            step = sched.at(n)
+            errors.append(self.build_error(monkeypatch, model, step.r, step.eps, step.h))
+            if errors[-1] is not None:
+                break
+        for eps, cap in ((1e-2, None), (1e-3, None), (1e-4, None), (1e-3, 1000)):
+            errors.append(self.build_error(monkeypatch, model, sched.r0, eps, cap=cap))
+        return [error for error in errors if error is not None]
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_catalog(self, monkeypatch, name):
+        self.ladder_errors(monkeypatch, catalog(name))
+
+    @pytest.mark.parametrize("F, f", PROBE_MODELS.values(), ids=PROBE_MODELS)
+    def test_probe_models(self, monkeypatch, F, f):
+        self.ladder_errors(monkeypatch, punctured(F, f))
+
+    def test_every_failure_site_is_reached(self, monkeypatch):
+        errors = [error for name in ("reciprocal", "osc_sin_inv")
+                  for error in self.ladder_errors(monkeypatch, catalog(name))]
+        for F, f in (PROBE_MODELS["undeclared-jump-1e-3"], PROBE_MODELS["kink-slope-one"]):
+            errors += self.ladder_errors(monkeypatch, punctured(F, f))
+        messages = {error[1].rsplit(": ", 1)[-1] for error in errors}
+        assert messages >= {
+            "cell width underflows at floating point",
+            "width search exhausted; declared derivative does not match F here",
+            "cell width underflows; rejected errors are at the floating-point evaluation floor",
+        }
+        # the pair cap passed inside a wave, not on its last cell
+        caps = [error for error in errors if error[0] is BudgetExceeded]
+        assert caps and all(error[2] > 1001 for error in caps)
+
+
+class TestHalvingWavesNotEvaluated:
+    @pytest.mark.parametrize("name, most", [("reciprocal", 600_000), ("sqrt_singular", 500_000)])
+    def test_decompose_F_points(self, name, most):
+        # measured 481,764 and 403,287 F points per decompose; evaluating
+        # every halving wave in full takes 762,011 and 897,673
+        model = catalog(name)
+        points = 0
+
+        def counted(x):
+            nonlocal points
+            points += np.size(x)
+            return model.F(x)
+
+        decompose(dataclasses.replace(model, F=counted))
+        assert points <= most
 
 
 class TestBuilderSweep:

@@ -322,6 +322,11 @@ class TestDecompose:
         assert report.basic_sum_verdict == Converged(value=0.0, error_estimate=0.0, depth=0)
         assert report.residuals == {}
 
+    def test_empty_residual_sum_is_zero(self):
+        report = decompose(constant_without_points())
+        assert report.basic_sum_verdict == Converged(value=0.0, error_estimate=0.0, depth=0)
+        assert report.residue_sum_gap == 0.0
+
     @pytest.mark.parametrize("make, filled", [
         (decompose, ENVELOPE),
         (total_kh, {"total", "verification"}),
@@ -339,7 +344,20 @@ class TestDecompose:
             assert doc["residuals"]["0.0"]["value"] == 1.0
 
 
+def constant_without_points():
+    """F = 2 and f = 0 on [0, 1] with an empty exceptional set."""
+    return SingularFunctionModel(
+        F=lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
+        f=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        E=ExceptionalSet(), span=Interval(0.0, 1.0),
+    )
+
+
 class TestResidueCheck:
+    def test_empty_exceptional_set(self):
+        report = residue_check(constant_without_points())
+        assert (report.lhs, report.rhs, report.gap, report.residuals) == (0.0, 0.0, 0.0, {})
+
     def test_staircase_matches_endpoint_difference(self):
         report = residue_check(catalog("staircase3"))
         assert report.lhs == 1.25
