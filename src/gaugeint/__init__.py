@@ -43,7 +43,6 @@ from .models import (
     consistency_check,
     evaluate_extended,
     increment,
-    residual_estimate,
 )
 from .partition import (
     Gauge,
@@ -60,7 +59,14 @@ from .partition import (
     restrict,
     validate,
 )
-from .sums import KahanAccumulator, SumBreakdown, basic_sum_sequence, increment_sum, riemann_sum
+from .sums import (
+    KahanAccumulator,
+    SumBreakdown,
+    basic_sum_sequence,
+    increment_sum,
+    residual_estimate,
+    riemann_sum,
+)
 from .verdicts import Converged, ConvergenceVerdict, Diverged, Inconclusive, classify
 
 __version__ = "0.1.0"

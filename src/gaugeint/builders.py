@@ -128,7 +128,7 @@ class BuildLimits:
     max_pairs: int = 10_000_000
 
     def __post_init__(self):
-        if self.max_pairs <= 0:
+        if not self.max_pairs > 0:
             raise ValueError("build limits must be positive")
 
     def min_width(self, span_length: float) -> float:
@@ -210,7 +210,7 @@ def build_anchored(
     The result is delta-fine for the gauge that is 2h off the points and 2r
     at each point (the non-isolating anchored gauge).
     """
-    if h <= 0:
+    if not h > 0:
         raise ValueError("mesh width must be positive")
     limits = limits or BuildLimits()
     anchors = anchor_cells(span, sorted(map(float, points)), r)

@@ -19,7 +19,8 @@
   the exceptional set, the endpoint difference of the extended function must
   equal the sum of the residuals.
 * ``residue_table`` -- the anchor-only ladders (basic-sum rows and verdict,
-  residual table) shared by ``decompose`` and the ``residues`` command.
+  residual table) shared by ``decompose`` and the ``residues`` command; all
+  of them read one row of anchor terms, one F call, per depth.
 * ``report_json`` -- the fixed six-key JSON envelope every report renders to.
 
 Each depth or tolerance row is an independent pure computation; reports are
@@ -35,8 +36,8 @@ import numpy as np
 
 from .builders import BuildLimits, RefinementSchedule, straddle_chunks
 from .errors import BuildError, NotLocallyConstant
-from .models import SingularFunctionModel, increment, residual_estimate
-from .sums import KahanAccumulator, basic_sum_sequence
+from .models import SingularFunctionModel, increment
+from .sums import KahanAccumulator, _anchor_rows, _basic_sum_ladder, _kahan_sum, _residuals
 from .verdicts import (
     Converged,
     ConvergenceVerdict,
@@ -256,25 +257,13 @@ class DecompositionReport:
         )
 
 
-def _residuals(model, schedule, max_depth, tol, div_threshold) -> dict:
-    """Residual verdict per exceptional point, in point order."""
-    return {
-        e: residual_estimate(model, e, schedule, max_depth=max_depth, tol=tol,
-                             div_threshold=div_threshold)
-        for e in model.E
-    }
-
-
 def _residual_sum(residuals: Mapping[float, ConvergenceVerdict]) -> float | None:
     """Kahan sum of the residual values; None unless every residual converged.
     An empty table sums to 0.0, the residual sum over an empty exceptional
     set."""
     if not all(isinstance(v, Converged) for v in residuals.values()):
         return None
-    acc = KahanAccumulator()
-    for v in residuals.values():
-        acc.add(v.value)
-    return acc.total
+    return _kahan_sum(v.value for v in residuals.values())
 
 
 def residue_table(
@@ -288,16 +277,16 @@ def residue_table(
 
     ``bs_rows`` are the basic-sum depth rows, ``bs_verdict`` their verdict
     and ``residuals`` maps each exceptional point to its residual verdict.
+    All the ladders share one row of anchor terms, one F call, per depth.
     With an empty exceptional set the basic sum is exactly 0 at depth 0.
     """
+    row = _anchor_rows(model, schedule)
     if len(model.E) > 0:
-        trace, bs_verdict = basic_sum_sequence(
-            model, schedule, max_depth=max_depth, tol=tol, div_threshold=div_threshold
-        )
+        trace, bs_verdict = _basic_sum_ladder(row, max_depth, tol, div_threshold)
     else:
         trace, bs_verdict = ((0, 0.0),), Converged(value=0.0, error_estimate=0.0, depth=0)
     return _rows(schedule, trace), bs_verdict, _residuals(
-        model, schedule, max_depth, tol, div_threshold)
+        model, schedule, model.E, max_depth, tol, div_threshold, row)
 
 
 def decompose(
@@ -415,7 +404,8 @@ def residue_check(
 
     schedule = schedule or RefinementSchedule.for_model(model)
     lhs = increment(model, model.span)
-    residuals = _residuals(model, schedule, max_depth, tol, div_threshold)
+    residuals = _residuals(model, schedule, model.E, max_depth, tol, div_threshold,
+                           _anchor_rows(model, schedule))
     rhs = _residual_sum(residuals)
     gap = None if rhs is None else abs(lhs - rhs)
     return ResidueReport(lhs=lhs, rhs=rhs, gap=gap, residuals=residuals)

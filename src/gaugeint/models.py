@@ -6,6 +6,7 @@ undefined or unbounded.  The extended functions are defined to be exactly 0
 on E, where F and f are never evaluated: extended values go through one
 mask, anchor-cell increments through ``_cell_increments``.  Off E a
 non-finite value from F or f is an error (an undeclared singularity).
+It holds no limit ladder: the basic sum and the residuals are in ``sums``.
 
 Exceptional points normally lie strictly inside the span.  Points sitting on
 a span endpoint are also accepted (e.g. an integrable singularity at the left
@@ -22,9 +23,8 @@ from typing import Callable, Iterable, Tuple
 
 import numpy as np
 
-from .errors import AnchorOverlapError, EvaluationError
-from .partition import Interval, anchor_cells
-from .verdicts import ConvergenceVerdict, run_ladder
+from .errors import EvaluationError
+from .partition import Interval
 
 
 @dataclass(frozen=True)
@@ -145,42 +145,6 @@ def _cell_increments(model: SingularFunctionModel, cells) -> list:
         F_hi = 0.0 if hi == e else next(values)
         out.append(F_hi - F_lo)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Residuals
-# ---------------------------------------------------------------------------
-
-def residual_estimate(
-    model: SingularFunctionModel,
-    e: float,
-    schedule,
-    max_depth: int = 20,
-    tol: float = 1e-6,
-    div_threshold: float = 1e12,
-) -> ConvergenceVerdict:
-    """Limit of extended-F increments over shrinking brackets around ``e``.
-
-    Brackets are the anchor cells ``[e - r_n, e + r_n]`` of
-    :func:`anchor_cells` (one-sided at a span endpoint, counting F(e) = 0);
-    each term is ``e``'s term of the basic sum, from :func:`_cell_increments`.
-
-    Raises only on bad arguments (``e`` outside E, a nonpositive radius):
-    evaluation failures and cells that break the anchor rule end the
-    sequence and are named in the verdict's note.
-    """
-    if e not in model.E:
-        raise ValueError(f"{e!r} is not an exceptional point of the model")
-    i = model.E.points.index(e)
-
-    def bracket(n):
-        cell = anchor_cells(model.span, model.E, schedule.at(n).r)[i]
-        return n, _cell_increments(model, [cell])[0]
-
-    return run_ladder(bracket, max_depth, tol, div_threshold, {
-        AnchorOverlapError: "depth {depth}: {exc}",
-        EvaluationError: "F evaluation failed at depth {depth}: {exc}",
-    })[1]
 
 
 def consistency_check(

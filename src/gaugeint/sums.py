@@ -1,4 +1,4 @@
-"""The two sum functionals over tagged partitions and the basic-sum sequence.
+"""The two sum functionals over tagged partitions and the anchor-only limits.
 
 * ``riemann_sum`` -- sum of the extended derivative at each tag times the
   width, split into the contributions of pairs tagged on and off the
@@ -9,11 +9,11 @@
   which :func:`models.increment` returns in closed form; summing the
   near-cancelling terms pairwise would throw the exactness away for
   singular F.
-* ``basic_sum_sequence`` -- the depth-indexed sums of extended-F increments
-  over the anchor cells alone.  In an anchored fine partition the restriction
-  to the exceptional set consists of exactly those cells, so nothing else
-  needs to be built.  Each cell's increment is the residual ladder's term at
-  its point (see :func:`models._cell_increments`).
+* ``basic_sum_sequence``, ``residual_estimate`` -- the anchor-only limits.
+  In an anchored fine partition the restriction to the exceptional set is
+  exactly the anchor cells, so nothing else needs to be built.  Each depth
+  reads one row of cell increments from one F call: entry i is the residual
+  term of E's point i, and the row's Kahan sum is the basic-sum term.
 
 Restricted sums cannot telescope, so they use compensated accumulation:
 numpy's pairwise reduction within a batch and a Kahan accumulator across
@@ -27,7 +27,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import AnchorOverlapError
+from .errors import AnchorOverlapError, EvaluationError
 from .models import SingularFunctionModel, _cell_increments
 from .partition import TaggedPair, TaggedPartition, anchor_cells, restriction_mask
 from .verdicts import ConvergenceVerdict, Trace, run_ladder
@@ -93,14 +93,59 @@ def increment_sum(model: SingularFunctionModel, pairs: Sequence[TaggedPair]) -> 
     return float(np.sum(increments))
 
 
-def anchor_increments(model: SingularFunctionModel, r: float) -> float:
-    """Sum of extended-F increments over the anchor cells of radius ``r``
-    (see :func:`anchor_cells`); the depth-n term of the basic sum.  Raises
-    ``AnchorOverlapError`` when the cells break the anchor rule."""
+_ANCHOR_STOP = {AnchorOverlapError: "depth {depth}: {exc}"}
+_RESIDUAL_STOPS = {**_ANCHOR_STOP, EvaluationError: "F evaluation failed at depth {depth}: {exc}"}
+
+
+def _kahan_sum(values) -> float:
     acc = KahanAccumulator()
-    for value in _cell_increments(model, anchor_cells(model.span, model.E, r)):
+    for value in values:
         acc.add(value)
     return acc.total
+
+
+def _anchor_rows(model: SingularFunctionModel, schedule):
+    """``row(n)``: depth n's anchor-cell increments in point order, from one
+    F call however often it is read; a row that raised raises again."""
+    rows = {}
+
+    def row(n):
+        if n not in rows:
+            try:
+                rows[n] = _cell_increments(model, anchor_cells(model.span, model.E,
+                                                               schedule.at(n).r))
+            except Exception as exc:
+                rows[n] = exc
+        if isinstance(rows[n], Exception):
+            raise rows[n]
+        return rows[n]
+
+    return row
+
+
+def _basic_sum_ladder(row, max_depth, tol, div_threshold) -> Tuple[Trace, ConvergenceVerdict]:
+    return run_ladder(lambda n: (n, _kahan_sum(row(n))), max_depth, tol, div_threshold,
+                      _ANCHOR_STOP)
+
+
+def _residuals(model, schedule, points, max_depth, tol, div_threshold, row=None) -> dict:
+    """Residual verdict per point of ``points`` (points of E), in order.  A
+    point's terms are its entries of the shared rows ``row(n)``.  Without
+    rows, or where a row raised, its own cell is evaluated alone, so its
+    ladder stops only when its own cell fails."""
+    def verdict(i):
+        def term(n):
+            if row is not None:
+                try:
+                    return n, row(n)[i]
+                except Exception:
+                    pass
+            cell = anchor_cells(model.span, model.E, schedule.at(n).r)[i]
+            return n, _cell_increments(model, [cell])[0]
+
+        return run_ladder(term, max_depth, tol, div_threshold, _RESIDUAL_STOPS)[1]
+
+    return {e: verdict(model.E.points.index(e)) for e in points}
 
 
 def basic_sum_sequence(
@@ -119,7 +164,28 @@ def basic_sum_sequence(
     """
     if len(model.E) == 0:
         raise ValueError("basic sum requires a nonempty exceptional set")
-    return run_ladder(
-        lambda n: (n, anchor_increments(model, schedule.at(n).r)),
-        max_depth, tol, div_threshold, {AnchorOverlapError: "depth {depth}: {exc}"},
-    )
+    return _basic_sum_ladder(_anchor_rows(model, schedule), max_depth, tol, div_threshold)
+
+
+def residual_estimate(
+    model: SingularFunctionModel,
+    e: float,
+    schedule,
+    max_depth: int = 20,
+    tol: float = 1e-6,
+    div_threshold: float = 1e12,
+) -> ConvergenceVerdict:
+    """Limit of extended-F increments over shrinking brackets around ``e``.
+
+    Brackets are the anchor cells ``[e - r_n, e + r_n]`` of
+    :func:`anchor_cells` (one-sided at a span endpoint, counting F(e) = 0);
+    each term is ``e``'s term of the basic sum, from :func:`_cell_increments`
+    on ``e``'s cell alone.
+
+    Raises only on bad arguments (``e`` outside E, a nonpositive radius):
+    evaluation failures and cells that break the anchor rule end the
+    sequence and are named in the verdict's note.
+    """
+    if e not in model.E:
+        raise ValueError(f"{e!r} is not an exceptional point of the model")
+    return _residuals(model, schedule, [e], max_depth, tol, div_threshold)[e]

@@ -144,6 +144,11 @@ class TestBuildAnchored:
         assert validate(part, span).ok
         assert part.los[0] == 0.0 and part.his[0] == 0.125 and part.tags[0] == 0.0
 
+    @pytest.mark.parametrize("h", [0.0, -1.0, np.nan])
+    def test_nonpositive_or_nan_mesh_width_rejected(self, h):
+        with pytest.raises(ValueError, match="mesh width must be positive"):
+            build_anchored(Interval(0.0, 1.0), [0.5], r=0.0625, h=h)
+
 
 class TestBuildStraddle:
     def test_smooth_model_rewalk(self):
@@ -220,6 +225,11 @@ class TestBuildStraddle:
     def test_nonpositive_or_nan_tolerance_rejected(self, eps, h):
         with pytest.raises(ValueError):
             build_straddle_verified(catalog("parabola"), r=0.05, eps=eps, h=h)
+
+    @pytest.mark.parametrize("max_pairs", [0, -1, np.nan])
+    def test_nonpositive_or_nan_pair_cap_rejected(self, max_pairs):
+        with pytest.raises(ValueError, match="build limits must be positive"):
+            BuildLimits(max_pairs=max_pairs)
 
     def test_determinism(self):
         model = catalog("sqrt_singular")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -7,6 +8,7 @@ from gaugeint import (
     Converged,
     Diverged,
     ExceptionalSet,
+    Inconclusive,
     Interval,
     RefinementSchedule,
     SingularFunctionModel,
@@ -17,11 +19,14 @@ from gaugeint import (
     catalog,
     increment,
     increment_sum,
+    residual_estimate,
+    residue_check,
+    residue_table,
     restrict,
     riemann_sum,
     validate,
 )
-from gaugeint.sums import KahanAccumulator, anchor_increments
+from gaugeint.sums import KahanAccumulator
 
 
 def random_partition(rng, span, max_cells=40):
@@ -187,9 +192,72 @@ class TestBasicSumSequence:
         r = 0.05
         part = build_anchored(model.span, tuple(model.E), r=r, h=0.2)
         on, _ = restrict(part, tuple(model.E))
-        assert anchor_increments(model, r) == pytest.approx(
-            increment_sum(model, on), abs=1e-14
-        )
+        # the basic sum's depth-0 term at anchor radius r
+        trace, _ = basic_sum_sequence(model, RefinementSchedule(h0=0.2, r0=r), max_depth=0)
+        assert trace[0][1] == pytest.approx(increment_sum(model, on), abs=1e-14)
+
+
+def counting(model):
+    """``model`` with F wrapped to record the number of points of each call."""
+    calls = []
+
+    def F(x, F=model.F):
+        calls.append(np.size(x))
+        return F(x)
+
+    return dataclasses.replace(model, F=F), calls
+
+
+def own_cell_model():
+    """Two points whose anchor cells fail apart: near 0.7 F overflows from
+    depth 6 on, while the residual at 0.3 oscillates without a verdict."""
+    def F(x):
+        x = np.asarray(x, dtype=float)
+        return np.sin(1 / (x - 0.3)) + np.where(x > 0.7, np.exp(1 / (x - 0.7)), 0.0)
+
+    return SingularFunctionModel(
+        F=F, f=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        E=ExceptionalSet([0.3, 0.7]), span=Interval(0.0, 1.0),
+    )
+
+
+class TestSharedAnchorRow:
+    """The basic-sum ladder and every residual ladder read one row of anchor
+    terms per depth."""
+
+    @pytest.mark.parametrize("name, depths", [("heaviside", 4), ("staircase3", 4),
+                                              ("jump_linear", 21)])
+    def test_residue_table_makes_one_F_call_per_depth(self, name, depths):
+        model, calls = counting(catalog(name))
+        residue_table(model, RefinementSchedule.for_model(model), 20, 1e-6, 1e12)
+        assert len(calls) == depths
+        assert set(calls) == {2 * len(model.E)}
+
+    def test_residue_check_shares_the_row(self):
+        model, calls = counting(catalog("staircase3"))
+        residue_check(model)
+        # the endpoint difference, then one row per depth
+        assert calls == [2] + [6] * 4
+
+    def test_standalone_residual_reads_its_own_cell(self):
+        model, calls = counting(catalog("staircase3"))
+        sched = RefinementSchedule.for_model(model)
+        for e in model.E:
+            residual_estimate(model, e, sched)
+        assert calls == [2] * 12
+
+    def test_residual_stops_only_on_its_own_cell(self):
+        model = own_cell_model()
+        sched = RefinementSchedule.for_model(model)
+        _, bs_verdict, residuals = residue_table(model, sched, 20, 1e-6, 1e12)
+        standalone = {e: residual_estimate(model, e, sched) for e in model.E}
+        assert bs_verdict == Diverged(sign=1)
+        for table in (residuals, standalone):
+            assert table[0.7] == Diverged(sign=1)
+            assert isinstance(table[0.3], Inconclusive)
+            assert len(table[0.3].trace) == 21
+            assert "F evaluation failed" not in table[0.3].note
+        assert residuals == standalone
 
 
 class TestKahan:
