@@ -21,6 +21,7 @@ The ``F`` field is either mini-language text or a catalog name.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -37,6 +38,7 @@ from .catalog import CATALOG_NAMES, catalog_entry
 from .dsl import CompiledFunction, ParseError, parse, render
 from .errors import BuildError, EvaluationError, GaugeIntError
 from .integrate import (
+    EPSILONS,
     DecompositionReport,
     TotalReport,
     decompose,
@@ -46,7 +48,7 @@ from .integrate import (
 )
 from .models import ExceptionalSet, SingularFunctionModel, consistency_check
 from .partition import Interval, partition_to_csv
-from .verdicts import Converged
+from .verdicts import DIV_THRESHOLD, MAX_DEPTH, TOL, Converged
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -69,11 +71,11 @@ class Job:
     f: str | None = None
     E: list = field(default_factory=list)
     span: tuple | None = None
-    epsilons: list = field(default_factory=lambda: [1e-2, 1e-3, 1e-4])
+    epsilons: list = field(default_factory=lambda: list(EPSILONS))
     anchor: float | None = None
-    max_depth: int = 20
-    tol: float = 1e-6
-    div_threshold: float = 1e12
+    max_depth: int = MAX_DEPTH
+    tol: float = TOL
+    div_threshold: float = DIV_THRESHOLD
     seed: int = 0
     output: str = "table"
     emit_convergence: str | None = None
@@ -146,6 +148,33 @@ def _float_list(text: str) -> list:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+# One row per job option: (job-file key, flag, Job attribute, add_argument
+# keywords of the flag, JSON type a file value must hold; ``list`` means a
+# list of numbers).  The job subcommands' flags, the job-file checks and the
+# flag overrides all read it.  A file can put any type in any field, and a
+# wrong one is a usage error, not a crash.  A row without a key is a
+# flag-only option.  Row order is the flags' order in usage and help text.
+_NUMBER = (int, float)
+_FIELDS = (
+    ("F", "--function", "F", dict(help="mini-language text for F"), (str, type(None))),
+    ("f", "--derivative", "f", dict(help="mini-language text for f"), (str, type(None))),
+    ("E", "--exceptional", "E", dict(type=_float_list, help='exceptional points "x1,x2"'), list),
+    ("span", "--span", "span", dict(type=_float_list, help='working interval "a,b"'), list),
+    ("epsilon", "--epsilon", "epsilons",
+     dict(type=_float_list, help='tolerance list "1e-2,1e-3"'), list),
+    ("anchor", "--anchor", "anchor",
+     dict(type=float, help="anchor radius (default: schedule r0)"), (*_NUMBER, type(None))),
+    ("max_depth", "--max-depth", "max_depth", dict(type=int), int),
+    ("tol", "--tol", "tol", dict(type=float), _NUMBER),
+    ("div_threshold", "--div-threshold", "div_threshold", dict(type=float), _NUMBER),
+    ("seed", "--seed", "seed", dict(type=int), int),
+    ("output", "--output", "output", dict(choices=OUTPUTS), str),
+    (None, "--emit-convergence", "emit_convergence", dict(metavar="PATH"), None),
+    ("builder", "--builder", "builder", dict(choices=BUILDERS), str),
+)
+_FILE_FIELDS = {key: (attr, kind) for key, _, attr, _, kind in _FIELDS if key}
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaugeint",
@@ -167,33 +196,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
             continue
         cmd.add_argument("--job", help="JSON job file; flags override its fields")
         cmd.add_argument("--catalog", help="built-in model name")
-        cmd.add_argument("--function", help="mini-language text for F")
-        cmd.add_argument("--derivative", help="mini-language text for f")
-        cmd.add_argument("--exceptional", type=_float_list, help='exceptional points "x1,x2"')
-        cmd.add_argument("--span", type=_float_list, help='working interval "a,b"')
-        cmd.add_argument("--epsilon", type=_float_list, help='tolerance list "1e-2,1e-3"')
-        cmd.add_argument("--anchor", type=float, help="anchor radius (default: schedule r0)")
-        cmd.add_argument("--max-depth", type=int, dest="max_depth")
-        cmd.add_argument("--tol", type=float)
-        cmd.add_argument("--div-threshold", type=float, dest="div_threshold")
-        cmd.add_argument("--seed", type=int)
-        cmd.add_argument("--output", choices=OUTPUTS, default=None)
-        cmd.add_argument("--emit-convergence", dest="emit_convergence", metavar="PATH")
-        cmd.add_argument("--builder", choices=BUILDERS, default=None)
+        for _, flag, _, options, _ in _FIELDS:
+            cmd.add_argument(flag, **options)
     return parser
 
 
-# job-file key -> (Job attribute, JSON type it must hold; ``list`` means a
-# list of numbers).  A file can put any type in any field, and a wrong one
-# is a usage error, not a crash.
-_NUMBER = (int, float)
-_JOB_FIELDS = {
-    "F": ("F", (str, type(None))), "f": ("f", (str, type(None))),
-    "E": ("E", list), "span": ("span", list), "epsilon": ("epsilons", list),
-    "anchor": ("anchor", (*_NUMBER, type(None))), "max_depth": ("max_depth", int),
-    "tol": ("tol", _NUMBER), "div_threshold": ("div_threshold", _NUMBER),
-    "seed": ("seed", int), "output": ("output", str), "builder": ("builder", str),
-}
+_parser = functools.cache(build_arg_parser)  # what ``run`` parses with, built on first use
 
 
 def _has_type(value, kind) -> bool:
@@ -222,15 +230,12 @@ def job_from_args(args: argparse.Namespace) -> Job:
         for key, value in doc.items():
             if key == "command":  # the subcommand on the command line wins
                 continue
-            if key not in _JOB_FIELDS:
+            if key not in _FILE_FIELDS:
                 raise JobError(f"unknown job field {key!r}")
-            name, kind = _JOB_FIELDS[key]
+            name, kind = _FILE_FIELDS[key]
             if not _has_type(value, kind):
                 raise JobError(f"job field {key!r} has the wrong type: {value!r}")
             setattr(job, name, value)
-        if job.span is not None:
-            job.span = tuple(float(x) for x in job.span)
-        job.E = [float(x) for x in job.E]
 
     if args.catalog and args.function:
         raise JobError("give either --catalog or --function, not both")
@@ -241,21 +246,13 @@ def job_from_args(args: argparse.Namespace) -> Job:
             )
         job.F = args.catalog
         job.f = None
-    if args.function:
-        job.F = args.function
-    if args.derivative:
-        job.f = args.derivative
-    if args.exceptional is not None:
-        job.E = args.exceptional
-    if args.span is not None:
-        job.span = tuple(args.span)
-    if args.epsilon is not None:
-        job.epsilons = args.epsilon
-    for name in ("anchor", "max_depth", "tol", "div_threshold", "seed",
-                 "output", "emit_convergence", "builder"):
-        value = getattr(args, name, None)
-        if value is not None:
+    for _, flag, name, _, _ in _FIELDS:
+        value = getattr(args, flag[2:].replace("-", "_"))  # argparse's dest for the flag
+        if value is not None and value != "":  # an empty text flag counts as absent
             setattr(job, name, value)
+    if job.span is not None:
+        job.span = tuple(float(x) for x in job.span)
+    job.E = [float(x) for x in job.E]
     job.validate()
     return job
 
@@ -490,9 +487,8 @@ def cmd_parse(job: Job) -> int:
 
 
 def run(argv) -> int:
-    parser = build_arg_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

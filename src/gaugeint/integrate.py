@@ -39,6 +39,9 @@ from .errors import BuildError, NotLocallyConstant
 from .models import SingularFunctionModel, increment
 from .sums import KahanAccumulator, _anchor_rows, _basic_sum_ladder, _kahan_sum, _residuals
 from .verdicts import (
+    DIV_THRESHOLD,
+    MAX_DEPTH,
+    TOL,
     Converged,
     ConvergenceVerdict,
     Inconclusive,
@@ -59,6 +62,9 @@ __all__ = [
     "residue_table",
     "report_json",
 ]
+
+# Default verification tolerances of ``total_kh`` and ``decompose``.
+EPSILONS = (1e-2, 1e-3, 1e-4)
 
 
 def report_json(
@@ -144,7 +150,7 @@ class TotalReport:
 
 def total_kh(
     model: SingularFunctionModel,
-    epsilons: Sequence[float] = (1e-2, 1e-3, 1e-4),
+    epsilons: Sequence[float] = EPSILONS,
     r: float | None = None,
     limits: BuildLimits | None = None,
 ) -> TotalReport:
@@ -208,9 +214,9 @@ def _plain_ladder(model, schedule, max_depth, tol, div_threshold, limits):
 def plain_kh(
     model: SingularFunctionModel,
     schedule: RefinementSchedule | None = None,
-    max_depth: int = 20,
-    tol: float = 1e-6,
-    div_threshold: float = 1e12,
+    max_depth: int = MAX_DEPTH,
+    tol: float = TOL,
+    div_threshold: float = DIV_THRESHOLD,
     limits: BuildLimits | None = None,
 ) -> ConvergenceVerdict:
     """Ordinary gauge-integral estimate of the extended derivative.
@@ -291,11 +297,11 @@ def residue_table(
 
 def decompose(
     model: SingularFunctionModel,
-    epsilons: Sequence[float] = (1e-2, 1e-3, 1e-4),
+    epsilons: Sequence[float] = EPSILONS,
     schedule: RefinementSchedule | None = None,
-    max_depth: int = 20,
-    tol: float = 1e-6,
-    div_threshold: float = 1e12,
+    max_depth: int = MAX_DEPTH,
+    tol: float = TOL,
+    div_threshold: float = DIV_THRESHOLD,
     limits: BuildLimits | None = None,
     anchor_r: float | None = None,
 ) -> DecompositionReport:
@@ -381,9 +387,9 @@ def _sample_off_points(model: SingularFunctionModel, count: int) -> np.ndarray:
 def residue_check(
     model: SingularFunctionModel,
     schedule: RefinementSchedule | None = None,
-    max_depth: int = 20,
-    tol: float = 1e-6,
-    div_threshold: float = 1e12,
+    max_depth: int = MAX_DEPTH,
+    tol: float = TOL,
+    div_threshold: float = DIV_THRESHOLD,
     samples: int = 256,
 ) -> ResidueReport:
     """Check F(b) - F(a) against the residual sum when f vanishes off E.

@@ -1,9 +1,8 @@
 """The two sum functionals over tagged partitions and the anchor-only limits.
 
 * ``riemann_sum`` -- sum of the extended derivative at each tag times the
-  width, split into the contributions of pairs tagged on and off the
-  exceptional set; pairs tagged on E contribute exactly 0 and f is never
-  evaluated there.
+  width; pairs tagged on the exceptional set contribute exactly 0 and f is
+  never evaluated there.
 * ``increment_sum`` -- sum of extended-F increments over pairs.  The
   increment over a whole span telescopes exactly to the endpoint difference,
   which :func:`models.increment` returns in closed form; summing the
@@ -30,7 +29,7 @@ import numpy as np
 from .errors import AnchorOverlapError, EvaluationError
 from .models import SingularFunctionModel, _cell_increments
 from .partition import TaggedPair, TaggedPartition, anchor_cells, restriction_mask
-from .verdicts import ConvergenceVerdict, Trace, run_ladder
+from .verdicts import DIV_THRESHOLD, MAX_DEPTH, TOL, ConvergenceVerdict, Trace, run_ladder
 
 
 class KahanAccumulator:
@@ -52,11 +51,9 @@ class KahanAccumulator:
 
 @dataclass(frozen=True)
 class SumBreakdown:
-    """A Riemann-type sum split by tag membership in the exceptional set."""
+    """A Riemann sum with the number of pairs it covers."""
 
     total: float
-    on_E: float
-    off_E: float
     pair_count: Tuple[int, int]  # (all pairs, pairs tagged in E)
 
 
@@ -68,16 +65,11 @@ def riemann_sum(model: SingularFunctionModel, partition: TaggedPartition) -> Sum
     """
     on_mask = restriction_mask(partition, tuple(model.E))
     off_mask = ~on_mask
-    off_part = 0.0
+    total = 0.0
     if off_mask.any():
-        off_part = float(np.sum(model.f_values(partition.tags[off_mask])
-                                * partition.widths[off_mask]))
-    return SumBreakdown(
-        total=off_part,
-        on_E=0.0,
-        off_E=off_part,
-        pair_count=(len(partition), int(np.count_nonzero(on_mask))),
-    )
+        total = float(np.sum(model.f_values(partition.tags[off_mask])
+                             * partition.widths[off_mask]))
+    return SumBreakdown(total=total, pair_count=(len(partition), int(np.count_nonzero(on_mask))))
 
 
 def increment_sum(model: SingularFunctionModel, pairs: Sequence[TaggedPair]) -> float:
@@ -151,9 +143,9 @@ def _residuals(model, schedule, points, max_depth, tol, div_threshold, row=None)
 def basic_sum_sequence(
     model: SingularFunctionModel,
     schedule,
-    max_depth: int = 20,
-    tol: float = 1e-6,
-    div_threshold: float = 1e12,
+    max_depth: int = MAX_DEPTH,
+    tol: float = TOL,
+    div_threshold: float = DIV_THRESHOLD,
 ) -> Tuple[Trace, ConvergenceVerdict]:
     """Depth-indexed anchor-increment sums with their convergence verdict.
 
@@ -171,9 +163,9 @@ def residual_estimate(
     model: SingularFunctionModel,
     e: float,
     schedule,
-    max_depth: int = 20,
-    tol: float = 1e-6,
-    div_threshold: float = 1e12,
+    max_depth: int = MAX_DEPTH,
+    tol: float = TOL,
+    div_threshold: float = DIV_THRESHOLD,
 ) -> ConvergenceVerdict:
     """Limit of extended-F increments over shrinking brackets around ``e``.
 

@@ -26,6 +26,12 @@ from typing import Callable, Mapping, Sequence, Tuple, Union
 CONVERGE_RUN = 3
 DIVERGE_RUN = 5
 
+# Defaults shared by every ladder and the CLI job: the deepest depth run,
+# the classifier's delta tolerance and its divergence threshold.
+MAX_DEPTH = 20
+TOL = 1e-6
+DIV_THRESHOLD = 1e12
+
 
 @dataclass(frozen=True)
 class Converged:

@@ -1,27 +1,68 @@
+import argparse
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from gaugeint import cli
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*argv, timeout=120):
+def run_cli(*argv):
+    """``gaugeint *argv`` run in this process, as a finished process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(list(argv))
+    return subprocess.CompletedProcess(["gaugeint", *argv], code, out.getvalue(), err.getvalue())
+
+
+def run_process(*argv, module="gaugeint.cli", hash_seed=None, timeout=120):
+    """``python -m module *argv`` in a fresh interpreter, for tests of the
+    process itself: its entry point, exit status and output across runs."""
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH", "")]))
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
     return subprocess.run(
-        [sys.executable, "-m", "gaugeint.cli", *argv],
+        [sys.executable, "-m", module, *argv],
         capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
+class TestProcess:
+    def test_package_main_runs_the_cli(self):
+        out = run_process("parse", "1/x", module="gaugeint")
+        assert out.returncode == 0
+        assert out.stdout == "1.0 / x\n"
+        assert out.stderr == ""
+
+    def test_parser_built_once_per_process(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        counts = []
+        for argv in (["parse", "1/x"], ["parse", "x^2"], ["verify", "--catalog", "nope"]):
+            before = len(built)
+            run_cli(*argv)
+            counts.append(len(built) - before)
+        assert counts[0] > 0 and counts[1:] == [0, 0]
+
+
 class TestExitCodes:
     def test_success_is_zero(self):
-        out = run_cli("integrate", "--catalog", "heaviside")
+        out = run_process("integrate", "--catalog", "heaviside")
         assert out.returncode == 0
 
     def test_divergence_is_still_zero(self):
@@ -33,8 +74,8 @@ class TestExitCodes:
         assert "diverged" in out.stdout
 
     def test_usage_error_is_two(self):
-        out = run_cli("integrate", "--function", "x^", "--derivative", "1",
-                      "--span", "0,1")
+        out = run_process("integrate", "--function", "x^", "--derivative", "1",
+                          "--span", "0,1")
         assert out.returncode == 2
         assert "position" in out.stderr
 
@@ -93,8 +134,8 @@ class TestExitCodes:
         assert out.stdout == ""
 
     def test_wrong_derivative_build_failure_is_three(self):
-        out = run_cli("integrate", "--function", "x^2", "--derivative", "3*x",
-                      "--span", "0,1")
+        out = run_process("integrate", "--function", "x^2", "--derivative", "3*x",
+                          "--span", "0,1")
         assert out.returncode == 3
 
     def test_evaluation_error_names_plain_point(self):
@@ -147,8 +188,9 @@ class TestIntegrateOutput:
         assert "basic_sum      converged(1" in out.stdout
 
     def test_json_deterministic(self):
-        a = run_cli("integrate", "--catalog", "heaviside", "--output", "json")
-        b = run_cli("integrate", "--catalog", "heaviside", "--output", "json")
+        argv = ("integrate", "--catalog", "heaviside", "--output", "json")
+        a = run_process(*argv, hash_seed="0")
+        b = run_process(*argv, hash_seed="1")
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
@@ -207,6 +249,34 @@ class TestJobFiles:
         job.write_text(json.dumps({"F": "heaviside", "wat": 1}))
         out = run_cli("integrate", "--job", str(job))
         assert out.returncode == 2
+
+    # job-file key -> two values the job accepts, as JSON
+    FIELD_VALUES = {
+        "F": ("x^2", "x^3"), "f": ("2*x", "3*x"), "E": ([0.25], [0.5, 0.75]),
+        "span": ([0.0, 2.0], [-1.0, 1.0]), "epsilon": ([0.01], [0.001, 0.0001]),
+        "anchor": (0.125, 0.25), "max_depth": (7, 9), "tol": (0.001, 0.01),
+        "div_threshold": (100.0, 1000.0), "seed": (3, 4), "output": ("json", "csv"),
+        "builder": ("straddle", "cousin"),
+    }
+
+    @pytest.mark.parametrize("row", [row for row in cli._FIELDS if row[0]],
+                             ids=lambda row: row[0])
+    def test_every_schema_row_file_and_flag_agree(self, tmp_path, row):
+        key, flag, attr = row[:3]
+        flag_value, file_value = self.FIELD_VALUES[key]
+        text = ",".join(map(str, flag_value)) if isinstance(flag_value, list) else str(flag_value)
+
+        def job(doc, *flags):
+            path = tmp_path / "job.json"
+            path.write_text(json.dumps(doc))
+            argv = ["integrate", "--job", str(path), *flags]
+            return getattr(cli.job_from_args(cli.build_arg_parser().parse_args(argv)), attr)
+
+        from_file = job({key: flag_value})
+        from_flag = job({}, f"{flag}={text}")
+        assert from_file == from_flag
+        assert from_file != job({})
+        assert job({key: file_value}, f"{flag}={text}") == from_flag
 
     @pytest.mark.parametrize("doc", [
         {"E": 0.5}, {"span": [1]}, {"epsilon": ["a"]}, {"max_depth": "5"},

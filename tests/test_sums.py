@@ -46,7 +46,7 @@ class TestRiemannSum:
         model = catalog("heaviside")
         part = build_anchored(model.span, [0.0], r=0.1, h=0.3)
         out = riemann_sum(model, part)
-        assert out.total == 0.0 and out.on_E == 0.0 and out.off_E == 0.0
+        assert out.total == 0.0
 
     def test_constant_integrand_telescopes(self):
         model = SingularFunctionModel(
@@ -62,7 +62,9 @@ class TestRiemannSum:
         model = catalog("reciprocal")
         part = build_anchored(model.span, [0.0], r=0.05, h=0.25)
         out = riemann_sum(model, part)
-        assert out.on_E == 0.0
+        # f = -1/x^2 is never evaluated at the pole tag: the pair adds exactly 0
+        off = part.tags != 0.0
+        assert out.total == float(np.sum(model.f_values(part.tags[off]) * part.widths[off]))
         assert out.pair_count[1] == 1
 
     def test_pair_counts(self):
@@ -79,7 +81,6 @@ class TestRiemannSum:
         for _ in range(50):
             part = random_partition(rng, model.span)
             out = riemann_sum(model, part)
-            assert out.total == out.on_E + out.off_E
             direct = float(
                 np.sum(model.extended_derivatives(part.tags) * part.widths)
             )
