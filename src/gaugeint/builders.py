@@ -23,14 +23,18 @@ passing prefix, and halves or grows the width adaptively.  Width control is
 geometric with factor 2 downward; the upward growth is throttled by the
 observed error headroom so the accepted widths track the largest passing
 width without thrashing.  A wave whose first cell fails only halves the
-width, so while the search is halving each wave is settled on its first
-cell alone and the full batch is evaluated once that cell passes; the
-partitions and errors are those of evaluating every wave in full, except
-that F or f non-finite only on a halving wave's later cells no longer
-raises ``EvaluationError`` from that wave.  A search that cannot go on at
-some position stops with ``FloorReached`` when its rejected errors only
-reflect rounding, and with ``StraddleFailure`` when they kept their size as
-the width halved.
+width, so the rest of that halving chain is settled at once: the first
+cells of every narrower candidate width, down to the minimum width, are
+evaluated in one F call and one f call, and the full batch is evaluated at
+the first width whose first cell passes.  The partitions and errors are
+those of evaluating every wave in full, with two exceptions.  F or f
+non-finite only on a halving wave's later cells no longer raises
+``EvaluationError`` from that wave.  And F or f non-finite off E at the
+first cell of a candidate narrower than the width the search settles at
+now raises ``EvaluationError``, although full waves never evaluate there.
+A search that cannot go on at some position stops with ``FloorReached``
+when its rejected errors only reflect rounding, and with
+``StraddleFailure`` when they kept their size as the width halved.
 """
 
 from __future__ import annotations
@@ -47,6 +51,15 @@ from .models import SingularFunctionModel
 from .partition import Gauge, Interval, TaggedPartition, anchor_cells, anchored_gauge, validate
 
 _WAVE = 4096
+
+# The breakpoint steps 0, 1, ..., _WAVE + 1 of every wave.
+_STEPS = np.arange(_WAVE + 2, dtype=float)
+
+# A wave of width w >= _RISE * M, M = max(|x|, |g1|), needs no underflow
+# check: in exact arithmetic its cells are at least about w / 2 >= 2^-41 M
+# wide, and each computed breakpoint lies within 2^-51 M of its exact value,
+# so no computed cell can close.
+_RISE = 2.0**-40
 
 # Depths whose mesh cap halves with depth; the cap is the span length from
 # here on (see RefinementSchedule).
@@ -281,17 +294,98 @@ def _width_search_failure(tag, width, error, rejected, site, mismatch) -> Stradd
                         f"{site}; rejected errors are at the floating-point evaluation floor")
 
 
-def _straddle_errors(model, positions):
-    """``(F_positions, tags, f_tags, widths, errs)`` of the cells between
-    consecutive breakpoints: F at the breakpoints, f at the midpoint tags and
-    each cell's straddle error.  The expressions are elementwise, so the
-    first cell's values do not depend on how many cells follow it."""
-    widths = positions[1:] - positions[:-1]
-    tags = _midpoints(positions)
+def _straddle_errors(model, positions, lo=slice(None, -1)):
+    """``(F_positions, tags, f_tags, widths, errs)`` of the cells
+    ``[positions[lo], positions[1:]]``: by default the cells between
+    consecutive breakpoints, with ``lo=0`` cells that all start at
+    ``positions[0]``.  F is evaluated at the breakpoints, f at the midpoint
+    tags, and each cell gets its straddle error.  The expressions are
+    elementwise, so a cell's values do not depend on the cells evaluated
+    with it."""
+    los = positions[lo]
+    widths = positions[1:] - los
+    tags = 0.5 * (los + positions[1:])
     F_pos = model.F_values(positions)
     f_tags = model.f_values(tags)
-    errs = np.abs((F_pos[1:] - F_pos[:-1]) - f_tags * widths)
+    errs = np.abs((F_pos[1:] - F_pos[lo]) - f_tags * widths)
     return F_pos, tags, f_tags, widths, errs
+
+
+def _wave_layout(x, g1, w):
+    """``(n_cells, step, spread)`` of the wave at x of width w: ``_WAVE``
+    cells of width w, or, when at most ``_WAVE + 1`` cells of width w reach
+    g1, cells spread evenly to end exactly at g1.  Spread widths stay within
+    a factor 2 of w, so a full pass never strands a sub-width sliver."""
+    remaining = g1 - x
+    n_cells = math.ceil(remaining / w)
+    if n_cells <= _WAVE + 1:
+        return n_cells, remaining / n_cells, True
+    return _WAVE, w, False
+
+
+def _wave_positions(x, g1, layout):
+    """The breakpoints of a wave laid out by :func:`_wave_layout`."""
+    n_cells, step, spread = layout
+    positions = x + step * _STEPS[: n_cells + 1]
+    if spread:
+        positions[0] = x
+        positions[-1] = g1
+    return positions
+
+
+def _check_rising(positions, w, rejected):
+    """Raise the width-search failure at the first cell of a wave of width w
+    whose breakpoints do not increase, i.e. whose width is not positive."""
+    rising = positions[1:] > positions[:-1]
+    if not rising.all():
+        i = int(np.argmin(rising))
+        raise _width_search_failure(float(_midpoints(positions[i:i + 2])[0]), float(w),
+                                    math.nan, rejected, "cell width underflows",
+                                    "cell width underflows at floating point")
+
+
+def _reject(rejected, w, err, F_lo, F_hi, f_t, t, min_width):
+    """Record a first cell rejected at width w and return the next width,
+    w / 2; raise the width-search failure when that falls under
+    ``min_width``."""
+    if err > _eval_floor(F_lo, F_hi, f_t, t):
+        rejected.append(err)
+    half = w * 0.5
+    if half < min_width:
+        raise _width_search_failure(
+            float(t), float(w), err, rejected, "width search exhausted",
+            "width search exhausted; declared derivative does not match F here",
+        )
+    return half
+
+
+def _halving_chain(model, x, g1, w, eps, rejected, min_width):
+    """The first width of w, w / 2, w / 4, ... at which the first cell at x
+    passes, after a wave of width 2w rejected it.
+
+    The first cells of all candidates down to ``min_width`` are evaluated in
+    one F call and one f call.  The candidates are then settled in order as
+    one wave each would settle them: the underflow check, the straddle check
+    and, on failure, the rejected error and the end of the search once the
+    next width falls under ``min_width``.  A candidate is at most half the
+    remaining length, so its first cell ends before g1.
+    """
+    candidates = [w]
+    while candidates[-1] * 0.5 >= min_width:
+        candidates.append(candidates[-1] * 0.5)
+    layouts = [_wave_layout(x, g1, c) for c in candidates]
+    firsts = np.array([x] + [x + step for _, step, _ in layouts])
+    F_pos, tags, f_tags, widths, errs = _straddle_errors(model, firsts, lo=0)
+    passed = errs <= eps * widths
+    rise = _RISE * max(abs(x), abs(g1))
+    for j, c in enumerate(candidates):
+        if c < rise:
+            _check_rising(_wave_positions(x, g1, layouts[j]), c, rejected)
+        if passed[j]:
+            return c
+        # the last candidate's rejection raises: its half is under min_width
+        _reject(rejected, c, float(errs[j]), F_pos[0], F_pos[j + 1], f_tags[j], tags[j],
+                min_width)
 
 
 def _gap_waves(model, g0, g1, eps, counter, h_cap, min_width):
@@ -299,62 +393,39 @@ def _gap_waves(model, g0, g1, eps, counter, h_cap, min_width):
     covering [g0, g1], every cell passing the straddle check at its midpoint
     tag.
 
-    A wave that rejects its first cell only halves the width, so while the
-    width search is halving, each wave is first decided on its first cell
-    alone (F at two breakpoints, f at one tag); the full wave is evaluated
-    once that cell passes.  The accepted cells, the rejected errors and the
-    errors raised are those of evaluating every wave in full, with one
-    exception: a halving wave no longer evaluates its later cells, so F or
-    f non-finite only there raises ``EvaluationError`` from a later wave, or
-    not at all when the width search fails first.
+    A wave that rejects its first cell only halves the width, so the rest of
+    that halving chain is settled at once by :func:`_halving_chain`, on the
+    first cell of each candidate width; the next full wave runs at the first
+    width whose first cell passes.  The accepted cells, the rejected errors
+    and the errors raised are those of evaluating every wave in full, with
+    two exceptions.  A halving wave no longer evaluates its later cells, so
+    F or f non-finite only there raises ``EvaluationError`` from a later
+    wave, or not at all when the width search fails first.  And F and f are
+    evaluated at the first cell of every candidate down to ``min_width``,
+    also those narrower than the width the search settles or fails at, so F
+    or f non-finite off E at such a point raises ``EvaluationError`` where
+    full waves never evaluated it.
     """
     x = g0
     w = min(h_cap, g1 - g0)
     rejected: list[float] = []
-    first_rejected = False
     while x < g1:
-        remaining = g1 - x
-        w = min(w, remaining)
-        n_cells = math.ceil(remaining / w)
-        if n_cells <= _WAVE + 1:
-            # terminate the gap exactly; widths stay within a factor 2 of w,
-            # so a full pass never strands a sub-width sliver before g1
-            width = remaining / n_cells
-            positions = x + width * np.arange(n_cells + 1)
-            positions[0] = x
-            positions[-1] = g1
-        else:
-            n_cells = _WAVE
-            positions = x + w * np.arange(_WAVE + 1)
-        # a width is positive exactly when its breakpoints increase
-        rising = positions[1:] > positions[:-1]
-        if not rising.all():
-            i = int(np.argmin(rising))
-            raise _width_search_failure(float(_midpoints(positions[i:i + 2])[0]), float(w),
-                                        math.nan, rejected, "cell width underflows",
-                                        "cell width underflows at floating point")
-        if first_rejected:
-            F_pos, tags, f_tags, widths, errs = _straddle_errors(model, positions[:2])
-            first_rejected = not errs[0] <= eps * widths[0]
-        if not first_rejected:
-            F_pos, tags, f_tags, widths, errs = _straddle_errors(model, positions)
-            bounds = eps * widths
-            ok = errs <= bounds
-            n_pass = int(np.argmin(ok))
-            if ok[n_pass]:
-                n_pass = n_cells
-            first_rejected = n_pass == 0
-        if first_rejected:
-            err = float(errs[0])
-            if err > _eval_floor(F_pos[0], F_pos[1], f_tags[0], tags[0]):
-                rejected.append(err)
-            half = w * 0.5
-            if half < min_width:
-                raise _width_search_failure(
-                    float(tags[0]), float(w), err, rejected, "width search exhausted",
-                    "width search exhausted; declared derivative does not match F here",
-                )
-            w = half
+        w = min(w, g1 - x)
+        layout = _wave_layout(x, g1, w)
+        n_cells = layout[0]
+        positions = _wave_positions(x, g1, layout)
+        if w < _RISE * max(abs(x), abs(g1)):
+            _check_rising(positions, w, rejected)
+        F_pos, tags, f_tags, widths, errs = _straddle_errors(model, positions)
+        bounds = eps * widths
+        ok = errs <= bounds
+        n_pass = int(np.argmin(ok))
+        if ok[n_pass]:
+            n_pass = n_cells
+        if n_pass == 0:
+            half = _reject(rejected, w, float(errs[0]), F_pos[0], F_pos[1], f_tags[0], tags[0],
+                           min_width)
+            w = _halving_chain(model, x, g1, half, eps, rejected, min_width)
             continue
         counter.add(n_pass, float(x))
         yield positions[: n_pass + 1], f_tags[:n_pass], F_pos[: n_pass + 1]

@@ -10,6 +10,7 @@ from gaugeint import (
     AnchorOverlapError,
     BudgetExceeded,
     BuildLimits,
+    EvaluationError,
     ExceptionalSet,
     FloorReached,
     Gauge,
@@ -606,9 +607,39 @@ PROBE_MODELS = {
 }
 
 
+def constant(value):
+    return lambda x: 0 * np.asarray(x, dtype=float) + value
+
+
+# models whose width search on the first gap [0, 0.45] of the punctured
+# unit span is decided by f at the first cell's midpoint tag t, as F is
+# constant: (F, f, h, eps, the error class that ends the build or None)
+WIDTH_SEARCH_PROBES = {
+    # the first chain candidate (width 0.1, spread to 5 cells of 0.09) passes
+    # at t = 0.045 and the gap is done; its nominal width would put t at 0.05
+    "spread-first-cell": (constant(1.0),
+                          lambda t: 1.0 * ((np.asarray(t) >= 0.048) & (np.asarray(t) <= 0.08)),
+                          0.2, 1e-2, None),
+    # the wave and the first two candidates reject with errors 0.45, 0.01125
+    # and 0.01125; the later candidates' errors are under the 8-ulp floor of
+    # F = 2^40, so these three entries alone decide the failure's kind
+    "three-rejections-above-floor": (constant(2.0**40),
+                                     lambda t: np.select([np.asarray(t) >= 0.2, np.asarray(t) >= 0.1,
+                                                          np.asarray(t) >= 0.05],
+                                                         [1.0, 0.05, 0.1], 0.015),
+                                     None, 1e-2, StraddleFailure),
+    # every rejected error is above the floor; the last candidate's, at
+    # t = 7.8e-19, is 0.05 times the one before it
+    "last-rejection-shrinks": (constant(0.0),
+                               lambda t: np.where(np.asarray(t) > 1e-18, 1.0, 0.1),
+                               None, 1e-2, FloorReached),
+}
+
+
 class TestWavesMatchFullEvaluation:
-    """Deciding halving waves on their first cell gives the items and errors
-    of evaluating every wave in full, bit for bit."""
+    """Settling each halving chain on the first cells of its candidate widths
+    gives the items and errors of evaluating every wave in full, bit for
+    bit."""
 
     def build_error(self, monkeypatch, model, r, eps, h=None, cap=None):
         """Check one build against the reference engine; return the error
@@ -642,6 +673,12 @@ class TestWavesMatchFullEvaluation:
     def test_probe_models(self, monkeypatch, F, f):
         self.ladder_errors(monkeypatch, punctured(F, f))
 
+    @pytest.mark.parametrize("F, f, h, eps, expected", WIDTH_SEARCH_PROBES.values(),
+                             ids=WIDTH_SEARCH_PROBES)
+    def test_width_search_probes(self, monkeypatch, F, f, h, eps, expected):
+        error = self.build_error(monkeypatch, punctured(F, f), 0.05, eps, h)
+        assert (error and error[0]) is expected
+
     def test_every_failure_site_is_reached(self, monkeypatch):
         errors = [error for name in ("reciprocal", "osc_sin_inv")
                   for error in self.ladder_errors(monkeypatch, catalog(name))]
@@ -659,20 +696,65 @@ class TestWavesMatchFullEvaluation:
 
 
 class TestHalvingWavesNotEvaluated:
-    @pytest.mark.parametrize("name, most", [("reciprocal", 600_000), ("sqrt_singular", 500_000)])
+    # F calls per decompose: measured 261 / 159 / 703; one two-point probe
+    # per halving takes 432 / 346 / 871
+    MOST_CALLS = {"reciprocal": 300, "sqrt_singular": 200, "osc_sin_inv": 760}
+
+    @pytest.mark.parametrize("name, most", [
+        ("reciprocal", 600_000), ("sqrt_singular", 500_000), ("osc_sin_inv", 2_500_000),
+    ])
     def test_decompose_F_points(self, name, most):
-        # measured 481,764 and 403,287 F points per decompose; evaluating
-        # every halving wave in full takes 762,011 and 897,673
+        # measured 482,510 / 403,755 / 2,282,148 F points per decompose;
+        # evaluating every halving wave in full takes 762,011 and 897,673 on
+        # the first two
         model = catalog(name)
-        points = 0
+        points = calls = 0
 
         def counted(x):
-            nonlocal points
+            nonlocal points, calls
             points += np.size(x)
+            calls += 1
             return model.F(x)
 
         decompose(dataclasses.replace(model, F=counted))
         assert points <= most
+        assert calls <= self.MOST_CALLS[name]
+
+
+class TestChainCandidatesEvaluated:
+    """A halving chain evaluates the first cell of every candidate width at
+    once, also the candidates narrower than the width it settles at."""
+
+    def test_non_finite_F_at_narrower_candidate_raises(self, monkeypatch):
+        model = punctured(*PROBE_MODELS["kink"])
+        chains = []
+        settle = builders._halving_chain
+
+        def spy(model, x, g1, *args):
+            width = settle(model, x, g1, *args)
+            chains.append((x, g1, width))
+            return width
+
+        with monkeypatch.context() as patch:
+            patch.setattr(builders, "_halving_chain", spy)
+            build_straddle_verified(model, r=0.05, eps=1e-3)
+        # the first breakpoint of the next narrower candidate than the
+        # first chain's settled width, as a wave of that width lays it out
+        x, g1, width = chains[0]
+        narrower = width * 0.5
+        n_cells = math.ceil((g1 - x) / narrower)
+        point = x + ((g1 - x) / n_cells if n_cells <= _WAVE + 1 else narrower)
+        holed = dataclasses.replace(
+            model, F=lambda xs: np.where(np.asarray(xs) == point, np.nan, model.F(xs)))
+
+        with pytest.raises(EvaluationError) as info:
+            build_straddle_verified(holed, r=0.05, eps=1e-3)
+        assert info.value.points == (point,)
+        assert repr(point) in str(info.value)
+        # full waves never evaluate F there
+        with monkeypatch.context() as patch:
+            patch.setattr(builders, "_gap_waves", gap_waves_in_full)
+            build_straddle_verified(holed, r=0.05, eps=1e-3)
 
 
 class TestBuilderSweep:
