@@ -46,7 +46,6 @@ from .models import (
 )
 from .partition import (
     Gauge,
-    GaugeDescriptor,
     Interval,
     TaggedPair,
     TaggedPartition,

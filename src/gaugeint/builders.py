@@ -23,10 +23,12 @@ passing prefix, and halves or grows the width adaptively.  Width control is
 geometric with factor 2 downward; the upward growth is throttled by the
 observed error headroom so the accepted widths track the largest passing
 width without thrashing.  A wave whose first cell fails only halves the
-width, so the rest of that halving chain is settled at once: the first
-cells of every narrower candidate width, down to the minimum width, are
-evaluated in one F call and one f call, and the full batch is evaluated at
-the first width whose first cell passes.  The partitions and errors are
+width, so it hands its width to the halving chain, which settles the rest
+of the search at once: the candidate widths start at the rejected width
+and halve down to the minimum width, their first cells are evaluated in
+one F call and one f call, the rejected width is recorded but never
+chosen, and the full batch is evaluated at the first narrower width whose
+first cell passes.  The partitions and errors are
 those of evaluating every wave in full, with two exceptions.  F or f
 non-finite only on a halving wave's later cells no longer raises
 ``EvaluationError`` from that wave.  And F or f non-finite off E at the
@@ -344,48 +346,42 @@ def _check_rising(positions, w, rejected):
                                     "cell width underflows at floating point")
 
 
-def _reject(rejected, w, err, F_lo, F_hi, f_t, t, min_width):
-    """Record a first cell rejected at width w and return the next width,
-    w / 2; raise the width-search failure when that falls under
-    ``min_width``."""
-    if err > _eval_floor(F_lo, F_hi, f_t, t):
-        rejected.append(err)
-    half = w * 0.5
-    if half < min_width:
-        raise _width_search_failure(
-            float(t), float(w), err, rejected, "width search exhausted",
-            "width search exhausted; declared derivative does not match F here",
-        )
-    return half
+def _halving_chain(model, x, g1, w, eps, min_width):
+    """The first width of w / 2, w / 4, ... at which the first cell at x
+    passes, after a wave of width w rejected it.
 
-
-def _halving_chain(model, x, g1, w, eps, rejected, min_width):
-    """The first width of w, w / 2, w / 4, ... at which the first cell at x
-    passes, after a wave of width 2w rejected it.
-
-    The first cells of all candidates down to ``min_width`` are evaluated in
-    one F call and one f call.  The candidates are then settled in order as
-    one wave each would settle them: the underflow check, the straddle check
-    and, on failure, the rejected error and the end of the search once the
-    next width falls under ``min_width``.  A candidate is at most half the
-    remaining length, so its first cell ends before g1.
+    The candidates are w itself and its halvings down to ``min_width``; the
+    first cells of all of them are evaluated in one F call and one f call.
+    The candidates are then settled in order as one wave each would settle
+    them: the underflow check, the straddle check and, on failure, the
+    rejected error when it lies above its evaluation floor.  Candidate 0 is
+    recorded but never returned, so the width at least halves even where F
+    depends on the batch it is evaluated in.  The search fails after the
+    last candidate.  Candidate 0 may be one cell to g1, whose first
+    breakpoint is g1 itself, as :func:`_wave_positions` lays it out; every
+    later candidate is at most half the remaining length.
     """
     candidates = [w]
     while candidates[-1] * 0.5 >= min_width:
         candidates.append(candidates[-1] * 0.5)
     layouts = [_wave_layout(x, g1, c) for c in candidates]
-    firsts = np.array([x] + [x + step for _, step, _ in layouts])
+    firsts = np.array([x] + [g1 if n_cells == 1 else x + step for n_cells, step, _ in layouts])
     F_pos, tags, f_tags, widths, errs = _straddle_errors(model, firsts, lo=0)
     passed = errs <= eps * widths
     rise = _RISE * max(abs(x), abs(g1))
+    rejected: list[float] = []
     for j, c in enumerate(candidates):
         if c < rise:
             _check_rising(_wave_positions(x, g1, layouts[j]), c, rejected)
-        if passed[j]:
+        if j and passed[j]:
             return c
-        # the last candidate's rejection raises: its half is under min_width
-        _reject(rejected, c, float(errs[j]), F_pos[0], F_pos[j + 1], f_tags[j], tags[j],
-                min_width)
+        if errs[j] > _eval_floor(F_pos[0], F_pos[j + 1], f_tags[j], tags[j]):
+            rejected.append(float(errs[j]))
+    raise _width_search_failure(
+        float(tags[-1]), float(candidates[-1]), float(errs[-1]), rejected,
+        "width search exhausted",
+        "width search exhausted; declared derivative does not match F here",
+    )
 
 
 def _gap_waves(model, g0, g1, eps, counter, h_cap, min_width):
@@ -393,9 +389,10 @@ def _gap_waves(model, g0, g1, eps, counter, h_cap, min_width):
     covering [g0, g1], every cell passing the straddle check at its midpoint
     tag.
 
-    A wave that rejects its first cell only halves the width, so the rest of
-    that halving chain is settled at once by :func:`_halving_chain`, on the
-    first cell of each candidate width; the next full wave runs at the first
+    A wave that rejects its first cell hands its width to
+    :func:`_halving_chain`, which settles the whole halving chain on the
+    first cell of each candidate width, from the rejected width down, in one
+    F call and one f call; the next full wave runs at the first narrower
     width whose first cell passes.  The accepted cells, the rejected errors
     and the errors raised are those of evaluating every wave in full, with
     two exceptions.  A halving wave no longer evaluates its later cells, so
@@ -408,14 +405,15 @@ def _gap_waves(model, g0, g1, eps, counter, h_cap, min_width):
     """
     x = g0
     w = min(h_cap, g1 - g0)
-    rejected: list[float] = []
     while x < g1:
         w = min(w, g1 - x)
         layout = _wave_layout(x, g1, w)
         n_cells = layout[0]
         positions = _wave_positions(x, g1, layout)
         if w < _RISE * max(abs(x), abs(g1)):
-            _check_rising(positions, w, rejected)
+            # no rejected error is pending here: right after a chain this
+            # repeats the check the chain passed on the same layout
+            _check_rising(positions, w, ())
         F_pos, tags, f_tags, widths, errs = _straddle_errors(model, positions)
         bounds = eps * widths
         ok = errs <= bounds
@@ -423,14 +421,11 @@ def _gap_waves(model, g0, g1, eps, counter, h_cap, min_width):
         if ok[n_pass]:
             n_pass = n_cells
         if n_pass == 0:
-            half = _reject(rejected, w, float(errs[0]), F_pos[0], F_pos[1], f_tags[0], tags[0],
-                           min_width)
-            w = _halving_chain(model, x, g1, half, eps, rejected, min_width)
+            w = _halving_chain(model, x, g1, w, eps, min_width)
             continue
         counter.add(n_pass, float(x))
         yield positions[: n_pass + 1], f_tags[:n_pass], F_pos[: n_pass + 1]
         x = float(positions[n_pass])
-        rejected.clear()
         if n_pass < n_cells:
             w *= 0.5
         else:

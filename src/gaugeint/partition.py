@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -236,56 +236,27 @@ def restriction_mask(partition: TaggedPartition, points: Iterable[float]) -> np.
 
 
 @dataclass(frozen=True)
-class GaugeDescriptor:
-    """Structured parameters for the standard anchored gauge family."""
-
-    mesh: float
-    anchor_radii: Mapping[float, float] = field(default_factory=dict)
-    isolating: bool = True
-
-    def __post_init__(self):
-        if not self.mesh > 0:
-            raise ValueError("gauge mesh must be positive")
-        for e, r in self.anchor_radii.items():
-            if not r > 0:
-                raise ValueError(f"anchor radius at {e} must be positive")
-
-    def widths(self, xs) -> np.ndarray:
-        """delta at each of ``xs``: 2*r at an anchor point (exact float
-        equality), 2*mesh elsewhere, pinched to the distance from the nearest
-        anchor when isolating.  ``fmin`` keeps 2*mesh at a NaN distance."""
-        xs = np.asarray(xs, dtype=float)
-        out = np.full(xs.shape, 2.0 * self.mesh)
-        if self.isolating:
-            for e in self.anchor_radii:
-                np.fmin(out, np.abs(xs - e), out=out)
-        for e, r in self.anchor_radii.items():
-            out[xs == e] = 2.0 * r
-        return out
-
-
-@dataclass(frozen=True)
 class Gauge:
-    """Positive width function delta(x) with optional structured descriptor.
+    """Positive width function delta(x) with an optional vectorized form.
 
     Positivity over the whole span cannot be verified for a black-box
     evaluator; it is checked pointwise where the gauge is used.  A gauge that
     evaluates to an effectively-zero width surfaces as ``BudgetExceeded``
     in the bisection builder rather than as a construction-time error.
 
-    ``at`` evaluates a gauge with a descriptor by the descriptor's vectorized
-    formula, and a black-box gauge one point at a time.
+    ``at`` evaluates a gauge by its vectorized ``widths`` when it has one,
+    and a black-box gauge one point at a time.
     """
 
     evaluator: Callable[[float], float]
-    descriptor: GaugeDescriptor | None = None
+    widths: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x: float) -> float:
         return float(self.evaluator(x))
 
     def at(self, xs) -> np.ndarray:
-        if self.descriptor is not None:
-            return self.descriptor.widths(xs)
+        if self.widths is not None:
+            return self.widths(xs)
         return np.array([self.evaluator(float(x)) for x in xs], dtype=float)
 
 
@@ -296,11 +267,29 @@ def anchored_gauge(mesh: float, anchor_radii: Mapping[float, float] | None = Non
     With ``isolating`` set, the width near (but not at) an anchor point e is
     pinched to the distance from e, which forces every fine partition to tag
     e at e itself -- the usual gauge argument for exceptional points.  One
-    formula, :meth:`GaugeDescriptor.widths`, serves ``gauge(x)`` and
-    ``gauge.at(xs)``, so the two agree bit for bit.
+    vectorized formula serves ``gauge(x)`` and ``gauge.at(xs)``, so the two
+    agree bit for bit.
     """
-    desc = GaugeDescriptor(mesh=mesh, anchor_radii=dict(anchor_radii or {}), isolating=isolating)
-    return Gauge(evaluator=lambda x: desc.widths([x])[0], descriptor=desc)
+    if not mesh > 0:
+        raise ValueError("gauge mesh must be positive")
+    radii = dict(anchor_radii or {})
+    for e, r in radii.items():
+        if not r > 0:
+            raise ValueError(f"anchor radius at {e} must be positive")
+
+    def widths(xs) -> np.ndarray:
+        # exact float equality picks an anchor point; fmin keeps 2*mesh at a
+        # NaN distance
+        xs = np.asarray(xs, dtype=float)
+        out = np.full(xs.shape, 2.0 * mesh)
+        if isolating:
+            for e in radii:
+                np.fmin(out, np.abs(xs - e), out=out)
+        for e, r in radii.items():
+            out[xs == e] = 2.0 * r
+        return out
+
+    return Gauge(evaluator=lambda x: widths([x])[0], widths=widths)
 
 
 def is_fine(partition: TaggedPartition, gauge: Gauge) -> bool:

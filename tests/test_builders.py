@@ -704,7 +704,7 @@ class TestHalvingWavesNotEvaluated:
         ("reciprocal", 600_000), ("sqrt_singular", 500_000), ("osc_sin_inv", 2_500_000),
     ])
     def test_decompose_F_points(self, name, most):
-        # measured 482,510 / 403,755 / 2,282,148 F points per decompose;
+        # measured 482,531 / 403,772 / 2,282,166 F points per decompose;
         # evaluating every halving wave in full takes 762,011 and 897,673 on
         # the first two
         model = catalog(name)
@@ -723,7 +723,9 @@ class TestHalvingWavesNotEvaluated:
 
 class TestChainCandidatesEvaluated:
     """A halving chain evaluates the first cell of every candidate width at
-    once, also the candidates narrower than the width it settles at."""
+    once, also the candidates narrower than the width it settles at.  Its
+    first candidate is the rejected width, laid out as the rejecting wave
+    laid it out, and is never returned."""
 
     def test_non_finite_F_at_narrower_candidate_raises(self, monkeypatch):
         model = punctured(*PROBE_MODELS["kink"])
@@ -755,6 +757,24 @@ class TestChainCandidatesEvaluated:
         with monkeypatch.context() as patch:
             patch.setattr(builders, "_gap_waves", gap_waves_in_full)
             build_straddle_verified(holed, r=0.05, eps=1e-3)
+
+    def test_one_cell_candidate_ends_at_g1(self):
+        # the first wave of a gap is one cell to g1; x + (g1 - x) misses g1
+        x, g1 = 0.1, 0.45
+        w = g1 - x
+        assert x + w != g1
+        model = punctured(lambda xs: 1.0 * (np.asarray(xs) == g1), constant(0.0))
+        with pytest.raises(StraddleFailure) as info:
+            builders._halving_chain(model, x, g1, w, 1e-3, w)
+        assert type(info.value) is StraddleFailure
+        assert info.value.error == 1.0
+        assert info.value.tag == 0.5 * (x + g1)
+
+    def test_rejected_width_is_never_returned(self):
+        # the first cell passes at the rejected width itself (the midpoint
+        # rule is exact on a parabola), yet the chain must halve
+        width = builders._halving_chain(catalog("parabola"), 0.0, 0.45, 0.1, 1e-3, 2.0**-60)
+        assert width == 0.05
 
 
 class TestBuilderSweep:
