@@ -17,12 +17,19 @@ Three builders:
   positive gauge).  It bisects a sorted frontier of open pieces, leftmost
   ``_WAVE`` at a time, with one bulk gauge evaluation per candidate tag.
 
-The straddle builder works in vectorized waves: it proposes a batch of
-equal-width cells, checks the inequality on the whole batch, accepts the
-passing prefix, and halves or grows the width adaptively.  Width control is
-geometric with factor 2 downward; the upward growth is throttled by the
-observed error headroom so the accepted widths track the largest passing
-width without thrashing.  A wave whose first cell fails only halves the
+The straddle builder walks each gap between anchors in vectorized waves: it
+proposes a batch of equal-width cells, checks the inequality on the whole
+batch, accepts the passing prefix, and halves or grows the width
+adaptively.  A gap that touches an anchor only at its right end is walked
+right to left, so every gap next to a point of E starts at that point and a
+width search that fails there fails within the first few cells; its runs
+come in walk order, each one ascending.  Width control is geometric with
+factor 2 downward; the upward growth is throttled by the observed error
+headroom so the accepted widths track the largest passing width without
+thrashing.  A prefix that ends on a cell failing only by rounding doubles
+the width instead, and the gap's first width search shortens the next wave
+to ``_FIRST_WAVE`` cells, growing back to ``_WAVE`` with every accepting
+wave.  A wave whose first cell fails only halves the
 width, so it hands its width to the halving chain, which settles the rest
 of the search at once: the candidate widths start at the rejected width
 and halve down to the minimum width, their first cells are evaluated in
@@ -53,6 +60,9 @@ from .models import SingularFunctionModel
 from .partition import Gauge, Interval, TaggedPartition, anchor_cells, anchored_gauge, validate
 
 _WAVE = 4096
+
+# The wave proposed right after a gap's first width search (see _gap_waves).
+_FIRST_WAVE = 64
 
 # The breakpoint steps 0, 1, ..., _WAVE + 1 of every wave.
 _STEPS = np.arange(_WAVE + 2, dtype=float)
@@ -313,32 +323,35 @@ def _straddle_errors(model, positions, lo=slice(None, -1)):
     return F_pos, tags, f_tags, widths, errs
 
 
-def _wave_layout(x, g1, w):
-    """``(n_cells, step, spread)`` of the wave at x of width w: ``_WAVE``
-    cells of width w, or, when at most ``_WAVE + 1`` cells of width w reach
-    g1, cells spread evenly to end exactly at g1.  Spread widths stay within
-    a factor 2 of w, so a full pass never strands a sub-width sliver."""
-    remaining = g1 - x
-    n_cells = math.ceil(remaining / w)
-    if n_cells <= _WAVE + 1:
+def _wave_layout(x, stop, w, cells):
+    """``(n_cells, step, spread)`` of the wave at x of width w toward stop:
+    ``cells`` cells of width w, or, when at most ``cells + 1`` cells of
+    width w reach stop, cells spread evenly to end exactly at stop.  The
+    step carries the walk's direction.  Spread widths stay within a factor 2
+    of w, so a full pass never strands a sub-width sliver."""
+    remaining = stop - x
+    n_cells = math.ceil(abs(remaining) / w)
+    if n_cells <= cells + 1:
         return n_cells, remaining / n_cells, True
-    return _WAVE, w, False
+    return cells, math.copysign(w, remaining), False
 
 
-def _wave_positions(x, g1, layout):
-    """The breakpoints of a wave laid out by :func:`_wave_layout`."""
+def _wave_positions(x, stop, layout):
+    """The breakpoints of a wave laid out by :func:`_wave_layout`, in walk
+    order."""
     n_cells, step, spread = layout
     positions = x + step * _STEPS[: n_cells + 1]
     if spread:
         positions[0] = x
-        positions[-1] = g1
+        positions[-1] = stop
     return positions
 
 
-def _check_rising(positions, w, rejected):
+def _check_rising(positions, d, w, rejected):
     """Raise the width-search failure at the first cell of a wave of width w
-    whose breakpoints do not increase, i.e. whose width is not positive."""
-    rising = positions[1:] > positions[:-1]
+    whose breakpoints do not move on in the walk's direction d, i.e. whose
+    width is not positive."""
+    rising = d * (positions[1:] - positions[:-1]) > 0
     if not rising.all():
         i = int(np.argmin(rising))
         raise _width_search_failure(float(_midpoints(positions[i:i + 2])[0]), float(w),
@@ -346,33 +359,34 @@ def _check_rising(positions, w, rejected):
                                     "cell width underflows at floating point")
 
 
-def _halving_chain(model, x, g1, w, eps, min_width):
+def _halving_chain(model, x, stop, w, eps, min_width, cells=_WAVE):
     """The first width of w / 2, w / 4, ... at which the first cell at x
-    passes, after a wave of width w rejected it.
+    toward stop passes, after a wave of width w rejected it.
 
     The candidates are w itself and its halvings down to ``min_width``; the
     first cells of all of them are evaluated in one F call and one f call.
-    The candidates are then settled in order as one wave each would settle
-    them: the underflow check, the straddle check and, on failure, the
-    rejected error when it lies above its evaluation floor.  Candidate 0 is
-    recorded but never returned, so the width at least halves even where F
-    depends on the batch it is evaluated in.  The search fails after the
-    last candidate.  Candidate 0 may be one cell to g1, whose first
-    breakpoint is g1 itself, as :func:`_wave_positions` lays it out; every
-    later candidate is at most half the remaining length.
+    The candidates are then settled in order as one wave of ``cells`` cells
+    each would settle them: the underflow check, the straddle check and, on
+    failure, the rejected error when it lies above its evaluation floor.
+    Candidate 0 is recorded but never returned, so the width at least halves
+    even where F depends on the batch it is evaluated in.  The search fails
+    after the last candidate.  Candidate 0 may be one cell to stop, whose
+    first breakpoint is stop itself, as :func:`_wave_positions` lays it out;
+    every later candidate is at most half the remaining length.
     """
+    d = 1.0 if stop > x else -1.0
     candidates = [w]
     while candidates[-1] * 0.5 >= min_width:
         candidates.append(candidates[-1] * 0.5)
-    layouts = [_wave_layout(x, g1, c) for c in candidates]
-    firsts = np.array([x] + [g1 if n_cells == 1 else x + step for n_cells, step, _ in layouts])
+    layouts = [_wave_layout(x, stop, c, cells) for c in candidates]
+    firsts = np.array([x] + [stop if n_cells == 1 else x + step for n_cells, step, _ in layouts])
     F_pos, tags, f_tags, widths, errs = _straddle_errors(model, firsts, lo=0)
-    passed = errs <= eps * widths
-    rise = _RISE * max(abs(x), abs(g1))
+    passed = errs <= (eps * d) * widths
+    rise = _RISE * max(abs(x), abs(stop))
     rejected: list[float] = []
     for j, c in enumerate(candidates):
         if c < rise:
-            _check_rising(_wave_positions(x, g1, layouts[j]), c, rejected)
+            _check_rising(_wave_positions(x, stop, layouts[j]), d, c, rejected)
         if j and passed[j]:
             return c
         if errs[j] > _eval_floor(F_pos[0], F_pos[j + 1], f_tags[j], tags[j]):
@@ -384,51 +398,84 @@ def _halving_chain(model, x, g1, w, eps, min_width):
     )
 
 
-def _gap_waves(model, g0, g1, eps, counter, h_cap, min_width):
+def _gap_waves(model, start, stop, eps, counter, h_cap, min_width):
     """Yield (positions, f_tags, F_positions) for contiguous runs of cells
-    covering [g0, g1], every cell passing the straddle check at its midpoint
-    tag.
+    covering the gap between start and stop, walked from start toward stop,
+    every cell passing the straddle check at its midpoint tag.  Each run is
+    ascending: a walk to the left yields reversed views of its waves, so the
+    runs come in walk order and each one reads left to right.
 
-    A wave that rejects its first cell hands its width to
-    :func:`_halving_chain`, which settles the whole halving chain on the
-    first cell of each candidate width, from the rejected width down, in one
-    F call and one f call; the next full wave runs at the first narrower
-    width whose first cell passes.  The accepted cells, the rejected errors
-    and the errors raised are those of evaluating every wave in full, with
-    two exceptions.  A halving wave no longer evaluates its later cells, so
-    F or f non-finite only there raises ``EvaluationError`` from a later
-    wave, or not at all when the width search fails first.  And F and f are
-    evaluated at the first cell of every candidate down to ``min_width``,
-    also those narrower than the width the search settles or fails at, so F
-    or f non-finite off E at such a point raises ``EvaluationError`` where
-    full waves never evaluated it.
+    A walk to the left computes the numbers of a walk to the right on the
+    reflected model: its breakpoints are ``x - step * k``, and widths and
+    bounds are taken by magnitude.  Three rules set the next wave:
+
+    * A wave that rejects its first cell hands its width to
+      :func:`_halving_chain`, which settles the whole halving chain on the
+      first cell of each candidate width, from the rejected width down, in
+      one F call and one f call; the next full wave runs at the first
+      narrower width whose first cell passes.
+    * A wave that passes a prefix halves the width, unless the cell it
+      failed at has an error at or under its evaluation floor: there
+      narrower cells only sink deeper into rounding, so the width doubles
+      (capped by ``h_cap``).  A wave that passes in full grows the width by
+      its error headroom.
+    * A wave proposes ``cells`` cells, spread to end at stop when
+      ``cells + 1`` of them reach it.  The gap's first width search cuts the
+      proposal to ``_FIRST_WAVE`` cells, so a walk that starts at a settled
+      tiny width does not lay out ``_WAVE`` cells of it; every wave that
+      accepts cells grows the proposal back toward ``_WAVE``, 2x after a
+      prefix and 4x after a full pass.
+
+    The accepted cells, the rejected errors and the errors raised are those
+    of evaluating every wave in full, with two exceptions.  A halving wave
+    no longer evaluates its later cells, so F or f non-finite only there
+    raises ``EvaluationError`` from a later wave, or not at all when the
+    width search fails first.  And F and f are evaluated at the first cell
+    of every candidate down to ``min_width``, also those narrower than the
+    width the search settles or fails at, so F or f non-finite off E at
+    such a point raises ``EvaluationError`` where full waves never evaluated
+    it.
     """
-    x = g0
-    w = min(h_cap, g1 - g0)
-    while x < g1:
-        w = min(w, g1 - x)
-        layout = _wave_layout(x, g1, w)
+    d = 1.0 if stop > start else -1.0
+    x = start
+    w = min(h_cap, abs(stop - start))
+    cells = _WAVE
+    searched = False
+    while d * (stop - x) > 0:
+        w = min(w, abs(stop - x))
+        layout = _wave_layout(x, stop, w, cells)
         n_cells = layout[0]
-        positions = _wave_positions(x, g1, layout)
-        if w < _RISE * max(abs(x), abs(g1)):
+        positions = _wave_positions(x, stop, layout)
+        if w < _RISE * max(abs(x), abs(stop)):
             # no rejected error is pending here: right after a chain this
             # repeats the check the chain passed on the same layout
-            _check_rising(positions, w, ())
+            _check_rising(positions, d, w, ())
         F_pos, tags, f_tags, widths, errs = _straddle_errors(model, positions)
-        bounds = eps * widths
+        bounds = (eps * d) * widths
         ok = errs <= bounds
         n_pass = int(np.argmin(ok))
         if ok[n_pass]:
             n_pass = n_cells
         if n_pass == 0:
-            w = _halving_chain(model, x, g1, w, eps, min_width)
+            if not searched:
+                searched, cells = True, _FIRST_WAVE
+            w = _halving_chain(model, x, stop, w, eps, min_width, cells)
             continue
         counter.add(n_pass, float(x))
-        yield positions[: n_pass + 1], f_tags[:n_pass], F_pos[: n_pass + 1]
+        if d > 0:
+            yield positions[: n_pass + 1], f_tags[:n_pass], F_pos[: n_pass + 1]
+        else:
+            yield positions[n_pass::-1], f_tags[n_pass - 1::-1], F_pos[n_pass::-1]
         x = float(positions[n_pass])
         if n_pass < n_cells:
-            w *= 0.5
+            cells = min(2 * cells, _WAVE)
+            if errs[n_pass] <= _eval_floor(F_pos[n_pass], F_pos[n_pass + 1],
+                                           f_tags[n_pass], tags[n_pass]):
+                w = min(w * 2.0, h_cap)
+            else:
+                w *= 0.5
         else:
+            cells = min(4 * cells, _WAVE)
             headroom = float(np.max(errs / bounds))
             if headroom < 0.25:
                 w = min(w * 2.0, h_cap)
@@ -444,12 +491,15 @@ def straddle_chunks(
     limits: BuildLimits | None = None,
     h: float | None = None,
 ) -> Iterator[tuple]:
-    """Stream a straddle-verified anchored partition in span order.
+    """Stream a straddle-verified anchored partition in walk order.
 
     Yields ``("cells", positions, f_tags, F_positions)`` for off-anchor runs
-    and ``("anchor", lo, hi, e)`` for anchor cells.  Consumers either
-    materialize the cells or fold them into running sums; streaming keeps
-    memory flat for multi-million-pair builds.
+    and ``("anchor", lo, hi, e)`` for anchor cells.  Gaps and anchors come
+    in span order.  A gap that touches an anchor cell only at its right end
+    is walked right to left, away from the anchor, so every gap next to a
+    point of E starts at that point; its runs come right to left, each one
+    ascending.  Consumers either materialize the cells or fold them into
+    running sums; streaming keeps memory flat for multi-million-pair builds.
     """
     span = span or model.span
     if not eps > 0:
@@ -467,6 +517,11 @@ def straddle_chunks(
             yield item
         else:
             _, g0, g1 = item
+            # anchor cells lie inside the span: a gap from span.lo has no
+            # anchor on its left, and one ending short of span.hi has one on
+            # its right, which it walks away from
+            if g0 == span.lo and g1 < span.hi:
+                g0, g1 = g1, g0
             for chunk in _gap_waves(model, g0, g1, eps, counter, h_cap, min_width):
                 yield ("cells",) + chunk
 
@@ -479,7 +534,8 @@ def build_straddle_verified(
     limits: BuildLimits | None = None,
     h: float | None = None,
 ) -> TaggedPartition:
-    """Materialized form of :func:`straddle_chunks`.
+    """Materialized form of :func:`straddle_chunks`, its runs sorted into
+    span order.
 
     Every exceptional point tags the cell [e-r, e+r]; every other cell is
     tagged at its midpoint, bit for bit the point f was evaluated at, and
@@ -491,6 +547,9 @@ def build_straddle_verified(
     """
     span = span or model.span
     chunks = [_chunk_arrays(item) for item in straddle_chunks(model, span, r, eps, limits, h)]
+    # TaggedPartition sorts its pairs too; runs in span order hand it
+    # presorted input, which its stable argsort takes in half the time
+    chunks.sort(key=lambda chunk: chunk[0][0])
     return _materialize(span, chunks)
 
 

@@ -335,6 +335,9 @@ def decompose(
     if isinstance(bs_verdict, Converged) and residual_sum is not None:
         residue_sum_gap = abs(residual_sum - bs_verdict.value)
 
+    # the kh note names a failed build unless the ladder ran out of depths
+    diagnostic = getattr(kh_verdict, "note", "") if len(kh_trace) <= max_depth else ""
+
     one_sided = (
         isinstance(kh_verdict, Converged) != isinstance(bs_verdict, Converged)
         and not isinstance(kh_verdict, Inconclusive)
@@ -353,7 +356,7 @@ def decompose(
         lemma_consistent=not one_sided,
         kh_rows=_rows(schedule, kh_trace),
         bs_rows=bs_rows,
-        build_diagnostic=getattr(kh_verdict, "note", "") or None,
+        build_diagnostic=diagnostic or None,
     )
 
 

@@ -32,6 +32,9 @@ MAX_DEPTH = 20
 TOL = 1e-6
 DIV_THRESHOLD = 1e12
 
+# The note of a ladder that reaches its last depth without a verdict.
+MAX_DEPTH_NOTE = "no verdict by max depth {depth}"
+
 
 @dataclass(frozen=True)
 class Converged:
@@ -154,7 +157,8 @@ def run_ladder(
     ``stops`` maps exception classes to note templates.  When ``pair_at(n)``
     raises one of them (first match in order), the ladder ends with an
     ``Inconclusive`` whose note is the template formatted with ``depth=n``
-    and ``exc``; any other exception propagates.
+    and ``exc``; any other exception propagates.  A ladder that runs out of
+    depths ends with ``MAX_DEPTH_NOTE`` formatted with its last depth.
     """
     clf = SequenceClassifier(tol=tol, div_threshold=div_threshold)
     for n in range(max_depth + 1):
@@ -163,10 +167,12 @@ def run_ladder(
         except tuple(stops) as exc:
             template = next(t for cls, t in stops.items() if isinstance(exc, cls))
             clf.note(template.format(depth=n, exc=exc))
-            break
+            return tuple(clf.trace), clf.finish()
         verdict = clf.push(depth, value)
         if verdict is not None:
             return tuple(clf.trace), verdict
+    if clf.trace:
+        clf.note(MAX_DEPTH_NOTE.format(depth=clf.trace[-1][0]))
     return tuple(clf.trace), clf.finish()
 
 

@@ -179,20 +179,22 @@ class TestBuildStraddle:
 
     def test_reciprocal_width_profile(self):
         # off-anchor cells are tagged at their midpoints, and accepted widths
-        # obey w <= 2 t sqrt(eps lo hi): the closed form of the midpoint
+        # obey w <= 2 |t| sqrt(eps lo hi): the closed form of the midpoint
         # per-cell error w^3 / (4 t^2 lo hi) for F = 1/x
         model = catalog("reciprocal")
         eps = 1e-3
         part = build_straddle_verified(model, r=0.05, eps=eps)
         off = ~restriction_mask(part, tuple(model.E))
         assert np.all(part.tags[off] == 0.5 * (part.los[off] + part.his[off]))
-        sel = part.tags >= 0.06
-        lo, hi, t = part.los[sel], part.his[sel], part.tags[sel]
-        cap = 2 * t * np.sqrt(eps * lo * hi)
-        assert np.all(part.widths[sel] <= cap * (1 + 1e-9))
-        # measured median utilization 0.0043; the floor sits at half of it
-        utilization = part.widths[sel] / cap
-        assert np.median(utilization) >= 0.002
+        # both sides walk away from the pole; measured median utilization
+        # 0.0081 right and 0.037 left, and each floor sits at half of it
+        for side, floor in ((1, 0.004), (-1, 0.018)):
+            sel = side * part.tags >= 0.06
+            lo, hi, t = part.los[sel], part.his[sel], part.tags[sel]
+            cap = 2 * np.abs(t) * np.sqrt(eps * lo * hi)
+            assert np.all(part.widths[sel] <= cap * (1 + 1e-9))
+            utilization = part.widths[sel] / cap
+            assert np.median(utilization) >= floor
 
     def test_wrong_derivative_fails(self):
         model = model_from(
@@ -258,13 +260,29 @@ class TestMidpointTags:
         ("sqrt_singular", 1e-4, 1_000),
     ])
     def test_pair_count(self, name, eps, most):
-        # measured 3, 20,082 and 513 pairs (1,048,577, 5,514,958 and 33,358
-        # with left-endpoint tags)
+        # measured 3, 23,608 and 417 pairs (20,082 and 513 with every gap
+        # walked left to right; 1,048,577, 5,514,958 and 33,358 with
+        # left-endpoint tags)
         assert len(build_straddle_verified(catalog(name), r=0.05, eps=eps)) <= most
 
     @pytest.mark.parametrize("name", ["osc_sin_inv", "reciprocal", "sqrt_singular"])
     def test_default_ladder_stops_at_floor(self, name):
         assert isinstance(first_ladder_failure(catalog(name)), FloorReached)
+
+    @pytest.mark.parametrize("name, depth", [("osc_sin_inv", 5), ("reciprocal", 6)])
+    def test_floor_failure_found_next_to_the_anchor(self, name, depth):
+        # the gap left of 0 is walked away from its anchor, so the depth that
+        # ends the default ladder fails within a few pairs, next to the pole
+        # (measured 13 and 3 pairs; walking toward the anchor streamed
+        # 650,470 and 121,604 before failing)
+        model = catalog(name)
+        step = RefinementSchedule.for_model(model).at(depth)
+        pairs = 0
+        with pytest.raises(FloorReached) as info:
+            for item in straddle_chunks(model, model.span, step.r, step.eps, h=step.h):
+                pairs += 1 if item[0] == "anchor" else len(item[2])
+                assert pairs <= 100
+        assert abs(info.value.tag) <= 2 * step.r
 
     @pytest.mark.parametrize("name", ["jump_linear", "parabola"])
     def test_default_ladder_passes_every_depth(self, name):
@@ -506,39 +524,53 @@ class TestCousinMatchesDepthFirst:
             assert cousin_outcome(build_cousin, model.span, gauge, "midpoint", None) == expected
 
 
-def gap_waves_in_full(model, g0, g1, eps, counter, h_cap, min_width):
+def gap_waves_in_full(model, start, stop, eps, counter, h_cap, min_width):
     """Reference wave engine: every wave evaluates F and f on all its cells,
-    also while the width search is halving.  ``_gap_waves`` must reproduce
-    its chunks, its rejected errors and the errors it raises bit for bit."""
-    x = g0
-    w = min(h_cap, g1 - g0)
+    also while the width search is halving, and takes each cell's error on
+    its ascending ends.  It walks from start toward stop by the rules of
+    ``_gap_waves``: halve after a rejected first cell or a failed cell above
+    its evaluation floor, double after a failed cell at or under it, grow by
+    the headroom after a full pass, and propose ``_FIRST_WAVE`` cells after
+    the gap's first rejected first cell, growing the proposal back to
+    ``_WAVE`` 2x per partial and 4x per full pass.  ``_gap_waves`` must
+    reproduce its chunks, its rejected errors and the errors it raises bit
+    for bit."""
+    d = 1.0 if stop > start else -1.0
+    x = start
+    w = min(h_cap, abs(stop - start))
+    cells = _WAVE
+    searched = False
     rejected = []
-    while x < g1:
-        remaining = g1 - x
+    while d * (stop - x) > 0:
+        remaining = abs(stop - x)
         w = min(w, remaining)
         n_cells = math.ceil(remaining / w)
-        if n_cells <= _WAVE + 1:
+        if n_cells <= cells + 1:
             width = remaining / n_cells
-            positions = x + width * np.arange(n_cells + 1)
+            positions = x + d * width * np.arange(n_cells + 1)
             positions[0] = x
-            positions[-1] = g1
+            positions[-1] = stop
         else:
-            n_cells = _WAVE
-            positions = x + w * np.arange(_WAVE + 1)
-        widths = np.diff(positions)
+            n_cells = cells
+            positions = x + d * w * np.arange(cells + 1)
         tags = _midpoints(positions)
-        if not (widths > 0).all():
-            i = int(np.argmin(widths > 0))
+        moving = d * np.diff(positions) > 0
+        if not moving.all():
+            i = int(np.argmin(moving))
             raise _width_search_failure(float(tags[i]), float(w), math.nan, rejected,
                                         "cell width underflows",
                                         "cell width underflows at floating point")
         F_pos = model.F_values(positions)
         f_tags = model.f_values(tags)
-        errs = np.abs(np.diff(F_pos) - f_tags * widths)
+        F_lo, F_hi = (F_pos[:-1], F_pos[1:]) if d > 0 else (F_pos[1:], F_pos[:-1])
+        widths = np.abs(np.diff(positions))
+        errs = np.abs((F_hi - F_lo) - f_tags * widths)
         bounds = eps * widths
         ok = errs <= bounds
         n_pass = n_cells if bool(ok.all()) else int(np.argmin(ok))
         if n_pass == 0:
+            if not searched:
+                searched, cells = True, builders._FIRST_WAVE
             err = float(errs[0])
             if err > _eval_floor(F_pos[0], F_pos[1], f_tags[0], tags[0]):
                 rejected.append(err)
@@ -551,12 +583,17 @@ def gap_waves_in_full(model, g0, g1, eps, counter, h_cap, min_width):
             w = half
             continue
         counter.add(n_pass, float(x))
-        yield positions[: n_pass + 1], f_tags[:n_pass], F_pos[: n_pass + 1]
+        run = (positions[: n_pass + 1], f_tags[:n_pass], F_pos[: n_pass + 1])
+        yield run if d > 0 else tuple(a[::-1] for a in run)
         x = float(positions[n_pass])
         rejected.clear()
         if n_pass < n_cells:
-            w *= 0.5
+            cells = min(2 * cells, _WAVE)
+            at_floor = errs[n_pass] <= _eval_floor(F_pos[n_pass], F_pos[n_pass + 1],
+                                                   f_tags[n_pass], tags[n_pass])
+            w = min(w * 2.0, h_cap) if at_floor else w * 0.5
         else:
+            cells = min(4 * cells, _WAVE)
             headroom = float(np.max(errs / bounds)) if n_cells else 0.0
             if headroom < 0.25:
                 w = min(w * 2.0, h_cap)
@@ -581,6 +618,16 @@ def straddle_items(model, r, eps, h, cap):
 
 def punctured(F, f):
     return model_from(F=F, f=f, points=[0.5], lo=0.0, hi=1.0)
+
+
+def walked_from_zero(F, f):
+    """The mirror image of ``punctured(F, f)``: the reflected model
+    -F(-x), f(-x) on [-0.45, 0.55], punctured at 0.05.  Its anchor at radius
+    0.05 is [0, 0.1], so its first gap [-0.45, 0] is walked from 0 to the
+    left, through the negated breakpoints of a left-to-right walk of
+    [0, 0.45] from 0, and the span length stays 1."""
+    return model_from(F=lambda x: -F(-np.asarray(x)), f=lambda t: f(-np.asarray(t)),
+                      points=[0.05], lo=-0.45, hi=0.55)
 
 
 def f_bump(lo, hi, height):
@@ -611,9 +658,10 @@ def constant(value):
     return lambda x: 0 * np.asarray(x, dtype=float) + value
 
 
-# models whose width search on the first gap [0, 0.45] of the punctured
-# unit span is decided by f at the first cell's midpoint tag t, as F is
-# constant: (F, f, h, eps, the error class that ends the build or None)
+# models whose width search on [0, 0.45], walked from 0 (the first gap of
+# ``walked_from_zero``, mirrored), is decided by f at the first cell's
+# midpoint tag t, as F is constant: (F, f, h, eps, the error class that ends
+# the build or None)
 WIDTH_SEARCH_PROBES = {
     # the first chain candidate (width 0.1, spread to 5 cells of 0.09) passes
     # at t = 0.045 and the gap is done; its nominal width would put t at 0.05
@@ -676,14 +724,29 @@ class TestWavesMatchFullEvaluation:
     @pytest.mark.parametrize("F, f, h, eps, expected", WIDTH_SEARCH_PROBES.values(),
                              ids=WIDTH_SEARCH_PROBES)
     def test_width_search_probes(self, monkeypatch, F, f, h, eps, expected):
-        error = self.build_error(monkeypatch, punctured(F, f), 0.05, eps, h)
+        error = self.build_error(monkeypatch, walked_from_zero(F, f), 0.05, eps, h)
         assert (error and error[0]) is expected
+
+    def test_chain_lays_out_short_waves(self, monkeypatch):
+        # after the gap's first rejection a wave has _FIRST_WAVE cells, and
+        # the chain lays its candidates out so: candidate 10, 0.995 ulp of
+        # the start 0.45 wide, first repeats a breakpoint near cell 100, so
+        # the half-ulp candidate 11 is the one that underflows
+        c = 0.995 * float(np.spacing(0.45))
+        model = punctured(constant(0.0), constant(1.0))
+        error = self.build_error(monkeypatch, model, 0.05, 1e-3, h=c * 2**10)
+        assert error[1].endswith("cell width underflows at floating point")
+        assert error[3] == repr(c / 2)
 
     def test_every_failure_site_is_reached(self, monkeypatch):
         errors = [error for name in ("reciprocal", "osc_sin_inv")
                   for error in self.ladder_errors(monkeypatch, catalog(name))]
-        for F, f in (PROBE_MODELS["undeclared-jump-1e-3"], PROBE_MODELS["kink-slope-one"]):
-            errors += self.ladder_errors(monkeypatch, punctured(F, f))
+        # the wrong slope exhausts the width search where the walk starts, at
+        # 0 of the mirrored span; the punctured span's walk meets the kink
+        # from its matching side and ends on an underflow instead
+        jump, kink = PROBE_MODELS["undeclared-jump-1e-3"], PROBE_MODELS["kink-slope-one"]
+        for model in (punctured(*jump), punctured(*kink), walked_from_zero(*kink)):
+            errors += self.ladder_errors(monkeypatch, model)
         messages = {error[1].rsplit(": ", 1)[-1] for error in errors}
         assert messages >= {
             "cell width underflows at floating point",
@@ -696,16 +759,18 @@ class TestWavesMatchFullEvaluation:
 
 
 class TestHalvingWavesNotEvaluated:
-    # F calls per decompose: measured 261 / 159 / 703; one two-point probe
-    # per halving takes 432 / 346 / 871
+    # F calls per decompose: measured 199 / 183 / 495 (261 / 159 / 703
+    # walking every gap left to right; one two-point probe per halving took
+    # 432 / 346 / 871)
     MOST_CALLS = {"reciprocal": 300, "sqrt_singular": 200, "osc_sin_inv": 760}
 
     @pytest.mark.parametrize("name, most", [
         ("reciprocal", 600_000), ("sqrt_singular", 500_000), ("osc_sin_inv", 2_500_000),
     ])
     def test_decompose_F_points(self, name, most):
-        # measured 482,531 / 403,772 / 2,282,166 F points per decompose;
-        # evaluating every halving wave in full takes 762,011 and 897,673 on
+        # measured 318,958 / 342,941 / 1,571,341 F points per decompose
+        # (482,531 / 403,772 / 2,282,166 walking every gap left to right);
+        # evaluating every halving wave in full took 762,011 and 897,673 on
         # the first two
         model = catalog(name)
         points = calls = 0
@@ -732,9 +797,9 @@ class TestChainCandidatesEvaluated:
         chains = []
         settle = builders._halving_chain
 
-        def spy(model, x, g1, *args):
-            width = settle(model, x, g1, *args)
-            chains.append((x, g1, width))
+        def spy(model, x, stop, *args):
+            width = settle(model, x, stop, *args)
+            chains.append((x, stop, width))
             return width
 
         with monkeypatch.context() as patch:
@@ -742,10 +807,12 @@ class TestChainCandidatesEvaluated:
             build_straddle_verified(model, r=0.05, eps=1e-3)
         # the first breakpoint of the next narrower candidate than the
         # first chain's settled width, as a wave of that width lays it out
-        x, g1, width = chains[0]
+        # in the walk's direction after the gap's first search
+        x, stop, width = chains[0]
         narrower = width * 0.5
-        n_cells = math.ceil((g1 - x) / narrower)
-        point = x + ((g1 - x) / n_cells if n_cells <= _WAVE + 1 else narrower)
+        n_cells = math.ceil(abs(stop - x) / narrower)
+        point = x + ((stop - x) / n_cells if n_cells <= builders._FIRST_WAVE + 1
+                     else math.copysign(narrower, stop - x))
         holed = dataclasses.replace(
             model, F=lambda xs: np.where(np.asarray(xs) == point, np.nan, model.F(xs)))
 

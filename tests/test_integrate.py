@@ -193,12 +193,23 @@ class TestHonesty:
         assert verdict.note.startswith("build failed at depth ")
         assert verdict.note.endswith("rejected errors are at the floating-point evaluation floor")
 
-    def test_kink_converges_to_true_integral(self):
-        # sign(x - 0.3) integrates to 0.7 - 0.3 over [0, 1]
-        verdict = plain_kh(punctured_model(lambda x: np.abs(np.asarray(x) - 0.3),
-                                           lambda x: np.sign(np.asarray(x) - 0.3)))
+    @pytest.mark.parametrize("c", [0.1, 0.15, 0.3, 0.6])
+    def test_kink_converges_to_true_integral(self, c):
+        # sign(x - c) integrates to (1 - c) - c over [0, 1]
+        verdict = plain_kh(punctured_model(lambda x: np.abs(np.asarray(x) - c),
+                                           lambda x: np.sign(np.asarray(x) - c)))
         assert isinstance(verdict, Converged)
-        assert abs(verdict.value - 0.4) <= 1e-6
+        assert abs(verdict.value - (1 - 2 * c)) <= 1e-6
+
+    def test_max_depth_stop_is_named(self):
+        # correct data whose ladder is still moving by more than tol at
+        # depth 20: the note says the depths ran out, and no build failed
+        model = punctured_model(lambda x: 100 * np.asarray(x) ** 2, lambda x: 200 * np.asarray(x))
+        verdict = plain_kh(model)
+        assert isinstance(verdict, Inconclusive)
+        assert verdict.note == "no verdict by max depth 20"
+        assert len(verdict.trace) == 21
+        assert decompose(model).build_diagnostic is None
 
 
 class TestBuildDiagnostic:

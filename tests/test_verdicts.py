@@ -148,7 +148,7 @@ class TestRunLadder:
     def test_runs_out_at_max_depth(self):
         pair_at, asked = self.recording([float(n) for n in range(10)])
         trace, verdict = run_ladder(pair_at, 3, tol=1e-9, div_threshold=1e12, stops={})
-        assert verdict == Inconclusive(trace=trace, note="")
+        assert verdict == Inconclusive(trace=trace, note="no verdict by max depth 3")
         assert asked == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("error, note", [
