@@ -286,9 +286,10 @@ class _Counter:
 
 def _eval_floor(F_lo: float, F_hi: float, f_t: float, t: float) -> float:
     """Evaluation floor of one cell's straddle error: 8 ulp of F plus the
-    ulp of the tag carried through f."""
-    return 8.0 * (float(np.spacing(max(abs(F_lo), abs(F_hi))))
-                  + abs(f_t) * float(np.spacing(abs(t))))
+    ulp of the tag carried through f.  ``math.ulp`` equals ``np.spacing``
+    on every finite non-negative double but the largest, where
+    ``np.spacing`` overflows to inf and ``math.ulp`` gives 2^971."""
+    return 8.0 * (math.ulp(max(abs(F_lo), abs(F_hi))) + abs(float(f_t)) * math.ulp(abs(t)))
 
 
 def _width_search_failure(tag, width, error, rejected, site, mismatch) -> StraddleFailure:
@@ -307,20 +308,34 @@ def _width_search_failure(tag, width, error, rejected, site, mismatch) -> Stradd
 
 
 def _straddle_errors(model, positions, lo=slice(None, -1)):
-    """``(F_positions, tags, f_tags, widths, errs)`` of the cells
+    """``(F_positions, tags, f_tags, widths, f_widths, errs)`` of the cells
     ``[positions[lo], positions[1:]]``: by default the cells between
     consecutive breakpoints, with ``lo=0`` cells that all start at
     ``positions[0]``.  F is evaluated at the breakpoints, f at the midpoint
-    tags, and each cell gets its straddle error.  The expressions are
-    elementwise, so a cell's values do not depend on the cells evaluated
-    with it."""
+    tags, and each cell gets its Riemann part f(t) * width and its straddle
+    error.  The expressions are elementwise, so a cell's values do not
+    depend on the cells evaluated with it.
+
+    F and f are called once each and checked for finiteness once: the
+    errors are non-negative, so their sum is finite unless some F or f
+    value is non-finite or an error overflows.  Only then are F and f
+    evaluated again through ``F_values`` and ``f_values``, which raise the
+    ``EvaluationError`` naming the non-finite points, F's before f's; an
+    overflowing error from finite values raises nothing and fails its cell.
+    Unlike two checked calls, f is evaluated even where F came back
+    non-finite, before the error is raised."""
     los = positions[lo]
     widths = positions[1:] - los
     tags = 0.5 * (los + positions[1:])
-    F_pos = model.F_values(positions)
-    f_tags = model.f_values(tags)
-    errs = np.abs((F_pos[1:] - F_pos[lo]) - f_tags * widths)
-    return F_pos, tags, f_tags, widths, errs
+    with np.errstate(all="ignore"):
+        F_pos = np.asarray(model.F(positions), dtype=float)
+        f_tags = np.asarray(model.f(tags), dtype=float)
+        f_widths = f_tags * widths
+        errs = np.abs((F_pos[1:] - F_pos[lo]) - f_widths)
+    if not math.isfinite(np.add.reduce(errs)):
+        model.F_values(positions)
+        model.f_values(tags)
+    return F_pos, tags, f_tags, widths, f_widths, errs
 
 
 def _wave_layout(x, stop, w, cells):
@@ -375,18 +390,28 @@ def _halving_chain(model, x, stop, w, eps, min_width, cells=_WAVE):
     every later candidate is at most half the remaining length.
     """
     d = 1.0 if stop > x else -1.0
-    candidates = [w]
-    while candidates[-1] * 0.5 >= min_width:
-        candidates.append(candidates[-1] * 0.5)
-    layouts = [_wave_layout(x, stop, c, cells) for c in candidates]
-    firsts = np.array([x] + [stop if n_cells == 1 else x + step for n_cells, step, _ in layouts])
-    F_pos, tags, f_tags, widths, errs = _straddle_errors(model, firsts, lo=0)
+    remaining = stop - x
+    # w * 2^-k >= min_width exactly when k <= e_w - e_min, less one when w's
+    # mantissa is below min_width's
+    m_w, e_w = math.frexp(w)
+    m_min, e_min = math.frexp(min_width)
+    candidates = np.ldexp(w, -np.arange(max(1, e_w - e_min + (m_w >= m_min))))
+    # each candidate's first breakpoint as _wave_layout and _wave_positions
+    # lay it out: a spread step when cells + 1 of its width reach stop, and
+    # stop itself for one cell
+    n_cells = np.ceil(abs(remaining) / candidates)
+    firsts = np.empty(len(candidates) + 1)
+    firsts[0] = x
+    firsts[1:] = x + np.where(n_cells <= cells + 1, remaining / n_cells, d * candidates)
+    firsts[1:][n_cells == 1] = stop
+    F_pos, tags, f_tags, widths, _, errs = _straddle_errors(model, firsts, lo=0)
     passed = errs <= (eps * d) * widths
     rise = _RISE * max(abs(x), abs(stop))
     rejected: list[float] = []
-    for j, c in enumerate(candidates):
+    for j, c in enumerate(candidates.tolist()):
         if c < rise:
-            _check_rising(_wave_positions(x, stop, layouts[j]), d, c, rejected)
+            _check_rising(_wave_positions(x, stop, _wave_layout(x, stop, c, cells)), d, c,
+                          rejected)
         if j and passed[j]:
             return c
         if errs[j] > _eval_floor(F_pos[0], F_pos[j + 1], f_tags[j], tags[j]):
@@ -399,11 +424,13 @@ def _halving_chain(model, x, stop, w, eps, min_width, cells=_WAVE):
 
 
 def _gap_waves(model, start, stop, eps, counter, h_cap, min_width):
-    """Yield (positions, f_tags, F_positions) for contiguous runs of cells
-    covering the gap between start and stop, walked from start toward stop,
-    every cell passing the straddle check at its midpoint tag.  Each run is
-    ascending: a walk to the left yields reversed views of its waves, so the
-    runs come in walk order and each one reads left to right.
+    """Yield (positions, f_tags, F_positions, f_widths) for contiguous runs
+    of cells covering the gap between start and stop, walked from start
+    toward stop, every cell passing the straddle check at its midpoint tag;
+    ``f_widths`` are the cells' Riemann parts f(t) * width, as the wave
+    computed them.  Each run is ascending: a walk to the left yields
+    reversed views of its waves, so the runs come in walk order and each one
+    reads left to right.
 
     A walk to the left computes the numbers of a walk to the right on the
     reflected model: its breakpoints are ``x - step * k``, and widths and
@@ -450,10 +477,10 @@ def _gap_waves(model, start, stop, eps, counter, h_cap, min_width):
             # no rejected error is pending here: right after a chain this
             # repeats the check the chain passed on the same layout
             _check_rising(positions, d, w, ())
-        F_pos, tags, f_tags, widths, errs = _straddle_errors(model, positions)
+        F_pos, tags, f_tags, widths, f_widths, errs = _straddle_errors(model, positions)
         bounds = (eps * d) * widths
         ok = errs <= bounds
-        n_pass = int(np.argmin(ok))
+        n_pass = int(ok.argmin())
         if ok[n_pass]:
             n_pass = n_cells
         if n_pass == 0:
@@ -463,9 +490,12 @@ def _gap_waves(model, start, stop, eps, counter, h_cap, min_width):
             continue
         counter.add(n_pass, float(x))
         if d > 0:
-            yield positions[: n_pass + 1], f_tags[:n_pass], F_pos[: n_pass + 1]
+            yield (positions[: n_pass + 1], f_tags[:n_pass], F_pos[: n_pass + 1],
+                   f_widths[:n_pass])
         else:
-            yield positions[n_pass::-1], f_tags[n_pass - 1::-1], F_pos[n_pass::-1]
+            # the ascending cells' widths are the walk's negated, exactly
+            yield (positions[n_pass::-1], f_tags[n_pass - 1::-1], F_pos[n_pass::-1],
+                   np.negative(f_widths[n_pass - 1::-1]))
         x = float(positions[n_pass])
         if n_pass < n_cells:
             cells = min(2 * cells, _WAVE)
@@ -476,31 +506,18 @@ def _gap_waves(model, start, stop, eps, counter, h_cap, min_width):
                 w *= 0.5
         else:
             cells = min(4 * cells, _WAVE)
-            headroom = float(np.max(errs / bounds))
+            headroom = float((errs / bounds).max())
             if headroom < 0.25:
                 w = min(w * 2.0, h_cap)
             elif headroom < 0.6:
                 w = min(w * 1.3, h_cap)
 
 
-def straddle_chunks(
-    model: SingularFunctionModel,
-    span: Interval | None = None,
-    r: float = 0.05,
-    eps: float = 1e-3,
-    limits: BuildLimits | None = None,
-    h: float | None = None,
-) -> Iterator[tuple]:
-    """Stream a straddle-verified anchored partition in walk order.
-
-    Yields ``("cells", positions, f_tags, F_positions)`` for off-anchor runs
-    and ``("anchor", lo, hi, e)`` for anchor cells.  Gaps and anchors come
-    in span order.  A gap that touches an anchor cell only at its right end
-    is walked right to left, away from the anchor, so every gap next to a
-    point of E starts at that point; its runs come right to left, each one
-    ascending.  Consumers either materialize the cells or fold them into
-    running sums; streaming keeps memory flat for multi-million-pair builds.
-    """
+def _straddle_runs(model, span, r, eps, limits, h) -> Iterator[tuple]:
+    """The items of :func:`straddle_chunks`, each run of cells with its
+    Riemann parts f(t) * width appended: ``("cells", positions, f_tags,
+    F_positions, f_widths)``.  ``np.add.reduce(f_widths)`` is bit for bit
+    the sum of ``f_tags * np.diff(positions)``."""
     span = span or model.span
     if not eps > 0:
         raise ValueError("straddle tolerance must be positive")
@@ -526,6 +543,28 @@ def straddle_chunks(
                 yield ("cells",) + chunk
 
 
+def straddle_chunks(
+    model: SingularFunctionModel,
+    span: Interval | None = None,
+    r: float = 0.05,
+    eps: float = 1e-3,
+    limits: BuildLimits | None = None,
+    h: float | None = None,
+) -> Iterator[tuple]:
+    """Stream a straddle-verified anchored partition in walk order.
+
+    Yields ``("cells", positions, f_tags, F_positions)`` for off-anchor runs
+    and ``("anchor", lo, hi, e)`` for anchor cells.  Gaps and anchors come
+    in span order.  A gap that touches an anchor cell only at its right end
+    is walked right to left, away from the anchor, so every gap next to a
+    point of E starts at that point; its runs come right to left, each one
+    ascending.  Consumers either materialize the cells or fold them into
+    running sums; streaming keeps memory flat for multi-million-pair builds.
+    """
+    for item in _straddle_runs(model, span, r, eps, limits, h):
+        yield item[:4]
+
+
 def build_straddle_verified(
     model: SingularFunctionModel,
     span: Interval | None = None,
@@ -547,8 +586,8 @@ def build_straddle_verified(
     """
     span = span or model.span
     chunks = [_chunk_arrays(item) for item in straddle_chunks(model, span, r, eps, limits, h)]
-    # TaggedPartition sorts its pairs too; runs in span order hand it
-    # presorted input, which its stable argsort takes in half the time
+    # runs in span order hand TaggedPartition presorted input, which it
+    # takes without sorting
     chunks.sort(key=lambda chunk: chunk[0][0])
     return _materialize(span, chunks)
 

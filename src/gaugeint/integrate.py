@@ -34,7 +34,7 @@ from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .builders import BuildLimits, RefinementSchedule, straddle_chunks
+from .builders import BuildLimits, RefinementSchedule, _straddle_runs
 from .errors import BuildError, NotLocallyConstant
 from .models import SingularFunctionModel, increment
 from .sums import KahanAccumulator, _anchor_rows, _basic_sum_ladder, _kahan_sum, _residuals
@@ -99,12 +99,12 @@ def _straddle_sums(model, r, eps, limits, h=None) -> _StraddleSums:
     xi = KahanAccumulator()
     off = KahanAccumulator()
     pairs = 0
-    for item in straddle_chunks(model, model.span, r, eps, limits, h):
+    for item in _straddle_runs(model, model.span, r, eps, limits, h):
         if item[0] == "anchor":
             pairs += 1  # extended derivative vanishes at the anchor tag
         else:
-            _, positions, f_tags, F_pos = item
-            xi.add(float(np.sum(f_tags * (positions[1:] - positions[:-1]))))
+            _, _, f_tags, F_pos, f_widths = item
+            xi.add(float(np.add.reduce(f_widths)))
             off.add(float(F_pos[-1] - F_pos[0]))  # run telescopes exactly
             pairs += len(f_tags)
     return _StraddleSums(riemann=xi.total, off_increments=off.total, pairs=pairs)

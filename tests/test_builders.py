@@ -532,9 +532,10 @@ def gap_waves_in_full(model, start, stop, eps, counter, h_cap, min_width):
     its evaluation floor, double after a failed cell at or under it, grow by
     the headroom after a full pass, and propose ``_FIRST_WAVE`` cells after
     the gap's first rejected first cell, growing the proposal back to
-    ``_WAVE`` 2x per partial and 4x per full pass.  ``_gap_waves`` must
-    reproduce its chunks, its rejected errors and the errors it raises bit
-    for bit."""
+    ``_WAVE`` 2x per partial and 4x per full pass.  Each run's Riemann parts
+    are taken on its ascending cells, as a consumer of ``straddle_chunks``
+    takes them.  ``_gap_waves`` must reproduce its chunks, their Riemann
+    parts, its rejected errors and the errors it raises bit for bit."""
     d = 1.0 if stop > start else -1.0
     x = start
     w = min(h_cap, abs(stop - start))
@@ -584,7 +585,9 @@ def gap_waves_in_full(model, start, stop, eps, counter, h_cap, min_width):
             continue
         counter.add(n_pass, float(x))
         run = (positions[: n_pass + 1], f_tags[:n_pass], F_pos[: n_pass + 1])
-        yield run if d > 0 else tuple(a[::-1] for a in run)
+        if d < 0:
+            run = tuple(a[::-1] for a in run)
+        yield run + (run[1] * np.diff(run[0]),)
         x = float(positions[n_pass])
         rejected.clear()
         if n_pass < n_cells:
@@ -602,12 +605,12 @@ def gap_waves_in_full(model, start, stop, eps, counter, h_cap, min_width):
 
 
 def straddle_items(model, r, eps, h, cap):
-    """The ``straddle_chunks`` items of one build, arrays as bytes, and the
-    error that ended it with its fields as reprs."""
+    """The items of one build, each run with its Riemann parts, arrays as
+    bytes, and the error that ended it with its fields as reprs."""
     limits = BuildLimits(max_pairs=cap) if cap else None
     items = []
     try:
-        for item in straddle_chunks(model, model.span, r, eps, limits, h):
+        for item in builders._straddle_runs(model, model.span, r, eps, limits, h):
             items.append(tuple(a.tobytes() if isinstance(a, np.ndarray) else a for a in item))
     except StraddleFailure as exc:
         return items, (type(exc), str(exc), repr(exc.tag), repr(exc.width), repr(exc.error))
@@ -842,6 +845,116 @@ class TestChainCandidatesEvaluated:
         # rule is exact on a parabola), yet the chain must halve
         width = builders._halving_chain(catalog("parabola"), 0.0, 0.45, 0.1, 1e-3, 2.0**-60)
         assert width == 0.05
+
+
+def first_wave_points():
+    """The breakpoints and midpoint tags of the first wave of the gap
+    [0.55, 1] of ``punctured`` at h = 0.01: 45 cells spread to 1, which
+    walk left to right as the gap has its anchor on the left."""
+    positions = builders._wave_positions(
+        0.55, 1.0, builders._wave_layout(0.55, 1.0, 0.01, _WAVE))
+    return positions, _midpoints(positions)
+
+
+def holed(fn, points):
+    """fn, non-finite exactly at the given points."""
+    return lambda xs: np.where(np.isin(np.asarray(xs), points), np.nan, fn(xs))
+
+
+def jump_at_cell_10(x):
+    """x^2 with an undeclared jump of 1e-3 inside the first wave's cell 10,
+    so that wave passes its first 10 cells and rejects the rest."""
+    return np.asarray(x) ** 2 + 1e-3 * (np.asarray(x) >= 0.655)
+
+
+class TestOneFinitenessCheck:
+    """A wave calls F and f once each and checks their finiteness once, on
+    the sum of its errors; non-finite values raise the ``EvaluationError``
+    that separate checked F and f calls raise, as the reference engine
+    does."""
+
+    def build_error(self, monkeypatch, model):
+        with pytest.raises(EvaluationError) as info:
+            build_straddle_verified(model, r=0.05, eps=1e-3, h=0.01)
+        with monkeypatch.context() as patch:
+            patch.setattr(builders, "_gap_waves", gap_waves_in_full)
+            with pytest.raises(EvaluationError) as reference:
+                build_straddle_verified(model, r=0.05, eps=1e-3, h=0.01)
+        assert str(info.value) == str(reference.value)
+        assert info.value.points == reference.value.points
+        return info.value
+
+    def test_non_finite_F_at_late_rejected_cell_raises(self, monkeypatch):
+        # cell 10 fails on the jump, so breakpoint 30 lies in the wave's
+        # rejected part; a wave that looked only at its passing prefix would
+        # go on halving at the jump and end in StraddleFailure there
+        positions, _ = first_wave_points()
+        point = float(positions[30])
+        model = punctured(holed(jump_at_cell_10, [point]), lambda x: 2 * np.asarray(x))
+        error = self.build_error(monkeypatch, model)
+        assert error.points == (point,)
+        assert str(error) == f"F is non-finite off the exceptional set (near x={point!r})"
+
+    def test_non_finite_f_at_one_tag_raises(self, monkeypatch):
+        _, tags = first_wave_points()
+        tag = float(tags[30])
+        model = punctured(lambda x: np.asarray(x) ** 2, holed(lambda x: 2 * np.asarray(x), [tag]))
+        error = self.build_error(monkeypatch, model)
+        assert error.points == (tag,)
+        assert str(error).startswith("f is non-finite")
+
+    def test_F_error_before_f_error(self, monkeypatch):
+        positions, tags = first_wave_points()
+        point = float(positions[30])
+        model = punctured(holed(lambda x: np.asarray(x) ** 2, [point]),
+                          holed(lambda x: 2 * np.asarray(x), [float(tags[20])]))
+        error = self.build_error(monkeypatch, model)
+        assert error.points == (point,)
+        assert str(error).startswith("F is non-finite")
+
+    def test_overflowing_error_fails_the_cell(self):
+        # F and f are finite, but F's increment over the cell holding the
+        # jump overflows to inf: that cell fails, nothing raises or warns,
+        # and the width search narrows onto the jump until its cells
+        # underflow
+        F = lambda x: np.where(np.asarray(x) >= 0.655, 1.5e308, -1.5e308)
+        model = punctured(F, constant(0.0))
+        positions, _ = first_wave_points()
+        F_pos, _, _, _, _, errs = builders._straddle_errors(model, positions)
+        assert np.isfinite(F_pos).all()
+        assert np.isinf(errs[10]) and np.isfinite(np.delete(errs, 10)).all()
+        with pytest.raises(StraddleFailure) as info:
+            build_straddle_verified(model, r=0.05, eps=1e-3, h=0.01)
+        assert type(info.value) is StraddleFailure
+        assert abs(info.value.tag - 0.655) <= 1e-15
+
+
+def spacing_floor(F_lo, F_hi, f_t, t):
+    """``_eval_floor`` in terms of ``np.spacing``."""
+    return 8.0 * (float(np.spacing(max(abs(F_lo), abs(F_hi))))
+                  + abs(f_t) * float(np.spacing(abs(t))))
+
+
+class TestEvalFloor:
+    def test_matches_spacing(self):
+        tiny = np.finfo(float).smallest_subnormal
+        special = [0.0, tiny, 3 * tiny, 2.0**-1030, 2.0**-1022 - tiny, 2.0**-1022,
+                    *(2.0**k for k in range(-1074, 1024, 7)), 1.0, 2.0**1023]
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 2**63, size=(100_000, 4), dtype=np.uint64)
+        random = bits.view(np.float64)
+        random = random[np.isfinite(random).all(axis=1)]
+        cases = [(v, -v, v, v) for v in special] + random.tolist()
+        with np.errstate(over="ignore"):
+            expected = [spacing_floor(*case) for case in cases]
+        assert [_eval_floor(*case) for case in cases] == expected
+
+    def test_differs_only_at_dbl_max(self):
+        # np.spacing(DBL_MAX) overflows to inf; math.ulp gives 2^971
+        big = np.finfo(float).max
+        with np.errstate(over="ignore"):
+            assert spacing_floor(big, 0.0, 0.0, 1.0) == math.inf
+        assert _eval_floor(big, 0.0, 0.0, 1.0) == 8.0 * (2.0**971 + 0.0)
 
 
 class TestBuilderSweep:
