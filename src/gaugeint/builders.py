@@ -24,23 +24,28 @@ adaptively.  A gap that touches an anchor only at its right end is walked
 right to left, so every gap next to a point of E starts at that point and a
 width search that fails there fails within the first few cells; its runs
 come in walk order, each one ascending.  Width control is geometric with
-factor 2 downward; the upward growth is throttled by the observed error
-headroom so the accepted widths track the largest passing width without
-thrashing.  A prefix that ends on a cell failing only by rounding doubles
-the width instead, and the gap's first width search shortens the next wave
-to ``_FIRST_WAVE`` cells, growing back to ``_WAVE`` with every accepting
-wave.  A wave whose first cell fails only halves the
-width, so it hands its width to the halving chain, which settles the rest
-of the search at once: the candidate widths start at the rejected width
-and halve down to the minimum width, their first cells are evaluated in
-one F call and one f call, the rejected width is recorded but never
-chosen, and the full batch is evaluated at the first narrower width whose
-first cell passes.  The partitions and errors are
-those of evaluating every wave in full, with two exceptions.  F or f
-non-finite only on a halving wave's later cells no longer raises
-``EvaluationError`` from that wave.  And F or f non-finite off E at the
-first cell of a candidate narrower than the width the search settles at
-now raises ``EvaluationError``, although full waves never evaluate there.
+factor 2 downward.  Upward, a wave that passes in full steps the width as
+an ODE step-size controller does: the midpoint rule's error per unit width
+grows as w^2, so the share h of its bound that the wave's worst cell used
+predicts a width 1 / sqrt(h) times wider, and the next wave takes 0.9 times
+that, at most 4x and never narrower.  A prefix that ends on a cell failing
+only by rounding doubles the width instead, and the gap's first width
+search shortens the next wave to ``_FIRST_WAVE`` cells, growing back to
+``_WAVE`` with every accepting wave.  A wave whose first cell fails only
+halves the width, so it hands its width to the halving chain, which
+settles the rest of the search at once: the candidate widths start at the
+rejected width and halve down to the minimum width, their first cells are
+evaluated in one F call and one f call, the rejected width is recorded but
+never chosen, and the full batch is evaluated at the first narrower width
+whose first cell passes.  Each wave calls F and f once each and checks
+their values for finiteness once, on the sum of its errors.  The
+partitions and errors are those of evaluating every wave in full, with two
+exceptions.  F or f non-finite only on a halving wave's later cells no
+longer raises ``EvaluationError`` from that wave.  And F or f non-finite
+off E at the first cell of a candidate narrower than the width the search
+settles at now raises ``EvaluationError``, although full waves never
+evaluate there.  One evaluation differs too: f is evaluated on a wave whose
+F came back non-finite, before that wave raises F's ``EvaluationError``.
 A search that cannot go on at some position stops with ``FloorReached``
 when its rejected errors only reflect rounding, and with
 ``StraddleFailure`` when they kept their size as the width halved.
@@ -63,6 +68,14 @@ _WAVE = 4096
 
 # The wave proposed right after a gap's first width search (see _gap_waves).
 _FIRST_WAVE = 64
+
+# Width control after a wave passes in full: the midpoint rule's error per
+# unit width grows as w^2, so a wave whose worst cell used the share
+# ``headroom`` of its bound predicts the width sqrt(1 / headroom) times
+# wider to use all of it.  The next wave steps to _SAFETY times that, at
+# most _MAX_GROWTH times wider and never narrower.
+_SAFETY = 0.9
+_MAX_GROWTH = 4.0
 
 # The breakpoint steps 0, 1, ..., _WAVE + 1 of every wave.
 _STEPS = np.arange(_WAVE + 2, dtype=float)
@@ -444,8 +457,12 @@ def _gap_waves(model, start, stop, eps, counter, h_cap, min_width):
     * A wave that passes a prefix halves the width, unless the cell it
       failed at has an error at or under its evaluation floor: there
       narrower cells only sink deeper into rounding, so the width doubles
-      (capped by ``h_cap``).  A wave that passes in full grows the width by
-      its error headroom.
+      (capped by ``h_cap``).  A wave that passes in full steps the width
+      to ``_SAFETY / sqrt(headroom)`` times itself, within 1x to
+      ``_MAX_GROWTH`` and capped by ``h_cap``, where ``headroom`` is its
+      largest error over bound: the midpoint rule's error over bound grows
+      as the width squared, so this aims the next wave's worst cell at 0.81
+      of its bound.
     * A wave proposes ``cells`` cells, spread to end at stop when
       ``cells + 1`` of them reach it.  The gap's first width search cuts the
       proposal to ``_FIRST_WAVE`` cells, so a walk that starts at a settled
@@ -507,10 +524,8 @@ def _gap_waves(model, start, stop, eps, counter, h_cap, min_width):
         else:
             cells = min(4 * cells, _WAVE)
             headroom = float((errs / bounds).max())
-            if headroom < 0.25:
-                w = min(w * 2.0, h_cap)
-            elif headroom < 0.6:
-                w = min(w * 1.3, h_cap)
+            growth = _SAFETY / math.sqrt(headroom) if headroom > 0 else _MAX_GROWTH
+            w = min(h_cap, w * min(_MAX_GROWTH, max(1.0, growth)))
 
 
 def _straddle_runs(model, span, r, eps, limits, h) -> Iterator[tuple]:

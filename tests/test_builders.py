@@ -187,8 +187,9 @@ class TestBuildStraddle:
         off = ~restriction_mask(part, tuple(model.E))
         assert np.all(part.tags[off] == 0.5 * (part.los[off] + part.his[off]))
         # both sides walk away from the pole; measured median utilization
-        # 0.0081 right and 0.037 left, and each floor sits at half of it
-        for side, floor in ((1, 0.004), (-1, 0.018)):
+        # 0.0117 right and 0.046 left (0.0081 and 0.037 with fixed 2x / 1.3x
+        # growth after a full pass), and each floor sits between the two
+        for side, floor in ((1, 0.01), (-1, 0.04)):
             sel = side * part.tags >= 0.06
             lo, hi, t = part.los[sel], part.his[sel], part.tags[sel]
             cap = 2 * np.abs(t) * np.sqrt(eps * lo * hi)
@@ -256,13 +257,14 @@ def first_ladder_failure(model):
 class TestMidpointTags:
     @pytest.mark.parametrize("name, eps, most", [
         ("parabola", 1e-6, 5),
-        ("reciprocal", 1e-4, 25_000),
-        ("sqrt_singular", 1e-4, 1_000),
+        ("reciprocal", 1e-4, 20_000),
+        ("sqrt_singular", 1e-4, 400),
     ])
     def test_pair_count(self, name, eps, most):
-        # measured 3, 23,608 and 417 pairs (20,082 and 513 with every gap
-        # walked left to right; 1,048,577, 5,514,958 and 33,358 with
-        # left-endpoint tags)
+        # measured 3, 18,247 and 369 pairs (23,608 and 417 with fixed 2x /
+        # 1.3x growth after a full pass; 20,082 and 513 with that growth and
+        # every gap walked left to right; 1,048,577, 5,514,958 and 33,358
+        # with left-endpoint tags)
         assert len(build_straddle_verified(catalog(name), r=0.05, eps=eps)) <= most
 
     @pytest.mark.parametrize("name", ["osc_sin_inv", "reciprocal", "sqrt_singular"])
@@ -529,13 +531,14 @@ def gap_waves_in_full(model, start, stop, eps, counter, h_cap, min_width):
     also while the width search is halving, and takes each cell's error on
     its ascending ends.  It walks from start toward stop by the rules of
     ``_gap_waves``: halve after a rejected first cell or a failed cell above
-    its evaluation floor, double after a failed cell at or under it, grow by
-    the headroom after a full pass, and propose ``_FIRST_WAVE`` cells after
-    the gap's first rejected first cell, growing the proposal back to
-    ``_WAVE`` 2x per partial and 4x per full pass.  Each run's Riemann parts
-    are taken on its ascending cells, as a consumer of ``straddle_chunks``
-    takes them.  ``_gap_waves`` must reproduce its chunks, their Riemann
-    parts, its rejected errors and the errors it raises bit for bit."""
+    its evaluation floor, double after a failed cell at or under it, grow
+    0.9 / sqrt(headroom) times, within 1x to 4x, after a full pass, and
+    propose ``_FIRST_WAVE`` cells after the gap's first rejected first cell,
+    growing the proposal back to ``_WAVE`` 2x per partial and 4x per full
+    pass.  Each run's Riemann parts are taken on its ascending cells, as a
+    consumer of ``straddle_chunks`` takes them.  ``_gap_waves`` must
+    reproduce its chunks, their Riemann parts, its rejected errors and the
+    errors it raises bit for bit."""
     d = 1.0 if stop > start else -1.0
     x = start
     w = min(h_cap, abs(stop - start))
@@ -597,11 +600,9 @@ def gap_waves_in_full(model, start, stop, eps, counter, h_cap, min_width):
             w = min(w * 2.0, h_cap) if at_floor else w * 0.5
         else:
             cells = min(4 * cells, _WAVE)
-            headroom = float(np.max(errs / bounds)) if n_cells else 0.0
-            if headroom < 0.25:
-                w = min(w * 2.0, h_cap)
-            elif headroom < 0.6:
-                w = min(w * 1.3, h_cap)
+            headroom = float(np.max(errs / bounds))
+            growth = 4.0 if headroom == 0 else min(4.0, max(1.0, 0.9 / math.sqrt(headroom)))
+            w = min(h_cap, w * growth)
 
 
 def straddle_items(model, r, eps, h, cap):
@@ -762,19 +763,21 @@ class TestWavesMatchFullEvaluation:
 
 
 class TestHalvingWavesNotEvaluated:
-    # F calls per decompose: measured 199 / 183 / 495 (261 / 159 / 703
-    # walking every gap left to right; one two-point probe per halving took
-    # 432 / 346 / 871)
-    MOST_CALLS = {"reciprocal": 300, "sqrt_singular": 200, "osc_sin_inv": 760}
+    # F calls per decompose: measured 187 / 172 / 461 (199 / 183 / 495 with
+    # fixed 2x / 1.3x growth after a full pass; 261 / 159 / 703 with that
+    # growth and every gap walked left to right; one two-point probe per
+    # halving took 432 / 346 / 871)
+    MOST_CALLS = {"reciprocal": 195, "sqrt_singular": 180, "osc_sin_inv": 490}
 
     @pytest.mark.parametrize("name, most", [
-        ("reciprocal", 600_000), ("sqrt_singular", 500_000), ("osc_sin_inv", 2_500_000),
+        ("reciprocal", 300_000), ("sqrt_singular", 320_000), ("osc_sin_inv", 1_550_000),
     ])
     def test_decompose_F_points(self, name, most):
-        # measured 318,958 / 342,941 / 1,571,341 F points per decompose
-        # (482,531 / 403,772 / 2,282,166 walking every gap left to right);
-        # evaluating every halving wave in full took 762,011 and 897,673 on
-        # the first two
+        # measured 268,588 / 292,751 / 1,433,855 F points per decompose
+        # (318,958 / 342,941 / 1,571,341 with fixed 2x / 1.3x growth after a
+        # full pass; 482,531 / 403,772 / 2,282,166 with that growth and every
+        # gap walked left to right); evaluating every halving wave in full
+        # took 762,011 and 897,673 on the first two
         model = catalog(name)
         points = calls = 0
 
