@@ -63,7 +63,8 @@ class TaggedPair:
 class TaggedPartition:
     """Ordered contiguous cover of a span by tagged closed intervals.
 
-    Construction sorts pairs by left endpoint; it does not validate.  Use
+    Construction sorts pairs by left endpoint, stably, and keeps
+    read-only copies of the arrays; it does not validate.  Use
     :func:`validate` to check the partition laws.
     """
 
@@ -75,10 +76,12 @@ class TaggedPartition:
         tags = np.asarray(tags, dtype=float)
         if not (los.shape == his.shape == tags.shape) or los.ndim != 1:
             raise ValueError("los, his, tags must be 1-d arrays of equal length")
-        order = np.argsort(los, kind="stable")
-        los = los[order].copy()
-        his = his[order].copy()
-        tags = tags[order].copy()
+        # builders hand over ordered pairs; a NaN fails the check and sorts
+        if (los[:-1] <= los[1:]).all():
+            los, his, tags = los.copy(), his.copy(), tags.copy()
+        else:
+            order = np.argsort(los, kind="stable")
+            los, his, tags = los[order], his[order], tags[order]
         for arr in (los, his, tags):
             arr.setflags(write=False)
         self.los = los

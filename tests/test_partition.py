@@ -86,6 +86,29 @@ class TestValidate:
         assert list(part.los) == [0.0, 0.5]
         assert validate(part, UNIT).ok
 
+    def test_presorted_arrays_are_copied_read_only(self):
+        los = np.array([0.0, 0.25, 0.25, 0.5])
+        his = np.array([0.25, 0.25, 0.5, 1.0])
+        tags = np.array([0.0, 0.25, 0.3, 0.7])
+        part = TaggedPartition(los, his, tags, UNIT)
+        for got, given in ((part.los, los), (part.his, his), (part.tags, tags)):
+            assert np.array_equal(got, given)
+            assert not got.flags.writeable
+            assert not np.shares_memory(got, given)
+
+    def test_tied_left_endpoints_keep_their_order(self):
+        # unsorted input with ties is sorted stably: the degenerate pair
+        # [0.5, 0.5] stays ahead of [0.5, 1]
+        part = TaggedPartition([0.5, 0.5, 0.0], [0.5, 1.0, 0.5], [0.5, 0.75, 0.25], UNIT)
+        assert list(part.los) == [0.0, 0.5, 0.5]
+        assert list(part.his) == [0.5, 0.5, 1.0]
+        assert list(part.tags) == [0.25, 0.5, 0.75]
+
+    def test_nan_left_endpoint_is_sorted_last(self):
+        part = TaggedPartition([np.nan, 0.0], [1.0, 0.5], [0.7, 0.2], UNIT)
+        assert part.los[0] == 0.0 and np.isnan(part.los[1])
+        assert list(part.tags) == [0.2, 0.7]
+
     def test_shared_tag_on_adjacent_cells_allowed(self):
         # both neighbours may be tagged at their common endpoint
         part = make_partition([(0.0, 0.5, 0.5), (0.5, 1.0, 0.5)], UNIT)
