@@ -132,16 +132,12 @@ class RefinementSchedule:
 
     @classmethod
     def for_span(
-        cls,
-        span: Interval,
-        points: Sequence[float] = (),
-        eps0: float = 1e-2,
-        eps_factor: float = 0.25,
+        cls, span: Interval, points: Sequence[float] = (), **kwargs
     ) -> "RefinementSchedule":
         walls = sorted({span.lo, span.hi, *map(float, points)})
         min_gap = min(b - a for a, b in zip(walls, walls[1:]))
         r0 = min(0.05 * span.length, 0.5 * min_gap)
-        return cls(h0=span.length, r0=r0, eps0=eps0, eps_factor=eps_factor)
+        return cls(h0=span.length, r0=r0, **kwargs)
 
     @classmethod
     def for_model(cls, model: SingularFunctionModel, **kwargs) -> "RefinementSchedule":

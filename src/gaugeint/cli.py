@@ -34,7 +34,7 @@ from .builders import (
     build_cousin,
     build_straddle_verified,
 )
-from .catalog import CATALOG_NAMES, catalog_entry
+from .catalog import CATALOG_NAMES, catalog
 from .dsl import CompiledFunction, ParseError, parse, render
 from .errors import BuildError, EvaluationError, GaugeIntError
 from .integrate import (
@@ -85,12 +85,8 @@ class Job:
     def validate(self) -> None:
         if self.output not in OUTPUTS or self.builder not in BUILDERS:
             raise JobError(f"output must be one of {OUTPUTS} and builder one of {BUILDERS}")
-        if self.span is not None:
-            if len(self.span) != 2:
-                raise JobError('span needs exactly two numbers "a,b"')
-            a, b = self.span
-            if not a < b:
-                raise JobError(f"span must satisfy a < b, got [{a}, {b}]")
+        if self.span is not None and len(self.span) != 2:
+            raise JobError('span needs exactly two numbers "a,b"')
         if not self.epsilons:
             raise JobError("at least one epsilon value is required")
         if len(set(self.epsilons)) != len(self.epsilons):
@@ -105,36 +101,27 @@ class Job:
             raise JobError("tol and div-threshold must be finite and positive")
 
     def resolve_model(self) -> SingularFunctionModel:
+        """The job's model: a catalog entry's or the compiled DSL pair, with
+        the job's span and exceptional points in place of the defaults.  The
+        model's own checks are the only rules on them."""
         if self.F is None:
             raise JobError("no function given: use --catalog, --function or a job file")
         if self.F in CATALOG_NAMES:
-            entry = catalog_entry(self.F)
-            model = entry.model
-            span = Interval(*self.span) if self.span is not None else model.span
-            points = self._points_inside(span) if self.E else model.E
-            if span != model.span or points != model.E:
-                model = SingularFunctionModel(
-                    F=model.F, f=model.f, E=points, span=span, provenance=model.provenance
-                )
-            return model
-        F = CompiledFunction(self.F)  # surface parse errors first
-        if self.f is None:
-            raise JobError("--derivative is required for a non-catalog function")
-        f = CompiledFunction(self.f)
-        if self.span is None:
+            model = catalog(self.F)
+            F, f, span, E, provenance = model.F, model.f, model.span, model.E, model.provenance
+        else:
+            F = CompiledFunction(self.F)  # surface parse errors first
+            if self.f is None:
+                raise JobError("--derivative is required for a non-catalog function")
+            f = CompiledFunction(self.f)
+            span, E, provenance = None, ExceptionalSet(), f"dsl:{F.source}"
+        if self.span is not None:
+            span = Interval(*self.span)
+        elif span is None:
             raise JobError("--span is required for a non-catalog function")
-        span = Interval(*self.span)
-        return SingularFunctionModel(
-            F=F, f=f, E=self._points_inside(span), span=span, provenance=f"dsl:{F.source}",
-        )
-
-    def _points_inside(self, span: Interval) -> ExceptionalSet:
-        """The job's exceptional points, each strictly inside the resolved
-        span (a catalog model's own span when the job gives none)."""
-        for e in self.E:
-            if not span.lo < e < span.hi:
-                raise JobError(f"exceptional point {e} not strictly inside ({span.lo}, {span.hi})")
-        return ExceptionalSet(self.E)
+        if self.E:
+            E = ExceptionalSet(self.E)
+        return SingularFunctionModel(F=F, f=f, E=E, span=span, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +395,18 @@ def _surface_warnings(model, seed: int) -> None:
         print(f"warning: derivative consistency check skipped: {exc}", file=sys.stderr)
 
 
+def _write_convergence(job: Job, sections) -> None:
+    """Write the ladders to the job's ``--emit-convergence`` path, if any;
+    a path that cannot be written is a usage error."""
+    if not job.emit_convergence:
+        return
+    try:
+        with open(job.emit_convergence, "w", encoding="utf-8") as fh:
+            fh.write(convergence_csv(sections))
+    except OSError as exc:
+        raise JobError(f"cannot write {job.emit_convergence}: {exc.strerror}") from None
+
+
 def cmd_integrate(job: Job) -> int:
     model = job.resolve_model()
     _surface_warnings(model, job.seed)
@@ -419,9 +418,7 @@ def cmd_integrate(job: Job) -> int:
         div_threshold=job.div_threshold,
         anchor_r=job.anchor,
     )
-    if job.emit_convergence:
-        with open(job.emit_convergence, "w", encoding="utf-8") as fh:
-            fh.write(convergence_csv([("kh", report.kh_rows), ("basic_sum", report.bs_rows)]))
+    _write_convergence(job, [("kh", report.kh_rows), ("basic_sum", report.bs_rows)])
     sys.stdout.write(emit(report, job.output, model=model))
     if not report.kh_rows and report.build_diagnostic:
         print(f"error: {report.build_diagnostic}", file=sys.stderr)
@@ -453,9 +450,7 @@ def cmd_residues(job: Job) -> int:
         model, RefinementSchedule.for_model(model), job.max_depth, job.tol, job.div_threshold
     )
     summary = ResidualsSummary(basic_sum_verdict=bs_verdict, residuals=residuals)
-    if job.emit_convergence:
-        with open(job.emit_convergence, "w", encoding="utf-8") as fh:
-            fh.write(convergence_csv([("basic_sum", bs_rows)]))
+    _write_convergence(job, [("basic_sum", bs_rows)])
     sys.stdout.write(emit(summary, job.output))
     return EXIT_OK
 

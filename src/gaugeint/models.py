@@ -11,7 +11,6 @@ It holds no limit ladder: the basic sum and the residuals are in ``sums``.
 Exceptional points normally lie strictly inside the span.  Points sitting on
 a span endpoint are also accepted (e.g. an integrable singularity at the left
 edge); anchoring and bracketing become one-sided there, counting F(e) = 0.
-The job layer keeps the stricter interior-only rule for user input.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gaugeint import cli
+from gaugeint import catalog, cli, decompose
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -92,21 +93,44 @@ class TestExitCodes:
                       "--span", "0,1", "--exceptional", "2.0")
         assert out.returncode == 2
 
-    @pytest.mark.parametrize("argv,message", [
-        (["residues", "--catalog", "heaviside", "--exceptional=-1,0"],
-         "exceptional point -1.0 not strictly inside (-1.0, 1.0)"),
-        (["integrate", "--catalog", "heaviside", "--exceptional=0,1"],
-         "exceptional point 1.0 not strictly inside (-1.0, 1.0)"),
-        (["verify", "--catalog", "sqrt_singular", "--exceptional=0"],
-         "exceptional point 0.0 not strictly inside (0.0, 1.0)"),
-        (["partition", "--catalog", "parabola", "--exceptional=2"],
-         "exceptional point 2.0 not strictly inside (0.0, 1.0)"),
-    ], ids=["left-edge", "right-edge", "catalog-edge-point", "outside"])
-    def test_exceptional_on_catalog_span_edge_is_two(self, argv, message):
-        # the interior-only rule holds against the catalog's own span too
+    @pytest.mark.parametrize("argv,code,message", [
+        (["residues", "--catalog", "heaviside", "--exceptional=-1,0"], 0, None),
+        (["integrate", "--catalog", "heaviside", "--exceptional=0,1"], 0, None),
+        (["verify", "--catalog", "sqrt_singular", "--exceptional=0"], 0, None),
+        (["partition", "--catalog", "parabola", "--exceptional=2"], 2,
+         "exceptional point 2.0 outside span [0.0, 1.0]"),
+        (["integrate", "--catalog", "heaviside", "--span=0.5,1"], 2,
+         "exceptional point 0.0 outside span [0.5, 1.0]"),
+    ], ids=["left-edge", "right-edge", "catalog-edge-point", "outside", "span-drops-catalog-point"])
+    def test_exceptional_on_catalog_span_edge_is_two(self, argv, code, message):
+        # the job's points, or the catalog's own under the job's span, must lie
+        # in the closed span: a point on an edge gets a one-sided anchor, and
+        # only a point outside the span is a usage error
         out = run_cli(*argv)
+        assert out.returncode == code
+        if message is None:
+            assert out.stderr == ""
+            assert out.stdout != ""
+        else:
+            assert out.stderr == f"error: {message}\n"
+            assert out.stdout == ""
+
+    @pytest.mark.parametrize("span,message", [
+        ("1,0", "degenerate interval rejected: [1.0, 0.0]"),
+        ("0,inf", "interval endpoints must be finite: [0.0, inf]"),
+    ])
+    def test_bad_span_is_two(self, span, message):
+        out = run_cli("verify", "--function", "x", "--derivative", "1", f"--span={span}")
         assert out.returncode == 2
         assert out.stderr == f"error: {message}\n"
+        assert out.stdout == ""
+
+    @pytest.mark.parametrize("command", ["integrate", "residues"])
+    def test_unwritable_emit_convergence_is_two(self, tmp_path, command):
+        target = tmp_path / "missing" / "conv.csv"
+        out = run_cli(command, "--catalog", "heaviside", "--emit-convergence", str(target))
+        assert out.returncode == 2
+        assert out.stderr == f"error: cannot write {target}: No such file or directory\n"
         assert out.stdout == ""
 
     @pytest.mark.parametrize("argv", [
@@ -236,6 +260,23 @@ class TestJobFiles:
         assert out.returncode == 0
         doc = json.loads(out.stdout)
         assert doc["total"] == 1.0
+
+    def test_exceptional_point_at_span_edge(self, tmp_path):
+        # sqrt_singular's model as a user job: E = {0} is the span's left end
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({
+            "F": "sqrt(x)", "f": "1/(2*sqrt(x))", "E": [0], "span": [0, 1], "output": "json",
+        }))
+        outs = {command: run_cli(command, "--job", str(job))
+                for command in ("integrate", "verify", "residues", "partition")}
+        assert {command: out.returncode for command, out in outs.items()} == dict.fromkeys(outs, 0)
+        doc = json.loads(outs["integrate"].stdout)
+        expected = decompose(catalog("sqrt_singular")).to_json()
+        assert doc["total"] == 1.0
+        for kind in ("kh", "basic_sum"):
+            assert doc[kind]["kind"] == expected[kind]["kind"]
+        assert {e: v["kind"] for e, v in doc["residuals"].items()} == {
+            e: v["kind"] for e, v in expected["residuals"].items()}
 
     def test_flags_override_file(self, tmp_path):
         job = tmp_path / "job.json"
@@ -406,6 +447,26 @@ class TestEmit:
             basic_sum_verdict=Converged(0.0, 0.0, 0), residuals={}
         )
         assert emit(summary, "csv") == "point,kind,value,error_estimate,depth,sign\n"
+
+
+def readme_cli_lines():
+    """The ``gaugeint ...`` lines of README's CLI block, as argument lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("gaugeint ")]
+
+
+class TestReadme:
+    def test_cli_block_holds_the_endpoint_example(self):
+        lines = readme_cli_lines()
+        assert len(lines) == 6
+        assert ["verify", "--function", "sqrt(x)", "--derivative", "1/(2*sqrt(x))",
+                "--exceptional", "0", "--span", "0,1"] in lines
+
+    @pytest.mark.parametrize("argv", readme_cli_lines(), ids=" ".join)
+    def test_cli_line_exits_zero(self, argv):
+        out = run_cli(*argv)
+        assert out.returncode == 0, out.stderr
 
 
 class TestParseCommand:
