@@ -550,8 +550,12 @@ def _straddle_runs(model, span, r, eps, limits, h) -> Iterator[tuple]:
             # its right, which it walks away from
             if g0 == span.lo and g1 < span.hi:
                 g0, g1 = g1, g0
-            for chunk in _gap_waves(model, g0, g1, eps, counter, h_cap, min_width):
-                yield ("cells",) + chunk
+            try:
+                for chunk in _gap_waves(model, g0, g1, eps, counter, h_cap, min_width):
+                    yield ("cells",) + chunk
+            except StraddleFailure as exc:
+                exc.pairs_built = counter.pairs
+                raise
 
 
 def straddle_chunks(

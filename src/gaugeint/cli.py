@@ -69,7 +69,7 @@ class Job:
     command: str
     F: str | None = None
     f: str | None = None
-    E: list = field(default_factory=list)
+    E: list | None = None  # None: no source gave E; [] is an empty E
     span: tuple | None = None
     epsilons: list = field(default_factory=lambda: list(EPSILONS))
     anchor: float | None = None
@@ -119,7 +119,7 @@ class Job:
             span = Interval(*self.span)
         elif span is None:
             raise JobError("--span is required for a non-catalog function")
-        if self.E:
+        if self.E is not None:
             E = ExceptionalSet(self.E)
         return SingularFunctionModel(F=F, f=f, E=E, span=span, provenance=provenance)
 
@@ -239,7 +239,8 @@ def job_from_args(args: argparse.Namespace) -> Job:
             setattr(job, name, value)
     if job.span is not None:
         job.span = tuple(float(x) for x in job.span)
-    job.E = [float(x) for x in job.E]
+    if job.E is not None:
+        job.E = [float(x) for x in job.E]
     job.validate()
     return job
 
@@ -355,8 +356,6 @@ def emit(report, output_format: str, model=None) -> str:
             lines.append(f"residue_sum    |sum R - basic_sum| = {_fmt(report.residue_sum_gap)}")
         if not report.lemma_consistent:
             lines.append("WARNING        kh and basic_sum verdicts disagree on convergence")
-        if report.build_diagnostic:
-            lines.append(f"note           {report.build_diagnostic}")
         return "\n".join(lines) + "\n"
 
     if isinstance(report, TotalReport):
@@ -420,8 +419,8 @@ def cmd_integrate(job: Job) -> int:
     )
     _write_convergence(job, [("kh", report.kh_rows), ("basic_sum", report.bs_rows)])
     sys.stdout.write(emit(report, job.output, model=model))
-    if not report.kh_rows and report.build_diagnostic:
-        print(f"error: {report.build_diagnostic}", file=sys.stderr)
+    if not report.kh_rows:  # the depth-0 build failed, and the kh note says how
+        print(f"error: {report.kh_verdict.note}", file=sys.stderr)
         return EXIT_BUILD
     if report.identity_gap is not None and report.identity_gap > report.identity_tolerance:
         print(

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit; a raised ``BuildError`` is
+the one record of where and why a build stopped, and after how many pairs."""
 
 from __future__ import annotations
 
@@ -17,6 +18,8 @@ class EvaluationError(GaugeIntError):
 
 class BuildError(GaugeIntError):
     """Base class for partition-construction failures."""
+
+    pairs_built = 0  # pairs the build accepted before it raised, where known
 
 
 class AnchorOverlapError(BuildError):

@@ -24,7 +24,8 @@
 * ``report_json`` -- the fixed six-key JSON envelope every report renders to.
 
 Each depth or tolerance row is an independent pure computation; reports are
-assembled deterministically by index.
+assembled deterministically by index.  Each stop is read from one record: a
+failed row's from the raised ``BuildError``, a ladder's from its verdict's note.
 """
 
 from __future__ import annotations
@@ -172,8 +173,7 @@ def total_kh(
         try:
             sums = _straddle_sums(model, r, eps, limits)
         except BuildError as exc:
-            rows.append(VerificationRow(eps, None, bound, getattr(exc, "pairs_built", 0),
-                                        error=str(exc)))
+            rows.append(VerificationRow(eps, None, bound, exc.pairs_built, error=str(exc)))
             continue
         rows.append(VerificationRow(
             eps, abs(sums.riemann - sums.off_increments), bound, sums.pairs
@@ -250,7 +250,6 @@ class DecompositionReport:
     lemma_consistent: bool
     kh_rows: Tuple[SequenceRow, ...] = ()
     bs_rows: Tuple[SequenceRow, ...] = ()
-    build_diagnostic: str | None = None
 
     def to_json(self) -> dict:
         return report_json(
@@ -311,8 +310,8 @@ def decompose(
     The identity gap |total - (plain + basic sum)| is reported whenever both
     limits converge and is compared against the combined classifier tolerance
     (one tolerance per limit).  The residual-sum cross-check against the
-    basic sum runs when every residual converges.  Builds that die at some
-    depth truncate the plain-integral ladder and are recorded, never hidden.
+    basic sum runs when every residual converges.  A build that dies ends
+    the plain-integral ladder, and only the kh verdict's note records it.
     """
     schedule = schedule or RefinementSchedule.for_model(model)
     limits = limits or BuildLimits()
@@ -335,9 +334,6 @@ def decompose(
     if isinstance(bs_verdict, Converged) and residual_sum is not None:
         residue_sum_gap = abs(residual_sum - bs_verdict.value)
 
-    # the kh note names a failed build unless the ladder ran out of depths
-    diagnostic = getattr(kh_verdict, "note", "") if len(kh_trace) <= max_depth else ""
-
     one_sided = (
         isinstance(kh_verdict, Converged) != isinstance(bs_verdict, Converged)
         and not isinstance(kh_verdict, Inconclusive)
@@ -356,7 +352,6 @@ def decompose(
         lemma_consistent=not one_sided,
         kh_rows=_rows(schedule, kh_trace),
         bs_rows=bs_rows,
-        build_diagnostic=diagnostic or None,
     )
 
 

@@ -14,8 +14,8 @@ such a sequence into a single verdict:
 One driver, :func:`run_ladder`, runs every such sequence: it pushes
 ``(depth, value)`` pairs into a :class:`SequenceClassifier` and stops at the
 first verdict.  A depth that raises one of the ladder's stop exceptions ends
-the sequence early, and the verdict's note names the cause.  The three limit
-ladders and :func:`classify` all go through it.
+the sequence early; the verdict's note, the one record of a stop, names the
+cause.  The three limit ladders and :func:`classify` all go through it.
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ class SequenceClassifier:
     """Incremental form of :func:`classify`; lets drivers stop early.
 
     Push ``(depth, value)`` pairs in order.  ``push`` returns a verdict as
-    soon as one of the rules fires, else ``None``.  Call ``finish`` when no
-    more depths will be produced.
+    soon as one of the rules fires, else ``None``.  Call ``finish`` with
+    the note that says why no more depths will be produced.
     """
 
     def __init__(self, tol: float, div_threshold: float):
@@ -109,7 +109,6 @@ class SequenceClassifier:
         self.div_threshold = div_threshold
         self.trace: list[tuple[int, float]] = []
         self._deltas: list[float] = []
-        self._note = ""
 
     def push(self, depth: int, value: float) -> ConvergenceVerdict | None:
         if self.trace:
@@ -134,11 +133,8 @@ class SequenceClassifier:
             return Diverged(sign=1 if value > 0 else -1)
         return None
 
-    def note(self, text: str) -> None:
-        self._note = text
-
-    def finish(self) -> ConvergenceVerdict:
-        return Inconclusive(trace=tuple(self.trace), note=self._note)
+    def finish(self, note: str = "") -> ConvergenceVerdict:
+        return Inconclusive(trace=tuple(self.trace), note=note)
 
 
 Trace = Tuple[Tuple[int, float], ...]
@@ -166,14 +162,12 @@ def run_ladder(
             depth, value = pair_at(n)
         except tuple(stops) as exc:
             template = next(t for cls, t in stops.items() if isinstance(exc, cls))
-            clf.note(template.format(depth=n, exc=exc))
-            return tuple(clf.trace), clf.finish()
+            return tuple(clf.trace), clf.finish(template.format(depth=n, exc=exc))
         verdict = clf.push(depth, value)
         if verdict is not None:
             return tuple(clf.trace), verdict
-    if clf.trace:
-        clf.note(MAX_DEPTH_NOTE.format(depth=clf.trace[-1][0]))
-    return tuple(clf.trace), clf.finish()
+    note = MAX_DEPTH_NOTE.format(depth=clf.trace[-1][0]) if clf.trace else ""
+    return tuple(clf.trace), clf.finish(note)
 
 
 def classify(

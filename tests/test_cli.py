@@ -161,6 +161,8 @@ class TestExitCodes:
         out = run_process("integrate", "--function", "x^2", "--derivative", "3*x",
                           "--span", "0,1")
         assert out.returncode == 3
+        # the depth-0 build failed, and stderr repeats the kh verdict's note
+        assert out.stderr.splitlines()[-1].startswith("error: build failed at depth 0: ")
 
     def test_evaluation_error_names_plain_point(self):
         out = run_cli("verify", "--function", "x", "--derivative=1/x", "--span=-1,1")
@@ -231,6 +233,17 @@ class TestIntegrateOutput:
         out = run_cli("integrate", "--catalog", "heaviside", "--output", "csv")
         assert "# series: kh" in out.stdout
         assert "depth,h,r,epsilon,value,delta" in out.stdout
+
+    def test_failed_kh_note_shown_once(self):
+        # the note of a failed kh ladder is printed on the kh line and
+        # nowhere else in the table
+        note = decompose(catalog("reciprocal")).kh_verdict.note
+        assert note.startswith("build failed at depth ")
+        out = run_cli("integrate", "--catalog", "reciprocal")
+        assert out.returncode == 0
+        assert out.stdout.count(note) == 1
+        kh_line, = (line for line in out.stdout.splitlines() if line.startswith("kh "))
+        assert kh_line.endswith(f"({note})")
 
     def test_emit_convergence(self, tmp_path):
         target = tmp_path / "conv.csv"
@@ -352,6 +365,36 @@ class TestJobFiles:
         out = run_cli("verify", "--job", str(job))
         assert out.returncode == 2
         assert out.stderr == "error: anchor radius must be finite and positive\n"
+
+
+class TestEmptyExceptionalSet:
+    """An empty E, from ``--exceptional=`` or a job file's ``"E": []``, is an
+    empty E for every job, a catalog one too; only a job that no source gives
+    E keeps its model's."""
+
+    RECIPROCAL = {"F": "1/x", "f": "-1/x^2", "E": [0], "span": [-1, 2]}
+
+    @pytest.mark.parametrize("doc, flags, code", [
+        (RECIPROCAL, [], 0),
+        (RECIPROCAL, ["--exceptional="], 3),
+        ({"F": "reciprocal"}, [], 0),
+        ({"F": "reciprocal", "E": []}, [], 3),
+        ({"F": "reciprocal", "E": []}, ["--exceptional=0"], 0),
+    ], ids=["dsl", "dsl-flag-clears", "catalog", "catalog-file-clears", "flag-restores"])
+    def test_job_file(self, tmp_path, doc, flags, code):
+        # without 0 in E, f = -1/x^2 is evaluated at the pole and no build stands
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(doc))
+        assert run_cli("verify", "--job", str(job), *flags).returncode == code
+
+    @pytest.mark.parametrize("flags, code", [([], 0), (["--exceptional="], 3)])
+    def test_flag_on_catalog(self, flags, code):
+        assert run_cli("verify", "--catalog", "reciprocal", *flags).returncode == code
+
+    def test_flag_empties_catalog_residual_table(self):
+        out = run_cli("residues", "--catalog", "heaviside", "--exceptional=", "--output", "json")
+        assert out.returncode == 0
+        assert json.loads(out.stdout)["residuals"] == {}
 
 
 class TestPartitionCommand:

@@ -3,6 +3,7 @@ import pytest
 
 from gaugeint import (
     CATALOG_NAMES,
+    BuildError,
     BuildLimits,
     Converged,
     Diverged,
@@ -25,6 +26,7 @@ from gaugeint import (
     residue_table,
     total_kh,
 )
+from gaugeint.builders import straddle_chunks
 from gaugeint.cli import ResidualsSummary
 
 ENVELOPE = {"total", "verification", "kh", "basic_sum", "residuals", "identity_gap"}
@@ -209,15 +211,21 @@ class TestHonesty:
         assert isinstance(verdict, Inconclusive)
         assert verdict.note == "no verdict by max depth 20"
         assert len(verdict.trace) == 21
-        assert decompose(model).build_diagnostic is None
+
+
+def kh_note(report):
+    """The kh verdict's note, the one record of why the ladder stopped."""
+    return report.kh_verdict.note if isinstance(report.kh_verdict, Inconclusive) else ""
 
 
 class TestBuildDiagnostic:
+    """A failed plain-integral build is named by the kh verdict's note alone,
+    at the depth the ladder stopped."""
+
     def test_equals_kh_note_when_a_build_fails(self):
         report = decompose(catalog("reciprocal"), max_depth=10,
                            limits=BuildLimits(max_pairs=50_000))
-        assert report.build_diagnostic.startswith(f"build failed at depth {len(report.kh_rows)}: ")
-        assert report.build_diagnostic == report.kh_verdict.note
+        assert kh_note(report).startswith(f"build failed at depth {len(report.kh_rows)}: ")
 
     @pytest.mark.parametrize("name, max_depth, kind", [
         ("heaviside", 20, "converged"), ("parabola", 2, "inconclusive"),
@@ -225,7 +233,24 @@ class TestBuildDiagnostic:
     def test_none_without_a_build_failure(self, name, max_depth, kind):
         report = decompose(catalog(name), max_depth=max_depth)
         assert report.kh_verdict.kind == kind
-        assert report.build_diagnostic is None
+        assert "build failed" not in kh_note(report)
+        if kind == "inconclusive":
+            assert kh_note(report) == f"no verdict by max depth {max_depth}"
+
+
+class TestFailedRowPairs:
+    def test_failed_row_reports_the_pairs_streamed_before_the_raise(self):
+        # a tolerance far under reciprocal's evaluation floor fails its build
+        # after some pairs; the row counts them from the raised error
+        model = catalog("reciprocal")
+        r = RefinementSchedule.for_model(model).r0
+        streamed = 0
+        with pytest.raises(BuildError) as exc:
+            for item in straddle_chunks(model, r=r, eps=1e-9):
+                streamed += 1 if item[0] == "anchor" else len(item[2])
+        row, = total_kh(model, epsilons=[1e-9]).rows
+        assert row.error == str(exc.value)
+        assert row.pairs == exc.value.pairs_built == streamed > 0
 
 
 CRIT3_OPTS = dict(max_depth=20, tol=5e-3, div_threshold=1e12,
@@ -297,7 +322,7 @@ class TestDecompose:
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_defaults_stay_under_pair_cap(self, name):
         report = decompose(catalog(name))
-        assert "(cap " not in (report.build_diagnostic or ""), report.build_diagnostic
+        assert "(cap " not in kh_note(report), kh_note(report)
         assert all(row.ok for row in report.verification.rows)
 
     def test_lemma_consistency_bound(self):

@@ -111,8 +111,7 @@ class TestIncremental:
         clf = SequenceClassifier(tol=1e-9, div_threshold=1e12)
         clf.push(0, 1.0)
         clf.push(1, 2.0)
-        clf.note("stopped early")
-        verdict = clf.finish()
+        verdict = clf.finish("stopped early")
         assert isinstance(verdict, Inconclusive)
         assert verdict.trace == ((0, 1.0), (1, 2.0))
         assert verdict.note == "stopped early"
