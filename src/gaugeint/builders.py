@@ -308,11 +308,14 @@ def _width_search_failure(tag, width, error, rejected, site, mismatch) -> Stradd
     evaluation floor, one entry per halving.  A wrong derivative or an
     undeclared jump keeps that error at its size as the width halves (the
     last two at a ratio >= 0.4), and a single such error was never seen to
-    shrink; otherwise the search only ran into rounding.
+    shrink; otherwise the search only ran into rounding.  ``error`` is the
+    failing cell's error, or None for a cell whose width underflowed before
+    it was evaluated: a mismatch then reports the last rejected error, and a
+    floor failure nan.
     """
     if rejected and (len(rejected) == 1 or rejected[-1] >= 0.4 * rejected[-2]):
-        return StraddleFailure(tag, width, error, mismatch)
-    return FloorReached(tag, width, error,
+        return StraddleFailure(tag, width, rejected[-1] if error is None else error, mismatch)
+    return FloorReached(tag, width, math.nan if error is None else error,
                         f"{site}; rejected errors are at the floating-point evaluation floor")
 
 
@@ -379,8 +382,9 @@ def _check_rising(positions, d, w, rejected):
     if not rising.all():
         i = int(np.argmin(rising))
         raise _width_search_failure(float(_midpoints(positions[i:i + 2])[0]), float(w),
-                                    math.nan, rejected, "cell width underflows",
-                                    "cell width underflows at floating point")
+                                    None, rejected, "cell width underflows",
+                                    "cell width underflows at floating point; "
+                                    "declared derivative does not match F here")
 
 
 def _halving_chain(model, x, stop, w, eps, min_width, cells=_WAVE):

@@ -12,9 +12,20 @@
   the cap is lifted, since there the straddle check alone bounds each sum's
   distance from the off-anchor increments of F by the tolerance times the
   span length, and a fine mesh would only run into the rounding floor.
+  That bound also places every depth's sum, before it is built, within
+  eps_n times the span length of total - B_n, B_n being the basic sum, one
+  F call per depth.  When those bands show that no depth up to the last
+  can reach a verdict, the ladder builds only depth 0 and one f check, a
+  build at tolerance ``tol`` per span length on the finest mesh cap, and
+  ends with ``no verdict reachable by depth N`` or with the f check's
+  failure.
 * ``decompose`` -- assembles the total value, the plain-integral verdict, the
   basic-sum verdict and the residual table, and checks the additivity
-  identity total = plain + basic-sum when both limits converge.
+  identity total = plain + basic-sum when both limits converge.  Within
+  one call every build and every anchor row is made once: at the default
+  schedule and anchor radius the ladder's depth 0 is ``total_kh``'s eps
+  1e-2 row, and the ladder reads the anchor rows that the basic sum and
+  the residuals read.
 * ``residue_check`` -- the degenerate case: when the derivative vanishes off
   the exceptional set, the endpoint difference of the extended function must
   equal the sum of the residuals.
@@ -30,16 +41,26 @@ failed row's from the raised ``BuildError``, a ladder's from its verdict's note.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .builders import BuildLimits, RefinementSchedule, _straddle_runs
+from .builders import MESH_DEPTHS, BuildLimits, RefinementSchedule, _straddle_runs
 from .errors import BuildError, NotLocallyConstant
 from .models import SingularFunctionModel, increment
-from .sums import KahanAccumulator, _anchor_rows, _basic_sum_ladder, _kahan_sum, _residuals
+from .sums import (
+    KahanAccumulator,
+    _anchor_rows,
+    _basic_sum_ladder,
+    _kahan_sum,
+    _once,
+    _residuals,
+)
 from .verdicts import (
+    CONVERGE_RUN,
+    DIVERGE_RUN,
     DIV_THRESHOLD,
     MAX_DEPTH,
     TOL,
@@ -111,6 +132,13 @@ def _straddle_sums(model, r, eps, limits, h=None) -> _StraddleSums:
     return _StraddleSums(riemann=xi.total, off_increments=off.total, pairs=pairs)
 
 
+def _build_once(model, limits):
+    """``builds(r, eps, h)``: the :func:`_straddle_sums` of the build at
+    anchor radius r, tolerance eps and mesh cap h, built once however often
+    it is read; a build that raised raises again."""
+    return _once(lambda r, eps, h: _straddle_sums(model, r, eps, limits, h), BuildError)
+
+
 # ---------------------------------------------------------------------------
 # Total integral
 # ---------------------------------------------------------------------------
@@ -163,15 +191,19 @@ def total_kh(
     Riemann sum stays within eps*(span length) of the off-anchor increment
     sum.  A failed build marks its row and leaves the others standing.
     """
+    return _total_kh(model, increment(model, model.span), epsilons, r,
+                     _build_once(model, limits or BuildLimits()))
+
+
+def _total_kh(model, total, epsilons, r, builds) -> TotalReport:
+    """:func:`total_kh` on the given total, its rows read from ``builds``."""
     if r is None:
         r = RefinementSchedule.for_model(model).r0
-    limits = limits or BuildLimits()
-    total = increment(model, model.span)
     rows = []
     for eps in epsilons:
         bound = eps * model.span.length
         try:
-            sums = _straddle_sums(model, r, eps, limits)
+            sums = builds(r, eps, model.span.length)
         except BuildError as exc:
             rows.append(VerificationRow(eps, None, bound, exc.pairs_built, error=str(exc)))
             continue
@@ -200,15 +232,75 @@ def _rows(schedule: RefinementSchedule, trace: Trace) -> Tuple[SequenceRow, ...]
     return tuple(SequenceRow(n, *schedule.at(n), v) for n, v in trace)
 
 
-def _plain_ladder(model, schedule, max_depth, tol, div_threshold, limits):
+# Rounding allowance of the identity bound, relative to |total| + |B_n|.
+_ROUNDING = 2.0**-26
+
+
+def _verdict_reachable(schedule, length, max_depth, tol, div_threshold, total, row) -> bool:
+    """Whether some depth up to ``max_depth`` could make the classifier fire,
+    judged from the anchor rows alone, read in depth order up to the first
+    such depth.
+
+    Every cell of a straddle build keeps its Riemann part within eps_n times
+    its width of its increment of F, so depth n's Riemann sum lies within
+    eps_n * length of the off-anchor increments, total - B_n, B_n being the
+    basic sum.  Depth n's band is that centre with twice that bound plus a
+    rounding allowance as radius.  Converged can fire at depth m >= 3 only
+    if each of its last three deltas can be at most ``tol``: consecutive
+    bands come within ``tol`` of each other.  Diverged can fire at m >= 4
+    only if the band reaches past ``div_threshold``.  A depth whose anchor
+    row raises, or whose band is not finite, counts as one that could fire.
+    """
+    bands = []
+    for n in range(max_depth + 1):
+        try:
+            b = _kahan_sum(row(n))
+        except Exception:
+            return True
+        band = (total - b,
+                2 * schedule.at(n).eps * length + _ROUNDING * (abs(total) + abs(b)))
+        if not all(map(math.isfinite, band)):
+            return True
+        bands.append(band)
+        if n >= DIVERGE_RUN - 1 and abs(band[0]) + band[1] > div_threshold:
+            return True
+        if n >= CONVERGE_RUN and all(
+            abs(c1 - c0) <= tol + r0 + r1
+            for (c0, r0), (c1, r1) in zip(bands[-CONVERGE_RUN - 1:], bands[-CONVERGE_RUN:])
+        ):
+            return True
+    return False
+
+
+def _plain_ladder(model, schedule, max_depth, tol, div_threshold, total, row, builds):
     """Depth-indexed Riemann sums over shrinking straddle builds, classified
-    incrementally so the ladder stops at the first verdict."""
+    incrementally so the ladder stops at the first verdict.
+
+    When :func:`_verdict_reachable` proves that no depth up to ``max_depth``
+    can reach a verdict, only depth 0 is built, for its
+    trace row, and one f check: a build at the schedule's first radius, the
+    tolerance ``tol`` per span length and the finest mesh cap, which tests f
+    against F as finely as the capped depths together would.
+    """
     def riemann(n):
         step = schedule.at(n)
-        return n, _straddle_sums(model, step.r, step.eps, limits, h=step.h).riemann
+        return n, builds(step.r, step.eps, step.h).riemann
 
-    return run_ladder(riemann, max_depth, tol, div_threshold,
-                      {BuildError: "build failed at depth {depth}: {exc}"})
+    stops = {BuildError: "build failed at depth {depth}: {exc}"}
+    length = model.span.length
+    if _verdict_reachable(schedule, length, max_depth, tol, div_threshold, total, row):
+        return run_ladder(riemann, max_depth, tol, div_threshold, stops)
+    trace, verdict = run_ladder(riemann, 0, tol, div_threshold, stops)
+    if not trace:  # the depth-0 build failed, and its note says how
+        return trace, verdict
+    eps, h = tol / length, schedule.at(MESH_DEPTHS - 1).h
+    try:
+        builds(schedule.r0, eps, h)
+    except BuildError as exc:
+        note = f"build failed in the f check (eps {eps:.3g}, mesh cap {h:.3g}): {exc}"
+    else:
+        note = f"no verdict reachable by depth {max_depth}"
+    return trace, Inconclusive(trace=trace, note=note)
 
 
 def plain_kh(
@@ -224,13 +316,20 @@ def plain_kh(
     Converged means the Riemann sums settled to the integral's value;
     divergence and budget-limited inconclusiveness are honest outcomes (a
     build failure surfaces in the verdict's note, never as an exception).
-    The declared f is tested against F only on the schedule's capped
-    depths, so a mismatch on a region narrower than about twice the finest
-    cap (the span length / 4096 by default) can go unseen.
+    Depth n's sum lies within eps_n times the span length of total - B_n,
+    B_n being the basic sum; when those bands rule out a verdict at every
+    depth, the ladder builds depth 0 and one f check at the finest mesh cap
+    and ends with the note ``no verdict reachable by depth N``, or with
+    ``build failed ...`` when the f check fails.  Otherwise f is tested
+    against F on the schedule's capped depths, so a mismatch on a region
+    narrower than about twice the finest cap (the span length / 4096 by
+    default) can go unseen.
     """
     schedule = schedule or RefinementSchedule.for_model(model)
-    limits = limits or BuildLimits()
-    return _plain_ladder(model, schedule, max_depth, tol, div_threshold, limits)[1]
+    builds = _build_once(model, limits or BuildLimits())
+    return _plain_ladder(model, schedule, max_depth, tol, div_threshold,
+                         increment(model, model.span), _anchor_rows(model, schedule),
+                         builds)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +384,12 @@ def residue_table(
     All the ladders share one row of anchor terms, one F call, per depth.
     With an empty exceptional set the basic sum is exactly 0 at depth 0.
     """
-    row = _anchor_rows(model, schedule)
+    return _anchor_ladders(model, schedule, max_depth, tol, div_threshold,
+                           _anchor_rows(model, schedule))
+
+
+def _anchor_ladders(model, schedule, max_depth, tol, div_threshold, row):
+    """:func:`residue_table` on the anchor rows ``row``."""
     if len(model.E) > 0:
         trace, bs_verdict = _basic_sum_ladder(row, max_depth, tol, div_threshold)
     else:
@@ -314,15 +418,17 @@ def decompose(
     the plain-integral ladder, and only the kh verdict's note records it.
     """
     schedule = schedule or RefinementSchedule.for_model(model)
-    limits = limits or BuildLimits()
+    builds = _build_once(model, limits or BuildLimits())
+    row = _anchor_rows(model, schedule)
 
-    verification = total_kh(model, epsilons=epsilons, r=anchor_r, limits=limits)
-    total = verification.total
+    total = increment(model, model.span)
+    verification = _total_kh(model, total, epsilons, anchor_r, builds)
 
-    kh_trace, kh_verdict = _plain_ladder(model, schedule, max_depth, tol, div_threshold, limits)
+    kh_trace, kh_verdict = _plain_ladder(model, schedule, max_depth, tol, div_threshold,
+                                         total, row, builds)
 
-    bs_rows, bs_verdict, residuals = residue_table(
-        model, schedule, max_depth, tol, div_threshold
+    bs_rows, bs_verdict, residuals = _anchor_ladders(
+        model, schedule, max_depth, tol, div_threshold, row
     )
 
     identity_gap = None

@@ -96,23 +96,29 @@ def _kahan_sum(values) -> float:
     return acc.total
 
 
+def _once(compute, errors=Exception):
+    """``compute`` computed once per argument tuple however often it is
+    read; a call that raised one of ``errors`` raises it again."""
+    results = {}
+
+    def read(*args):
+        if args not in results:
+            try:
+                results[args] = compute(*args)
+            except errors as exc:
+                results[args] = exc
+        if isinstance(results[args], BaseException):
+            raise results[args]
+        return results[args]
+
+    return read
+
+
 def _anchor_rows(model: SingularFunctionModel, schedule):
     """``row(n)``: depth n's anchor-cell increments in point order, from one
     F call however often it is read; a row that raised raises again."""
-    rows = {}
-
-    def row(n):
-        if n not in rows:
-            try:
-                rows[n] = _cell_increments(model, anchor_cells(model.span, model.E,
-                                                               schedule.at(n).r))
-            except Exception as exc:
-                rows[n] = exc
-        if isinstance(rows[n], Exception):
-            raise rows[n]
-        return rows[n]
-
-    return row
+    return _once(lambda n: _cell_increments(
+        model, anchor_cells(model.span, model.E, schedule.at(n).r)))
 
 
 def _basic_sum_ladder(row, max_depth, tol, div_threshold) -> Tuple[Trace, ConvergenceVerdict]:

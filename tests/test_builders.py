@@ -567,9 +567,10 @@ def gap_waves_in_full(model, start, stop, eps, counter, h_cap, min_width):
         moving = d * np.diff(positions) > 0
         if not moving.all():
             i = int(np.argmin(moving))
-            raise _width_search_failure(float(tags[i]), float(w), math.nan, rejected,
+            raise _width_search_failure(float(tags[i]), float(w), None, rejected,
                                         "cell width underflows",
-                                        "cell width underflows at floating point")
+                                        "cell width underflows at floating point; "
+                                        "declared derivative does not match F here")
         F_pos = model.F_values(positions)
         f_tags = model.f_values(tags)
         F_lo, F_hi = (F_pos[:-1], F_pos[1:]) if d > 0 else (F_pos[1:], F_pos[:-1])
@@ -745,7 +746,8 @@ class TestWavesMatchFullEvaluation:
         c = 0.995 * float(np.spacing(0.45))
         model = punctured(constant(0.0), constant(1.0))
         error = self.build_error(monkeypatch, model, 0.05, 1e-3, h=c * 2**10)
-        assert error[1].endswith("cell width underflows at floating point")
+        assert error[1].endswith("cell width underflows at floating point; "
+                                 "declared derivative does not match F here")
         assert error[3] == repr(c / 2)
 
     def test_every_failure_site_is_reached(self, monkeypatch):
@@ -759,7 +761,7 @@ class TestWavesMatchFullEvaluation:
             errors += self.ladder_errors(monkeypatch, model)
         messages = {error[1].rsplit(": ", 1)[-1] for error in errors}
         assert messages >= {
-            "cell width underflows at floating point",
+            "cell width underflows at floating point; declared derivative does not match F here",
             "width search exhausted; declared derivative does not match F here",
             "cell width underflows; rejected errors are at the floating-point evaluation floor",
         }

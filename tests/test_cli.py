@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -162,7 +163,13 @@ class TestExitCodes:
                           "--span", "0,1")
         assert out.returncode == 3
         # the depth-0 build failed, and stderr repeats the kh verdict's note
-        assert out.stderr.splitlines()[-1].startswith("error: build failed at depth 0: ")
+        line = out.stderr.splitlines()[-1]
+        assert line.startswith("error: build failed at depth 0: ")
+        # f is off by t at every tag t: the width search ends on a mismatch,
+        # named as one, with the finite error it last rejected
+        assert line.endswith("declared derivative does not match F here")
+        error = float(line.split(", error ", 1)[1].split(")", 1)[0])
+        assert math.isfinite(error) and error > 0
 
     def test_evaluation_error_names_plain_point(self):
         out = run_cli("verify", "--function", "x", "--derivative=1/x", "--span=-1,1")
@@ -236,10 +243,14 @@ class TestIntegrateOutput:
 
     def test_failed_kh_note_shown_once(self):
         # the note of a failed kh ladder is printed on the kh line and
-        # nowhere else in the table
-        note = decompose(catalog("reciprocal")).kh_verdict.note
-        assert note.startswith("build failed at depth ")
-        out = run_cli("integrate", "--catalog", "reciprocal")
+        # nowhere else in the table; x^2 with an undeclared jump of 1e-3 at
+        # 0.3 fails its depth-2 build
+        argv = ("--function", "piecewise{ x < 0.3 : x^2 ; x >= 0.3 : x^2 + 0.001 }",
+                "--derivative", "2*x", "--exceptional", "0.5", "--span", "0,1")
+        job = cli.job_from_args(cli.build_arg_parser().parse_args(("integrate",) + argv))
+        note = decompose(job.resolve_model()).kh_verdict.note
+        assert note.startswith("build failed at depth 2: ")
+        out = run_cli("integrate", *argv)
         assert out.returncode == 0
         assert out.stdout.count(note) == 1
         kh_line, = (line for line in out.stdout.splitlines() if line.startswith("kh "))

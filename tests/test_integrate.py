@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,9 @@ from gaugeint import (
     total_kh,
 )
 from gaugeint.builders import straddle_chunks
+from gaugeint.integrate import _ROUNDING, _straddle_sums
+from gaugeint.sums import _anchor_rows, _kahan_sum
+from gaugeint.verdicts import DIV_THRESHOLD, MAX_DEPTH, TOL, SequenceClassifier
 from gaugeint.cli import ResidualsSummary
 
 ENVELOPE = {"total", "verification", "kh", "basic_sum", "residuals", "identity_gap"}
@@ -133,10 +138,13 @@ class TestPlainKH:
         assert abs(verdict.value - 1.0) <= 1e-3
 
     def test_budget_death_is_inconclusive_with_note(self):
-        model = catalog("reciprocal")
-        verdict = plain_kh(model, max_depth=10, limits=BuildLimits(max_pairs=50_000))
+        # parabola's ladder can reach a verdict, so it builds depth by depth
+        # until depth 6's 65 pairs pass the 50-pair cap
+        model = catalog("parabola")
+        verdict = plain_kh(model, limits=BuildLimits(max_pairs=50))
         assert isinstance(verdict, Inconclusive)
-        assert "build failed" in verdict.note
+        assert verdict.note.startswith("build failed at depth 6: ")
+        assert verdict.note.endswith("(cap 50)")
 
 
     def test_evaluation_error_propagates(self):
@@ -188,9 +196,14 @@ class TestHonesty:
 
     def test_fast_oscillation_stops_at_the_floor(self):
         # correct data, but sin(50x) needs cells too narrow for the tolerance
-        # before the ladder can settle
-        verdict = plain_kh(punctured_model(lambda x: np.sin(50 * np.asarray(x)),
-                                           lambda x: 50 * np.cos(50 * np.asarray(x))))
+        # before the ladder can settle.  Its basic sum moves by more than tol
+        # per depth up to depth 21, so by depth 20 no verdict is reachable and
+        # only depth 0 and the f check are built; by depth 25 one is, and the
+        # ladder runs until a build meets the floor
+        model = punctured_model(lambda x: np.sin(50 * np.asarray(x)),
+                                lambda x: 50 * np.cos(50 * np.asarray(x)))
+        assert plain_kh(model).note == "no verdict reachable by depth 20"
+        verdict = plain_kh(model, max_depth=25)
         assert isinstance(verdict, Inconclusive)
         assert verdict.note.startswith("build failed at depth ")
         assert verdict.note.endswith("rejected errors are at the floating-point evaluation floor")
@@ -204,13 +217,26 @@ class TestHonesty:
         assert abs(verdict.value - (1 - 2 * c)) <= 1e-6
 
     def test_max_depth_stop_is_named(self):
-        # correct data whose ladder is still moving by more than tol at
-        # depth 20: the note says the depths ran out, and no build failed
+        # correct data whose ladder could settle from depth 3 on (E is empty,
+        # so every identity band has the same centre) but still moves by more
+        # than tol at depth 5: the note says the depths ran out, and no build
+        # failed
+        model = SingularFunctionModel(F=lambda x: np.asarray(x) ** 3,
+                                      f=lambda x: 3 * np.asarray(x) ** 2,
+                                      E=ExceptionalSet(), span=Interval(0.0, 1.0))
+        verdict = plain_kh(model, max_depth=5)
+        assert isinstance(verdict, Inconclusive)
+        assert verdict.note == "no verdict by max depth 5"
+        assert len(verdict.trace) == 6
+
+    def test_unreachable_verdict_is_named(self):
+        # 100 x^2 punctured at 0.5: the basic sum 5 * 2^-n moves by more than
+        # tol per depth through depth 21, so no depth up to 20 can settle
         model = punctured_model(lambda x: 100 * np.asarray(x) ** 2, lambda x: 200 * np.asarray(x))
         verdict = plain_kh(model)
         assert isinstance(verdict, Inconclusive)
-        assert verdict.note == "no verdict by max depth 20"
-        assert len(verdict.trace) == 21
+        assert verdict.note == "no verdict reachable by depth 20"
+        assert [depth for depth, _ in verdict.trace] == [0]
 
 
 def kh_note(report):
@@ -223,8 +249,10 @@ class TestBuildDiagnostic:
     at the depth the ladder stopped."""
 
     def test_equals_kh_note_when_a_build_fails(self):
-        report = decompose(catalog("reciprocal"), max_depth=10,
-                           limits=BuildLimits(max_pairs=50_000))
+        # parabola's ladder can reach a verdict, so its builds run until one
+        # passes the pair cap
+        report = decompose(catalog("parabola"), limits=BuildLimits(max_pairs=50))
+        assert len(report.kh_rows) == 6
         assert kh_note(report).startswith(f"build failed at depth {len(report.kh_rows)}: ")
 
     @pytest.mark.parametrize("name, max_depth, kind", [
@@ -235,7 +263,104 @@ class TestBuildDiagnostic:
         assert report.kh_verdict.kind == kind
         assert "build failed" not in kh_note(report)
         if kind == "inconclusive":
-            assert kh_note(report) == f"no verdict by max depth {max_depth}"
+            # no verdict can fire before depth 3, so none is reachable by 2
+            assert kh_note(report) == f"no verdict reachable by depth {max_depth}"
+
+
+def unpruned_ladder(model):
+    """The default plain-integral ladder built depth by depth, without the
+    reachability prune: ``(rows, verdict)``, rows ``(n, Riemann sum)`` up to
+    the first verdict or build failure, verdict None where none fired."""
+    sched = RefinementSchedule.for_model(model)
+    clf = SequenceClassifier(tol=TOL, div_threshold=DIV_THRESHOLD)
+    rows = []
+    for n in range(MAX_DEPTH + 1):
+        step = sched.at(n)
+        try:
+            value = _straddle_sums(model, step.r, step.eps, BuildLimits(), step.h).riemann
+        except BuildError:
+            break
+        rows.append((n, value))
+        verdict = clf.push(n, value)
+        if verdict is not None:
+            return rows, verdict
+    return rows, None
+
+
+CONVERGING = ["heaviside", "jump_linear", "parabola", "staircase3"]
+
+
+class TestReachabilityPrune:
+    """Depth n's Riemann sum lies within eps_n * L of total - B_n, so the
+    basic sum B_n shows before any build whether a verdict is reachable."""
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_identity_bound_holds_at_every_built_depth(self, name):
+        # the premise of the prune, on every depth the unpruned ladder builds
+        # (measured at most 8.6% of eps_n * L, on sqrt_singular)
+        model = catalog(name)
+        sched = RefinementSchedule.for_model(model)
+        total = increment(model, model.span)
+        row = _anchor_rows(model, sched)
+        rows, _ = unpruned_ladder(model)
+        assert rows
+        for n, value in rows:
+            b = _kahan_sum(row(n))
+            bound = sched.at(n).eps * model.span.length + _ROUNDING * (abs(total) + abs(b))
+            assert abs(value - (total - b)) <= bound, (n, value)
+
+    @pytest.mark.parametrize("name", CONVERGING)
+    def test_converging_ladders_unchanged(self, name):
+        model = catalog(name)
+        rows, verdict = unpruned_ladder(model)
+        assert isinstance(verdict, Converged)
+        report = decompose(model)
+        assert report.kh_verdict == verdict
+        assert [(row.depth, row.value) for row in report.kh_rows] == rows
+
+    @pytest.mark.parametrize("name, most_F, most_f", [
+        ("heaviside", 19, 14), ("jump_linear", 70, 48), ("parabola", 67, 46),
+        ("staircase3", 33, 28),
+    ])
+    def test_converging_decompose_calls(self, name, most_F, most_f):
+        # the F and f calls of one decompose before the prune; with it depth 0
+        # reuses total_kh's eps 1e-2 build (measured 17 / 68 / 65 / 29 F and
+        # 12 / 46 / 44 / 24 f calls)
+        model = catalog(name)
+        calls = {"F": 0, "f": 0}
+
+        def counted(key, fn):
+            def call(x):
+                calls[key] += 1
+                return fn(x)
+            return call
+
+        decompose(dataclasses.replace(model, F=counted("F", model.F), f=counted("f", model.f)))
+        assert calls["F"] < most_F and calls["f"] < most_f
+
+    @pytest.mark.parametrize("name", ["osc_sin_inv", "reciprocal", "sqrt_singular"])
+    def test_unreachable_catalog_ladders(self, name):
+        report = decompose(catalog(name))
+        assert report.kh_verdict.note == "no verdict reachable by depth 20"
+        assert [row.depth for row in report.kh_rows] == [0]
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_plain_kh_agrees_with_decompose(self, name):
+        assert plain_kh(catalog(name)) == decompose(catalog(name)).kh_verdict
+
+    @pytest.mark.parametrize("name, lo", [
+        ("sqrt_singular", 0.6), ("reciprocal", 0.6), ("osc_sin_inv", 0.3),
+    ])
+    def test_f_check_finds_a_narrow_bump(self, name, lo):
+        # f wrong by 1e-3 on [lo, lo + 0.0015), where F is right: a build at
+        # eps 1e-2 or 1e-3 passes over it, and the unpruned ladder failed at
+        # depth 2-4; the f check at eps tol / L fails on it
+        base = catalog(name)
+        model = dataclasses.replace(base, f=lambda x: base.f(x) + 1e-3 * (
+            (np.asarray(x) >= lo) & (np.asarray(x) < lo + 0.0015)))
+        verdict = decompose(model).kh_verdict
+        assert isinstance(verdict, Inconclusive)
+        assert verdict.note.startswith("build failed in the f check ")
 
 
 class TestFailedRowPairs:
