@@ -24,6 +24,10 @@ from .errors import AnchorOverlapError
 # narrowest anchor cell, relative to max(1, |e|): eight machine epsilons
 _ANCHOR_FLOOR = 8 * sys.float_info.epsilon
 
+_CSV_HEADER = "lo,hi,tag,in_exceptional\n"
+# rows per block of the CSV dump: bounds the row strings held at once
+_CSV_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -146,32 +150,33 @@ def validate(partition: TaggedPartition, span: Interval) -> ValidationReport:
 
     bad_width = np.nonzero(~(los < his))[0]
     for i in bad_width:
-        v.append(Violation(int(i), "positive_width", f"[{los[i]!r}, {his[i]!r}] is degenerate"))
+        v.append(Violation(int(i), "positive_width",
+                           f"[{float(los[i])!r}, {float(his[i])!r}] is degenerate"))
 
     bad_tag = np.nonzero(~((los <= tags) & (tags <= his)))[0]
     for i in bad_tag:
         v.append(
-            Violation(int(i), "tag_in_interval", f"tag {tags[i]!r} outside [{los[i]!r}, {his[i]!r}]")
+            Violation(int(i), "tag_in_interval",
+                      f"tag {float(tags[i])!r} outside [{float(los[i])!r}, {float(his[i])!r}]")
         )
 
     if los[0] != span.lo:
-        v.append(Violation(0, "span_start", f"first pair starts at {los[0]!r}, span at {span.lo!r}"))
+        v.append(Violation(0, "span_start",
+                           f"first pair starts at {float(los[0])!r}, span at {float(span.lo)!r}"))
     if his[-1] != span.hi:
         v.append(
-            Violation(n - 1, "span_end", f"last pair ends at {his[-1]!r}, span at {span.hi!r}")
+            Violation(n - 1, "span_end",
+                      f"last pair ends at {float(his[-1])!r}, span at {float(span.hi)!r}")
         )
 
     if n > 1:
         gaps = np.nonzero(his[:-1] != los[1:])[0]
-        for i in gaps:
-            kind = "gap" if his[i] < los[i + 1] else "overlap"
-            v.append(
-                Violation(
-                    int(i),
-                    "contiguity",
-                    f"{kind} between pair {int(i)} (ends {his[i]!r}) and pair {int(i) + 1} (starts {los[i + 1]!r})",
-                )
-            )
+        for i in gaps.tolist():
+            end, start = float(his[i]), float(los[i + 1])
+            # unordered ends: one of them is NaN
+            kind = "gap" if end < start else "overlap" if end > start else "NaN endpoint"
+            v.append(Violation(i, "contiguity", f"{kind} between pair {i} (ends {end!r}) "
+                                                f"and pair {i + 1} (starts {start!r})"))
 
     return ValidationReport(ok=not v, violations=tuple(v))
 
@@ -308,10 +313,28 @@ def is_fine(partition: TaggedPartition, gauge: Gauge) -> bool:
 def partition_to_csv(
     partition: TaggedPartition, exceptional: Iterable[float] = ()
 ) -> str:
-    """Render the partition dump: one row per pair, 17-significant-digit
-    decimals, header ``lo,hi,tag,in_exceptional``."""
-    rows = zip(partition.los.tolist(), partition.his.tolist(), partition.tags.tolist(),
-               restriction_mask(partition, exceptional).tolist())
-    lines = ["lo,hi,tag,in_exceptional"]
-    lines.extend("%.17g,%.17g,%.17g,%d" % row for row in rows)
-    return "\n".join(lines) + "\n"
+    """Render the partition dump: header ``lo,hi,tag,in_exceptional``, then
+    one row per pair in span order, each value a ``%.17g`` decimal.
+
+    A valid partition's pairs share their endpoints bit for bit, so each
+    block of rows formats a shared endpoint once, as the next pair's left
+    end, and formats a right end again only where its bits differ from that
+    left end: a gap, an overlap, or -0.0 against 0.0.
+    """
+    fmt = "%.17g".__mod__
+    los, his, tags = partition.los, partition.his, partition.tags
+    mask = restriction_mask(partition, exceptional)
+    flags = (mask.view(np.uint8) + ord("0")).tobytes().decode()  # "0" or "1" per pair
+    blocks = [_CSV_HEADER]
+    for start in range(0, len(los), _CSV_BLOCK):
+        stop = start + _CSV_BLOCK
+        lo, hi = los[start:stop], his[start:stop]
+        # the block's left ends and its last right end; ends[1:] are the
+        # right ends where they share the next left end's bits
+        ends = list(map(fmt, lo.tolist() + [float(hi[-1])]))
+        hi_s = ends[1:]
+        for i in np.flatnonzero(lo[1:].view(np.uint64) != hi[:-1].view(np.uint64)).tolist():
+            hi_s[i] = fmt(float(hi[i]))
+        rows = zip(ends, hi_s, map(fmt, tags[start:stop].tolist()), flags[start:stop])
+        blocks.append("\n".join(map(",".join, rows)) + "\n")
+    return "".join(blocks)

@@ -9,6 +9,7 @@ from gaugeint import (
     CATALOG_NAMES,
     AnchorOverlapError,
     BudgetExceeded,
+    BuildError,
     BuildLimits,
     EvaluationError,
     ExceptionalSet,
@@ -38,6 +39,7 @@ from gaugeint.builders import (
     straddle_chunks,
 )
 from gaugeint.partition import restriction_mask
+from gaugeint.verdicts import MAX_DEPTH
 
 
 def model_from(F, f, points, lo, hi):
@@ -881,6 +883,37 @@ class TestHalvingWavesNotEvaluated:
         assert points <= most
         assert points <= self.MOST_POINTS[name]
         assert calls <= self.MOST_CALLS[name]
+
+    @pytest.mark.parametrize("name, most_points, most_calls", [
+        ("reciprocal", 270_000, 140), ("sqrt_singular", 300_000, 145),
+        ("osc_sin_inv", 1_450_000, 420),
+    ])
+    def test_unpruned_ladder_F_points(self, name, most_points, most_calls):
+        # decompose no longer builds these models' ladders, so count the
+        # builds the ladder would make: straddle_chunks at each schedule
+        # depth until a build raises.  Measured 262,412 / 291,911 /
+        # 1,408,873 F points in 134 / 138 / 403 calls, each ladder stopping
+        # with FloorReached at depth 6 / 11 / 5
+        model = catalog(name)
+        schedule = RefinementSchedule.for_model(model)
+        points = calls = 0
+
+        def counted(x):
+            nonlocal points, calls
+            points += np.size(x)
+            calls += 1
+            return model.F(x)
+
+        counted_model = dataclasses.replace(model, F=counted)
+        for n in range(MAX_DEPTH + 1):
+            step = schedule.at(n)
+            try:
+                for _ in straddle_chunks(counted_model, r=step.r, eps=step.eps, h=step.h):
+                    pass
+            except BuildError:
+                break
+        assert points <= most_points
+        assert calls <= most_calls
 
 
 class TestChainCandidatesEvaluated:

@@ -11,7 +11,18 @@ from pathlib import Path
 
 import pytest
 
-from gaugeint import catalog, cli, decompose
+from gaugeint import (
+    RefinementSchedule,
+    build_anchored,
+    build_cousin,
+    build_straddle_verified,
+    catalog,
+    cli,
+    decompose,
+    partition_to_csv,
+)
+from gaugeint.builders import anchored_gauge_for
+from gaugeint.integrate import EPSILONS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -408,9 +419,26 @@ class TestEmptyExceptionalSet:
         assert json.loads(out.stdout)["residuals"] == {}
 
 
+def library_dump(name, builder, eps=EPSILONS[0]):
+    """The CSV of the partition ``gaugeint partition --catalog name`` builds
+    at default settings, built through the library."""
+    model = catalog(name)
+    r0 = RefinementSchedule.for_model(model).r0
+    h = model.span.length / 8
+    if builder == "anchored":
+        part = build_anchored(model.span, tuple(model.E), r=r0, h=h)
+    elif builder == "straddle":
+        part = build_straddle_verified(model, r=r0, eps=eps)
+    else:
+        part = build_cousin(model.span, anchored_gauge_for(model.E, r0, h))
+    return partition_to_csv(part, tuple(model.E))
+
+
 class TestPartitionCommand:
     def test_anchored_dump(self):
         out = run_cli("partition", "--catalog", "heaviside", "--builder", "anchored")
+        assert out.returncode == 0
+        assert out.stdout == library_dump("heaviside", "anchored")
         lines = out.stdout.strip().splitlines()
         assert lines[0] == "lo,hi,tag,in_exceptional"
         assert any(line.endswith(",1") for line in lines[1:])
@@ -422,6 +450,7 @@ class TestPartitionCommand:
         out = run_cli("partition", "--catalog", "parabola", "--builder", "straddle",
                       "--epsilon", "1e-2")
         assert out.returncode == 0
+        assert out.stdout == library_dump("parabola", "straddle", eps=1e-2)
         lines = out.stdout.strip().splitlines()
         assert lines[0] == "lo,hi,tag,in_exceptional"
         rows = [line.split(",") for line in lines[1:]]
@@ -436,11 +465,13 @@ class TestPartitionCommand:
         out = run_cli("partition", "--catalog", "reciprocal", "--builder", "straddle",
                       "--epsilon", "1e-2")
         assert out.returncode == 0
+        assert out.stdout == library_dump("reciprocal", "straddle", eps=1e-2)
         assert len(out.stdout.strip().splitlines()) > 10
 
     def test_cousin_dump(self):
         out = run_cli("partition", "--catalog", "heaviside", "--builder", "cousin")
         assert out.returncode == 0
+        assert out.stdout == library_dump("heaviside", "cousin")
 
     def test_build_failure_is_three(self):
         out = run_cli("partition", "--function", "x^2", "--derivative", "3*x",

@@ -16,13 +16,15 @@ from gaugeint import (
     anchored_gauge,
     basic_sum_sequence,
     build_anchored,
+    build_cousin,
+    build_straddle_verified,
     catalog,
     is_fine,
     partition_to_csv,
     restrict,
     validate,
 )
-from gaugeint.partition import restriction_mask
+from gaugeint.partition import _CSV_BLOCK, restriction_mask
 
 
 def make_partition(cells, span):
@@ -113,6 +115,31 @@ class TestValidate:
         # both neighbours may be tagged at their common endpoint
         part = make_partition([(0.0, 0.5, 0.5), (0.5, 1.0, 0.5)], UNIT)
         assert validate(part, UNIT).ok
+
+    def test_details_print_plain_floats(self):
+        # every rule's message renders values as Python floats, so the text
+        # is the same under every numpy version; NaN ends of a contiguity
+        # break are neither a gap nor an overlap
+        part = TaggedPartition([0.0, 0.75], [np.nan, 0.5], [0.5, 0.6], Interval(-1.0, 2.0))
+        report = validate(part, Interval(-1.0, 2.0))
+        assert [(v.index, v.rule, v.detail) for v in report.violations] == [
+            (0, "positive_width", "[0.0, nan] is degenerate"),
+            (1, "positive_width", "[0.75, 0.5] is degenerate"),
+            (0, "tag_in_interval", "tag 0.5 outside [0.0, nan]"),
+            (1, "tag_in_interval", "tag 0.6 outside [0.75, 0.5]"),
+            (0, "span_start", "first pair starts at 0.0, span at -1.0"),
+            (1, "span_end", "last pair ends at 0.5, span at 2.0"),
+            (0, "contiguity",
+             "NaN endpoint between pair 0 (ends nan) and pair 1 (starts 0.75)"),
+        ]
+
+    @pytest.mark.parametrize("his, kind", [
+        ([0.4, 1.0], "gap between pair 0 (ends 0.4) and pair 1 (starts 0.5)"),
+        ([0.6, 1.0], "overlap between pair 0 (ends 0.6) and pair 1 (starts 0.5)"),
+    ])
+    def test_contiguity_kinds(self, his, kind):
+        part = TaggedPartition([0.0, 0.5], his, [0.2, 0.7], UNIT)
+        assert [v.detail for v in validate(part, UNIT).violations] == [kind]
 
 
 class TestRestrict:
@@ -254,7 +281,102 @@ class TestAnchoredGaugeAt:
         assert gauge.at(xs).tolist() == [1.5, 0.5, 3.0]
 
 
+def reference_csv(partition, exceptional=()):
+    """The dump rendered one ``%`` format per row, every value formatted on
+    its own: the bytes :func:`partition_to_csv` must reproduce."""
+    rows = zip(partition.los.tolist(), partition.his.tolist(), partition.tags.tolist(),
+               restriction_mask(partition, exceptional).tolist())
+    lines = ["lo,hi,tag,in_exceptional"]
+    lines.extend("%.17g,%.17g,%.17g,%d" % row for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _straddle_dump(name, eps):
+    model = catalog(name)
+    r0 = RefinementSchedule.for_model(model).r0
+    return build_straddle_verified(model, r=r0, eps=eps), tuple(model.E)
+
+
+def _cousin_dump(name):
+    model = catalog(name)
+    r0 = RefinementSchedule.for_model(model).r0
+    gauge = anchored_gauge(mesh=1e-4, anchor_radii={e: r0 for e in model.E}, isolating=True)
+    return build_cousin(model.span, gauge), tuple(model.E)
+
+
+def _anchored_dump(name):
+    model = catalog(name)
+    r0 = RefinementSchedule.for_model(model).r0
+    part = build_anchored(model.span, tuple(model.E), r=r0, h=model.span.length / 1000)
+    return part, tuple(model.E)
+
+
+def _uniform_dump(n, seam_gap=False):
+    """n contiguous midpoint-tagged cells of [0, 1], three of them flagged
+    around the first block seam; ``seam_gap`` opens a gap at the last pair
+    of the first block and another inside it."""
+    edges = np.linspace(0.0, 1.0, n + 1)
+    his = edges[1:].copy()
+    if seam_gap:
+        his[[_CSV_BLOCK - 2, _CSV_BLOCK - 1]] -= 1e-9
+    tags = (edges[:-1] + edges[1:]) / 2
+    flagged = [float(tags[i]) for i in (0, min(_CSV_BLOCK - 1, n - 1), n - 1)]
+    return TaggedPartition(edges[:-1], his, tags, UNIT), flagged
+
+
+def _raw_dump(los, his, tags, exceptional=()):
+    return TaggedPartition(los, his, tags, Interval(-1.0, 1.0)), exceptional
+
+
+INF, NAN = float("inf"), float("nan")
+# name -> (partition, exceptional points), built on demand
+DUMPS = {
+    "straddle reciprocal 1e-3": lambda: _straddle_dump("reciprocal", 1e-3),
+    "straddle osc_sin_inv 1e-2": lambda: _straddle_dump("osc_sin_inv", 1e-2),
+    "straddle parabola 1e-4": lambda: _straddle_dump("parabola", 1e-4),
+    "straddle sqrt_singular 1e-4": lambda: _straddle_dump("sqrt_singular", 1e-4),
+    "cousin heaviside": lambda: _cousin_dump("heaviside"),
+    "cousin staircase3": lambda: _cousin_dump("staircase3"),
+    "anchored heaviside": lambda: _anchored_dump("heaviside"),
+    "anchored staircase3": lambda: _anchored_dump("staircase3"),
+    "block - 1 pairs": lambda: _uniform_dump(_CSV_BLOCK - 1),
+    "block pairs": lambda: _uniform_dump(_CSV_BLOCK),
+    "block + 1 pairs": lambda: _uniform_dump(_CSV_BLOCK + 1),
+    "2 blocks + 1 pairs": lambda: _uniform_dump(2 * _CSV_BLOCK + 1),
+    "gaps at the block seam": lambda: _uniform_dump(2 * _CSV_BLOCK, seam_gap=True),
+    "signed zero": lambda: _raw_dump([-1.0, 0.0], [-0.0, 1.0], [-0.0, 0.0], [0.0]),
+    "gap": lambda: _raw_dump([-1.0, 0.5], [0.25, 1.0], [0.0, 0.75]),
+    "overlap": lambda: _raw_dump([-1.0, 0.5], [0.75, 1.0], [0.0, 0.75], [0.75]),
+    "nan": lambda: _raw_dump([-1.0, 0.0, NAN], [NAN, NAN, 1.0], [NAN, 0.5, NAN], [NAN]),
+    "infinities": lambda: _raw_dump([-INF, 0.0], [0.0, INF], [-INF, INF], [INF]),
+    "one pair": lambda: _raw_dump([-1.0], [1.0], [0.1], [0.1]),
+    "no pairs": lambda: _raw_dump([], [], []),
+}
+
+
 class TestCsvDump:
+    @pytest.mark.parametrize("name", sorted(DUMPS))
+    def test_matches_reference(self, name):
+        part, exceptional = DUMPS[name]()
+        assert partition_to_csv(part, exceptional) == reference_csv(part, exceptional)
+
+    def test_cousin_dumps_span_several_blocks(self):
+        for name in ("cousin heaviside", "cousin staircase3"):
+            part, _ = DUMPS[name]()
+            assert len(part) > _CSV_BLOCK
+
+    def test_signed_zero_endpoint_keeps_its_sign(self):
+        # -0.0 == 0.0, so the partition is contiguous, yet each row prints
+        # its own bits
+        part, exceptional = DUMPS["signed zero"]()
+        assert validate(part, part.span).ok
+        assert partition_to_csv(part, exceptional) == (
+            "lo,hi,tag,in_exceptional\n-1,-0,-0,1\n0,1,0,1\n")
+
+    def test_no_pairs_is_the_header(self):
+        part, _ = DUMPS["no pairs"]()
+        assert partition_to_csv(part) == "lo,hi,tag,in_exceptional\n"
+
     def test_format(self):
         part = make_partition([(-1.0, 0.0, -0.5), (0.0, 1.0, 0.0)], Interval(-1.0, 1.0))
         text = partition_to_csv(part, exceptional=[0.0])
