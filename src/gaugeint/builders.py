@@ -53,6 +53,7 @@ when its rejected errors only reflect rounding, and with
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -151,6 +152,11 @@ class RefinementSchedule:
             r=self.r0 * 0.5**n,
             eps=self.eps0 * self.eps_factor**n,
         )
+
+    def radii(self) -> Iterator[float]:
+        """The anchor radius ``at(n).r`` of each depth n, from depth 0 on,
+        without end."""
+        return (self.r0 * 0.5**n for n in itertools.count())
 
 
 @dataclass(frozen=True)

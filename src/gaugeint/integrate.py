@@ -13,25 +13,25 @@
   distance from the off-anchor increments of F by the tolerance times the
   span length, and a fine mesh would only run into the rounding floor.
   That bound also places every depth's sum, before it is built, within
-  eps_n times the span length of total - B_n, B_n being the basic sum, one
-  F call per depth.  When those bands show that no depth up to the last
-  can reach a verdict, the ladder builds only depth 0 and one f check, a
-  build at tolerance ``tol`` per span length on the finest mesh cap, and
-  ends with ``no verdict reachable by depth N`` or with the f check's
-  failure.
+  eps_n times the span length of total - B_n, B_n being the basic sum read
+  from the anchor table, one F call per table.  When those bands show that
+  no depth up to the last can reach a verdict, the ladder builds only
+  depth 0 and one f check, a build at tolerance ``tol`` per span length on
+  the finest mesh cap, and ends with ``no verdict reachable by depth N`` or
+  with the f check's failure.
 * ``decompose`` -- assembles the total value, the plain-integral verdict, the
   basic-sum verdict and the residual table, and checks the additivity
   identity total = plain + basic-sum when both limits converge.  Within
-  one call every build and every anchor row is made once: at the default
+  one call every build and the anchor table are made once: at the default
   schedule and anchor radius the ladder's depth 0 is ``total_kh``'s eps
-  1e-2 row, and the ladder reads the anchor rows that the basic sum and
+  1e-2 row, and the ladder reads the anchor table that the basic sum and
   the residuals read.
 * ``residue_check`` -- the degenerate case: when the derivative vanishes off
   the exceptional set, the endpoint difference of the extended function must
   equal the sum of the residuals.
 * ``residue_table`` -- the anchor-only ladders (basic-sum rows and verdict,
   residual table) shared by ``decompose`` and the ``residues`` command; all
-  of them read one row of anchor terms, one F call, per depth.
+  of them read one anchor table, one F call per table.
 * ``report_json`` -- the fixed six-key JSON envelope every report renders to.
 
 Each depth or tolerance row is an independent pure computation; reports are
@@ -51,11 +51,11 @@ from .builders import MESH_DEPTHS, BuildLimits, RefinementSchedule, _straddle_ru
 from .errors import BuildError, NotLocallyConstant
 from .models import SingularFunctionModel, increment
 from .sums import (
+    _ANCHOR_STOPS,
+    AnchorTable,
     KahanAccumulator,
-    _anchor_rows,
     _basic_sum_ladder,
     _kahan_sum,
-    _once,
     _residuals,
 )
 from .verdicts import (
@@ -130,6 +130,24 @@ def _straddle_sums(model, r, eps, limits, h=None) -> _StraddleSums:
             off.add(float(F_pos[-1] - F_pos[0]))  # run telescopes exactly
             pairs += len(f_tags)
     return _StraddleSums(riemann=xi.total, off_increments=off.total, pairs=pairs)
+
+
+def _once(compute, errors):
+    """``compute`` computed once per argument tuple however often it is
+    read; a call that raised one of ``errors`` raises it again."""
+    results = {}
+
+    def read(*args):
+        if args not in results:
+            try:
+                results[args] = compute(*args)
+            except errors as exc:
+                results[args] = exc
+        if isinstance(results[args], BaseException):
+            raise results[args]
+        return results[args]
+
+    return read
 
 
 def _build_once(model, limits):
@@ -236,10 +254,10 @@ def _rows(schedule: RefinementSchedule, trace: Trace) -> Tuple[SequenceRow, ...]
 _ROUNDING = 2.0**-26
 
 
-def _verdict_reachable(schedule, length, max_depth, tol, div_threshold, total, row) -> bool:
+def _verdict_reachable(schedule, length, max_depth, tol, div_threshold, total, table) -> bool:
     """Whether some depth up to ``max_depth`` could make the classifier fire,
-    judged from the anchor rows alone, read in depth order up to the first
-    such depth.
+    judged from the basic sums of the anchor table alone, read in depth
+    order up to the first such depth.
 
     Every cell of a straddle build keeps its Riemann part within eps_n times
     its width of its increment of F, so depth n's Riemann sum lies within
@@ -248,14 +266,15 @@ def _verdict_reachable(schedule, length, max_depth, tol, div_threshold, total, r
     rounding allowance as radius.  Converged can fire at depth m >= 3 only
     if each of its last three deltas can be at most ``tol``: consecutive
     bands come within ``tol`` of each other.  Diverged can fire at m >= 4
-    only if the band reaches past ``div_threshold``.  A depth whose anchor
-    row raises, or whose band is not finite, counts as one that could fire.
+    only if the band reaches past ``div_threshold``.  A depth that stops the
+    basic-sum ladder, or whose band is not finite, counts as one that could
+    fire.
     """
     bands = []
     for n in range(max_depth + 1):
         try:
-            b = _kahan_sum(row(n))
-        except Exception:
+            b = table.basic(n)
+        except tuple(_ANCHOR_STOPS):
             return True
         band = (total - b,
                 2 * schedule.at(n).eps * length + _ROUNDING * (abs(total) + abs(b)))
@@ -272,7 +291,7 @@ def _verdict_reachable(schedule, length, max_depth, tol, div_threshold, total, r
     return False
 
 
-def _plain_ladder(model, schedule, max_depth, tol, div_threshold, total, row, builds):
+def _plain_ladder(model, schedule, max_depth, tol, div_threshold, total, table, builds):
     """Depth-indexed Riemann sums over shrinking straddle builds, classified
     incrementally so the ladder stops at the first verdict.
 
@@ -288,7 +307,7 @@ def _plain_ladder(model, schedule, max_depth, tol, div_threshold, total, row, bu
 
     stops = {BuildError: "build failed at depth {depth}: {exc}"}
     length = model.span.length
-    if _verdict_reachable(schedule, length, max_depth, tol, div_threshold, total, row):
+    if _verdict_reachable(schedule, length, max_depth, tol, div_threshold, total, table):
         return run_ladder(riemann, max_depth, tol, div_threshold, stops)
     trace, verdict = run_ladder(riemann, 0, tol, div_threshold, stops)
     if not trace:  # the depth-0 build failed, and its note says how
@@ -328,8 +347,8 @@ def plain_kh(
     schedule = schedule or RefinementSchedule.for_model(model)
     builds = _build_once(model, limits or BuildLimits())
     return _plain_ladder(model, schedule, max_depth, tol, div_threshold,
-                         increment(model, model.span), _anchor_rows(model, schedule),
-                         builds)[1]
+                         increment(model, model.span),
+                         AnchorTable(model, schedule, max_depth), builds)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -381,21 +400,22 @@ def residue_table(
 
     ``bs_rows`` are the basic-sum depth rows, ``bs_verdict`` their verdict
     and ``residuals`` maps each exceptional point to its residual verdict.
-    All the ladders share one row of anchor terms, one F call, per depth.
+    All the ladders read one anchor table, one F call per table, over every
+    depth up to ``max_depth`` or the first that breaks the anchor rule.
     With an empty exceptional set the basic sum is exactly 0 at depth 0.
     """
     return _anchor_ladders(model, schedule, max_depth, tol, div_threshold,
-                           _anchor_rows(model, schedule))
+                           AnchorTable(model, schedule, max_depth))
 
 
-def _anchor_ladders(model, schedule, max_depth, tol, div_threshold, row):
-    """:func:`residue_table` on the anchor rows ``row``."""
+def _anchor_ladders(model, schedule, max_depth, tol, div_threshold, table):
+    """:func:`residue_table` on the anchor table ``table``."""
     if len(model.E) > 0:
-        trace, bs_verdict = _basic_sum_ladder(row, max_depth, tol, div_threshold)
+        trace, bs_verdict = _basic_sum_ladder(table, max_depth, tol, div_threshold)
     else:
         trace, bs_verdict = ((0, 0.0),), Converged(value=0.0, error_estimate=0.0, depth=0)
     return _rows(schedule, trace), bs_verdict, _residuals(
-        model, schedule, model.E, max_depth, tol, div_threshold, row)
+        table, model.E, max_depth, tol, div_threshold)
 
 
 def decompose(
@@ -419,16 +439,16 @@ def decompose(
     """
     schedule = schedule or RefinementSchedule.for_model(model)
     builds = _build_once(model, limits or BuildLimits())
-    row = _anchor_rows(model, schedule)
+    table = AnchorTable(model, schedule, max_depth)
 
     total = increment(model, model.span)
     verification = _total_kh(model, total, epsilons, anchor_r, builds)
 
     kh_trace, kh_verdict = _plain_ladder(model, schedule, max_depth, tol, div_threshold,
-                                         total, row, builds)
+                                         total, table, builds)
 
     bs_rows, bs_verdict, residuals = _anchor_ladders(
-        model, schedule, max_depth, tol, div_threshold, row
+        model, schedule, max_depth, tol, div_threshold, table
     )
 
     identity_gap = None
@@ -514,8 +534,8 @@ def residue_check(
 
     schedule = schedule or RefinementSchedule.for_model(model)
     lhs = increment(model, model.span)
-    residuals = _residuals(model, schedule, model.E, max_depth, tol, div_threshold,
-                           _anchor_rows(model, schedule))
+    residuals = _residuals(AnchorTable(model, schedule, max_depth), model.E, max_depth, tol,
+                           div_threshold)
     rhs = _residual_sum(residuals)
     gap = None if rhs is None else abs(lhs - rhs)
     return ResidueReport(lhs=lhs, rhs=rhs, gap=gap, residuals=residuals)

@@ -152,6 +152,48 @@ def validate(partition: TaggedPartition, span: Interval) -> ValidationReport:
     return ValidationReport(ok=not v, violations=tuple(v))
 
 
+def anchor_grid(
+    span: Interval, points: Sequence[float], radii: Iterable[float]
+) -> Tuple[list, AnchorOverlapError | None]:
+    """The anchor cells of each radius of ``radii`` in turn, up to the first
+    radius whose cells break the anchor rule: ``(rows, breach)``.
+
+    ``rows[k]`` holds the cells ``(lo, hi, e)`` of the k-th radius in point
+    order; ``breach`` is the ``AnchorOverlapError`` naming the first breach
+    of the radius after the last row, or None when every radius keeps the
+    rule.  With at least one point, ``radii`` may be endless: the cells of a
+    shrinking radius fall under the floor.  :func:`anchor_cells` states the
+    rule.  One pass over the cells, in plain floats: on the few points of an
+    exceptional set a numpy pass costs more per radius than it saves.
+    """
+    a, b = span.lo, span.hi
+    pts = tuple(points)
+    last = len(pts) - 1
+    floors = [_ANCHOR_FLOOR * max(1.0, abs(e)) for e in pts]
+    rows = []
+    for r in radii:
+        if not r > 0:
+            raise ValueError("anchor radius must be positive")
+        cells = []
+        for i, e in enumerate(pts):
+            lo = e if e == a else e - r
+            hi = e if e == b else e + r
+            if not hi - lo >= floors[i]:
+                breach = "is narrower than the floating-point floor"
+            elif lo < a or hi > b:
+                breach = f"leaves the span [{a!r}, {b!r}]"
+            elif (i > 0 and pts[i - 1] >= lo) or (i < last and pts[i + 1] <= hi):
+                breach = "holds another exceptional point"
+            elif cells and cells[-1][1] > lo:
+                breach = f"overlaps the cell around {cells[-1][2]!r}"
+            else:
+                cells.append((lo, hi, e))
+                continue
+            return rows, AnchorOverlapError(f"anchor cell [{lo!r}, {hi!r}] around {e!r} {breach}")
+        rows.append(cells)
+    return rows, None
+
+
 def anchor_cells(
     span: Interval, points: Sequence[float], r: float
 ) -> list[tuple[float, float, float]]:
@@ -163,30 +205,12 @@ def anchor_cells(
     ``AnchorOverlapError`` naming the first breach: the width is at least
     8 ulp * max(1, |e|), the cell lies inside the closed span, it holds no
     other point, and it does not overlap the previous cell (touching is
-    allowed).
+    allowed).  This is the one-radius case of :func:`anchor_grid`.
     """
-    if not r > 0:
-        raise ValueError("anchor radius must be positive")
-    a, b = span.lo, span.hi
-    pts = tuple(points)
-    last = len(pts) - 1
-    cells = []
-    for i, e in enumerate(pts):
-        lo = e if e == a else e - r
-        hi = e if e == b else e + r
-        if not hi - lo >= _ANCHOR_FLOOR * max(1.0, abs(e)):
-            breach = "is narrower than the floating-point floor"
-        elif lo < a or hi > b:
-            breach = f"leaves the span [{a!r}, {b!r}]"
-        elif (i > 0 and pts[i - 1] >= lo) or (i < last and pts[i + 1] <= hi):
-            breach = "holds another exceptional point"
-        elif cells and cells[-1][1] > lo:
-            breach = f"overlaps the cell around {cells[-1][2]!r}"
-        else:
-            cells.append((lo, hi, e))
-            continue
-        raise AnchorOverlapError(f"anchor cell [{lo!r}, {hi!r}] around {e!r} {breach}")
-    return cells
+    rows, breach = anchor_grid(span, points, (r,))
+    if breach is not None:
+        raise breach
+    return rows[0]
 
 
 def restrict(

@@ -10,9 +10,10 @@
   singular F.
 * ``basic_sum_sequence``, ``residual_estimate`` -- the anchor-only limits.
   In an anchored fine partition the restriction to the exceptional set is
-  exactly the anchor cells, so nothing else needs to be built.  Each depth
-  reads one row of cell increments from one F call: entry i is the residual
-  term of E's point i, and the row's Kahan sum is the basic-sum term.
+  exactly the anchor cells, so nothing else needs to be built.  A ladder
+  reads one :class:`AnchorTable`, the cell increments of every depth from
+  one F call per table: entry i of depth n's row is the residual term of
+  E's point i, and the row's Kahan sum is the basic-sum term.
 
 Restricted sums cannot telescope, so they use compensated accumulation:
 numpy's pairwise reduction within a batch and a Kahan accumulator across
@@ -21,6 +22,7 @@ batches.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import AnchorOverlapError, EvaluationError
 from .models import SingularFunctionModel, _cell_increments
-from .partition import TaggedPartition, anchor_cells, restriction_mask
+from .partition import TaggedPartition, anchor_cells, anchor_grid, restriction_mask
 from .verdicts import DIV_THRESHOLD, MAX_DEPTH, TOL, ConvergenceVerdict, Trace, run_ladder
 
 
@@ -82,8 +84,12 @@ def increment_sum(model: SingularFunctionModel, partition: TaggedPartition) -> f
                         - model.extended_values(partition.los)))
 
 
-_ANCHOR_STOP = {AnchorOverlapError: "depth {depth}: {exc}"}
-_RESIDUAL_STOPS = {**_ANCHOR_STOP, EvaluationError: "F evaluation failed at depth {depth}: {exc}"}
+# The stops of every anchor ladder: a depth whose cells break the anchor rule,
+# and a cell whose F value is not finite.
+_ANCHOR_STOPS = {
+    AnchorOverlapError: "depth {depth}: {exc}",
+    EvaluationError: "F evaluation failed at depth {depth}: {exc}",
+}
 
 
 def _kahan_sum(values) -> float:
@@ -93,54 +99,104 @@ def _kahan_sum(values) -> float:
     return acc.total
 
 
-def _once(compute, errors=Exception):
-    """``compute`` computed once per argument tuple however often it is
-    read; a call that raised one of ``errors`` raises it again."""
-    results = {}
+def _kahan_rows(values: np.ndarray) -> np.ndarray:
+    """:func:`_kahan_sum` of each row of ``values``: the same IEEE
+    operations, applied elementwise to all rows at once."""
+    total = np.zeros(len(values))
+    carry = np.zeros(len(values))
+    for column in values.T:
+        y = column - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    return total
 
-    def read(*args):
-        if args not in results:
+
+class AnchorTable:
+    """The anchor-cell increments of depths 0 to D, from one F call.
+
+    D is ``max_depth`` or the first depth whose cells break the anchor rule,
+    whichever comes first: every anchor ladder stops there, and the anchor
+    floor ends any schedule within a bounded number of depths.  F is
+    evaluated once, on every end off E of the cells of ``points`` (all of E
+    by default) at every depth before D.
+
+    ``basic(n)`` is depth n's basic-sum term, the Kahan sum of its row, and
+    ``term(n, i)`` the residual term of E's point i.  A term the table does
+    not hold is evaluated alone, from the depth's cells or from the point's
+    own cell, and raises what that evaluation raises: at a depth that breaks
+    the anchor rule, where an F value is not finite, and everywhere when the
+    batched F call raised.
+    """
+
+    def __init__(self, model: SingularFunctionModel, schedule, max_depth: int, points=None):
+        self.model = model
+        self.schedule = schedule
+        E = model.E.points
+        columns = range(len(E)) if points is None else [E.index(e) for e in points]
+        self._column = {i: j for j, i in enumerate(columns)}
+        rows = []
+        if E:  # without a point the radii never run under the floor
+            rows, _ = anchor_grid(model.span, E,
+                                  itertools.islice(schedule.radii(), max(0, max_depth + 1)))
+        cells = np.fromiter(itertools.chain.from_iterable(row[i] for row in rows for i in columns),
+                            float, 3 * len(rows) * len(columns))
+        cells = cells.reshape(len(rows), len(columns), 3)
+        ends = cells[..., :2]
+        off = ends != cells[..., 2:]  # by the anchor rule, an end on E is its own point
+        F = np.zeros(ends.shape)
+        with np.errstate(all="ignore"):
             try:
-                results[args] = compute(*args)
-            except errors as exc:
-                results[args] = exc
-        if isinstance(results[args], BaseException):
-            raise results[args]
-        return results[args]
+                if off.any():
+                    x = ends[off]
+                    F[off] = np.asarray(model.F(x), dtype=float).reshape(x.shape)
+            except Exception:
+                # F raised on the batch: each term is evaluated alone when read,
+                # so the error shows at the depth where a ladder reads it, if any
+                F = F[:0]
+            terms = F[..., 1] - F[..., 0]
+            sums = _kahan_rows(terms)
+        finite = np.isfinite(F).all(axis=-1)
+        self.depths = len(F)
+        self._terms = terms.tolist()
+        self._finite = finite.tolist()
+        self._row_ok = finite.all(axis=1).tolist()
+        self._sums = sums.tolist()
 
-    return read
+    def basic(self, n: int) -> float:
+        """Depth n's basic-sum term; on a table of all of E."""
+        if n < self.depths and self._row_ok[n]:
+            return self._sums[n]
+        return _kahan_sum(self._alone(n))
+
+    def term(self, n: int, i: int) -> float:
+        """Depth n's residual term of E's point i."""
+        j = self._column[i]
+        if n < self.depths and self._finite[n][j]:
+            return self._terms[n][j]
+        return self._alone(n, i)[0]
+
+    def _alone(self, n: int, i: int | None = None) -> list:
+        """Depth n's increments from an F call of their own: every cell's,
+        or point i's alone."""
+        cells = anchor_cells(self.model.span, self.model.E, self.schedule.at(n).r)
+        return _cell_increments(self.model, cells if i is None else cells[i:i + 1])
 
 
-def _anchor_rows(model: SingularFunctionModel, schedule):
-    """``row(n)``: depth n's anchor-cell increments in point order, from one
-    F call however often it is read; a row that raised raises again."""
-    return _once(lambda n: _cell_increments(
-        model, anchor_cells(model.span, model.E, schedule.at(n).r)))
+def _basic_sum_ladder(table, max_depth, tol, div_threshold) -> Tuple[Trace, ConvergenceVerdict]:
+    return run_ladder(lambda n: (n, table.basic(n)), max_depth, tol, div_threshold,
+                      _ANCHOR_STOPS)
 
 
-def _basic_sum_ladder(row, max_depth, tol, div_threshold) -> Tuple[Trace, ConvergenceVerdict]:
-    return run_ladder(lambda n: (n, _kahan_sum(row(n))), max_depth, tol, div_threshold,
-                      _ANCHOR_STOP)
-
-
-def _residuals(model, schedule, points, max_depth, tol, div_threshold, row=None) -> dict:
-    """Residual verdict per point of ``points`` (points of E), in order.  A
-    point's terms are its entries of the shared rows ``row(n)``.  Without
-    rows, or where a row raised, its own cell is evaluated alone, so its
-    ladder stops only when its own cell fails."""
+def _residuals(table, points, max_depth, tol, div_threshold) -> dict:
+    """Residual verdict per point of ``points`` (points of E), in order, each
+    ladder reading its point's terms from ``table``, so it stops only where
+    its own cell fails."""
     def verdict(i):
-        def term(n):
-            if row is not None:
-                try:
-                    return n, row(n)[i]
-                except Exception:
-                    pass
-            cell = anchor_cells(model.span, model.E, schedule.at(n).r)[i]
-            return n, _cell_increments(model, [cell])[0]
+        return run_ladder(lambda n: (n, table.term(n, i)), max_depth, tol, div_threshold,
+                          _ANCHOR_STOPS)[1]
 
-        return run_ladder(term, max_depth, tol, div_threshold, _RESIDUAL_STOPS)[1]
-
-    return {e: verdict(model.E.points.index(e)) for e in points}
+    return {e: verdict(table.model.E.points.index(e)) for e in points}
 
 
 def basic_sum_sequence(
@@ -155,11 +211,14 @@ def basic_sum_sequence(
     The radius shrinks with the schedule; the sequence stops as soon as the
     classifier reaches a verdict.  A depth whose cells break the anchor rule
     ends the sequence and names the breach in the verdict's note
-    (``depth n: <reason>``) rather than raising.
+    (``depth n: <reason>``) rather than raising, and a depth with a
+    non-finite F value ends it as a residual ladder ends
+    (``F evaluation failed at depth n: <reason>``).
     """
     if len(model.E) == 0:
         raise ValueError("basic sum requires a nonempty exceptional set")
-    return _basic_sum_ladder(_anchor_rows(model, schedule), max_depth, tol, div_threshold)
+    return _basic_sum_ladder(AnchorTable(model, schedule, max_depth), max_depth, tol,
+                             div_threshold)
 
 
 def residual_estimate(
@@ -174,8 +233,8 @@ def residual_estimate(
 
     Brackets are the anchor cells ``[e - r_n, e + r_n]`` of
     :func:`anchor_cells` (one-sided at a span endpoint, counting F(e) = 0);
-    each term is ``e``'s term of the basic sum, from :func:`_cell_increments`
-    on ``e``'s cell alone.
+    each term is ``e``'s term of the basic sum, from one F call on ``e``'s
+    cell ends at every depth.
 
     Raises only on bad arguments (``e`` outside E, a nonpositive radius):
     evaluation failures and cells that break the anchor rule end the
@@ -183,4 +242,5 @@ def residual_estimate(
     """
     if e not in model.E:
         raise ValueError(f"{e!r} is not an exceptional point of the model")
-    return _residuals(model, schedule, [e], max_depth, tol, div_threshold)[e]
+    table = AnchorTable(model, schedule, max_depth, points=[e])
+    return _residuals(table, [e], max_depth, tol, div_threshold)[e]

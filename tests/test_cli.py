@@ -522,6 +522,19 @@ class TestResiduesCommand:
         doc = json.loads(out.stdout)
         assert doc["residuals"]["0.0"]["value"] == 1.0
 
+    def test_F_overflow_ends_both_ladders_in_the_report(self, tmp_path):
+        # exp(1/(x - 0.5)^2) overflows at depth 1's cell ends: the basic sum
+        # stops there like the residual, and the report is kept
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"F": "exp(1/(x-0.5)^2)", "f": "0", "E": [0.5],
+                                   "span": [0, 1], "output": "json"}))
+        out = run_cli("residues", "--job", str(job))
+        assert out.returncode == 0
+        doc = json.loads(out.stdout)
+        for verdict in (doc["basic_sum"], doc["residuals"]["0.5"]):
+            assert verdict["kind"] == "inconclusive"
+            assert verdict["note"].startswith("F evaluation failed at depth 1: ")
+
 
 class TestEmit:
     def test_every_format_preserves_verdict_kinds(self):

@@ -30,7 +30,7 @@ from gaugeint import (
 )
 from gaugeint.builders import straddle_chunks
 from gaugeint.integrate import _ROUNDING, _straddle_sums
-from gaugeint.sums import _anchor_rows, _kahan_sum
+from gaugeint.sums import AnchorTable
 from gaugeint.verdicts import DIV_THRESHOLD, MAX_DEPTH, TOL, SequenceClassifier
 from gaugeint.cli import ResidualsSummary
 
@@ -301,11 +301,11 @@ class TestReachabilityPrune:
         model = catalog(name)
         sched = RefinementSchedule.for_model(model)
         total = increment(model, model.span)
-        row = _anchor_rows(model, sched)
+        table = AnchorTable(model, sched, 20)
         rows, _ = unpruned_ladder(model)
         assert rows
         for n, value in rows:
-            b = _kahan_sum(row(n))
+            b = table.basic(n)
             bound = sched.at(n).eps * model.span.length + _ROUNDING * (abs(total) + abs(b))
             assert abs(value - (total - b)) <= bound, (n, value)
 

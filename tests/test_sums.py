@@ -1,12 +1,16 @@
 import dataclasses
+import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
 
 from gaugeint import (
+    CATALOG_NAMES,
     Converged,
     Diverged,
+    EvaluationError,
     ExceptionalSet,
     Inconclusive,
     Interval,
@@ -14,8 +18,10 @@ from gaugeint import (
     SingularFunctionModel,
     TaggedPartition,
     basic_sum_sequence,
+    anchor_cells,
     build_anchored,
     catalog,
+    decompose,
     increment,
     increment_sum,
     residual_estimate,
@@ -25,7 +31,15 @@ from gaugeint import (
     riemann_sum,
     validate,
 )
-from gaugeint.sums import KahanAccumulator, SumBreakdown
+from gaugeint.models import _cell_increments
+from gaugeint.sums import (
+    _ANCHOR_STOPS,
+    AnchorTable,
+    KahanAccumulator,
+    SumBreakdown,
+    _kahan_sum,
+)
+from gaugeint.verdicts import DIV_THRESHOLD, TOL, run_ladder
 
 
 def random_partition(rng, span, max_cells=40):
@@ -225,29 +239,30 @@ def own_cell_model():
 
 
 class TestSharedAnchorRow:
-    """The basic-sum ladder and every residual ladder read one row of anchor
-    terms per depth."""
+    """The basic-sum ladder and every residual ladder read one anchor table,
+    from one F call over every depth up to ``max_depth``."""
 
     @pytest.mark.parametrize("name, depths", [("heaviside", 4), ("staircase3", 4),
                                               ("jump_linear", 21)])
-    def test_residue_table_makes_one_F_call_per_depth(self, name, depths):
+    def test_residue_table_makes_one_F_call_per_table(self, name, depths):
+        # the ladders read ``depths`` depths of the 21 the one call covers
         model, calls = counting(catalog(name))
-        residue_table(model, RefinementSchedule.for_model(model), 20, 1e-6, 1e12)
-        assert len(calls) == depths
-        assert set(calls) == {2 * len(model.E)}
+        bs_rows, _, _ = residue_table(model, RefinementSchedule.for_model(model), 20, 1e-6, 1e12)
+        assert len(bs_rows) == depths
+        assert calls == [2 * len(model.E) * 21]
 
     def test_residue_check_shares_the_row(self):
         model, calls = counting(catalog("staircase3"))
         residue_check(model)
-        # the endpoint difference, then one row per depth
-        assert calls == [2] + [6] * 4
+        # the endpoint difference, then one table of 21 depths
+        assert calls == [2, 6 * 21]
 
     def test_standalone_residual_reads_its_own_cell(self):
         model, calls = counting(catalog("staircase3"))
         sched = RefinementSchedule.for_model(model)
         for e in model.E:
             residual_estimate(model, e, sched)
-        assert calls == [2] * 12
+        assert calls == [2 * 21] * 3
 
     def test_residual_stops_only_on_its_own_cell(self):
         model = own_cell_model()
@@ -261,6 +276,167 @@ class TestSharedAnchorRow:
             assert len(table[0.3].trace) == 21
             assert "F evaluation failed" not in table[0.3].note
         assert residuals == standalone
+
+
+def exp_model():
+    """F = exp(1/(x - 0.5)^2) overflows at depth 1's cell ends, 0.475 and 0.525."""
+    return SingularFunctionModel(
+        F=lambda x: np.exp(1 / (np.asarray(x, dtype=float) - 0.5) ** 2),
+        f=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        E=ExceptionalSet([0.5]), span=Interval(0.0, 1.0),
+    )
+
+
+def lorentz_model():
+    """x/(x^2 + 1e-12) at E = {0} on [-1, 2]: the basic sum rises to 1e6, falls
+    and ends at the anchor floor."""
+    return SingularFunctionModel(
+        F=lambda x: np.asarray(x, dtype=float) / (np.asarray(x, dtype=float) ** 2 + 1e-12),
+        f=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        E=ExceptionalSet([0.0]), span=Interval(-1.0, 2.0),
+    )
+
+
+ANCHOR_MODELS = {**{name: catalog(name) for name in CATALOG_NAMES},
+                 "own_cell": own_cell_model(), "exp": exp_model(), "lorentz": lorentz_model()}
+
+
+def reference_row(model, sched, n):
+    """Depth n's anchor increments from an F call of their own."""
+    return _cell_increments(model, anchor_cells(model.span, model.E, sched.at(n).r))
+
+
+def reference_term(model, sched, n, i):
+    """Point i's entry of depth n's own row, or, where that row has a
+    non-finite F value, the increment of point i's cell alone."""
+    cells = anchor_cells(model.span, model.E, sched.at(n).r)
+    try:
+        return _cell_increments(model, cells)[i]
+    except EvaluationError:
+        return _cell_increments(model, cells[i:i + 1])[0]
+
+
+def outcome(read):
+    """``read()`` as the repr of its value, which tells every bit of a float,
+    or as the class and message of the stop it raised."""
+    try:
+        return repr(read())
+    except tuple(_ANCHOR_STOPS) as exc:
+        return type(exc), str(exc)
+
+
+def anchor_floor_depth(model, sched):
+    """The first depth whose anchor cells all lie under the 8-ulp floor."""
+    a, b = model.span.lo, model.span.hi
+    for n in itertools.count():
+        r = sched.at(n).r
+        if all((e if e == b else e + r) - (e if e == a else e - r)
+               < 8 * sys.float_info.epsilon * max(1.0, abs(e)) for e in model.E):
+            return n
+
+
+def raising_within(model, e, r):
+    """``model`` whose F raises ``RuntimeError`` on a call that holds a point
+    within r of e."""
+    def F(x, F=model.F):
+        if np.any(np.abs(np.asarray(x, dtype=float) - e) <= r):
+            raise RuntimeError(f"F fails within {r!r} of {e!r}")
+        return F(x)
+
+    return dataclasses.replace(model, F=F)
+
+
+class TestAnchorTable:
+    """One F call over every depth gives, bit for bit, the rows, basic sums and
+    stops of the rows evaluated one depth at a time."""
+
+    @pytest.mark.parametrize("max_depth", [0, 3, 20, 60])
+    @pytest.mark.parametrize("name", sorted(ANCHOR_MODELS))
+    def test_rows_match_the_per_depth_rows(self, name, max_depth):
+        model = ANCHOR_MODELS[name]
+        sched = RefinementSchedule.for_model(model)
+        table = AnchorTable(model, sched, max_depth)
+        breach = next((n for n in range(max_depth + 1)
+                       if isinstance(outcome(lambda: anchor_cells(model.span, model.E,
+                                                                  sched.at(n).r)), tuple)),
+                      max_depth + 1)
+        assert table.depths == breach
+        for n in range(max_depth + 1):
+            assert outcome(lambda: table.basic(n)) == outcome(
+                lambda: _kahan_sum(reference_row(model, sched, n)))
+            for i in range(len(model.E)):
+                assert outcome(lambda: table.term(n, i)) == outcome(
+                    lambda: reference_term(model, sched, n, i))
+
+    @pytest.mark.parametrize("max_depth", [0, 3, 20, 60])
+    @pytest.mark.parametrize("name", sorted(ANCHOR_MODELS))
+    def test_ladders_match_the_per_depth_ladders(self, name, max_depth):
+        model = ANCHOR_MODELS[name]
+        sched = RefinementSchedule.for_model(model)
+
+        def ladder(value):
+            return run_ladder(lambda n: (n, value(n)), max_depth, TOL, DIV_THRESHOLD,
+                              _ANCHOR_STOPS)
+
+        basic = ladder(lambda n: _kahan_sum(reference_row(model, sched, n)))
+        residuals = {e: ladder(lambda n, i=i: reference_term(model, sched, n, i))[1]
+                     for i, e in enumerate(model.E)}
+        assert repr(basic_sum_sequence(model, sched, max_depth=max_depth)) == repr(basic)
+        bs_rows, bs_verdict, table = residue_table(model, sched, max_depth, TOL, DIV_THRESHOLD)
+        assert repr(tuple((row.depth, row.value) for row in bs_rows)) == repr(basic[0])
+        assert repr(bs_verdict) == repr(basic[1])
+        assert repr(table) == repr(residuals)
+        assert repr({e: residual_estimate(model, e, sched, max_depth=max_depth)
+                     for e in model.E}) == repr(residuals)
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_huge_max_depth_stops_at_the_anchor_floor(self, name):
+        model, calls = counting(catalog(name))
+        sched = RefinementSchedule.for_model(model)
+        _, bs_verdict, _ = residue_table(model, sched, 10**8, TOL, DIV_THRESHOLD)
+        assert sum(calls) <= 2 * len(model.E) * (anchor_floor_depth(model, sched) + 1)
+        assert bs_verdict == basic_sum_sequence(catalog(name), sched, max_depth=60)[1]
+
+
+class TestAnchorStops:
+    def test_basic_sum_stops_where_the_residual_stops(self):
+        # F overflows at depth 1's cell ends; the basic-sum ladder used to
+        # raise the EvaluationError that ends the residual ladder
+        model = exp_model()
+        sched = RefinementSchedule.for_model(model)
+        note = ("F evaluation failed at depth 1: "
+                "F is non-finite off the exceptional set (near x=0.475)")
+        trace, verdict = basic_sum_sequence(model, sched)
+        assert verdict == Inconclusive(trace=trace, note=note)
+        assert len(trace) == 1
+        _, bs_verdict, residuals = residue_table(model, sched, 20, TOL, DIV_THRESHOLD)
+        assert bs_verdict == verdict
+        assert residuals == {0.5: verdict} == {0.5: residual_estimate(model, 0.5, sched)}
+        assert decompose(model).basic_sum_verdict == verdict
+
+    def test_F_raising_below_the_verdicts_changes_none(self):
+        # every heaviside ladder converges at depth 3; F raises from depth 10
+        # on, so the one call over 21 depths raises and each depth is read alone
+        model = catalog("heaviside")
+        sched = RefinementSchedule.for_model(model)
+        failing = raising_within(model, 0.0, sched.at(10).r)
+        assert basic_sum_sequence(failing, sched) == basic_sum_sequence(model, sched)
+        assert (residue_table(failing, sched, 20, TOL, DIV_THRESHOLD)
+                == residue_table(model, sched, 20, TOL, DIV_THRESHOLD))
+        assert residual_estimate(failing, 0.0, sched) == residual_estimate(model, 0.0, sched)
+        assert residue_check(failing) == residue_check(model)
+        assert decompose(failing).to_json() == decompose(model).to_json()
+
+    def test_F_raising_where_a_ladder_reads_raises_there(self):
+        # F raises from depth 2 on: the ladder reads depth 2 before its verdict
+        # at depth 3, and a ladder that stops at depth 1 never sees the error
+        model = catalog("heaviside")
+        sched = RefinementSchedule.for_model(model)
+        failing = raising_within(model, 0.0, sched.at(2).r)
+        with pytest.raises(RuntimeError, match="F fails within"):
+            basic_sum_sequence(failing, sched)
+        assert (basic_sum_sequence(failing, sched, max_depth=1)
+                == basic_sum_sequence(model, sched, max_depth=1))
 
 
 class TestKahan:
