@@ -110,7 +110,8 @@ class RefinementSchedule:
     of F, within eps times the span length, whatever the cell widths; it is
     the shrinking cap that makes the midpoint tags sample f densely enough
     to test f against F, so a model whose f is wrong on a region a few
-    finest caps wide fails a capped depth.  The per-cell bound eps_n * h_n
+    finest caps wide fails a capped depth; the plain integral's f check
+    builds at that finest cap.  The per-cell bound eps_n * h_n
     shrinks 8x per depth: on a unit span with |F| ~ 1 it is about 650 ulp of
     F at depth 12 and meets the 8-ulp evaluation floor near depth 14, so the
     cap is lifted at depth 13 and the deeper depths converge on a few wide

@@ -12,7 +12,8 @@ parse       syntax-check a mini-language expression
 Exit codes: 0 success (divergence is a correct verdict, not a failure);
 1 verdict-level failure (an unverified tolerance row, or an identity gap
 above the combined tolerance); 2 usage or parse error; 3 build failure that
-prevents any result.
+prevents any result, such as a failed build of the plain integral's
+certificate, which leaves it no row.
 
 Jobs may come from a JSON file (``--job``); flags override file fields.
 The ``F`` field is either mini-language text or a catalog name.
@@ -419,7 +420,7 @@ def cmd_integrate(job: Job) -> int:
     )
     _write_convergence(job, [("kh", report.kh_rows), ("basic_sum", report.bs_rows)])
     sys.stdout.write(emit(report, job.output, model=model))
-    if not report.kh_rows:  # the depth-0 build failed, and the kh note says how
+    if not report.kh_rows:  # a certificate build failed, and the kh note says how
         print(f"error: {report.kh_verdict.note}", file=sys.stderr)
         return EXIT_BUILD
     failed = [row.epsilon for row in report.verification.rows if not row.ok]

@@ -5,27 +5,25 @@
   the *verification*: a straddle-verified partition (fixed anchor radius,
   tolerance-driven widths) whose Riemann sum must track the off-anchor
   increment sum within eps times the span length.
-* ``plain_kh`` -- estimates the ordinary gauge integral of the extended
-  derivative from Riemann sums over straddle-verified partitions whose
-  mesh, anchor radius and tolerance shrink with depth.  The capped depths
-  test f against F on a fine mesh; from ``builders.MESH_DEPTHS`` on
-  the cap is lifted, since there the straddle check alone bounds each sum's
-  distance from the off-anchor increments of F by the tolerance times the
-  span length, and a fine mesh would only run into the rounding floor.
-  That bound also places every depth's sum, before it is built, within
-  eps_n times the span length of total - B_n, B_n being the basic sum read
-  from the anchor table, one F call per table.  When those bands show that
-  no depth up to the last can reach a verdict, the ladder builds only
-  depth 0 and one f check, a build at tolerance ``tol`` per span length on
-  the finest mesh cap, and ends with ``no verdict reachable by depth N`` or
-  with the f check's failure.
+* ``plain_kh`` -- the ordinary gauge integral of the extended derivative
+  through the paper's identity: the total is F(b) - F(a), so by Hake's
+  theorem the plain integral is the total minus the limit of the basic sum
+  B_n.  The ladder classifies kh_n = total - B_n, B_n read from the anchor
+  table, one F call per table.  Two straddle builds certify it: depth 0's,
+  and the f check, a build at the first anchor radius, tolerance ``tol``
+  per span length and the finest mesh cap of the schedule, which tests f
+  against F off the anchors.  Each cell of a straddle build keeps its
+  Riemann part within eps times its width of its increment of F, so a
+  build at radius r has its Riemann sum within eps times the span length
+  of total - B(r).  A certificate build that fails ends kh inconclusive
+  with that build's note and no row.
 * ``decompose`` -- assembles the total value, the plain-integral verdict, the
-  basic-sum verdict and the residual table, and checks the additivity
-  identity total = plain + basic-sum when both limits converge.  Within
-  one call every build and the anchor table are made once: at the default
-  schedule and anchor radius the ladder's depth 0 is ``total_kh``'s eps
-  1e-2 row, and the ladder reads the anchor table that the basic sum and
-  the residuals read.
+  basic-sum verdict and the residual table, and reports the identity gap,
+  the f check's distance |Riemann - (total - B_0)|, when both limits
+  converge.  Within one call every build and the anchor table are made
+  once: at the default schedule and anchor radius kh's depth-0 build is
+  ``total_kh``'s eps 1e-2 row, and kh reads the anchor table that the basic
+  sum and the residuals read.
 * ``residue_check`` -- the degenerate case: when the derivative vanishes off
   the exceptional set, the endpoint difference of the extended function must
   equal the sum of the residuals.
@@ -41,7 +39,6 @@ failed row's from the raised ``BuildError``, a ladder's from its verdict's note.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Tuple
 
@@ -59,8 +56,6 @@ from .sums import (
     _residuals,
 )
 from .verdicts import (
-    CONVERGE_RUN,
-    DIVERGE_RUN,
     DIV_THRESHOLD,
     MAX_DEPTH,
     TOL,
@@ -250,76 +245,38 @@ def _rows(schedule: RefinementSchedule, trace: Trace) -> Tuple[SequenceRow, ...]
     return tuple(SequenceRow(n, *schedule.at(n), v) for n, v in trace)
 
 
-# Rounding allowance of the identity bound, relative to |total| + |B_n|.
-_ROUNDING = 2.0**-26
+def _f_check(schedule, length, tol):
+    """The ``(r, eps, h)`` of the f check: the first anchor radius, the
+    tolerance ``tol`` per span length and the finest mesh cap."""
+    return schedule.r0, tol / length, schedule.at(MESH_DEPTHS - 1).h
 
 
-def _verdict_reachable(schedule, length, max_depth, tol, div_threshold, total, table) -> bool:
-    """Whether some depth up to ``max_depth`` could make the classifier fire,
-    judged from the basic sums of the anchor table alone, read in depth
-    order up to the first such depth.
-
-    Every cell of a straddle build keeps its Riemann part within eps_n times
-    its width of its increment of F, so depth n's Riemann sum lies within
-    eps_n * length of the off-anchor increments, total - B_n, B_n being the
-    basic sum.  Depth n's band is that centre with twice that bound plus a
-    rounding allowance as radius.  Converged can fire at depth m >= 3 only
-    if each of its last three deltas can be at most ``tol``: consecutive
-    bands come within ``tol`` of each other.  Diverged can fire at m >= 4
-    only if the band reaches past ``div_threshold``.  A depth that stops the
-    basic-sum ladder, or whose band is not finite, counts as one that could
-    fire.
-    """
-    bands = []
-    for n in range(max_depth + 1):
+def _certificate_failure(schedule, length, tol, builds) -> str | None:
+    """The note of the first certificate build that fails, depth 0's step
+    and then the f check, or None when both build."""
+    step = schedule.at(0)
+    r, eps, h = _f_check(schedule, length, tol)
+    for args, name in (((step.r, step.eps, step.h), "at depth 0"),
+                       ((r, eps, h), f"in the f check (eps {eps:.3g}, mesh cap {h:.3g})")):
         try:
-            b = table.basic(n)
-        except tuple(_ANCHOR_STOPS):
-            return True
-        band = (total - b,
-                2 * schedule.at(n).eps * length + _ROUNDING * (abs(total) + abs(b)))
-        if not all(map(math.isfinite, band)):
-            return True
-        bands.append(band)
-        if n >= DIVERGE_RUN - 1 and abs(band[0]) + band[1] > div_threshold:
-            return True
-        if n >= CONVERGE_RUN and all(
-            abs(c1 - c0) <= tol + r0 + r1
-            for (c0, r0), (c1, r1) in zip(bands[-CONVERGE_RUN - 1:], bands[-CONVERGE_RUN:])
-        ):
-            return True
-    return False
+            builds(*args)
+        except BuildError as exc:
+            return f"build failed {name}: {exc}"
+    return None
 
 
 def _plain_ladder(model, schedule, max_depth, tol, div_threshold, total, table, builds):
-    """Depth-indexed Riemann sums over shrinking straddle builds, classified
-    incrementally so the ladder stops at the first verdict.
+    """kh_n = total - B_n, B_n being depth n's basic sum from ``table``,
+    classified up to the first verdict once the certificate has built.
 
-    When :func:`_verdict_reachable` proves that no depth up to ``max_depth``
-    can reach a verdict, only depth 0 is built, for its
-    trace row, and one f check: a build at the schedule's first radius, the
-    tolerance ``tol`` per span length and the finest mesh cap, which tests f
-    against F as finely as the capped depths together would.
+    A failed certificate build ends the ladder before any depth, with that
+    build's note: no value is shown that the builds did not certify.
     """
-    def riemann(n):
-        step = schedule.at(n)
-        return n, builds(step.r, step.eps, step.h).riemann
-
-    stops = {BuildError: "build failed at depth {depth}: {exc}"}
-    length = model.span.length
-    if _verdict_reachable(schedule, length, max_depth, tol, div_threshold, total, table):
-        return run_ladder(riemann, max_depth, tol, div_threshold, stops)
-    trace, verdict = run_ladder(riemann, 0, tol, div_threshold, stops)
-    if not trace:  # the depth-0 build failed, and its note says how
-        return trace, verdict
-    eps, h = tol / length, schedule.at(MESH_DEPTHS - 1).h
-    try:
-        builds(schedule.r0, eps, h)
-    except BuildError as exc:
-        note = f"build failed in the f check (eps {eps:.3g}, mesh cap {h:.3g}): {exc}"
-    else:
-        note = f"no verdict reachable by depth {max_depth}"
-    return trace, Inconclusive(trace=trace, note=note)
+    note = _certificate_failure(schedule, model.span.length, tol, builds)
+    if note is not None:
+        return (), Inconclusive(trace=(), note=note)
+    return run_ladder(lambda n: (n, total - table.basic(n)), max_depth, tol, div_threshold,
+                      _ANCHOR_STOPS)
 
 
 def plain_kh(
@@ -332,17 +289,16 @@ def plain_kh(
 ) -> ConvergenceVerdict:
     """Ordinary gauge-integral estimate of the extended derivative.
 
-    Converged means the Riemann sums settled to the integral's value;
-    divergence and budget-limited inconclusiveness are honest outcomes (a
-    build failure surfaces in the verdict's note, never as an exception).
-    Depth n's sum lies within eps_n times the span length of total - B_n,
-    B_n being the basic sum; when those bands rule out a verdict at every
-    depth, the ladder builds depth 0 and one f check at the finest mesh cap
-    and ends with the note ``no verdict reachable by depth N``, or with
-    ``build failed ...`` when the f check fails.  Otherwise f is tested
-    against F on the schedule's capped depths, so a mismatch on a region
-    narrower than about twice the finest cap (the span length / 4096 by
-    default) can go unseen.
+    The ladder classifies kh_n = total - B_n, the total F(b) - F(a) less
+    depth n's basic sum; converged means kh_n settled to the integral's
+    value, and divergence is an honest outcome.  It runs once its
+    certificate builds: depth 0's straddle build and the f check, a build
+    at the schedule's first radius, tolerance ``tol`` per span length and
+    the finest mesh cap.  A certificate build that fails ends the verdict
+    inconclusive with no trace and the note ``build failed at depth 0: ...``
+    or ``build failed in the f check (...): ...``, never an exception.  The
+    f check tests f against F on a mesh of the finest cap (the span length
+    / 4096 by default), so a mismatch on a narrower region can go unseen.
     """
     schedule = schedule or RefinementSchedule.for_model(model)
     builds = _build_once(model, limits or BuildLimits())
@@ -431,11 +387,14 @@ def decompose(
     """Full decomposition: total value, plain-integral verdict, basic-sum
     verdict, residual table, and the additivity identity check.
 
-    The identity gap |total - (plain + basic sum)| is reported whenever both
-    limits converge and is compared against the combined classifier tolerance
-    (one tolerance per limit).  The residual-sum cross-check against the
-    basic sum runs when every residual converges.  A build that dies ends
-    the plain-integral ladder, and only the kh verdict's note records it.
+    kh is total - B_n by construction, so the identity is checked where a
+    build measures it: the identity gap is the f check's
+    |Riemann - (total - B_0)|, within ``tol`` of 0 by the straddle bound.
+    It is reported whenever both limits converge and is compared against
+    the combined classifier tolerance (one tolerance per limit).  The
+    residual-sum cross-check against the basic sum runs when every residual
+    converges.  A certificate build that dies ends the plain-integral
+    ladder, and only the kh verdict's note records it.
     """
     schedule = schedule or RefinementSchedule.for_model(model)
     builds = _build_once(model, limits or BuildLimits())
@@ -453,7 +412,8 @@ def decompose(
 
     identity_gap = None
     if isinstance(kh_verdict, Converged) and isinstance(bs_verdict, Converged):
-        identity_gap = abs(total - (kh_verdict.value + bs_verdict.value))
+        f_check = builds(*_f_check(schedule, model.span.length, tol))
+        identity_gap = abs(f_check.riemann - (total - table.basic(0)))
 
     residue_sum_gap = None
     residual_sum = _residual_sum(residuals)

@@ -75,6 +75,11 @@ class TestProcess:
         assert counts[0] > 0 and counts[1:] == [0, 0]
 
 
+# x^2 with an undeclared jump of 1e-3 at 0.3
+UNDECLARED_JUMP = ("--function", "piecewise{ x < 0.3 : x^2 ; x >= 0.3 : x^2 + 0.001 }",
+                   "--derivative", "2*x", "--exceptional", "0.5", "--span", "0,1")
+
+
 class TestExitCodes:
     def test_success_is_zero(self):
         out = run_process("integrate", "--catalog", "heaviside")
@@ -176,7 +181,8 @@ class TestExitCodes:
         out = run_process("integrate", "--function", "x^2", "--derivative", "3*x",
                           "--span", "0,1")
         assert out.returncode == 3
-        # the depth-0 build failed, and stderr repeats the kh verdict's note
+        # the depth-0 build of kh's certificate failed, and stderr repeats
+        # the kh verdict's note
         line = out.stderr.splitlines()[-1]
         assert line.startswith("error: build failed at depth 0: ")
         # f is off by t at every tag t: the width search ends on a mismatch,
@@ -199,12 +205,28 @@ class TestExitCodes:
         assert out.returncode == 3
         assert "evaluation error" in out.stderr
 
+    @pytest.mark.parametrize("argv, note", [
+        (("--function", "x^2", "--derivative", "3*x", "--span", "0,1"),
+         "build failed at depth 0: "),
+        (UNDECLARED_JUMP, "build failed in the f check "),
+        (("--function", "x^2", "--derivative", "2*x + 1e-6", "--exceptional", "0.5",
+          "--span", "0,1"), "build failed in the f check "),
+    ], ids=["wrong-derivative", "undeclared-jump", "slope-off-1e-6"])
+    def test_uncertified_kh_is_three(self, argv, note):
+        # kh has no certified row: exit 3, with its note on stderr, ahead of
+        # the failed tolerance rows the undeclared jump also has; every
+        # tolerance row of the slope that is off by 1e-6 verifies
+        out = run_cli("integrate", *argv)
+        assert out.returncode == 3
+        report = decompose(cli.job_from_args(
+            cli.build_arg_parser().parse_args(("integrate",) + argv)).resolve_model())
+        assert report.kh_rows == () and report.kh_verdict.note.startswith(note)
+        assert out.stderr.splitlines()[-1] == f"error: {report.kh_verdict.note}"
+
     @pytest.mark.parametrize("argv,failed", [
-        (("--function", "piecewise{ x < 0.3 : x^2 ; x >= 0.3 : x^2 + 0.001 }",
-          "--derivative", "2*x", "--exceptional", "0.5", "--span", "0,1"), "0.001, 0.0001"),
         (("--function", "x^2", "--derivative", "2*x", "--span", "0,1",
           "--exceptional", "0.5", "--anchor", "0.6"), "0.01, 0.001, 0.0001"),
-    ], ids=["undeclared-jump", "anchor-leaves-span"])
+    ], ids=["anchor-leaves-span"])
     def test_integrate_unverified_row_is_one(self, argv, failed):
         out = run_cli("integrate", *argv)
         assert out.returncode == 1
@@ -270,14 +292,12 @@ class TestIntegrateOutput:
     def test_failed_kh_note_shown_once(self):
         # the note of a failed kh ladder is printed on the kh line and
         # nowhere else in the table; x^2 with an undeclared jump of 1e-3 at
-        # 0.3 fails its depth-2 build
-        argv = ("--function", "piecewise{ x < 0.3 : x^2 ; x >= 0.3 : x^2 + 0.001 }",
-                "--derivative", "2*x", "--exceptional", "0.5", "--span", "0,1")
-        job = cli.job_from_args(cli.build_arg_parser().parse_args(("integrate",) + argv))
+        # 0.3 fails kh's f check
+        job = cli.job_from_args(cli.build_arg_parser().parse_args(("integrate",) + UNDECLARED_JUMP))
         note = decompose(job.resolve_model()).kh_verdict.note
-        assert note.startswith("build failed at depth 2: ")
-        out = run_cli("integrate", *argv)
-        assert out.returncode == 1  # two tolerance rows failed to build
+        assert note.startswith("build failed in the f check ")
+        out = run_cli("integrate", *UNDECLARED_JUMP)
+        assert out.returncode == 3  # kh has no certified row
         assert out.stdout.count(note) == 1
         kh_line, = (line for line in out.stdout.splitlines() if line.startswith("kh "))
         assert kh_line.endswith(f"({note})")

@@ -11,12 +11,14 @@ from gaugeint import (
     Diverged,
     EvaluationError,
     ExceptionalSet,
+    FloorReached,
     Inconclusive,
     Interval,
     NotLocallyConstant,
     KahanAccumulator,
     RefinementSchedule,
     SingularFunctionModel,
+    StraddleFailure,
     basic_sum_sequence,
     catalog,
     catalog_entry,
@@ -29,10 +31,11 @@ from gaugeint import (
     total_kh,
 )
 from gaugeint.builders import straddle_chunks
-from gaugeint.integrate import _ROUNDING, _straddle_sums
+from gaugeint.integrate import _straddle_sums
 from gaugeint.sums import AnchorTable
 from gaugeint.verdicts import DIV_THRESHOLD, MAX_DEPTH, TOL, SequenceClassifier
 from gaugeint.cli import ResidualsSummary
+from test_builders import JUMP_LINEAR_VARIANTS, PROBE_MODELS, call_budgeted
 
 ENVELOPE = {"total", "verification", "kh", "basic_sum", "residuals", "identity_gap"}
 
@@ -138,12 +141,13 @@ class TestPlainKH:
         assert abs(verdict.value - 1.0) <= 1e-3
 
     def test_budget_death_is_inconclusive_with_note(self):
-        # parabola's ladder can reach a verdict, so it builds depth by depth
-        # until depth 6's 65 pairs pass the 50-pair cap
+        # depth 0, uncapped, builds within 50 pairs; the f check's mesh cap
+        # of 1/4096 of the span needs more, so no row is certified
         model = catalog("parabola")
         verdict = plain_kh(model, limits=BuildLimits(max_pairs=50))
         assert isinstance(verdict, Inconclusive)
-        assert verdict.note.startswith("build failed at depth 6: ")
+        assert verdict.trace == ()
+        assert verdict.note.startswith("build failed in the f check (eps 1e-06, mesh cap 0.000244): ")
         assert verdict.note.endswith("(cap 50)")
 
 
@@ -169,44 +173,37 @@ def punctured_model(F, f):
     return SingularFunctionModel(F=F, f=f, E=ExceptionalSet([0.5]), span=Interval(0.0, 1.0))
 
 
-def f_bump(lo, hi, height):
-    """The derivative of x^2, wrong by ``height`` on [lo, hi] only."""
-    return lambda x: 2 * np.asarray(x) + height * ((np.asarray(x) >= lo) & (np.asarray(x) <= hi))
+# the probes whose declared data is wrong somewhere off E
+HONESTY_PROBES = ["undeclared-jump-1e-3", "undeclared-jump-1e-7", "slope-off-1e-6",
+                  "f-bump-wide", "f-bump-narrow", "f-bump-1e-4"]
 
 
 class TestHonesty:
     """A plain-integral verdict is never manufactured: a model whose declared
     data is wrong somewhere off E ends with the build failure named."""
 
-    @pytest.mark.parametrize("F, f", [
-        (lambda x: np.asarray(x) ** 2 + 1e-3 * (np.asarray(x) >= 0.3), lambda x: 2 * np.asarray(x)),
-        (lambda x: np.asarray(x) ** 2 + 1e-7 * (np.asarray(x) >= 0.3), lambda x: 2 * np.asarray(x)),
-        (lambda x: np.asarray(x) ** 2, lambda x: 2 * np.asarray(x) + 1e-6),
-        # f alone is wrong, on regions no gap midpoint of an uncapped build
-        # reaches: only the capped depths see them
-        (lambda x: np.asarray(x) ** 2, f_bump(0.05, 0.15, 1.0)),
-        (lambda x: np.asarray(x) ** 2, f_bump(0.6, 0.62, 1.0)),
-        (lambda x: np.asarray(x) ** 2, f_bump(0.05, 0.15, 1e-4)),
-    ], ids=["undeclared-jump-1e-3", "undeclared-jump-1e-7", "slope-off-1e-6",
-            "f-bump-wide", "f-bump-narrow", "f-bump-1e-4"])
-    def test_stays_inconclusive(self, F, f):
-        verdict = plain_kh(punctured_model(F, f))
+    # f alone is wrong in the f-bump probes, on regions no gap midpoint of
+    # an uncapped build reaches: only a build on a fine mesh sees them
+    @pytest.mark.parametrize("name", HONESTY_PROBES)
+    def test_stays_inconclusive(self, name):
+        # depth 0 builds on all six; the f check fails, so no row is shown
+        verdict = plain_kh(punctured_model(*PROBE_MODELS[name]))
         assert isinstance(verdict, Inconclusive)
-        assert verdict.note.startswith("build failed at depth ")
+        assert verdict.trace == ()
+        assert verdict.note.startswith("build failed in the f check ")
 
-    def test_fast_oscillation_stops_at_the_floor(self):
-        # correct data, but sin(50x) needs cells too narrow for the tolerance
-        # before the ladder can settle.  Its basic sum moves by more than tol
-        # per depth up to depth 21, so by depth 20 no verdict is reachable and
-        # only depth 0 and the f check are built; by depth 25 one is, and the
-        # ladder runs until a build meets the floor
+    def test_fast_oscillation_settles_past_depth_20(self):
+        # correct data: the basic sum of sin(50x) moves by more than tol per
+        # depth up to depth 21, so kh = total - B_n has no verdict by depth
+        # 20, and settles at depth 25 within B_25 (about 1.5e-7) of the total
         model = punctured_model(lambda x: np.sin(50 * np.asarray(x)),
                                 lambda x: 50 * np.cos(50 * np.asarray(x)))
-        assert plain_kh(model).note == "no verdict reachable by depth 20"
+        verdict = plain_kh(model)
+        assert verdict.note == "no verdict by max depth 20"
+        assert len(verdict.trace) == 21
         verdict = plain_kh(model, max_depth=25)
-        assert isinstance(verdict, Inconclusive)
-        assert verdict.note.startswith("build failed at depth ")
-        assert verdict.note.endswith("rejected errors are at the floating-point evaluation floor")
+        assert isinstance(verdict, Converged) and verdict.depth == 25
+        assert abs(verdict.value - increment(model, model.span)) <= 1e-6
 
     @pytest.mark.parametrize("c", [0.1, 0.15, 0.3, 0.6])
     def test_kink_converges_to_true_integral(self, c):
@@ -217,26 +214,21 @@ class TestHonesty:
         assert abs(verdict.value - (1 - 2 * c)) <= 1e-6
 
     def test_max_depth_stop_is_named(self):
-        # correct data whose ladder could settle from depth 3 on (E is empty,
-        # so every identity band has the same centre) but still moves by more
-        # than tol at depth 5: the note says the depths ran out, and no build
-        # failed
-        model = SingularFunctionModel(F=lambda x: np.asarray(x) ** 3,
-                                      f=lambda x: 3 * np.asarray(x) ** 2,
-                                      E=ExceptionalSet(), span=Interval(0.0, 1.0))
-        verdict = plain_kh(model, max_depth=5)
-        assert isinstance(verdict, Inconclusive)
-        assert verdict.note == "no verdict by max depth 5"
-        assert len(verdict.trace) == 6
-
-    def test_unreachable_verdict_is_named(self):
         # 100 x^2 punctured at 0.5: the basic sum 5 * 2^-n moves by more than
-        # tol per depth through depth 21, so no depth up to 20 can settle
+        # tol per depth through depth 21, so no depth up to 20 settles; the
+        # note says the depths ran out, and no build failed
         model = punctured_model(lambda x: 100 * np.asarray(x) ** 2, lambda x: 200 * np.asarray(x))
         verdict = plain_kh(model)
         assert isinstance(verdict, Inconclusive)
-        assert verdict.note == "no verdict reachable by depth 20"
-        assert [depth for depth, _ in verdict.trace] == [0]
+        assert verdict.note == "no verdict by max depth 20"
+        assert [depth for depth, _ in verdict.trace] == list(range(21))
+
+    def test_empty_exceptional_set_settles_at_depth_3(self):
+        # with E empty every B_n is 0, so kh_n is the total at every depth
+        model = SingularFunctionModel(F=lambda x: np.asarray(x) ** 3,
+                                      f=lambda x: 3 * np.asarray(x) ** 2,
+                                      E=ExceptionalSet(), span=Interval(0.0, 1.0))
+        assert plain_kh(model, max_depth=5) == Converged(value=1.0, error_estimate=0.0, depth=3)
 
 
 def kh_note(report):
@@ -249,11 +241,10 @@ class TestBuildDiagnostic:
     at the depth the ladder stopped."""
 
     def test_equals_kh_note_when_a_build_fails(self):
-        # parabola's ladder can reach a verdict, so its builds run until one
-        # passes the pair cap
+        # the f check passes the pair cap, so kh shows no row
         report = decompose(catalog("parabola"), limits=BuildLimits(max_pairs=50))
-        assert len(report.kh_rows) == 6
-        assert kh_note(report).startswith(f"build failed at depth {len(report.kh_rows)}: ")
+        assert report.kh_rows == ()
+        assert kh_note(report).startswith("build failed in the f check ")
 
     @pytest.mark.parametrize("name, max_depth, kind", [
         ("heaviside", 20, "converged"), ("parabola", 2, "inconclusive"),
@@ -263,14 +254,15 @@ class TestBuildDiagnostic:
         assert report.kh_verdict.kind == kind
         assert "build failed" not in kh_note(report)
         if kind == "inconclusive":
-            # no verdict can fire before depth 3, so none is reachable by 2
-            assert kh_note(report) == f"no verdict reachable by depth {max_depth}"
+            # no verdict can fire before depth 3
+            assert kh_note(report) == f"no verdict by max depth {max_depth}"
 
 
 def unpruned_ladder(model):
-    """The default plain-integral ladder built depth by depth, without the
-    reachability prune: ``(rows, verdict)``, rows ``(n, Riemann sum)`` up to
-    the first verdict or build failure, verdict None where none fired."""
+    """The default Riemann-sum ladder, one straddle build per depth:
+    ``(rows, verdict, stop)``, rows ``(n, Riemann sum)`` up to the first
+    verdict or build failure, verdict None where none fired and stop the
+    ``BuildError`` that ended the ladder, or None."""
     sched = RefinementSchedule.for_model(model)
     clf = SequenceClassifier(tol=TOL, div_threshold=DIV_THRESHOLD)
     rows = []
@@ -278,54 +270,78 @@ def unpruned_ladder(model):
         step = sched.at(n)
         try:
             value = _straddle_sums(model, step.r, step.eps, BuildLimits(), step.h).riemann
-        except BuildError:
-            break
+        except BuildError as exc:
+            return rows, None, exc
         rows.append((n, value))
         verdict = clf.push(n, value)
         if verdict is not None:
-            return rows, verdict
-    return rows, None
+            return rows, verdict, None
+    return rows, None, None
 
 
 CONVERGING = ["heaviside", "jump_linear", "parabola", "staircase3"]
 
+# Rounding allowance of the identity bound, relative to |total| + |B_n|.
+ROUNDING = 2.0**-26
 
-class TestReachabilityPrune:
-    """Depth n's Riemann sum lies within eps_n * L of total - B_n, so the
-    basic sum B_n shows before any build whether a verdict is reachable."""
+
+class TestIdentityLadder:
+    """kh_n = total - B_n under a certificate.  Depth n's Riemann sum lies
+    within eps_n * L of total - B_n, so kh decides what the Riemann-sum
+    ladder decided, without building its depths."""
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_identity_bound_holds_at_every_built_depth(self, name):
-        # the premise of the prune, on every depth the unpruned ladder builds
+        # the premise of kh_n, on every depth the Riemann-sum ladder builds
         # (measured at most 8.6% of eps_n * L, on sqrt_singular)
         model = catalog(name)
         sched = RefinementSchedule.for_model(model)
         total = increment(model, model.span)
         table = AnchorTable(model, sched, 20)
-        rows, _ = unpruned_ladder(model)
+        rows, _, _ = unpruned_ladder(model)
         assert rows
         for n, value in rows:
             b = table.basic(n)
-            bound = sched.at(n).eps * model.span.length + _ROUNDING * (abs(total) + abs(b))
+            bound = sched.at(n).eps * model.span.length + ROUNDING * (abs(total) + abs(b))
             assert abs(value - (total - b)) <= bound, (n, value)
 
     @pytest.mark.parametrize("name", CONVERGING)
-    def test_converging_ladders_unchanged(self, name):
+    def test_kh_decides_as_the_riemann_ladder(self, name):
+        # the same kind at the same depth, and a value within the identity
+        # band of the Riemann sum's
         model = catalog(name)
-        rows, verdict = unpruned_ladder(model)
+        _, verdict, _ = unpruned_ladder(model)
         assert isinstance(verdict, Converged)
-        report = decompose(model)
-        assert report.kh_verdict == verdict
-        assert [(row.depth, row.value) for row in report.kh_rows] == rows
+        kh = decompose(model).kh_verdict
+        assert (kh.kind, kh.depth) == (verdict.kind, verdict.depth)
+        band = (2 * RefinementSchedule.for_model(model).at(verdict.depth).eps * model.span.length
+                + ROUNDING * (abs(kh.value) + abs(verdict.value)))
+        assert abs(kh.value - verdict.value) <= band
+
+    def test_every_mismatch_the_riemann_ladder_meets_is_caught(self):
+        # over the probes (the honesty probes among them): where a Riemann-sum
+        # build fails on a mismatch rather than on the floating-point floor,
+        # the certificate fails too, and kh shows no row
+        mismatches = []
+        for name, (F, f) in PROBE_MODELS.items():
+            model = punctured_model(F, f)
+            _, _, stop = unpruned_ladder(model)
+            if isinstance(stop, StraddleFailure) and not isinstance(stop, FloorReached):
+                mismatches.append(name)
+                verdict = plain_kh(model)
+                assert isinstance(verdict, Inconclusive) and verdict.trace == (), name
+                assert verdict.note.startswith("build failed "), name
+        assert mismatches
 
     @pytest.mark.parametrize("name, most_F, most_f", [
-        ("heaviside", 19, 14), ("jump_linear", 70, 48), ("parabola", 67, 46),
-        ("staircase3", 33, 28),
+        ("heaviside", 12, 10), ("jump_linear", 12, 10), ("parabola", 12, 10),
+        ("staircase3", 20, 18),
     ])
     def test_converging_decompose_calls(self, name, most_F, most_f):
-        # the F and f calls of one decompose before the prune; with it depth 0
-        # reuses total_kh's eps 1e-2 build (measured 17 / 68 / 65 / 29 F and
-        # 12 / 46 / 44 / 24 f calls)
+        # the F and f calls of one decompose: the anchor table, the three
+        # total_kh rows (depth 0 is the eps 1e-2 one) and the f check, no
+        # call per depth (measured 10 / 10 / 10 / 18 F and 8 / 8 / 8 / 16 f
+        # calls; 14 / 48 / 46 / 26 F calls when each depth was built)
         model = catalog(name)
         calls = {"F": 0, "f": 0}
 
@@ -336,13 +352,13 @@ class TestReachabilityPrune:
             return call
 
         decompose(dataclasses.replace(model, F=counted("F", model.F), f=counted("f", model.f)))
-        assert calls["F"] < most_F and calls["f"] < most_f
+        assert calls["F"] <= most_F and calls["f"] <= most_f
 
     @pytest.mark.parametrize("name", ["osc_sin_inv", "reciprocal", "sqrt_singular"])
-    def test_unreachable_catalog_ladders(self, name):
+    def test_nonconverging_catalog_ladders(self, name):
         report = decompose(catalog(name))
-        assert report.kh_verdict.note == "no verdict reachable by depth 20"
-        assert [row.depth for row in report.kh_rows] == [0]
+        assert report.kh_verdict.note == "no verdict by max depth 20"
+        assert [row.depth for row in report.kh_rows] == list(range(21))
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_plain_kh_agrees_with_decompose(self, name):
@@ -353,14 +369,27 @@ class TestReachabilityPrune:
     ])
     def test_f_check_finds_a_narrow_bump(self, name, lo):
         # f wrong by 1e-3 on [lo, lo + 0.0015), where F is right: a build at
-        # eps 1e-2 or 1e-3 passes over it, and the unpruned ladder failed at
-        # depth 2-4; the f check at eps tol / L fails on it
+        # eps 1e-2 or 1e-3 passes over it, and the Riemann-sum ladder failed
+        # at depth 2-4; the f check at eps tol / L fails on it
         base = catalog(name)
         model = dataclasses.replace(base, f=lambda x: base.f(x) + 1e-3 * (
             (np.asarray(x) >= lo) & (np.asarray(x) < lo + 0.0015)))
         verdict = decompose(model).kh_verdict
         assert isinstance(verdict, Inconclusive)
         assert verdict.note.startswith("build failed in the f check ")
+
+    @pytest.mark.parametrize("name", JUMP_LINEAR_VARIANTS)
+    def test_floor_walk_does_not_stall_decompose(self, name):
+        # the builds of jump_linear's deep depths walk one cell per wave on
+        # these variants (TestFloorWalk); decompose no longer builds them
+        # (measured 10 F calls each; the length variant's ladder ran past
+        # 60 s when each depth was built).  The scaled variant's basic sum,
+        # 2^14 times jump_linear's, still moves by more than tol at depth 20
+        model, _ = JUMP_LINEAR_VARIANTS[name]
+        report = decompose(call_budgeted(model, 20))
+        if name != "scaled-2^14":
+            assert report.kh_verdict.kind == "converged"
+            assert abs(report.kh_verdict.value - 2.0) <= 1e-6
 
 
 class TestFailedRowPairs:
@@ -439,10 +468,10 @@ class TestDecompose:
 
     @pytest.mark.parametrize("name", ["parabola", "jump_linear"])
     def test_defaults_close_identity(self, name):
-        # past the capped depths each Riemann sum is the off-anchor increment
-        # sum of F to rounding, and the capped depths tested f against F
+        # f is linear, so the f check's midpoint sums are its off-anchor
+        # increments of F to rounding (measured 1.1e-16 and 0)
         report = decompose(catalog(name))
-        assert report.identity_gap == 0.0
+        assert report.identity_gap <= 8 * np.spacing(report.total)
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_defaults_stay_under_pair_cap(self, name):
