@@ -192,12 +192,17 @@ class TestHonesty:
         assert verdict.trace == ()
         assert verdict.note.startswith("build failed in the f check ")
 
-    def test_fast_oscillation_settles_past_depth_20(self):
-        # correct data: the basic sum of sin(50x) moves by more than tol per
-        # depth up to depth 21, so kh = total - B_n has no verdict by depth
-        # 20, and settles at depth 25 within B_25 (about 1.5e-7) of the total
+    def test_fast_oscillation_stops_at_the_floor(self):
+        # correct data, but sin(50x) needs cells too narrow for the tolerance
+        # before its Riemann sums settle: by depth 25 a per-depth build meets
+        # the floating-point floor.  kh = total - B_n builds no depth; its
+        # basic sum moves by more than tol per depth up to depth 21, so it has
+        # no verdict by depth 20 and settles at depth 25 within B_25 (about
+        # 1.5e-7) of the total
         model = punctured_model(lambda x: np.sin(50 * np.asarray(x)),
                                 lambda x: 50 * np.cos(50 * np.asarray(x)))
+        _, _, stop = unpruned_ladder(model, max_depth=25)
+        assert isinstance(stop, FloorReached)
         verdict = plain_kh(model)
         assert verdict.note == "no verdict by max depth 20"
         assert len(verdict.trace) == 21
@@ -214,21 +219,26 @@ class TestHonesty:
         assert abs(verdict.value - (1 - 2 * c)) <= 1e-6
 
     def test_max_depth_stop_is_named(self):
+        # correct data whose ladder settles at depth 3 (E is empty, so every
+        # B_n is 0 and kh_n is the total at every depth): stopped at depth 2
+        # the note says the depths ran out, and no build failed
+        model = SingularFunctionModel(F=lambda x: np.asarray(x) ** 3,
+                                      f=lambda x: 3 * np.asarray(x) ** 2,
+                                      E=ExceptionalSet(), span=Interval(0.0, 1.0))
+        verdict = plain_kh(model, max_depth=2)
+        assert isinstance(verdict, Inconclusive)
+        assert verdict.note == "no verdict by max depth 2"
+        assert len(verdict.trace) == 3
+        assert plain_kh(model, max_depth=5) == Converged(value=1.0, error_estimate=0.0, depth=3)
+
+    def test_unreachable_verdict_is_named(self):
         # 100 x^2 punctured at 0.5: the basic sum 5 * 2^-n moves by more than
-        # tol per depth through depth 21, so no depth up to 20 settles; the
-        # note says the depths ran out, and no build failed
+        # tol per depth through depth 21, so no depth up to 20 can settle
         model = punctured_model(lambda x: 100 * np.asarray(x) ** 2, lambda x: 200 * np.asarray(x))
         verdict = plain_kh(model)
         assert isinstance(verdict, Inconclusive)
         assert verdict.note == "no verdict by max depth 20"
         assert [depth for depth, _ in verdict.trace] == list(range(21))
-
-    def test_empty_exceptional_set_settles_at_depth_3(self):
-        # with E empty every B_n is 0, so kh_n is the total at every depth
-        model = SingularFunctionModel(F=lambda x: np.asarray(x) ** 3,
-                                      f=lambda x: 3 * np.asarray(x) ** 2,
-                                      E=ExceptionalSet(), span=Interval(0.0, 1.0))
-        assert plain_kh(model, max_depth=5) == Converged(value=1.0, error_estimate=0.0, depth=3)
 
 
 def kh_note(report):
@@ -258,15 +268,15 @@ class TestBuildDiagnostic:
             assert kh_note(report) == f"no verdict by max depth {max_depth}"
 
 
-def unpruned_ladder(model):
-    """The default Riemann-sum ladder, one straddle build per depth:
+def unpruned_ladder(model, max_depth=MAX_DEPTH):
+    """The Riemann-sum ladder, one straddle build per depth:
     ``(rows, verdict, stop)``, rows ``(n, Riemann sum)`` up to the first
     verdict or build failure, verdict None where none fired and stop the
     ``BuildError`` that ended the ladder, or None."""
     sched = RefinementSchedule.for_model(model)
     clf = SequenceClassifier(tol=TOL, div_threshold=DIV_THRESHOLD)
     rows = []
-    for n in range(MAX_DEPTH + 1):
+    for n in range(max_depth + 1):
         step = sched.at(n)
         try:
             value = _straddle_sums(model, step.r, step.eps, BuildLimits(), step.h).riemann
@@ -285,10 +295,10 @@ CONVERGING = ["heaviside", "jump_linear", "parabola", "staircase3"]
 ROUNDING = 2.0**-26
 
 
-class TestIdentityLadder:
+class TestReachabilityPrune:
     """kh_n = total - B_n under a certificate.  Depth n's Riemann sum lies
-    within eps_n * L of total - B_n, so kh decides what the Riemann-sum
-    ladder decided, without building its depths."""
+    within eps_n * L of total - B_n, so the basic sum shows which verdict
+    the Riemann-sum ladder reaches, and no depth of it is built."""
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_identity_bound_holds_at_every_built_depth(self, name):
@@ -306,7 +316,7 @@ class TestIdentityLadder:
             assert abs(value - (total - b)) <= bound, (n, value)
 
     @pytest.mark.parametrize("name", CONVERGING)
-    def test_kh_decides_as_the_riemann_ladder(self, name):
+    def test_converging_ladders_unchanged(self, name):
         # the same kind at the same depth, and a value within the identity
         # band of the Riemann sum's
         model = catalog(name)
@@ -355,7 +365,8 @@ class TestIdentityLadder:
         assert calls["F"] <= most_F and calls["f"] <= most_f
 
     @pytest.mark.parametrize("name", ["osc_sin_inv", "reciprocal", "sqrt_singular"])
-    def test_nonconverging_catalog_ladders(self, name):
+    def test_unreachable_catalog_ladders(self, name):
+        # the basic sum still moves by more than tol at depth 20
         report = decompose(catalog(name))
         assert report.kh_verdict.note == "no verdict by max depth 20"
         assert [row.depth for row in report.kh_rows] == list(range(21))
