@@ -264,14 +264,11 @@ def convergence_csv(sections) -> str:
     lines = []
     for name, rows in sections:
         lines.append(f"# series: {name}")
-        lines.append("depth,h,r,epsilon,value,delta")
+        lines.append("depth,r,value,delta")
         prev = None
         for row in rows:
             delta = "" if prev is None else format(abs(row.value - prev), ".17g")
-            lines.append(
-                f"{row.depth},{row.h:.17g},{row.r:.17g},{row.epsilon:.17g},"
-                f"{row.value:.17g},{delta}"
-            )
+            lines.append(f"{row.depth},{row.r:.17g},{row.value:.17g},{delta}")
             prev = row.value
     return "\n".join(lines) + "\n"
 

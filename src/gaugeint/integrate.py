@@ -10,20 +10,22 @@
   theorem the plain integral is the total minus the limit of the basic sum
   B_n.  The ladder classifies kh_n = total - B_n, B_n read from the anchor
   table, one F call per table.  Two straddle builds certify it: depth 0's,
-  and the f check, a build at the first anchor radius, tolerance ``tol``
-  per span length and the finest mesh cap of the schedule, which tests f
-  against F off the anchors.  Each cell of a straddle build keeps its
-  Riemann part within eps times its width of its increment of F, so a
-  build at radius r has its Riemann sum within eps times the span length
-  of total - B(r).  A certificate build that fails ends kh inconclusive
-  with that build's note and no row.
+  and one that tests f against F down to the radius of the last basic sum
+  the verdict read.  For a converged kh that is the f check, a build at the
+  verdict depth's anchor radius, tolerance ``tol`` per span length and the
+  finest mesh cap of the schedule; for a diverged kh, the schedule's build
+  at its last depth; for an inconclusive kh, the f check at depth 0.  Each
+  cell of a straddle build keeps its Riemann part within eps times its
+  width of its increment of F, so a build at radius r has its Riemann sum
+  within eps times the span length of total - B(r).  A certificate build
+  that fails ends kh inconclusive with that build's note and no row.
 * ``decompose`` -- assembles the total value, the plain-integral verdict, the
   basic-sum verdict and the residual table, and reports the identity gap,
-  the f check's distance |Riemann - (total - B_0)|, when both limits
-  converge.  Within one call every build and the anchor table are made
-  once: at the default schedule and anchor radius kh's depth-0 build is
-  ``total_kh``'s eps 1e-2 row, and kh reads the anchor table that the basic
-  sum and the residuals read.
+  the f check's distance |Riemann - (total - B_n)| at kh's depth n, when
+  both limits converge.  Within one call every build and the anchor table
+  are made once: at the default schedule and anchor radius kh's depth-0
+  build is ``total_kh``'s eps 1e-2 row, and kh reads the anchor table that
+  the basic sum and the residuals read.
 * ``residue_check`` -- the degenerate case: when the derivative vanishes off
   the exceptional set, the endpoint difference of the extended function must
   equal the sum of the residuals.
@@ -61,6 +63,7 @@ from .verdicts import (
     TOL,
     Converged,
     ConvergenceVerdict,
+    Diverged,
     Inconclusive,
     Trace,
     run_ladder,
@@ -234,49 +237,61 @@ def _total_kh(model, total, epsilons, r, builds) -> TotalReport:
 @dataclass(frozen=True)
 class SequenceRow:
     depth: int
-    h: float
-    r: float
-    epsilon: float
+    r: float      # the anchor radius whose basic sum the depth reads
     value: float
 
 
 def _rows(schedule: RefinementSchedule, trace: Trace) -> Tuple[SequenceRow, ...]:
-    """A ladder's trace as depth rows with the schedule step of each depth."""
-    return tuple(SequenceRow(n, *schedule.at(n), v) for n, v in trace)
+    """A ladder's trace as depth rows with the anchor radius of each depth."""
+    return tuple(SequenceRow(n, schedule.at(n).r, v) for n, v in trace)
 
 
-def _f_check(schedule, length, tol):
-    """The ``(r, eps, h)`` of the f check: the first anchor radius, the
-    tolerance ``tol`` per span length and the finest mesh cap."""
-    return schedule.r0, tol / length, schedule.at(MESH_DEPTHS - 1).h
+def _f_check(schedule, length, tol, depth):
+    """The ``(r, eps, h)`` of the f check at ``depth``: that depth's anchor
+    radius, the tolerance ``tol`` per span length and the finest mesh cap."""
+    return schedule.at(depth).r, tol / length, schedule.at(MESH_DEPTHS - 1).h
 
 
-def _certificate_failure(schedule, length, tol, builds) -> str | None:
-    """The note of the first certificate build that fails, depth 0's step
-    and then the f check, or None when both build."""
-    step = schedule.at(0)
-    r, eps, h = _f_check(schedule, length, tol)
-    for args, name in (((step.r, step.eps, step.h), "at depth 0"),
-                       ((r, eps, h), f"in the f check (eps {eps:.3g}, mesh cap {h:.3g})")):
-        try:
-            builds(*args)
-        except BuildError as exc:
-            return f"build failed {name}: {exc}"
-    return None
+def _schedule_build(schedule, depth):
+    """The schedule's own build at ``depth``, as a certificate build."""
+    step = schedule.at(depth)
+    return (step.r, step.eps, step.h), f"at depth {depth}"
+
+
+def _certificate(schedule, length, tol, trace, verdict):
+    """The builds that certify kh's verdict, each ``((r, eps, h), name)``:
+    depth 0's schedule build, then one that tests f against F down to the
+    radius of the last basic sum the verdict read.
+
+    A converged kh gets the f check at its depth, whose Riemann sum lies
+    within ``tol`` of kh.  A diverged kh claims no value and gets the
+    schedule's build at its last depth, the last build the Riemann-sum
+    ladder would make.  An inconclusive kh claims no value either; the f
+    check at depth 0 names a wrong derivative off the first anchor cells.
+    """
+    if isinstance(verdict, Diverged):
+        return _schedule_build(schedule, 0), _schedule_build(schedule, trace[-1][0])
+    depth = verdict.depth if isinstance(verdict, Converged) else 0
+    r, eps, h = args = _f_check(schedule, length, tol, depth)
+    return (_schedule_build(schedule, 0),
+            (args, f"in the f check (r {r:.3g}, eps {eps:.3g}, mesh cap {h:.3g})"))
 
 
 def _plain_ladder(model, schedule, max_depth, tol, div_threshold, total, table, builds):
     """kh_n = total - B_n, B_n being depth n's basic sum from ``table``,
-    classified up to the first verdict once the certificate has built.
+    classified up to the first verdict and certified by two builds.
 
-    A failed certificate build ends the ladder before any depth, with that
-    build's note: no value is shown that the builds did not certify.
+    A failed certificate build ends the ladder with that build's note and
+    no trace: no value is shown that the builds did not certify.
     """
-    note = _certificate_failure(schedule, model.span.length, tol, builds)
-    if note is not None:
-        return (), Inconclusive(trace=(), note=note)
-    return run_ladder(lambda n: (n, total - table.basic(n)), max_depth, tol, div_threshold,
-                      _ANCHOR_STOPS)
+    trace, verdict = run_ladder(lambda n: (n, total - table.basic(n)), max_depth, tol,
+                                div_threshold, _ANCHOR_STOPS)
+    for args, name in _certificate(schedule, model.span.length, tol, trace, verdict):
+        try:
+            builds(*args)
+        except BuildError as exc:
+            return (), Inconclusive(trace=(), note=f"build failed {name}: {exc}")
+    return trace, verdict
 
 
 def plain_kh(
@@ -291,11 +306,14 @@ def plain_kh(
 
     The ladder classifies kh_n = total - B_n, the total F(b) - F(a) less
     depth n's basic sum; converged means kh_n settled to the integral's
-    value, and divergence is an honest outcome.  It runs once its
-    certificate builds: depth 0's straddle build and the f check, a build
-    at the schedule's first radius, tolerance ``tol`` per span length and
-    the finest mesh cap.  A certificate build that fails ends the verdict
-    inconclusive with no trace and the note ``build failed at depth 0: ...``
+    value, and divergence is an honest outcome.  Two straddle builds
+    certify the verdict: depth 0's, and one that tests f against F down to
+    the radius of the verdict's last depth.  A converged kh's is the f check
+    at its depth, a build at tolerance ``tol`` per span length and the
+    finest mesh cap, whose Riemann sum lies within ``tol`` of kh; a diverged
+    kh's is the schedule's build at its last depth; an inconclusive kh's is
+    the f check at depth 0.  A certificate build that fails ends the verdict
+    inconclusive with no trace and the note ``build failed at depth n: ...``
     or ``build failed in the f check (...): ...``, never an exception.  The
     f check tests f against F on a mesh of the finest cap (the span length
     / 4096 by default), so a mismatch on a narrower region can go unseen.
@@ -389,7 +407,8 @@ def decompose(
 
     kh is total - B_n by construction, so the identity is checked where a
     build measures it: the identity gap is the f check's
-    |Riemann - (total - B_0)|, within ``tol`` of 0 by the straddle bound.
+    |Riemann - (total - B_n)| at kh's depth n, within ``tol`` of 0 by the
+    straddle bound.
     It is reported whenever both limits converge and is compared against
     the combined classifier tolerance (one tolerance per limit).  The
     residual-sum cross-check against the basic sum runs when every residual
@@ -412,8 +431,9 @@ def decompose(
 
     identity_gap = None
     if isinstance(kh_verdict, Converged) and isinstance(bs_verdict, Converged):
-        f_check = builds(*_f_check(schedule, model.span.length, tol))
-        identity_gap = abs(f_check.riemann - (total - table.basic(0)))
+        depth = kh_verdict.depth
+        f_check = builds(*_f_check(schedule, model.span.length, tol, depth))
+        identity_gap = abs(f_check.riemann - (total - table.basic(depth)))
 
     residue_sum_gap = None
     residual_sum = _residual_sum(residuals)

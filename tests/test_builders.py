@@ -659,6 +659,11 @@ PROBE_MODELS = {
     "f-bump-wide": (lambda x: np.asarray(x) ** 2, f_bump(0.05, 0.15, 1.0)),
     "f-bump-narrow": (lambda x: np.asarray(x) ** 2, f_bump(0.6, 0.62, 1.0)),
     "f-bump-1e-4": (lambda x: np.asarray(x) ** 2, f_bump(0.05, 0.15, 1e-4)),
+    # wrong inside the first anchor cell (0.45, 0.55), which no build at
+    # the first anchor radius walks
+    "undeclared-jump-inner": (lambda x: np.asarray(x) ** 2 + 1e-3 * (np.asarray(x) >= 0.47),
+                              lambda x: 2 * np.asarray(x)),
+    "f-bump-inner": (lambda x: np.asarray(x) ** 2, f_bump(0.46, 0.48, 1.0)),
     "sin-50x": (lambda x: np.sin(50 * np.asarray(x)), lambda x: 50 * np.cos(50 * np.asarray(x))),
     "kink": (lambda x: np.abs(np.asarray(x) - 0.3), lambda x: np.sign(np.asarray(x) - 0.3)),
     "scaled-parabola": (lambda x: 1e4 * np.asarray(x) ** 2, lambda x: 2e4 * np.asarray(x)),

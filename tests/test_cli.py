@@ -287,7 +287,7 @@ class TestIntegrateOutput:
     def test_csv_output_sections(self):
         out = run_cli("integrate", "--catalog", "heaviside", "--output", "csv")
         assert "# series: kh" in out.stdout
-        assert "depth,h,r,epsilon,value,delta" in out.stdout
+        assert "depth,r,value,delta" in out.stdout
 
     def test_failed_kh_note_shown_once(self):
         # the note of a failed kh ladder is printed on the kh line and
@@ -313,7 +313,7 @@ class TestIntegrateOutput:
             line for line in text.splitlines()
             if line and not line.startswith(("#", "depth"))
         ]
-        assert all(len(line.split(",")) == 6 for line in data_lines)
+        assert all(len(line.split(",")) == 4 for line in data_lines)
 
 
 class TestJobFiles:
@@ -533,8 +533,8 @@ class TestResiduesCommand:
         assert out.returncode == 0
         assert target.read_text().splitlines() == [
             "# series: basic_sum",
-            "depth,h,r,epsilon,value,delta",
-            "0,1,0.050000000000000003,0.01,0,",
+            "depth,r,value,delta",
+            "0,0.050000000000000003,0,",
         ]
 
     def test_json(self):

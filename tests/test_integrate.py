@@ -141,13 +141,15 @@ class TestPlainKH:
         assert abs(verdict.value - 1.0) <= 1e-3
 
     def test_budget_death_is_inconclusive_with_note(self):
-        # depth 0, uncapped, builds within 50 pairs; the f check's mesh cap
-        # of 1/4096 of the span needs more, so no row is certified
+        # depth 0, uncapped, builds within 50 pairs; the f check at the
+        # verdict's depth 19 has a mesh cap of 1/4096 of the span and needs
+        # more, so no row is certified
         model = catalog("parabola")
         verdict = plain_kh(model, limits=BuildLimits(max_pairs=50))
         assert isinstance(verdict, Inconclusive)
         assert verdict.trace == ()
-        assert verdict.note.startswith("build failed in the f check (eps 1e-06, mesh cap 0.000244): ")
+        assert verdict.note.startswith(
+            "build failed in the f check (r 9.54e-08, eps 1e-06, mesh cap 0.000244): ")
         assert verdict.note.endswith("(cap 50)")
 
 
@@ -175,7 +177,8 @@ def punctured_model(F, f):
 
 # the probes whose declared data is wrong somewhere off E
 HONESTY_PROBES = ["undeclared-jump-1e-3", "undeclared-jump-1e-7", "slope-off-1e-6",
-                  "f-bump-wide", "f-bump-narrow", "f-bump-1e-4"]
+                  "f-bump-wide", "f-bump-narrow", "f-bump-1e-4",
+                  "undeclared-jump-inner", "f-bump-inner"]
 
 
 class TestHonesty:
@@ -186,7 +189,8 @@ class TestHonesty:
     # an uncapped build reaches: only a build on a fine mesh sees them
     @pytest.mark.parametrize("name", HONESTY_PROBES)
     def test_stays_inconclusive(self, name):
-        # depth 0 builds on all six; the f check fails, so no row is shown
+        # depth 0 builds on all eight; the f check at the verdict's depth
+        # fails, so no row is shown
         verdict = plain_kh(punctured_model(*PROBE_MODELS[name]))
         assert isinstance(verdict, Inconclusive)
         assert verdict.trace == ()
@@ -455,6 +459,18 @@ class TestDecompose:
         assert report.residuals[0.0] == Diverged(sign=1)
         assert report.identity_gap is None
         assert report.lemma_consistent  # both diverged: consistent
+
+    def test_divergence_over_a_wrong_derivative_is_not_shown(self):
+        # f wrong by 1 on [0.05, 0.06), inside the first anchor cell
+        # (-0.15, 0.15): the build at depth 4, the divergence's last depth,
+        # fails on it
+        base = catalog("reciprocal")
+        model = dataclasses.replace(base, f=lambda x: base.f(x) + 1.0 * (
+            (np.asarray(x) >= 0.05) & (np.asarray(x) < 0.06)))
+        sched = RefinementSchedule.for_model(model, eps0=1e-2, eps_factor=0.995)
+        verdict = decompose(model, schedule=sched, max_depth=12, div_threshold=100.0).kh_verdict
+        assert isinstance(verdict, Inconclusive) and verdict.trace == ()
+        assert verdict.note.startswith("build failed at depth 4: ")
 
     def test_staircase_decomposition(self):
         report = decompose(catalog("staircase3"))
