@@ -9,23 +9,22 @@
   through the paper's identity: the total is F(b) - F(a), so by Hake's
   theorem the plain integral is the total minus the limit of the basic sum
   B_n.  The ladder classifies kh_n = total - B_n, B_n read from the anchor
-  table, one F call per table.  Two straddle builds certify it: depth 0's,
-  and one that tests f against F down to the radius of the last basic sum
-  the verdict read.  For a converged kh that is the f check, a build at the
-  verdict depth's anchor radius, tolerance ``tol`` per span length and the
-  finest mesh cap of the schedule; for a diverged kh, the schedule's build
-  at its last depth; for an inconclusive kh, the f check at depth 0.  Each
-  cell of a straddle build keeps its Riemann part within eps times its
-  width of its increment of F, so a build at radius r has its Riemann sum
-  within eps times the span length of total - B(r).  A certificate build
-  that fails ends kh inconclusive with that build's note and no row.
+  table, one F call per table.  One straddle build certifies it, testing
+  f against F down to the radius of the last basic sum the verdict read.
+  For a converged kh that is the f check, a build at the verdict depth's
+  anchor radius, tolerance ``tol`` per span length and the finest mesh cap
+  of the schedule; for a diverged kh, the schedule's build at its last
+  depth; for an inconclusive kh, the f check at depth 0.  Each cell of a
+  straddle build keeps its Riemann part within eps times its width of its
+  increment of F, so a build at radius r has its Riemann sum within eps
+  times the span length of total - B(r).  A certificate build that fails
+  ends kh inconclusive with that build's note and no row.
 * ``decompose`` -- assembles the total value, the plain-integral verdict, the
   basic-sum verdict and the residual table, and reports the identity gap,
   the f check's distance |Riemann - (total - B_n)| at kh's depth n, when
-  both limits converge.  Within one call every build and the anchor table
-  are made once: at the default schedule and anchor radius kh's depth-0
-  build is ``total_kh``'s eps 1e-2 row, and kh reads the anchor table that
-  the basic sum and the residuals read.
+  both limits converge.  Within one call kh reads the anchor table that the
+  basic sum and the residuals read, and its certificate's sums give the
+  identity gap.
 * ``residue_check`` -- the degenerate case: when the derivative vanishes off
   the exceptional set, the endpoint difference of the extended function must
   equal the sum of the residuals.
@@ -130,31 +129,6 @@ def _straddle_sums(model, r, eps, limits, h=None) -> _StraddleSums:
     return _StraddleSums(riemann=xi.total, off_increments=off.total, pairs=pairs)
 
 
-def _once(compute, errors):
-    """``compute`` computed once per argument tuple however often it is
-    read; a call that raised one of ``errors`` raises it again."""
-    results = {}
-
-    def read(*args):
-        if args not in results:
-            try:
-                results[args] = compute(*args)
-            except errors as exc:
-                results[args] = exc
-        if isinstance(results[args], BaseException):
-            raise results[args]
-        return results[args]
-
-    return read
-
-
-def _build_once(model, limits):
-    """``builds(r, eps, h)``: the :func:`_straddle_sums` of the build at
-    anchor radius r, tolerance eps and mesh cap h, built once however often
-    it is read; a build that raised raises again."""
-    return _once(lambda r, eps, h: _straddle_sums(model, r, eps, limits, h), BuildError)
-
-
 # ---------------------------------------------------------------------------
 # Total integral
 # ---------------------------------------------------------------------------
@@ -207,19 +181,14 @@ def total_kh(
     Riemann sum stays within eps*(span length) of the off-anchor increment
     sum.  A failed build marks its row and leaves the others standing.
     """
-    return _total_kh(model, increment(model, model.span), epsilons, r,
-                     _build_once(model, limits or BuildLimits()))
-
-
-def _total_kh(model, total, epsilons, r, builds) -> TotalReport:
-    """:func:`total_kh` on the given total, its rows read from ``builds``."""
+    total = increment(model, model.span)
     if r is None:
         r = RefinementSchedule.for_model(model).r0
     rows = []
     for eps in epsilons:
         bound = eps * model.span.length
         try:
-            sums = builds(r, eps, model.span.length)
+            sums = _straddle_sums(model, r, eps, limits, model.span.length)
         except BuildError as exc:
             rows.append(VerificationRow(eps, None, bound, exc.pairs_built, error=str(exc)))
             continue
@@ -246,52 +215,44 @@ def _rows(schedule: RefinementSchedule, trace: Trace) -> Tuple[SequenceRow, ...]
     return tuple(SequenceRow(n, schedule.at(n).r, v) for n, v in trace)
 
 
-def _f_check(schedule, length, tol, depth):
-    """The ``(r, eps, h)`` of the f check at ``depth``: that depth's anchor
-    radius, the tolerance ``tol`` per span length and the finest mesh cap."""
-    return schedule.at(depth).r, tol / length, schedule.at(MESH_DEPTHS - 1).h
-
-
-def _schedule_build(schedule, depth):
-    """The schedule's own build at ``depth``, as a certificate build."""
-    step = schedule.at(depth)
-    return (step.r, step.eps, step.h), f"at depth {depth}"
-
-
 def _certificate(schedule, length, tol, trace, verdict):
-    """The builds that certify kh's verdict, each ``((r, eps, h), name)``:
-    depth 0's schedule build, then one that tests f against F down to the
-    radius of the last basic sum the verdict read.
+    """The one build that certifies kh's verdict, as ``((r, eps, h), name)``:
+    it tests f against F down to the radius of the last basic sum the
+    verdict read.
 
-    A converged kh gets the f check at its depth, whose Riemann sum lies
-    within ``tol`` of kh.  A diverged kh claims no value and gets the
-    schedule's build at its last depth, the last build the Riemann-sum
-    ladder would make.  An inconclusive kh claims no value either; the f
-    check at depth 0 names a wrong derivative off the first anchor cells.
+    A converged kh gets the f check at its depth: that depth's anchor
+    radius, tolerance ``tol`` per span length and the finest mesh cap, so
+    its Riemann sum lies within ``tol`` of kh.  A diverged kh claims no
+    value and gets the schedule's build at its last depth, the last build
+    the Riemann-sum ladder would make.  An inconclusive kh claims no value
+    either; the f check at depth 0 names a wrong derivative off the first
+    anchor cells.
     """
     if isinstance(verdict, Diverged):
-        return _schedule_build(schedule, 0), _schedule_build(schedule, trace[-1][0])
+        depth = trace[-1][0]
+        step = schedule.at(depth)
+        return (step.r, step.eps, step.h), f"at depth {depth}"
     depth = verdict.depth if isinstance(verdict, Converged) else 0
-    r, eps, h = args = _f_check(schedule, length, tol, depth)
-    return (_schedule_build(schedule, 0),
-            (args, f"in the f check (r {r:.3g}, eps {eps:.3g}, mesh cap {h:.3g})"))
+    r, eps, h = schedule.at(depth).r, tol / length, schedule.at(MESH_DEPTHS - 1).h
+    return (r, eps, h), f"in the f check (r {r:.3g}, eps {eps:.3g}, mesh cap {h:.3g})"
 
 
-def _plain_ladder(model, schedule, max_depth, tol, div_threshold, total, table, builds):
-    """kh_n = total - B_n, B_n being depth n's basic sum from ``table``,
-    classified up to the first verdict and certified by two builds.
+def _plain_ladder(model, schedule, max_depth, tol, div_threshold, total, table, limits):
+    """``(trace, verdict, sums)``: kh_n = total - B_n, B_n being depth n's
+    basic sum from ``table``, classified up to the first verdict, and the
+    :func:`_straddle_sums` of the one build that certifies it.
 
-    A failed certificate build ends the ladder with that build's note and
-    no trace: no value is shown that the builds did not certify.
+    A failed certificate build ends the ladder with that build's note, no
+    trace and no sums: no value is shown that the build did not certify.
     """
     trace, verdict = run_ladder(lambda n: (n, total - table.basic(n)), max_depth, tol,
                                 div_threshold, _ANCHOR_STOPS)
-    for args, name in _certificate(schedule, model.span.length, tol, trace, verdict):
-        try:
-            builds(*args)
-        except BuildError as exc:
-            return (), Inconclusive(trace=(), note=f"build failed {name}: {exc}")
-    return trace, verdict
+    (r, eps, h), name = _certificate(schedule, model.span.length, tol, trace, verdict)
+    try:
+        sums = _straddle_sums(model, r, eps, limits, h)
+    except BuildError as exc:
+        return (), Inconclusive(trace=(), note=f"build failed {name}: {exc}"), None
+    return trace, verdict, sums
 
 
 def plain_kh(
@@ -306,23 +267,23 @@ def plain_kh(
 
     The ladder classifies kh_n = total - B_n, the total F(b) - F(a) less
     depth n's basic sum; converged means kh_n settled to the integral's
-    value, and divergence is an honest outcome.  Two straddle builds
-    certify the verdict: depth 0's, and one that tests f against F down to
-    the radius of the verdict's last depth.  A converged kh's is the f check
-    at its depth, a build at tolerance ``tol`` per span length and the
-    finest mesh cap, whose Riemann sum lies within ``tol`` of kh; a diverged
-    kh's is the schedule's build at its last depth; an inconclusive kh's is
-    the f check at depth 0.  A certificate build that fails ends the verdict
-    inconclusive with no trace and the note ``build failed at depth n: ...``
-    or ``build failed in the f check (...): ...``, never an exception.  The
-    f check tests f against F on a mesh of the finest cap (the span length
-    / 4096 by default), so a mismatch on a narrower region can go unseen.
+    value, and divergence is an honest outcome.  One straddle build
+    certifies the verdict, testing f against F down to the radius of the
+    verdict's last depth.  A converged kh's is the f check at its depth, a
+    build at tolerance ``tol`` per span length and the finest mesh cap,
+    whose Riemann sum lies within ``tol`` of kh; a diverged kh's is the
+    schedule's build at its last depth; an inconclusive kh's is the f check
+    at depth 0.  A certificate build that fails (a ``BuildError``) ends the
+    verdict inconclusive with no trace and the note ``build failed at depth
+    n: ...`` (diverged) or ``build failed in the f check (...): ...``; an
+    ``EvaluationError`` from f or F propagates.  The f check tests f against
+    F on a mesh of the finest cap (the span length / 4096 by default), so a
+    mismatch on a narrower region can go unseen.
     """
     schedule = schedule or RefinementSchedule.for_model(model)
-    builds = _build_once(model, limits or BuildLimits())
     return _plain_ladder(model, schedule, max_depth, tol, div_threshold,
                          increment(model, model.span),
-                         AnchorTable(model, schedule, max_depth), builds)[1]
+                         AnchorTable(model, schedule, max_depth), limits)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -406,24 +367,25 @@ def decompose(
     verdict, residual table, and the additivity identity check.
 
     kh is total - B_n by construction, so the identity is checked where a
-    build measures it: the identity gap is the f check's
-    |Riemann - (total - B_n)| at kh's depth n, within ``tol`` of 0 by the
-    straddle bound.
+    build measures it: the identity gap is |Riemann - (total - B_n)| of
+    kh's certificate, the f check at kh's depth n, within ``tol`` of 0 by
+    the straddle bound.
     It is reported whenever both limits converge and is compared against
     the combined classifier tolerance (one tolerance per limit).  The
     residual-sum cross-check against the basic sum runs when every residual
     converges.  A certificate build that dies ends the plain-integral
-    ladder, and only the kh verdict's note records it.
+    ladder, and only the kh verdict's note records it; an
+    ``EvaluationError`` from f or F propagates, first from ``total_kh``'s
+    rows.
     """
     schedule = schedule or RefinementSchedule.for_model(model)
-    builds = _build_once(model, limits or BuildLimits())
     table = AnchorTable(model, schedule, max_depth)
 
-    total = increment(model, model.span)
-    verification = _total_kh(model, total, epsilons, anchor_r, builds)
+    verification = total_kh(model, epsilons, anchor_r, limits)
+    total = verification.total
 
-    kh_trace, kh_verdict = _plain_ladder(model, schedule, max_depth, tol, div_threshold,
-                                         total, table, builds)
+    kh_trace, kh_verdict, certificate = _plain_ladder(
+        model, schedule, max_depth, tol, div_threshold, total, table, limits)
 
     bs_rows, bs_verdict, residuals = _anchor_ladders(
         model, schedule, max_depth, tol, div_threshold, table
@@ -431,9 +393,7 @@ def decompose(
 
     identity_gap = None
     if isinstance(kh_verdict, Converged) and isinstance(bs_verdict, Converged):
-        depth = kh_verdict.depth
-        f_check = builds(*_f_check(schedule, model.span.length, tol, depth))
-        identity_gap = abs(f_check.riemann - (total - table.basic(depth)))
+        identity_gap = abs(certificate.riemann - (total - table.basic(kh_verdict.depth)))
 
     residue_sum_gap = None
     residual_sum = _residual_sum(residuals)

@@ -181,10 +181,10 @@ class TestExitCodes:
         out = run_process("integrate", "--function", "x^2", "--derivative", "3*x",
                           "--span", "0,1")
         assert out.returncode == 3
-        # the depth-0 build of kh's certificate failed, and stderr repeats
-        # the kh verdict's note
+        # kh's certificate, the f check, failed, and stderr repeats the kh
+        # verdict's note
         line = out.stderr.splitlines()[-1]
-        assert line.startswith("error: build failed at depth 0: ")
+        assert line.startswith("error: build failed in the f check ")
         # f is off by t at every tag t: the width search ends on a mismatch,
         # named as one, with the finite error it last rejected
         assert line.endswith("declared derivative does not match F here")
@@ -207,7 +207,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, note", [
         (("--function", "x^2", "--derivative", "3*x", "--span", "0,1"),
-         "build failed at depth 0: "),
+         "build failed in the f check "),
         (UNDECLARED_JUMP, "build failed in the f check "),
         (("--function", "x^2", "--derivative", "2*x + 1e-6", "--exceptional", "0.5",
           "--span", "0,1"), "build failed in the f check "),

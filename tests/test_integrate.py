@@ -120,6 +120,19 @@ class TestTotalKH:
             assert report.verified, name
 
 
+def counting_calls(model):
+    """``model`` with F and f wrapped to count their calls, and the counts."""
+    calls = {"F": 0, "f": 0}
+
+    def counted(key, fn):
+        def call(x):
+            calls[key] += 1
+            return fn(x)
+        return call
+
+    return dataclasses.replace(model, F=counted("F", model.F), f=counted("f", model.f)), calls
+
+
 class TestPlainKH:
     def test_heaviside_exactly_zero(self):
         verdict = plain_kh(catalog("heaviside"))
@@ -141,9 +154,9 @@ class TestPlainKH:
         assert abs(verdict.value - 1.0) <= 1e-3
 
     def test_budget_death_is_inconclusive_with_note(self):
-        # depth 0, uncapped, builds within 50 pairs; the f check at the
-        # verdict's depth 19 has a mesh cap of 1/4096 of the span and needs
-        # more, so no row is certified
+        # the one certificate build, the f check at the verdict's depth 19,
+        # has a mesh cap of 1/4096 of the span and needs more than 50 pairs,
+        # so no row is certified
         model = catalog("parabola")
         verdict = plain_kh(model, limits=BuildLimits(max_pairs=50))
         assert isinstance(verdict, Inconclusive)
@@ -154,12 +167,41 @@ class TestPlainKH:
 
 
     def test_evaluation_error_propagates(self):
+        # f = 1/x is non-finite at the undeclared point 0, the tag of
+        # total_kh's first row, so decompose raises there.  plain_kh's only
+        # build is the f check, whose first cell at tag -1 already fails on
+        # the mismatch f(-1) = -1 against F' = 1 before a tag reaches 0
         model = SingularFunctionModel(
             F=lambda x: np.asarray(x, dtype=float), f=lambda x: 1.0 / np.asarray(x, dtype=float),
             E=ExceptionalSet(), span=Interval(-1.0, 1.0),
         )
-        with pytest.raises(EvaluationError):
-            plain_kh(model)
+        with pytest.raises(EvaluationError) as exc:
+            decompose(model)
+        assert exc.value.points == (0.0,)
+        verdict = plain_kh(model)
+        assert isinstance(verdict, Inconclusive) and verdict.trace == ()
+        assert verdict.note.startswith("build failed in the f check ")
+        assert "at tag -1.0 " in verdict.note
+        assert verdict.note.endswith("declared derivative does not match F here")
+
+    @pytest.mark.parametrize("name, most_F, most_f", [
+        ("heaviside", 4, 2), ("jump_linear", 4, 2), ("parabola", 4, 2), ("staircase3", 6, 4),
+    ])
+    def test_one_certificate_build(self, name, most_F, most_f):
+        # a standalone plain_kh makes the anchor table's F call and the
+        # calls of one build, the f check (measured 4 / 4 / 4 / 6 F and
+        # 2 / 2 / 2 / 4 f calls; 6 / 6 / 6 / 10 F calls when depth 0's
+        # schedule build was made too).  decompose with its own anchor
+        # radius makes no build beyond total_kh's rows and the f check either
+        model, calls = counting_calls(catalog(name))
+        plain_kh(model)
+        assert calls["F"] <= most_F and calls["f"] <= most_f
+        calls["F"] = 0
+        decompose(model)
+        at_r0 = calls["F"]
+        calls["F"] = 0
+        decompose(model, anchor_r=0.01)
+        assert calls["F"] == at_r0
 
 
     @pytest.mark.parametrize("name, value, depth", [("parabola", 1.0, 19), ("jump_linear", 2.0, 20)])
@@ -356,16 +398,8 @@ class TestReachabilityPrune:
         # total_kh rows (depth 0 is the eps 1e-2 one) and the f check, no
         # call per depth (measured 10 / 10 / 10 / 18 F and 8 / 8 / 8 / 16 f
         # calls; 14 / 48 / 46 / 26 F calls when each depth was built)
-        model = catalog(name)
-        calls = {"F": 0, "f": 0}
-
-        def counted(key, fn):
-            def call(x):
-                calls[key] += 1
-                return fn(x)
-            return call
-
-        decompose(dataclasses.replace(model, F=counted("F", model.F), f=counted("f", model.f)))
+        model, calls = counting_calls(catalog(name))
+        decompose(model)
         assert calls["F"] <= most_F and calls["f"] <= most_f
 
     @pytest.mark.parametrize("name", ["osc_sin_inv", "reciprocal", "sqrt_singular"])
