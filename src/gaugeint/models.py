@@ -4,9 +4,9 @@ extensions of both by zero onto that set.
 The exceptional set E collects the finitely many points where F may be
 undefined or unbounded.  The extended functions are defined to be exactly 0
 on E, where F and f are never evaluated: extended values go through one
-mask, anchor-cell increments skip the cell ends on E (``_cell_increments``
-for one depth, ``sums.AnchorTable`` for every depth of a ladder).  Off E a
-non-finite value from F or f is an error (an undeclared singularity).
+mask, and ``sums.AnchorTable``'s batch over every depth of a ladder skips
+the cell ends on E.  Off E a non-finite value from F or f is an error (an
+undeclared singularity).
 It holds no limit ladder: the basic sum and the residuals are in ``sums``.
 
 Exceptional points normally lie strictly inside the span.  Points sitting on
@@ -131,24 +131,6 @@ def increment(model: SingularFunctionModel, interval: Interval) -> float:
         raise ValueError("interval outside model span")
     lo, hi = model.extended_values([interval.lo, interval.hi])
     return float(hi - lo)
-
-
-def _cell_increments(model: SingularFunctionModel, cells) -> list:
-    """Extended-F increment of each anchor cell ``(lo, hi, e)``, from one
-    ``F_values`` call.  By the anchor rule a cell end lies on E only as its
-    own point at a span endpoint, where the extended F is 0: no mask needed.
-    It stays apart from ``extended_values``, whose mask has a fixed per-call
-    cost that dominates on these 2-6 point inputs.  ``sums.AnchorTable``
-    applies the same rule to every depth at once and comes here for a depth
-    it must evaluate alone."""
-    ends = [x for lo, hi, e in cells for x in (lo, hi) if x != e]
-    values = iter(model.F_values(np.asarray(ends)).tolist() if ends else ())
-    out = []
-    for lo, hi, e in cells:
-        F_lo = 0.0 if lo == e else next(values)
-        F_hi = 0.0 if hi == e else next(values)
-        out.append(F_hi - F_lo)
-    return out
 
 
 def consistency_check(

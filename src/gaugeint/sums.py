@@ -29,7 +29,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import AnchorOverlapError, EvaluationError
-from .models import SingularFunctionModel, _cell_increments
+from .models import SingularFunctionModel
 from .partition import TaggedPartition, anchor_cells, anchor_grid, restriction_mask
 from .verdicts import DIV_THRESHOLD, MAX_DEPTH, TOL, ConvergenceVerdict, Trace, run_ladder
 
@@ -118,30 +118,28 @@ class AnchorTable:
     D is ``max_depth`` or the first depth whose cells break the anchor rule,
     whichever comes first: every anchor ladder stops there, and the anchor
     floor ends any schedule within a bounded number of depths.  F is
-    evaluated once, on every end off E of the cells of ``points`` (all of E
-    by default) at every depth before D.
+    evaluated once, on every end off E of every cell of E at every depth
+    before D.
 
     ``basic(n)`` is depth n's basic-sum term, the Kahan sum of its row, and
     ``term(n, i)`` the residual term of E's point i.  A term the table does
-    not hold is evaluated alone, from the depth's cells or from the point's
-    own cell, and raises what that evaluation raises: at a depth that breaks
-    the anchor rule, where an F value is not finite, and everywhere when the
-    batched F call raised.
+    not hold is read alone through the extended F, from the depth's cells or
+    from the point's own cell, and raises what that evaluation raises: at a
+    depth that breaks the anchor rule, where an F value is not finite, and
+    everywhere when the batched F call raised.
     """
 
-    def __init__(self, model: SingularFunctionModel, schedule, max_depth: int, points=None):
+    def __init__(self, model: SingularFunctionModel, schedule, max_depth: int):
         self.model = model
         self.schedule = schedule
         E = model.E.points
-        columns = range(len(E)) if points is None else [E.index(e) for e in points]
-        self._column = {i: j for j, i in enumerate(columns)}
         rows = []
         if E:  # without a point the radii never run under the floor
             rows, _ = anchor_grid(model.span, E,
                                   itertools.islice(schedule.radii(), max(0, max_depth + 1)))
-        cells = np.fromiter(itertools.chain.from_iterable(row[i] for row in rows for i in columns),
-                            float, 3 * len(rows) * len(columns))
-        cells = cells.reshape(len(rows), len(columns), 3)
+        cells = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(rows)),
+                            float, 3 * len(rows) * len(E))
+        cells = cells.reshape(len(rows), len(E), 3)
         ends = cells[..., :2]
         off = ends != cells[..., 2:]  # by the anchor rule, an end on E is its own point
         F = np.zeros(ends.shape)
@@ -164,23 +162,25 @@ class AnchorTable:
         self._sums = sums.tolist()
 
     def basic(self, n: int) -> float:
-        """Depth n's basic-sum term; on a table of all of E."""
+        """Depth n's basic-sum term."""
         if n < self.depths and self._row_ok[n]:
             return self._sums[n]
         return _kahan_sum(self._alone(n))
 
     def term(self, n: int, i: int) -> float:
         """Depth n's residual term of E's point i."""
-        j = self._column[i]
-        if n < self.depths and self._finite[n][j]:
-            return self._terms[n][j]
+        if n < self.depths and self._finite[n][i]:
+            return self._terms[n][i]
         return self._alone(n, i)[0]
 
     def _alone(self, n: int, i: int | None = None) -> list:
-        """Depth n's increments from an F call of their own: every cell's,
-        or point i's alone."""
+        """Depth n's increments of the extended F from an F call of their
+        own: every cell's, or point i's alone."""
         cells = anchor_cells(self.model.span, self.model.E, self.schedule.at(n).r)
-        return _cell_increments(self.model, cells if i is None else cells[i:i + 1])
+        if i is not None:
+            cells = cells[i:i + 1]
+        F = self.model.extended_values([x for lo, hi, _ in cells for x in (lo, hi)])
+        return (F[1::2] - F[0::2]).tolist()
 
 
 def _basic_sum_ladder(table, max_depth, tol, div_threshold) -> Tuple[Trace, ConvergenceVerdict]:
@@ -233,8 +233,8 @@ def residual_estimate(
 
     Brackets are the anchor cells ``[e - r_n, e + r_n]`` of
     :func:`anchor_cells` (one-sided at a span endpoint, counting F(e) = 0);
-    each term is ``e``'s term of the basic sum, from one F call on ``e``'s
-    cell ends at every depth.
+    each term is ``e``'s term of the basic sum, read from one
+    :class:`AnchorTable` of all of E.
 
     Raises only on bad arguments (``e`` outside E, a nonpositive radius):
     evaluation failures and cells that break the anchor rule end the
@@ -242,5 +242,5 @@ def residual_estimate(
     """
     if e not in model.E:
         raise ValueError(f"{e!r} is not an exceptional point of the model")
-    table = AnchorTable(model, schedule, max_depth, points=[e])
+    table = AnchorTable(model, schedule, max_depth)
     return _residuals(table, [e], max_depth, tol, div_threshold)[e]

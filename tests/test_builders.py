@@ -855,26 +855,18 @@ class TestFloorWalk:
 
 
 class TestHalvingWavesNotEvaluated:
-    # F calls per decompose: measured 187 / 172 / 461 (199 / 183 / 495 with
-    # fixed 2x / 1.3x growth after a full pass; 261 / 159 / 703 with that
-    # growth and every gap walked left to right; one two-point probe per
-    # halving took 432 / 346 / 871)
-    MOST_CALLS = {"reciprocal": 195, "sqrt_singular": 180, "osc_sin_inv": 490}
-    # F points per decompose of the width controller, a few percent over the
-    # measured ones; `most` is the ceiling that settling halving waves on
-    # their first cell has always met
-    MOST_POINTS = {"reciprocal": 300_000, "sqrt_singular": 320_000,
-                   "osc_sin_inv": 1_550_000}
+    # F calls and points per decompose, a few percent over the measured
+    # 52 / 20 / 64 calls and 43,190 / 8,954 / 95,500 points; `most` is the
+    # ceiling that settling halving waves on their first cell has always met
+    MOST_CALLS = {"reciprocal": 55, "sqrt_singular": 21, "osc_sin_inv": 67}
+    MOST_POINTS = {"reciprocal": 45_000, "sqrt_singular": 9_300, "osc_sin_inv": 99_000}
 
     @pytest.mark.parametrize("name, most", [
         ("reciprocal", 600_000), ("sqrt_singular", 500_000), ("osc_sin_inv", 2_500_000),
     ])
     def test_decompose_F_points(self, name, most):
-        # measured 268,588 / 292,751 / 1,433,855 F points per decompose
-        # (318,958 / 342,941 / 1,571,341 with fixed 2x / 1.3x growth after a
-        # full pass; 482,531 / 403,772 / 2,282,166 with that growth and every
-        # gap walked left to right); evaluating every halving wave in full
-        # took 762,011 and 897,673 on the first two
+        # decompose builds only kh's certificate for these models; the
+        # halving waves themselves are watched by test_unpruned_ladder_F_points
         model = catalog(name)
         points = calls = 0
 

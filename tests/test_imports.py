@@ -1,7 +1,9 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private module-level function or class is read somewhere in the
+package.
 
-``__init__.py`` is exempt, since its imports are the package's public
-names, and so are imports from ``__future__``.
+``__init__.py`` is exempt from the import check, since its imports are the
+package's public names, and so are imports from ``__future__``.
 """
 
 import ast
@@ -26,6 +28,26 @@ def unused_imports(source: str) -> list:
     return [name for name in imported if name not in used]
 
 
+def dead_private_helpers(sources: dict) -> list:
+    """The private module-level ``def`` and ``class`` names of ``sources``
+    (module name to source) that no module reads as a name, an attribute or
+    an import, as ``module.name`` in module and definition order."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in read]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -37,3 +59,22 @@ def test_guard_sees_unused_names():
               "from typing import Iterator, Tuple\n"
               "x: Tuple\n")
     assert unused_imports(source) == ["os", "Iterator"]
+
+
+def test_no_dead_private_helpers():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert dead_private_helpers(sources) == []
+
+
+def test_guard_sees_dead_helpers():
+    sources = {"a": ("def _dead():\n    pass\n"
+                     "def _local():\n    pass\n"
+                     "class _Shared:\n    pass\n"
+                     "def _by_attribute():\n    pass\n"
+                     "def __getattr__(name):\n    pass\n"
+                     "x = _local()\n"),
+               "b": ("from . import a\n"
+                     "from .a import _Shared\n"
+                     "a._by_attribute()\n"
+                     "def _self_only(n):\n    _self_only = n\n")}
+    assert dead_private_helpers(sources) == ["a._dead", "b._self_only"]

@@ -10,7 +10,6 @@ from gaugeint import (
     CATALOG_NAMES,
     Converged,
     Diverged,
-    EvaluationError,
     ExceptionalSet,
     Inconclusive,
     Interval,
@@ -31,7 +30,6 @@ from gaugeint import (
     riemann_sum,
     validate,
 )
-from gaugeint.models import _cell_increments
 from gaugeint.sums import (
     _ANCHOR_STOPS,
     AnchorTable,
@@ -257,12 +255,13 @@ class TestSharedAnchorRow:
         # the endpoint difference, then one table of 21 depths
         assert calls == [2, 6 * 21]
 
-    def test_standalone_residual_reads_its_own_cell(self):
+    def test_standalone_residual_reads_one_table(self):
+        # each residual reads a table of all of E, one F call over 21 depths
         model, calls = counting(catalog("staircase3"))
         sched = RefinementSchedule.for_model(model)
         for e in model.E:
             residual_estimate(model, e, sched)
-        assert calls == [2 * 21] * 3
+        assert calls == [6 * 21] * 3
 
     def test_residual_stops_only_on_its_own_cell(self):
         model = own_cell_model()
@@ -302,18 +301,15 @@ ANCHOR_MODELS = {**{name: catalog(name) for name in CATALOG_NAMES},
 
 
 def reference_row(model, sched, n):
-    """Depth n's anchor increments from an F call of their own."""
-    return _cell_increments(model, anchor_cells(model.span, model.E, sched.at(n).r))
+    """Depth n's anchor increments, each from an F call of its own."""
+    return [increment(model, Interval(lo, hi))
+            for lo, hi, _ in anchor_cells(model.span, model.E, sched.at(n).r)]
 
 
 def reference_term(model, sched, n, i):
-    """Point i's entry of depth n's own row, or, where that row has a
-    non-finite F value, the increment of point i's cell alone."""
-    cells = anchor_cells(model.span, model.E, sched.at(n).r)
-    try:
-        return _cell_increments(model, cells)[i]
-    except EvaluationError:
-        return _cell_increments(model, cells[i:i + 1])[0]
+    """The increment of point i's depth-n cell, from an F call of its own."""
+    lo, hi, _ = anchor_cells(model.span, model.E, sched.at(n).r)[i]
+    return increment(model, Interval(lo, hi))
 
 
 def outcome(read):
@@ -437,6 +433,25 @@ class TestAnchorStops:
             basic_sum_sequence(failing, sched)
         assert (basic_sum_sequence(failing, sched, max_depth=1)
                 == basic_sum_sequence(model, sched, max_depth=1))
+
+    def test_standalone_residual_ignores_F_failing_near_another_point(self):
+        # F raises near 1.5 only: a standalone residual's table of all of E
+        # raises on its batch, and each point's terms are then read alone
+        model = catalog("staircase3")
+        sched = RefinementSchedule.for_model(model)
+        failing = raising_within(model, 1.5, sched.at(10).r)
+        for e in model.E:
+            assert residual_estimate(failing, e, sched) == residual_estimate(model, e, sched)
+        assert (residue_table(failing, sched, 20, TOL, DIV_THRESHOLD)
+                == residue_table(model, sched, 20, TOL, DIV_THRESHOLD))
+        # from depth 2 on, 1.5's ladder reads a failing depth before its verdict
+        failing = raising_within(model, 1.5, sched.at(2).r)
+        for e in (0.5, 2.5):
+            verdict = residual_estimate(failing, e, sched)
+            assert isinstance(verdict, Converged)
+            assert verdict == residual_estimate(model, e, sched)
+        with pytest.raises(RuntimeError, match="F fails within"):
+            residual_estimate(failing, 1.5, sched)
 
 
 class TestKahan:
