@@ -15,7 +15,8 @@ Three builders:
 * ``build_cousin`` -- bisection until every piece admits a tag whose gauge
   ball strictly contains it (a constructive proof of nonemptiness for any
   positive gauge).  It bisects a sorted frontier of open pieces, leftmost
-  ``_WAVE`` at a time, with one bulk gauge evaluation per candidate tag.
+  ``_WAVE`` at a time, with one bulk gauge evaluation per candidate tag,
+  starting from the span cut at the gauge's anchor points.
 
 The straddle builder walks each gap between anchors in vectorized waves: it
 proposes a batch of equal-width cells, checks the inequality on the whole
@@ -636,6 +637,12 @@ def build_cousin(
     whose width falls below the minimum relative width raises
     ``BudgetExceeded`` -- the gauge is effectively zero at floating point.
 
+    The frontier starts from the span cut at the gauge's ``anchors``
+    strictly inside it, so a point of E is an endpoint from the start rather
+    than a target the bisection approaches to the ulp.  A cut that would
+    leave a piece narrower than the minimum width is skipped, and a
+    black-box gauge, which has no anchors, starts from the whole span.
+
     The open pieces form a frontier sorted by left endpoint.  Each step takes
     its leftmost ``_WAVE`` pieces, makes one ``gauge.at`` call per candidate
     on the pieces still open, and puts the halves of the rejected pieces back
@@ -655,8 +662,13 @@ def build_cousin(
     chunks = []      # accepted (los, his, tags), all left of the failure
     pairs = 0
     failure = None   # (position, message or None for the pair cap), leftmost so far
-    fu = np.array([span.lo], dtype=float)
-    fv = np.array([span.hi], dtype=float)
+    edges = [span.lo]
+    for e in gauge.anchors:
+        if e - edges[-1] >= min_width and span.hi - e >= min_width:
+            edges.append(e)
+    edges.append(span.hi)
+    fu = np.array(edges[:-1], dtype=float)
+    fv = np.array(edges[1:], dtype=float)
     while len(fu):
         u, v, fu, fv = fu[:_WAVE], fv[:_WAVE], fu[_WAVE:], fv[_WAVE:]
         mid = 0.5 * (u + v)

@@ -249,10 +249,15 @@ class Gauge:
 
     ``at`` evaluates a gauge by its vectorized ``widths`` when it has one,
     and a black-box gauge one point at a time.
+
+    ``anchors`` are the sorted points the gauge singles out; the Cousin
+    builder starts its bisection from the span cut at those strictly inside
+    it.  A black-box gauge has none.
     """
 
     evaluator: Callable[[float], float]
     widths: Callable[[np.ndarray], np.ndarray] | None = None
+    anchors: tuple[float, ...] = ()
 
     def __call__(self, x: float) -> float:
         return float(self.evaluator(x))
@@ -271,7 +276,8 @@ def anchored_gauge(mesh: float, anchor_radii: Mapping[float, float] | None = Non
     pinched to the distance from e, which forces every fine partition to tag
     e at e itself -- the usual gauge argument for exceptional points.  One
     vectorized formula serves ``gauge(x)`` and ``gauge.at(xs)``, so the two
-    agree bit for bit.
+    agree bit for bit.  The anchor points are recorded, sorted, as the
+    gauge's ``anchors``, where the Cousin builder cuts the span.
     """
     if not mesh > 0:
         raise ValueError("gauge mesh must be positive")
@@ -292,7 +298,8 @@ def anchored_gauge(mesh: float, anchor_radii: Mapping[float, float] | None = Non
             out[xs == e] = 2.0 * r
         return out
 
-    return Gauge(evaluator=lambda x: widths([x])[0], widths=widths)
+    return Gauge(evaluator=lambda x: widths([x])[0], widths=widths,
+                 anchors=tuple(sorted(map(float, radii))))
 
 
 def is_fine(partition: TaggedPartition, gauge: Gauge) -> bool:

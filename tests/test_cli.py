@@ -508,6 +508,15 @@ class TestPartitionCommand:
         assert out.returncode == 0
         assert out.stdout == library_dump("heaviside", "cousin")
 
+    def test_cousin_dump_cut_at_E(self):
+        # the non-isolating gauge of anchored_gauge_for records E as its
+        # anchors, so the bisection starts from [0, 0.5], [0.5, 1.5], ...
+        out = run_cli("partition", "--catalog", "staircase3", "--builder", "cousin")
+        assert out.returncode == 0
+        assert out.stdout == library_dump("staircase3", "cousin")
+        ends = {float(line.split(",")[1]) for line in out.stdout.splitlines()[1:]}
+        assert set(catalog("staircase3").E) <= ends
+
     def test_build_failure_is_three(self):
         out = run_cli("partition", "--function", "x^2", "--derivative", "3*x",
                       "--span", "0,1", "--builder", "straddle")
