@@ -103,48 +103,37 @@ class ScheduleStep(NamedTuple):
 class RefinementSchedule:
     """Depth-indexed gauge parameters: mesh cap, anchor radius, straddle tolerance.
 
-    Defaults follow the standard geometric family h_n = h0 * 2^-n,
-    r_n = r0 * 2^-n, eps_n = eps0 * 4^-n, except that the mesh cap is lifted
-    to h0 (the span length, from ``for_span``) from depth ``MESH_DEPTHS`` on.
+    The geometric family h_n = h0 * 2^-n, r_n = r0 * 2^-n, eps_n = 1e-2 * 4^-n,
+    except that the mesh cap is lifted to h0 (the span length, from
+    ``for_span``) from depth ``MESH_DEPTHS`` on.  The reports build theirs
+    with ``for_model``; only the low-level ladders take one.
 
-    The straddle check alone ties a Riemann sum to the off-anchor increments
-    of F, within eps times the span length, whatever the cell widths; it is
-    the shrinking cap that makes the midpoint tags sample f densely enough
-    to test f against F, so a model whose f is wrong on a region a few
-    finest caps wide fails a capped depth; the plain integral's f check
-    builds at that finest cap.  The per-cell bound eps_n * h_n
-    shrinks 8x per depth: on a unit span with |F| ~ 1 it is about 650 ulp of
-    F at depth 12 and meets the 8-ulp evaluation floor near depth 14, so the
-    cap is lifted at depth 13 and the deeper depths converge on a few wide
-    cells.  The tolerance decay factor is adjustable because deep runs on
-    hard integrands need a slower tolerance decay to stay within pair
-    budgets.
+    The plain integral's f check builds at depth 12's cap, L/4096, so its
+    midpoint tags sample f densely enough to test f against F: a model whose
+    f is wrong on a region a few such caps wide fails it.  The per-cell
+    bound eps_n * h_n shrinks 8x per depth and, on a unit span with
+    |F| ~ 1, meets the 8-ulp evaluation floor of F near depth 14, so the cap
+    is lifted at depth 13; the deeper steps, which the diverged certificate
+    and the benchmark's replayed ladder build, converge on a few wide cells.
     """
 
     h0: float
     r0: float
-    eps0: float = 1e-2
-    eps_factor: float = 0.25
 
     def __post_init__(self):
-        for name in ("h0", "r0", "eps0"):
+        for name in ("h0", "r0"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if not 0 < self.eps_factor < 1:
-            raise ValueError("eps_factor must lie strictly between 0 and 1")
 
     @classmethod
-    def for_span(
-        cls, span: Interval, points: Sequence[float] = (), **kwargs
-    ) -> "RefinementSchedule":
+    def for_span(cls, span: Interval, points: Sequence[float] = ()) -> "RefinementSchedule":
         walls = sorted({span.lo, span.hi, *map(float, points)})
         min_gap = min(b - a for a, b in zip(walls, walls[1:]))
-        r0 = min(0.05 * span.length, 0.5 * min_gap)
-        return cls(h0=span.length, r0=r0, **kwargs)
+        return cls(h0=span.length, r0=min(0.05 * span.length, 0.5 * min_gap))
 
     @classmethod
-    def for_model(cls, model: SingularFunctionModel, **kwargs) -> "RefinementSchedule":
-        return cls.for_span(model.span, tuple(model.E), **kwargs)
+    def for_model(cls, model: SingularFunctionModel) -> "RefinementSchedule":
+        return cls.for_span(model.span, tuple(model.E))
 
     def at(self, n: int) -> ScheduleStep:
         if n < 0:
@@ -152,7 +141,7 @@ class RefinementSchedule:
         return ScheduleStep(
             h=self.h0 * 0.5**n if n < MESH_DEPTHS else self.h0,
             r=self.r0 * 0.5**n,
-            eps=self.eps0 * self.eps_factor**n,
+            eps=1e-2 * 0.25**n,
         )
 
     def radii(self) -> Iterator[float]:

@@ -448,9 +448,8 @@ def cmd_verify(job: Job) -> int:
 def cmd_residues(job: Job) -> int:
     model = job.resolve_model()
     _surface_warnings(model, job.seed)
-    bs_rows, bs_verdict, residuals = residue_table(
-        model, RefinementSchedule.for_model(model), job.max_depth, job.tol, job.div_threshold
-    )
+    bs_rows, bs_verdict, residuals = residue_table(model, job.max_depth, job.tol,
+                                                   job.div_threshold)
     summary = ResidualsSummary(basic_sum_verdict=bs_verdict, residuals=residuals)
     _write_convergence(job, [("basic_sum", bs_rows)])
     sys.stdout.write(emit(summary, job.output))

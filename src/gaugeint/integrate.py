@@ -188,7 +188,7 @@ def total_kh(
     for eps in epsilons:
         bound = eps * model.span.length
         try:
-            sums = _straddle_sums(model, r, eps, limits, model.span.length)
+            sums = _straddle_sums(model, r, eps, limits)
         except BuildError as exc:
             rows.append(VerificationRow(eps, None, bound, exc.pairs_built, error=str(exc)))
             continue
@@ -237,7 +237,7 @@ def _certificate(schedule, length, tol, trace, verdict):
     return (r, eps, h), f"in the f check (r {r:.3g}, eps {eps:.3g}, mesh cap {h:.3g})"
 
 
-def _plain_ladder(model, schedule, max_depth, tol, div_threshold, total, table, limits):
+def _plain_ladder(model, max_depth, tol, div_threshold, total, table, limits):
     """``(trace, verdict, sums)``: kh_n = total - B_n, B_n being depth n's
     basic sum from ``table``, classified up to the first verdict, and the
     :func:`_straddle_sums` of the one build that certifies it.
@@ -247,7 +247,7 @@ def _plain_ladder(model, schedule, max_depth, tol, div_threshold, total, table, 
     """
     trace, verdict = run_ladder(lambda n: (n, total - table.basic(n)), max_depth, tol,
                                 div_threshold, _ANCHOR_STOPS)
-    (r, eps, h), name = _certificate(schedule, model.span.length, tol, trace, verdict)
+    (r, eps, h), name = _certificate(table.schedule, model.span.length, tol, trace, verdict)
     try:
         sums = _straddle_sums(model, r, eps, limits, h)
     except BuildError as exc:
@@ -257,7 +257,6 @@ def _plain_ladder(model, schedule, max_depth, tol, div_threshold, total, table, 
 
 def plain_kh(
     model: SingularFunctionModel,
-    schedule: RefinementSchedule | None = None,
     max_depth: int = MAX_DEPTH,
     tol: float = TOL,
     div_threshold: float = DIV_THRESHOLD,
@@ -277,13 +276,12 @@ def plain_kh(
     verdict inconclusive with no trace and the note ``build failed at depth
     n: ...`` (diverged) or ``build failed in the f check (...): ...``; an
     ``EvaluationError`` from f or F propagates.  The f check tests f against
-    F on a mesh of the finest cap (the span length / 4096 by default), so a
-    mismatch on a narrower region can go unseen.
+    F on a mesh of the finest cap (the span length / 4096), so a mismatch on
+    a narrower region can go unseen.
     """
-    schedule = schedule or RefinementSchedule.for_model(model)
-    return _plain_ladder(model, schedule, max_depth, tol, div_threshold,
-                         increment(model, model.span),
-                         AnchorTable(model, schedule, max_depth), limits)[1]
+    return _plain_ladder(model, max_depth, tol, div_threshold, increment(model, model.span),
+                         AnchorTable(model, RefinementSchedule.for_model(model), max_depth),
+                         limits)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +324,6 @@ def _residual_sum(residuals: Mapping[float, ConvergenceVerdict]) -> float | None
 
 def residue_table(
     model: SingularFunctionModel,
-    schedule: RefinementSchedule,
     max_depth: int,
     tol: float,
     div_threshold: float,
@@ -339,24 +336,23 @@ def residue_table(
     depth up to ``max_depth`` or the first that breaks the anchor rule.
     With an empty exceptional set the basic sum is exactly 0 at depth 0.
     """
-    return _anchor_ladders(model, schedule, max_depth, tol, div_threshold,
-                           AnchorTable(model, schedule, max_depth))
+    return _anchor_ladders(model, max_depth, tol, div_threshold,
+                           AnchorTable(model, RefinementSchedule.for_model(model), max_depth))
 
 
-def _anchor_ladders(model, schedule, max_depth, tol, div_threshold, table):
+def _anchor_ladders(model, max_depth, tol, div_threshold, table):
     """:func:`residue_table` on the anchor table ``table``."""
     if len(model.E) > 0:
         trace, bs_verdict = _basic_sum_ladder(table, max_depth, tol, div_threshold)
     else:
         trace, bs_verdict = ((0, 0.0),), Converged(value=0.0, error_estimate=0.0, depth=0)
-    return _rows(schedule, trace), bs_verdict, _residuals(
+    return _rows(table.schedule, trace), bs_verdict, _residuals(
         table, model.E, max_depth, tol, div_threshold)
 
 
 def decompose(
     model: SingularFunctionModel,
     epsilons: Sequence[float] = EPSILONS,
-    schedule: RefinementSchedule | None = None,
     max_depth: int = MAX_DEPTH,
     tol: float = TOL,
     div_threshold: float = DIV_THRESHOLD,
@@ -378,18 +374,16 @@ def decompose(
     ``EvaluationError`` from f or F propagates, first from ``total_kh``'s
     rows.
     """
-    schedule = schedule or RefinementSchedule.for_model(model)
-    table = AnchorTable(model, schedule, max_depth)
+    table = AnchorTable(model, RefinementSchedule.for_model(model), max_depth)
 
     verification = total_kh(model, epsilons, anchor_r, limits)
     total = verification.total
 
     kh_trace, kh_verdict, certificate = _plain_ladder(
-        model, schedule, max_depth, tol, div_threshold, total, table, limits)
+        model, max_depth, tol, div_threshold, total, table, limits)
 
-    bs_rows, bs_verdict, residuals = _anchor_ladders(
-        model, schedule, max_depth, tol, div_threshold, table
-    )
+    bs_rows, bs_verdict, residuals = _anchor_ladders(model, max_depth, tol, div_threshold,
+                                                     table)
 
     identity_gap = None
     if isinstance(kh_verdict, Converged) and isinstance(bs_verdict, Converged):
@@ -416,7 +410,7 @@ def decompose(
         identity_tolerance=2 * tol,
         residue_sum_gap=residue_sum_gap,
         lemma_consistent=not one_sided,
-        kh_rows=_rows(schedule, kh_trace),
+        kh_rows=_rows(table.schedule, kh_trace),
         bs_rows=bs_rows,
     )
 
@@ -450,7 +444,6 @@ def _sample_off_points(model: SingularFunctionModel, count: int) -> np.ndarray:
 
 def residue_check(
     model: SingularFunctionModel,
-    schedule: RefinementSchedule | None = None,
     max_depth: int = MAX_DEPTH,
     tol: float = TOL,
     div_threshold: float = DIV_THRESHOLD,
@@ -472,10 +465,9 @@ def residue_check(
     if nonzero.size:
         raise NotLocallyConstant(nonzero[:4].tolist())
 
-    schedule = schedule or RefinementSchedule.for_model(model)
     lhs = increment(model, model.span)
-    residuals = _residuals(AnchorTable(model, schedule, max_depth), model.E, max_depth, tol,
-                           div_threshold)
+    residuals = _residuals(AnchorTable(model, RefinementSchedule.for_model(model), max_depth),
+                           model.E, max_depth, tol, div_threshold)
     rhs = _residual_sum(residuals)
     gap = None if rhs is None else abs(lhs - rhs)
     return ResidueReport(lhs=lhs, rhs=rhs, gap=gap, residuals=residuals)

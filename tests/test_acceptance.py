@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from gaugeint import (
-    BuildLimits,
     Converged,
     Diverged,
     Interval,
@@ -93,8 +92,7 @@ def test_criterion_2_reciprocal_total_and_divergences():
         # budget caps how far |value| can be pushed by honest builds; the
         # threshold is set below that ceiling and well above every convergent
         # catalog value
-        sched = RefinementSchedule.for_model(model, eps0=1e-2, eps_factor=0.995)
-        dec = decompose(model, schedule=sched, max_depth=12, div_threshold=100.0)
+        dec = decompose(model, max_depth=12, div_threshold=100.0)
         assert isinstance(dec.kh_verdict, Diverged)
         assert isinstance(dec.basic_sum_verdict, Diverged)
         assert dec.residuals[0.0] == Diverged(sign=1)
@@ -103,8 +101,8 @@ def test_criterion_2_reciprocal_total_and_divergences():
         # the residual ladder is cheap enough to reach the default threshold
         from gaugeint import residual_estimate
 
-        deep = residual_estimate(model, 0.0, sched, max_depth=45, tol=1e-6,
-                                 div_threshold=1e12)
+        deep = residual_estimate(model, 0.0, RefinementSchedule.for_model(model), max_depth=45,
+                                 tol=1e-6, div_threshold=1e12)
         assert deep == Diverged(sign=1)
 
 
@@ -114,11 +112,7 @@ def test_criterion_3_decomposition_identity_on_oracle_catalog():
         for name in ("parabola", "sqrt_singular", "jump_linear", "staircase3"):
             model = catalog(name)
             entry = catalog_entry(name)
-            sched = RefinementSchedule.for_model(model, eps0=8e-6, eps_factor=0.995)
-            report = decompose(
-                model, schedule=sched, max_depth=20, tol=5e-3,
-                div_threshold=1e12, limits=BuildLimits(max_pairs=20_000_000),
-            )
+            report = decompose(model, max_depth=20, tol=5e-3, div_threshold=1e12)
             assert report.total == entry.total, name
             assert isinstance(report.kh_verdict, Converged), name
             assert isinstance(report.basic_sum_verdict, Converged), name

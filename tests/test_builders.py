@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 
@@ -92,9 +93,17 @@ class TestSchedule:
         with pytest.raises(ValueError):
             sched.at(-1)
 
-    def test_bad_factors_rejected(self):
-        with pytest.raises(ValueError):
-            RefinementSchedule(h0=1.0, r0=0.1, eps_factor=1.5)
+    def test_bad_h0_or_r0_rejected(self):
+        for field in ("h0", "r0"):
+            for bad in (0.0, -0.1, math.nan):
+                with pytest.raises(ValueError, match=f"{field} must be positive"):
+                    RefinementSchedule(**{"h0": 1.0, "r0": 0.1, field: bad})
+
+    def test_radii_are_the_depth_radii(self):
+        # AnchorTable reads radii(); the ladders' rows read at(n).r
+        sched = RefinementSchedule.for_span(Interval(0.0, 3.0), [0.5, 1.5, 2.5])
+        radii = list(itertools.islice(sched.radii(), 60))
+        assert [r.hex() for r in radii] == [sched.at(n).r.hex() for n in range(60)]
 
 
 class TestBuildAnchored:

@@ -567,12 +567,11 @@ class TestResiduesCommand:
 
 class TestEmit:
     def test_every_format_preserves_verdict_kinds(self):
-        from gaugeint import RefinementSchedule, catalog, decompose
+        from gaugeint import catalog, decompose
         from gaugeint.cli import emit
 
         model = catalog("reciprocal")
-        sched = RefinementSchedule.for_model(model, eps0=1e-2, eps_factor=0.995)
-        report = decompose(model, schedule=sched, max_depth=12, div_threshold=100.0)
+        report = decompose(model, max_depth=12, div_threshold=100.0)
         table = emit(report, "table", model=model)
         as_json = json.loads(emit(report, "json"))
         csv_text = emit(report, "csv")

@@ -1,6 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private module-level function or class is read somewhere in the
-package.
+"""Every name a module of the package or of its tests imports is used in
+that module, and every private module-level function or class is read
+somewhere in the package.
 
 ``__init__.py`` is exempt from the import check, since its imports are the
 package's public names, and so are imports from ``__future__``.
@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gaugeint"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+MODULES = (sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")))
 
 
 def unused_imports(source: str) -> list:

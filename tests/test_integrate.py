@@ -41,9 +41,7 @@ ENVELOPE = {"total", "verification", "kh", "basic_sum", "residuals", "identity_g
 
 
 def residues_summary(model):
-    bs_rows, bs_verdict, residuals = residue_table(
-        model, RefinementSchedule.for_model(model), 20, 1e-6, 1e12
-    )
+    bs_rows, bs_verdict, residuals = residue_table(model, 20, 1e-6, 1e12)
     return ResidualsSummary(basic_sum_verdict=bs_verdict, residuals=residuals)
 
 
@@ -140,16 +138,13 @@ class TestPlainKH:
 
     def test_reciprocal_diverges(self):
         model = catalog("reciprocal")
-        sched = RefinementSchedule.for_model(model, eps0=1e-2, eps_factor=0.995)
-        verdict = plain_kh(model, schedule=sched, max_depth=12, div_threshold=100.0)
+        verdict = plain_kh(model, max_depth=12, div_threshold=100.0)
         assert verdict == Diverged(sign=-1)
 
     def test_sqrt_converges_to_antiderivative_integral(self):
         # oracle: integral of 1/(2 sqrt(x)) over [0,1] is sqrt(1) - sqrt(0) = 1
         model = catalog("sqrt_singular")
-        sched = RefinementSchedule.for_model(model, eps0=1e-4, eps_factor=0.99)
-        verdict = plain_kh(model, schedule=sched, max_depth=20, tol=4e-4,
-                           limits=BuildLimits(max_pairs=20_000_000))
+        verdict = plain_kh(model, max_depth=20, tol=4e-4)
         assert isinstance(verdict, Converged)
         assert abs(verdict.value - 1.0) <= 1e-3
 
@@ -456,12 +451,7 @@ class TestFailedRowPairs:
         assert row.pairs == exc.value.pairs_built == streamed > 0
 
 
-CRIT3_OPTS = dict(max_depth=20, tol=5e-3, div_threshold=1e12,
-                  limits=BuildLimits(max_pairs=20_000_000))
-
-
-def crit3_schedule(model):
-    return RefinementSchedule.for_model(model, eps0=8e-6, eps_factor=0.995)
+CRIT3_OPTS = dict(max_depth=20, tol=5e-3, div_threshold=1e12)
 
 
 class TestDecompose:
@@ -477,7 +467,7 @@ class TestDecompose:
 
     def test_jump_linear_identity(self):
         model = catalog("jump_linear")
-        report = decompose(model, schedule=crit3_schedule(model), **CRIT3_OPTS)
+        report = decompose(model, **CRIT3_OPTS)
         assert report.total == 4.0
         assert abs(report.kh_verdict.value - 2.0) <= 1e-3
         assert abs(report.basic_sum_verdict.value - 2.0) <= 1e-3
@@ -485,8 +475,7 @@ class TestDecompose:
 
     def test_reciprocal_identity_undefined(self):
         model = catalog("reciprocal")
-        sched = RefinementSchedule.for_model(model, eps0=1e-2, eps_factor=0.995)
-        report = decompose(model, schedule=sched, max_depth=12, div_threshold=100.0)
+        report = decompose(model, max_depth=12, div_threshold=100.0)
         assert report.total == 1.5
         assert isinstance(report.kh_verdict, Diverged)
         assert report.basic_sum_verdict == Diverged(sign=1)
@@ -501,8 +490,7 @@ class TestDecompose:
         base = catalog("reciprocal")
         model = dataclasses.replace(base, f=lambda x: base.f(x) + 1.0 * (
             (np.asarray(x) >= 0.05) & (np.asarray(x) < 0.06)))
-        sched = RefinementSchedule.for_model(model, eps0=1e-2, eps_factor=0.995)
-        verdict = decompose(model, schedule=sched, max_depth=12, div_threshold=100.0).kh_verdict
+        verdict = decompose(model, max_depth=12, div_threshold=100.0).kh_verdict
         assert isinstance(verdict, Inconclusive) and verdict.trace == ()
         assert verdict.note.startswith("build failed at depth 4: ")
 
@@ -519,7 +507,7 @@ class TestDecompose:
         for name in ("parabola", "sqrt_singular", "jump_linear", "staircase3"):
             model = catalog(name)
             entry = catalog_entry(name)
-            report = decompose(model, schedule=crit3_schedule(model), **CRIT3_OPTS)
+            report = decompose(model, **CRIT3_OPTS)
             assert report.total == entry.total, name
             assert isinstance(report.kh_verdict, Converged), name
             assert isinstance(report.basic_sum_verdict, Converged), name
@@ -545,7 +533,7 @@ class TestDecompose:
         # combined classifier tolerance
         for name in ("heaviside", "parabola", "jump_linear", "staircase3"):
             model = catalog(name)
-            report = decompose(model, schedule=crit3_schedule(model), **CRIT3_OPTS)
+            report = decompose(model, **CRIT3_OPTS)
             if isinstance(report.kh_verdict, Converged) and isinstance(
                 report.basic_sum_verdict, Converged
             ):
@@ -554,8 +542,8 @@ class TestDecompose:
     def test_shift_invariance_at_continuous_points(self):
         base = catalog("parabola")
         shifted = shifted_model(base, 0.25)
-        r1 = decompose(base, schedule=crit3_schedule(base), **CRIT3_OPTS)
-        r2 = decompose(shifted, schedule=crit3_schedule(shifted), **CRIT3_OPTS)
+        r1 = decompose(base, **CRIT3_OPTS)
+        r2 = decompose(shifted, **CRIT3_OPTS)
         assert r1.total == r2.total  # exact for this shift
         assert r2.kh_verdict.value == pytest.approx(r1.kh_verdict.value, abs=1e-9)
         assert r2.basic_sum_verdict.value == pytest.approx(

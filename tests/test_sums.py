@@ -245,7 +245,7 @@ class TestSharedAnchorRow:
     def test_residue_table_makes_one_F_call_per_table(self, name, depths):
         # the ladders read ``depths`` depths of the 21 the one call covers
         model, calls = counting(catalog(name))
-        bs_rows, _, _ = residue_table(model, RefinementSchedule.for_model(model), 20, 1e-6, 1e12)
+        bs_rows, _, _ = residue_table(model, 20, 1e-6, 1e12)
         assert len(bs_rows) == depths
         assert calls == [2 * len(model.E) * 21]
 
@@ -266,7 +266,7 @@ class TestSharedAnchorRow:
     def test_residual_stops_only_on_its_own_cell(self):
         model = own_cell_model()
         sched = RefinementSchedule.for_model(model)
-        _, bs_verdict, residuals = residue_table(model, sched, 20, 1e-6, 1e12)
+        _, bs_verdict, residuals = residue_table(model, 20, 1e-6, 1e12)
         standalone = {e: residual_estimate(model, e, sched) for e in model.E}
         assert bs_verdict == Diverged(sign=1)
         for table in (residuals, standalone):
@@ -378,7 +378,7 @@ class TestAnchorTable:
         residuals = {e: ladder(lambda n, i=i: reference_term(model, sched, n, i))[1]
                      for i, e in enumerate(model.E)}
         assert repr(basic_sum_sequence(model, sched, max_depth=max_depth)) == repr(basic)
-        bs_rows, bs_verdict, table = residue_table(model, sched, max_depth, TOL, DIV_THRESHOLD)
+        bs_rows, bs_verdict, table = residue_table(model, max_depth, TOL, DIV_THRESHOLD)
         assert repr(tuple((row.depth, row.value) for row in bs_rows)) == repr(basic[0])
         assert repr(bs_verdict) == repr(basic[1])
         assert repr(table) == repr(residuals)
@@ -389,7 +389,7 @@ class TestAnchorTable:
     def test_huge_max_depth_stops_at_the_anchor_floor(self, name):
         model, calls = counting(catalog(name))
         sched = RefinementSchedule.for_model(model)
-        _, bs_verdict, _ = residue_table(model, sched, 10**8, TOL, DIV_THRESHOLD)
+        _, bs_verdict, _ = residue_table(model, 10**8, TOL, DIV_THRESHOLD)
         assert sum(calls) <= 2 * len(model.E) * (anchor_floor_depth(model, sched) + 1)
         assert bs_verdict == basic_sum_sequence(catalog(name), sched, max_depth=60)[1]
 
@@ -405,7 +405,7 @@ class TestAnchorStops:
         trace, verdict = basic_sum_sequence(model, sched)
         assert verdict == Inconclusive(trace=trace, note=note)
         assert len(trace) == 1
-        _, bs_verdict, residuals = residue_table(model, sched, 20, TOL, DIV_THRESHOLD)
+        _, bs_verdict, residuals = residue_table(model, 20, TOL, DIV_THRESHOLD)
         assert bs_verdict == verdict
         assert residuals == {0.5: verdict} == {0.5: residual_estimate(model, 0.5, sched)}
         assert decompose(model).basic_sum_verdict == verdict
@@ -417,8 +417,8 @@ class TestAnchorStops:
         sched = RefinementSchedule.for_model(model)
         failing = raising_within(model, 0.0, sched.at(10).r)
         assert basic_sum_sequence(failing, sched) == basic_sum_sequence(model, sched)
-        assert (residue_table(failing, sched, 20, TOL, DIV_THRESHOLD)
-                == residue_table(model, sched, 20, TOL, DIV_THRESHOLD))
+        assert (residue_table(failing, 20, TOL, DIV_THRESHOLD)
+                == residue_table(model, 20, TOL, DIV_THRESHOLD))
         assert residual_estimate(failing, 0.0, sched) == residual_estimate(model, 0.0, sched)
         assert residue_check(failing) == residue_check(model)
         assert decompose(failing).to_json() == decompose(model).to_json()
@@ -442,8 +442,8 @@ class TestAnchorStops:
         failing = raising_within(model, 1.5, sched.at(10).r)
         for e in model.E:
             assert residual_estimate(failing, e, sched) == residual_estimate(model, e, sched)
-        assert (residue_table(failing, sched, 20, TOL, DIV_THRESHOLD)
-                == residue_table(model, sched, 20, TOL, DIV_THRESHOLD))
+        assert (residue_table(failing, 20, TOL, DIV_THRESHOLD)
+                == residue_table(model, 20, TOL, DIV_THRESHOLD))
         # from depth 2 on, 1.5's ladder reads a failing depth before its verdict
         failing = raising_within(model, 1.5, sched.at(2).r)
         for e in (0.5, 2.5):
