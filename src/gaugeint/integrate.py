@@ -4,7 +4,8 @@
   difference of the extended function; what varies per requested tolerance is
   the *verification*: a straddle-verified partition (fixed anchor radius,
   tolerance-driven widths) whose Riemann sum must track the off-anchor
-  increment sum within eps times the span length.
+  increment sum within eps times the span length.  A build at the finest
+  tolerance witnesses every looser row too, so the rows share one build.
 * ``plain_kh`` -- the ordinary gauge integral of the extended derivative
   through the paper's identity: the total is F(b) - F(a), so by Hake's
   theorem the plain integral is the total minus the limit of the basic sum
@@ -24,7 +25,8 @@
   the f check's distance |Riemann - (total - B_n)| at kh's depth n, when
   both limits converge.  Within one call kh reads the anchor table that the
   basic sum and the residuals read, and its certificate's sums give the
-  identity gap.
+  identity gap; a certificate at the rows' radius and tolerance witnesses
+  the verification rows as well.
 * ``residue_check`` -- the degenerate case: when the derivative vanishes off
   the exceptional set, the endpoint difference of the extended function must
   equal the sum of the residuals.
@@ -33,9 +35,10 @@
   of them read one anchor table, one F call per table.
 * ``report_json`` -- the fixed six-key JSON envelope every report renders to.
 
-Each depth or tolerance row is an independent pure computation; reports are
-assembled deterministically by index.  Each stop is read from one record: a
-failed row's from the raised ``BuildError``, a ladder's from its verdict's note.
+Each depth row is an independent pure computation; the tolerance rows read
+one witness build, the finest that succeeds.  Reports are assembled
+deterministically by index.  Each stop is read from one record: a failed
+row's from the raised ``BuildError``, a ladder's from its verdict's note.
 """
 
 from __future__ import annotations
@@ -111,6 +114,8 @@ class _StraddleSums:
     riemann: float       # integrand(tag) * width over all pairs
     off_increments: float  # extended-F increments over off-anchor pairs
     pairs: int
+    r: float             # the build's anchor radius
+    eps: float           # and its per-cell tolerance
 
 
 def _straddle_sums(model, r, eps, limits, h=None) -> _StraddleSums:
@@ -126,7 +131,7 @@ def _straddle_sums(model, r, eps, limits, h=None) -> _StraddleSums:
             xi.add(float(np.add.reduce(f_widths)))
             off.add(float(F_pos[-1] - F_pos[0]))  # run telescopes exactly
             pairs += len(f_tags)
-    return _StraddleSums(riemann=xi.total, off_increments=off.total, pairs=pairs)
+    return _StraddleSums(riemann=xi.total, off_increments=off.total, pairs=pairs, r=r, eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -176,26 +181,36 @@ def total_kh(
     """Total integral with per-tolerance verification rows.
 
     The value itself never depends on a partition: it is the telescoped
-    endpoint difference of the extended function.  Each tolerance row builds
-    a straddle-verified partition at fixed anchor radius and checks that the
-    Riemann sum stays within eps*(span length) of the off-anchor increment
-    sum.  A failed build marks its row and leaves the others standing.
+    endpoint difference of the extended function.  Each tolerance row checks
+    that a straddle-verified partition at fixed anchor radius keeps its
+    Riemann sum within eps*(span length) of the off-anchor increment sum.
+    The finest tolerance builds first; a build that succeeds witnesses its
+    own row and every looser one, each of its cells being within eps*width
+    (Saks-Henstock).  A ``BuildError`` marks its own row, and the next
+    looser tolerance builds.  A row's ``pairs`` and ``residual`` are its
+    witness's.
     """
-    total = increment(model, model.span)
+    return _verification(model, increment(model, model.span), epsilons, r, limits)
+
+
+def _verification(model, total, epsilons, r, limits, witness=None) -> TotalReport:
+    """:func:`total_kh`'s report of ``total``; ``witness``, a build already
+    made, serves every row at radius ``r`` whose tolerance it meets."""
     if r is None:
         r = RefinementSchedule.for_model(model).r0
-    rows = []
-    for eps in epsilons:
+    by_eps = {}
+    for eps in sorted(set(epsilons)):
         bound = eps * model.span.length
-        try:
-            sums = _straddle_sums(model, r, eps, limits)
-        except BuildError as exc:
-            rows.append(VerificationRow(eps, None, bound, exc.pairs_built, error=str(exc)))
-            continue
-        rows.append(VerificationRow(
-            eps, abs(sums.riemann - sums.off_increments), bound, sums.pairs
-        ))
-    return TotalReport(total=total, rows=tuple(rows),
+        if not (witness is not None and witness.r == r and witness.eps <= eps):
+            try:
+                witness = _straddle_sums(model, r, eps, limits)
+            except BuildError as exc:
+                by_eps[eps] = VerificationRow(eps, None, bound, exc.pairs_built, error=str(exc))
+                continue
+        by_eps[eps] = VerificationRow(
+            eps, abs(witness.riemann - witness.off_increments), bound, witness.pairs)
+    rows = tuple(by_eps[eps] for eps in epsilons)
+    return TotalReport(total=total, rows=rows,
                        verified=bool(rows) and all(row.ok for row in rows))
 
 
@@ -371,16 +386,17 @@ def decompose(
     residual-sum cross-check against the basic sum runs when every residual
     converges.  A certificate build that dies ends the plain-integral
     ladder, and only the kh verdict's note records it; an
-    ``EvaluationError`` from f or F propagates, first from ``total_kh``'s
-    rows.
+    ``EvaluationError`` from f or F propagates, first from kh's
+    certificate.  The certificate witnesses the verification rows when it
+    ran at their radius and meets their tolerances, as an inconclusive
+    kh's f check at r0 does.
     """
     table = AnchorTable(model, RefinementSchedule.for_model(model), max_depth)
-
-    verification = total_kh(model, epsilons, anchor_r, limits)
-    total = verification.total
+    total = increment(model, model.span)
 
     kh_trace, kh_verdict, certificate = _plain_ladder(
         model, max_depth, tol, div_threshold, total, table, limits)
+    verification = _verification(model, total, epsilons, anchor_r, limits, certificate)
 
     bs_rows, bs_verdict, residuals = _anchor_ladders(model, max_depth, tol, div_threshold,
                                                      table)

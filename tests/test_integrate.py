@@ -117,6 +117,55 @@ class TestTotalKH:
             report = total_kh(catalog(name))
             assert report.verified, name
 
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_one_build_witnesses_every_row(self, name):
+        # the build at the finest tolerance keeps every cell within
+        # 1e-4 * width, so it is the witness of the 1e-3 and 1e-2 rows too
+        model, calls = counting_calls(catalog(name))
+        finest = total_kh(model, epsilons=[1e-4])
+        alone = dict(calls)
+        calls.update(F=0, f=0)
+        report = total_kh(model)
+        assert calls == alone
+        assert {(row.pairs, row.residual) for row in report.rows} == {
+            (finest.rows[0].pairs, finest.rows[0].residual)}
+
+    @pytest.mark.parametrize("name", [*CATALOG_NAMES, *(f"probe:{p}" for p in PROBE_MODELS)])
+    def test_rows_match_one_tolerance_builds(self, name):
+        # a shared witness never turns a row's outcome: each row is ok, or
+        # carries an error, exactly when its own build alone does
+        model = (punctured_model(*PROBE_MODELS[name[len("probe:"):]])
+                 if name.startswith("probe:") else catalog(name))
+        report = total_kh(model)
+        alone = [total_kh(model, epsilons=[eps]).rows[0] for eps in (1e-2, 1e-3, 1e-4)]
+        assert [(row.ok, row.error is None) for row in report.rows] == [
+            (row.ok, row.error is None) for row in alone]
+        if name == "probe:undeclared-jump-1e-3":
+            # the 1e-4 and 1e-3 builds fail on the jump and the 1e-2 one
+            # passes over it, so the rows stay mixed
+            assert [row.ok for row in report.rows] == [True, False, False]
+            assert report.rows[0].error is None
+            assert report.rows[1].error and report.rows[2].error
+
+    def test_no_tolerance_builds_nothing(self):
+        model, calls = counting_calls(catalog("reciprocal"))
+        report = total_kh(model, epsilons=())
+        assert report.rows == () and not report.verified
+        assert report.total == 1.5
+        assert calls == {"F": 1, "f": 0}  # the endpoint difference alone
+
+    def test_duplicate_and_unsorted_tolerances_keep_their_order(self):
+        model, calls = counting_calls(catalog("sqrt_singular"))
+        total_kh(model, epsilons=[1e-4])
+        alone = dict(calls)
+        calls.update(F=0, f=0)
+        epsilons = [1e-3, 1e-2, 1e-4, 1e-3]
+        report = total_kh(model, epsilons=epsilons)
+        assert [row.epsilon for row in report.rows] == epsilons
+        assert [row.bound for row in report.rows] == epsilons  # span length 1
+        assert calls == alone
+        assert report.verified
+
 
 def counting_calls(model):
     """``model`` with F and f wrapped to count their calls, and the counts."""
@@ -162,10 +211,11 @@ class TestPlainKH:
 
 
     def test_evaluation_error_propagates(self):
-        # f = 1/x is non-finite at the undeclared point 0, the tag of
-        # total_kh's first row, so decompose raises there.  plain_kh's only
+        # f = 1/x is non-finite at the undeclared point 0.  plain_kh's only
         # build is the f check, whose first cell at tag -1 already fails on
-        # the mismatch f(-1) = -1 against F' = 1 before a tag reaches 0
+        # the mismatch f(-1) = -1 against F' = 1 before a tag reaches 0, so
+        # it witnesses no verification row; the rows' own first build, at
+        # the finest tolerance, tags 0, and decompose raises there
         model = SingularFunctionModel(
             F=lambda x: np.asarray(x, dtype=float), f=lambda x: 1.0 / np.asarray(x, dtype=float),
             E=ExceptionalSet(), span=Interval(-1.0, 1.0),
@@ -186,8 +236,10 @@ class TestPlainKH:
         # a standalone plain_kh makes the anchor table's F call and the
         # calls of one build, the f check (measured 4 / 4 / 4 / 6 F and
         # 2 / 2 / 2 / 4 f calls; 6 / 6 / 6 / 10 F calls when depth 0's
-        # schedule build was made too).  decompose with its own anchor
-        # radius makes no build beyond total_kh's rows and the f check either
+        # schedule build was made too).  A converged kh's f check runs at
+        # its depth's radius and witnesses no verification row, so decompose
+        # makes the rows' one build at the finest tolerance and the f check,
+        # at r0 or at its own anchor radius alike
         model, calls = counting_calls(catalog(name))
         plain_kh(model)
         assert calls["F"] <= most_F and calls["f"] <= most_f
@@ -389,10 +441,11 @@ class TestReachabilityPrune:
         ("staircase3", 20, 18),
     ])
     def test_converging_decompose_calls(self, name, most_F, most_f):
-        # the F and f calls of one decompose: the anchor table, the three
-        # total_kh rows (depth 0 is the eps 1e-2 one) and the f check, no
-        # call per depth (measured 10 / 10 / 10 / 18 F and 8 / 8 / 8 / 16 f
-        # calls; 14 / 48 / 46 / 26 F calls when each depth was built)
+        # the F and f calls of one decompose: the anchor table, the
+        # verification rows' one witness build and the f check, no call per
+        # depth (measured 6 / 6 / 6 / 10 F and 4 / 4 / 4 / 8 f calls; 10 /
+        # 10 / 10 / 18 F when each row built its own; 14 / 48 / 46 / 26 F
+        # calls when each depth was built)
         model, calls = counting_calls(catalog(name))
         decompose(model)
         assert calls["F"] <= most_F and calls["f"] <= most_f
@@ -521,6 +574,27 @@ class TestDecompose:
         # increments of F to rounding (measured 1.1e-16 and 0)
         report = decompose(catalog(name))
         assert report.identity_gap <= 8 * np.spacing(report.total)
+
+    @pytest.mark.parametrize("name", ["osc_sin_inv", "reciprocal", "sqrt_singular"])
+    def test_certificate_witnesses_the_rows(self, name):
+        # an inconclusive kh's certificate is the f check at r0 and eps
+        # tol / L = 1e-6, finer than every default row, so the rows build
+        # nothing of their own (standalone plain_kh: 28 / 21 / 8 F calls)
+        model, calls = counting_calls(catalog(name))
+        plain_kh(model)
+        alone = calls["F"]
+        calls["F"] = 0
+        report = decompose(model)
+        assert calls["F"] <= alone + 1
+        assert len({row.pairs for row in report.verification.rows}) == 1
+        # at another anchor radius the certificate witnesses no row, and
+        # the rows read their own build at the finest tolerance
+        calls["F"] = 0
+        report = decompose(model, anchor_r=0.01)
+        assert calls["F"] > alone + 1
+        own = total_kh(catalog(name), epsilons=[1e-4], r=0.01).rows[0]
+        assert {(row.pairs, row.residual) for row in report.verification.rows} == {
+            (own.pairs, own.residual)}
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_defaults_stay_under_pair_cap(self, name):
