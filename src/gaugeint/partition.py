@@ -24,8 +24,36 @@ from .errors import AnchorOverlapError
 _ANCHOR_FLOOR = 8 * sys.float_info.epsilon
 
 _CSV_HEADER = "lo,hi,tag,in_exceptional\n"
-# rows per block of the CSV dump: bounds the row strings held at once
+# rows per block of the CSV dump: bounds the bytes held at once.  A block's
+# ends and tags go through one _format_g17 call, which writes the bytes that
+# '%.17g' % writes; it formats zero, |x| < 1e-4, |x| >= 1e17, non-finite
+# values and blocks of fewer than _FIXED_MIN_VALUES values one value at a
+# time with '%.17g' % itself
 _CSV_BLOCK = 4096
+# below this many values numpy's per-call cost in _fixed_notation outweighs
+# formatting each value with '%.17g' % (they cross at 150-200 values)
+_FIXED_MIN_VALUES = 64
+
+# Dekker's exact product v * 10**k: the doubles 10**k, k = 0..21, all exact,
+# and the upper half of Veltkamp's split of each (2**27 + 1 splits a double
+# into two halves of at most 26 bits)
+_SPLITTER = 134217729.0
+_POW10 = np.array([float(10 ** k) for k in range(22)])
+_POW10_HI = _SPLITTER * _POW10 - (_SPLITTER * _POW10 - _POW10)
+
+
+def _digit_groups() -> np.ndarray:
+    """The ASCII bytes of "0000" .. "9999", one uint32 per group, then the
+    same groups with their trailing zeros turned to NUL bytes."""
+    # int16 keeps the import's peak memory down
+    groups = np.arange(10000, dtype=np.int16)[:, None]
+    powers = np.array([10000, 1000, 100, 10, 1], dtype=np.int16)
+    ascii_ = (groups % powers[:-1] // powers[1:] + ord("0")).astype(np.uint8)
+    stripped = ascii_ * (groups % powers[:-1] != 0)
+    return np.concatenate((ascii_, stripped)).view(np.uint32).ravel()
+
+
+_DIGITS4 = _digit_groups()
 
 
 @dataclass(frozen=True)
@@ -312,31 +340,139 @@ def is_fine(partition: TaggedPartition, gauge: Gauge) -> bool:
     )
 
 
+def _scaled(v: np.ndarray, x: np.ndarray):
+    """``(p, e, d)``: ``p + e`` is ``v * 10**(16 - x)`` exactly (Dekker's
+    TwoProduct) and ``d`` is that product rounded half to even, as int64.
+
+    At the right x, ``p`` lies within an ulp of [1e16, 1e17], where every
+    double is an even integer, so ``p + rint(e)`` rounds the exact product
+    half to even."""
+    b, b_hi = _POW10[16 - x], _POW10_HI[16 - x]
+    b_lo = b - b_hi
+    p = v * b
+    v_hi = _SPLITTER * v
+    v_hi -= v_hi - v
+    v_lo = v - v_hi
+    e = ((v_hi * b_hi - p) + v_hi * b_lo + v_lo * b_hi) + v_lo * b_lo
+    return p, e, p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _format_g17(values: np.ndarray) -> np.ndarray:
+    """Each value's ``'%.17g' %`` bytes as a row of a uint8 array, with NUL
+    bytes, anywhere in the row, as padding.
+
+    A finite |value| in [1e-4, 1e17) prints in fixed notation, which
+    :func:`_fixed_notation` writes for a whole array at once.  Every other
+    value, and every value of an array shorter than ``_FIXED_MIN_VALUES``,
+    takes the per-value ``'%.17g' %``.
+    """
+    mag = np.abs(values)
+    fast = (mag >= 1e-4) & (mag < 1e17)
+    if len(values) < _FIXED_MIN_VALUES:
+        fast[:] = False
+    slow = np.flatnonzero(~fast)
+    slow_text = ["%.17g" % t for t in values[slow].tolist()]
+    if len(slow) < len(values):
+        # the other rows are laid out as 1.0, which makes the rows at least
+        # 24 bytes wide, as wide as the longest '%.17g' form; then overwritten
+        out = _fixed_notation(values, np.where(fast, mag, 1.0))
+    else:
+        out = np.zeros((len(values), max(map(len, slow_text), default=0)), dtype=np.uint8)
+    if slow_text:
+        width = out.shape[1]
+        padded = "".join(t.ljust(width, "\0") for t in slow_text).encode("ascii")
+        out[slow] = np.frombuffer(padded, dtype=np.uint8).reshape(-1, width)
+    return out
+
+
+def _fixed_notation(values: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``'%.17g' % value`` for each of ``values`` with |value| = ``v`` in
+    [1e-4, 1e17), as rows of uint8, NUL padded.
+
+    The 17 digits are ``d = round(v * 10**(16 - x))`` of the decade x, the
+    least x with d < 10**17, and the fraction's trailing zeros are dropped.
+    """
+    x = np.minimum(np.floor(np.log10(v)), 16).astype(np.int64)
+    p, e, d = _scaled(v, x)
+    # near a power of ten log10 can miss x by one: d reaches 10**17 (x too
+    # small) or the exact product falls below 10**16 (x too large).  One
+    # step mends it, as no double below a power of ten in this range rounds
+    # up to it at 17 digits
+    up = d >= 10 ** 17
+    off = np.flatnonzero(up | ((p - 1e16) + e < 0))
+    if len(off):
+        x[off] += np.where(up[off], 1, -1)
+        d[off] = _scaled(v[off], x[off])[2]
+    # d's leading digit and four groups of four digits; a group reads the
+    # stripped half of _DIGITS4 when every later group is zero
+    groups = np.empty((len(d), 5), dtype=np.int64)
+    hi = d // 10 ** 8
+    lo = d - hi * 10 ** 8
+    hi_4 = hi // 10 ** 4
+    groups[:, 0] = hi_4 // 10 ** 4
+    groups[:, 1] = hi_4 - groups[:, 0] * 10 ** 4
+    groups[:, 2] = hi - hi_4 * 10 ** 4
+    groups[:, 3] = lo // 10 ** 4
+    groups[:, 4] = lo - groups[:, 3] * 10 ** 4 + 10000
+    for j in (3, 2, 1):
+        groups[:, j] += (groups[:, j + 1] == 10000) * 10000
+    digits = _DIGITS4[groups].view(np.uint8)[:, 3:]
+    # one layout for every x, so no row moves: the sign, "0." and up to three
+    # zeros for x < 0, then d0 h1 d1 .. hk dk .. d16, where the hole h_j
+    # holds the point when it follows digit j - 1 and a fraction digit
+    # follows it; k = 1 + the largest x, at most 16
+    x_max = int(x.max())
+    k = min(max(x_max + 1, 0), 16)
+    out = np.zeros((len(values), 23 + k), dtype=np.uint8)
+    out[:, 0] = np.signbit(values) * np.uint8(ord("-"))
+    out[:, 1] = (x < 0) * np.uint8(ord("0"))
+    out[:, 2] = (x < 0) * np.uint8(ord("."))
+    for i in (1, 2, 3):
+        out[:, 2 + i] = (x < -i) * np.uint8(ord("0"))
+    out[:, 6:6 + 2 * k:2] = digits[:, :k]
+    out[:, 6 + 2 * k:23 + k] = digits[:, k:]
+    for j in range(1, k + 1):
+        if j <= x_max:  # an integer digit keeps its zeros
+            out[:, 6 + 2 * j] |= (x >= j) * np.uint8(ord("0"))
+        out[:, 5 + 2 * j] = ((x == j - 1) & (out[:, 6 + 2 * j] != 0)) * np.uint8(ord("."))
+    return out
+
+
 def partition_to_csv(
     partition: TaggedPartition, exceptional: Iterable[float] = ()
 ) -> str:
     """Render the partition dump: header ``lo,hi,tag,in_exceptional``, then
-    one row per pair in span order, each value a ``%.17g`` decimal.
+    one row per pair in span order, each value exactly the bytes of its
+    ``'%.17g' %`` decimal.
 
     A valid partition's pairs share their endpoints bit for bit, so each
     block of rows formats a shared endpoint once, as the next pair's left
     end, and formats a right end again only where its bits differ from that
-    left end: a gap, an overlap, or -0.0 against 0.0.
+    left end: a gap, an overlap, or -0.0 against 0.0.  The block's values go
+    through one :func:`_format_g17` call, whose per-value ``'%.17g' %``
+    path takes zero, |x| < 1e-4, |x| >= 1e17, non-finite values and the
+    values of a block too short to pay for numpy's per-call cost.
     """
-    fmt = "%.17g".__mod__
     los, his, tags = partition.los, partition.his, partition.tags
-    mask = restriction_mask(partition, exceptional)
-    flags = (mask.view(np.uint8) + ord("0")).tobytes().decode()  # "0" or "1" per pair
+    flags = restriction_mask(partition, exceptional).view(np.uint8) + np.uint8(ord("0"))
     blocks = [_CSV_HEADER]
     for start in range(0, len(los), _CSV_BLOCK):
         stop = start + _CSV_BLOCK
         lo, hi = los[start:stop], his[start:stop]
-        # the block's left ends and its last right end; ends[1:] are the
-        # right ends where they share the next left end's bits
-        ends = list(map(fmt, lo.tolist() + [float(hi[-1])]))
-        hi_s = ends[1:]
-        for i in np.flatnonzero(lo[1:].view(np.uint64) != hi[:-1].view(np.uint64)).tolist():
-            hi_s[i] = fmt(float(hi[i]))
-        rows = zip(ends, hi_s, map(fmt, tags[start:stop].tolist()), flags[start:stop])
-        blocks.append("\n".join(map(",".join, rows)) + "\n")
+        n = len(lo)
+        # the left ends, the last right end, the right ends whose bits
+        # differ from the next left end, then the tags
+        apart = np.flatnonzero(lo[1:].view(np.uint64) != hi[:-1].view(np.uint64))
+        fields = _format_g17(np.concatenate((lo, hi[-1:], hi[apart], tags[start:stop])))
+        hi_rows = np.arange(1, n + 1)
+        hi_rows[apart] = np.arange(n + 1, n + 1 + len(apart))
+        w = fields.shape[1]
+        rows = np.empty((n, 3 * w + 5), dtype=np.uint8)
+        rows[:, :w] = fields[:n]
+        rows[:, w + 1:2 * w + 1] = fields.take(hi_rows, axis=0)
+        rows[:, 2 * w + 2:3 * w + 2] = fields[n + 1 + len(apart):]
+        rows[:, w:3 * w + 3:w + 1] = ord(",")
+        rows[:, -2] = flags[start:stop]
+        rows[:, -1] = ord("\n")
+        blocks.append(rows.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(blocks)

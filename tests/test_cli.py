@@ -24,7 +24,9 @@ from gaugeint import (
     partition_to_csv,
 )
 from gaugeint.builders import anchored_gauge_for
+from gaugeint.catalog import CATALOG_NAMES
 from gaugeint.integrate import EPSILONS
+from test_partition import reference_csv
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -454,9 +456,9 @@ class TestEmptyExceptionalSet:
         assert json.loads(out.stdout)["residuals"] == {}
 
 
-def library_dump(name, builder, eps=EPSILONS[0]):
-    """The CSV of the partition ``gaugeint partition --catalog name`` builds
-    at default settings, built through the library."""
+def library_partition(name, builder, eps=EPSILONS[0]):
+    """The partition ``gaugeint partition --catalog name`` builds at default
+    settings, built through the library, and its exceptional points."""
     model = catalog(name)
     r0 = RefinementSchedule.for_model(model).r0
     h = model.span.length / 8
@@ -466,7 +468,12 @@ def library_dump(name, builder, eps=EPSILONS[0]):
         part = build_straddle_verified(model, r=r0, eps=eps)
     else:
         part = build_cousin(model.span, anchored_gauge_for(model.E, r0, h))
-    return partition_to_csv(part, tuple(model.E))
+    return part, tuple(model.E)
+
+
+def library_dump(name, builder, eps=EPSILONS[0]):
+    """The CSV of :func:`library_partition`'s partition."""
+    return partition_to_csv(*library_partition(name, builder, eps))
 
 
 class TestPartitionCommand:
@@ -516,6 +523,15 @@ class TestPartitionCommand:
         assert out.stdout == library_dump("staircase3", "cousin")
         ends = {float(line.split(",")[1]) for line in out.stdout.splitlines()[1:]}
         assert set(catalog("staircase3").E) <= ends
+
+    @pytest.mark.parametrize("builder", ["anchored", "straddle", "cousin"])
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_dump_is_per_value_format(self, name, builder):
+        # the block formatter writes the bytes '%.17g' % writes value by value
+        out = run_cli("partition", "--catalog", name, "--builder", builder)
+        assert out.returncode == 0
+        reference = reference_csv(*library_partition(name, builder))
+        assert out.stdout.splitlines(True) == reference.splitlines(True)
 
     def test_build_failure_is_three(self):
         out = run_cli("partition", "--function", "x^2", "--derivative", "3*x",

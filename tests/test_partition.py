@@ -1,6 +1,9 @@
+import timeit
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from gaugeint import (
@@ -23,6 +26,7 @@ from gaugeint import (
     restrict,
     validate,
 )
+import gaugeint.partition as partition_module
 from gaugeint.partition import _CSV_BLOCK, restriction_mask
 
 
@@ -346,6 +350,54 @@ def _raw_dump(los, his, tags, exceptional=()):
 
 
 INF, NAN = float("inf"), float("nan")
+
+
+def _ties():
+    """Dyadic m / 2**(17 - x) in each decade x: 18 significant digits, the
+    last a 5, so that 17 digits round a tie half to even."""
+    ties = []
+    for x in range(-4, 16):
+        k = 17 - x
+        low = 10 ** x * 2 ** k if x >= 0 else -(-2 ** k // 10 ** -x)
+        ties += [(low | 1) / 2 ** k, ((low | 1) + 2) / 2 ** k]
+    return ties
+
+
+def _edge_values():
+    """Where fixed notation starts and stops and where it once went wrong:
+    each power of ten 1e-6 .. 1e18 and both its neighbours, values that
+    round up into the next decade, integer parts with trailing zeros, ties,
+    subnormals, zeros and non-finite values, each with both signs."""
+    edges = []
+    for k in range(-6, 19):
+        p = float(f"1e{k}")
+        edges += [float(np.nextafter(p, 0.0)), p, float(np.nextafter(p, np.inf))]
+    edges += [9.99999999999999995e-5, 9.9999999999999995e-7, 99999999999999999.0,
+              9344364239854670.0, 5e-324, 2.2250738585072014e-308, 0.0, INF, NAN]
+    edges += _ties()
+    return edges + [-v for v in edges]
+
+
+EDGE_VALUES = _edge_values()
+
+
+def _edge_dump():
+    """Every edge value as a left end, a right end and a tag."""
+    vals = np.array(EDGE_VALUES)
+    return _raw_dump(vals, np.roll(vals, 1), vals[::-1], EDGE_VALUES[:3])
+
+
+def _alternating_dump(n=_CSV_BLOCK + 5):
+    """Right ends and tags that change sign and decade on every row, the
+    left ends rising through every decade of fixed notation."""
+    rng = np.random.default_rng(7)
+    decades = np.arange(n) % 21 - 4
+    signs = np.where(np.arange(n) % 2, -1.0, 1.0)
+    swings = signs * rng.uniform(1.0, 10.0, n) * 10.0 ** decades
+    los = np.sort(rng.uniform(1.0, 10.0, n) * 10.0 ** (np.arange(n) * 21 // n - 4))
+    return _raw_dump(los, swings, swings[::-1])
+
+
 # name -> (partition, exceptional points), built on demand
 DUMPS = {
     "straddle reciprocal 1e-3": lambda: _straddle_dump("reciprocal", 1e-3),
@@ -368,6 +420,12 @@ DUMPS = {
     "infinities": lambda: _raw_dump([-INF, 0.0], [0.0, INF], [-INF, INF], [INF]),
     "one pair": lambda: _raw_dump([-1.0], [1.0], [0.1], [0.1]),
     "no pairs": lambda: _raw_dump([], [], []),
+    "edge values": _edge_dump,
+    # fractions alone need fewer bytes a row than these 24-character forms
+    "long exponents among fractions": lambda: _raw_dump(
+        np.linspace(-0.5, 0.5, 100), np.linspace(-0.5, 0.5, 100) + 0.01,
+        np.resize([-2.2250738585072014e-308, -1.2345678901234567e-300, 0.25], 100)),
+    "alternating sign and decade": _alternating_dump,
 }
 
 
@@ -404,6 +462,77 @@ class TestCsvDump:
         # 17-significant-digit rendering must round-trip
         lo = float(lines[1].split(",")[0])
         assert lo == -1.0
+
+    def test_alternating_dump_costs_no_more_than_per_value(self):
+        # the kernel lays every row out the same way whatever its sign and
+        # decade, so no input makes it slower than formatting value by value
+        part, exceptional = DUMPS["alternating sign and decade"]()
+
+        def best(render):
+            return min(timeit.repeat(lambda: render(part, exceptional), number=1, repeat=5))
+
+        assert best(partition_to_csv) <= best(reference_csv)
+
+
+# any float64 bit pattern, which mostly lands outside fixed notation; any
+# float of fixed notation's range; or an edge value
+_BITS = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64)))
+_FIXED = st.floats(1e-4, 1e17, exclude_max=True).flatmap(
+    lambda v: st.sampled_from((v, -v)))
+_ANY_FLOAT = st.one_of(_BITS, _FIXED, st.sampled_from(EDGE_VALUES))
+
+
+class _OffLog10:
+    """numpy with its log10 shifted by ``shift``, so that the CSV kernel's
+    first guess of a decade is one too high or one too low for many values."""
+
+    def __init__(self, shift):
+        self.shift = shift
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def log10(self, v):
+        return np.log10(v) + self.shift
+
+
+class TestCsvExactness:
+    @pytest.mark.parametrize("shift", [-0.5, 0.5])
+    def test_decade_guess_off_by_one_is_mended(self, monkeypatch, shift):
+        rng = np.random.default_rng(3)
+        fixed = rng.uniform(1.0, 10.0, 2000) * 10.0 ** rng.integers(-4, 17, 2000)
+        vals = np.concatenate((EDGE_VALUES, fixed, -fixed))
+        part, exceptional = _raw_dump(vals, vals[::-1], np.roll(vals, 7))
+        monkeypatch.setattr(partition_module, "np", _OffLog10(shift))
+        text = partition_to_csv(part, exceptional)
+        monkeypatch.undo()
+        # row lists: a failure names the first differing row at once
+        assert text.splitlines(True) == reference_csv(part, exceptional).splitlines(True)
+
+    # no shrink phase: shrinking a failing dump can outlast the test's time
+    # limit, and the first failing dump already shows the diff
+    @settings(max_examples=150, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(ends=st.lists(_ANY_FLOAT, min_size=2, max_size=40), data=st.data())
+    def test_matches_reference_and_reads_back(self, ends, data):
+        # a chain of shared ends, or right ends drawn on their own
+        n = len(ends) - 1
+        los = np.array(ends[:-1])
+        his = np.array(data.draw(st.one_of(st.just(ends[1:]),
+                                           st.lists(_ANY_FLOAT, min_size=n, max_size=n))))
+        tags = np.array(data.draw(st.lists(_ANY_FLOAT, min_size=n, max_size=n)))
+        part, exceptional = _raw_dump(los, his, tags, tags[:1].tolist())
+        # every block through the kernel, however short
+        with mock.patch.object(partition_module, "_FIXED_MIN_VALUES", 0):
+            text = partition_to_csv(part, exceptional)
+        assert text == reference_csv(part, exceptional)
+        fields = [row.split(",")[:3] for row in text.splitlines()[1:]]
+        read = np.array([[float(f) for f in row] for row in fields]).reshape(-1, 3)
+        want = np.stack((part.los, part.his, part.tags), axis=1)
+        nan = np.isnan(want)
+        assert (np.isnan(read) == nan).all()
+        assert (read[~nan].view(np.uint64) == want[~nan].view(np.uint64)).all()
 
 
 class TestAnchorCells:
