@@ -8,7 +8,6 @@ and residue extraction at discontinuities.
 from .builders import (
     BuildLimits,
     RefinementSchedule,
-    ScheduleStep,
     build_anchored,
     build_cousin,
     build_straddle_verified,

@@ -54,7 +54,6 @@ when its rejected errors only reflect rounding, and with
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -143,11 +142,6 @@ class RefinementSchedule:
             r=self.r0 * 0.5**n,
             eps=1e-2 * 0.25**n,
         )
-
-    def radii(self) -> Iterator[float]:
-        """The anchor radius ``at(n).r`` of each depth n, from depth 0 on,
-        without end."""
-        return (self.r0 * 0.5**n for n in itertools.count())
 
 
 @dataclass(frozen=True)

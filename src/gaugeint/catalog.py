@@ -34,17 +34,6 @@ from .models import ExceptionalSet, SingularFunctionModel
 from .partition import Interval
 
 
-def _scalar_ok(fn):
-    """Let a numpy closure accept plain floats and return plain floats."""
-
-    def wrapped(x):
-        if np.ndim(x) == 0:
-            return float(fn(np.asarray(x, dtype=float)))
-        return fn(np.asarray(x, dtype=float))
-
-    return wrapped
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
@@ -61,8 +50,8 @@ class CatalogEntry:
 def _entry(name, F, f, dsl_F, dsl_f, span, points, total, kh_value, basic_sum,
            residuals, notes=""):
     model = SingularFunctionModel(
-        F=_scalar_ok(F),
-        f=_scalar_ok(f),
+        F=F,
+        f=f,
         E=ExceptionalSet(points),
         span=Interval(*span),
         provenance=f"catalog:{name}",

@@ -251,8 +251,6 @@ def job_from_args(args: argparse.Namespace) -> Job:
 # ---------------------------------------------------------------------------
 
 def _fmt(x) -> str:
-    if x is None:
-        return "n/a"
     return format(x, ".6g")
 
 

@@ -542,17 +542,13 @@ def _run(fn, x):
     return float(out[0]) if np.ndim(x) == 0 else np.array(out)
 
 
-def evaluate(defn: FunctionDef | Node, x: float):
+def evaluate(defn: FunctionDef, x: float):
     """Strict scalar evaluation: returns a float or ``UNDEFINED``.
 
     A one-point call of the same compiled closure as :class:`CompiledFunction`,
     with the primitives taken from :mod:`math`, compiled once per
-    :class:`FunctionDef` (a bare node is compiled on every call)."""
-    if isinstance(defn, FunctionDef):
-        fn = defn._math_fn
-    else:
-        fn = _compile(defn, _MATH_PRIMS)
-    value = _run(fn, float(x))
+    :class:`FunctionDef`."""
+    value = _run(defn._math_fn, float(x))
     return value if math.isfinite(value) else UNDEFINED
 
 

@@ -403,7 +403,7 @@ def decompose(
 
     identity_gap = None
     if isinstance(kh_verdict, Converged) and isinstance(bs_verdict, Converged):
-        identity_gap = abs(certificate.riemann - (total - table.basic(kh_verdict.depth)))
+        identity_gap = abs(certificate.riemann - kh_verdict.value)
 
     residue_sum_gap = None
     residual_sum = _residual_sum(residuals)
@@ -446,6 +446,10 @@ class ResidueReport:
         return report_json(total=self.lhs, residuals=self.residuals, identity_gap=self.gap)
 
 
+# The number of stratified points at which ``residue_check`` tests f for zero.
+_PRECONDITION_SAMPLES = 256
+
+
 def _sample_off_points(model: SingularFunctionModel, count: int) -> np.ndarray:
     """Stratified sample points between adjacent exceptional points (span
     endpoints included as strata walls), excluding the walls themselves."""
@@ -463,7 +467,6 @@ def residue_check(
     max_depth: int = MAX_DEPTH,
     tol: float = TOL,
     div_threshold: float = DIV_THRESHOLD,
-    samples: int = 256,
 ) -> ResidueReport:
     """Check F(b) - F(a) against the residual sum when f vanishes off E.
 
@@ -472,10 +475,10 @@ def residue_check(
 
     The precondition (an identically zero derivative off the exceptional
     set) is undecidable for a black box; it is enforced by sampling
-    ``samples`` stratified points and raising ``NotLocallyConstant`` on the
-    first nonzero values found.
+    ``_PRECONDITION_SAMPLES`` stratified points and raising
+    ``NotLocallyConstant`` on the first nonzero values found.
     """
-    xs = _sample_off_points(model, samples)
+    xs = _sample_off_points(model, _PRECONDITION_SAMPLES)
     values = model.f_values(xs)
     nonzero = xs[values != 0.0]
     if nonzero.size:

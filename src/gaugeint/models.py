@@ -69,7 +69,7 @@ def _finite_values(name: str, fn: Callable, xs) -> np.ndarray:
 class SingularFunctionModel:
     """F, its derivative f off E, the exceptional set, and the working span.
 
-    ``F`` and ``f`` must accept either a float or an ndarray of floats.
+    ``F`` and ``f`` are called with a 1-d ndarray of floats.
     Models are immutable and evaluation is pure, so concurrent use is safe.
     """
 

@@ -189,10 +189,9 @@ def anchor_grid(
     ``rows[k]`` holds the cells ``(lo, hi, e)`` of the k-th radius in point
     order; ``breach`` is the ``AnchorOverlapError`` naming the first breach
     of the radius after the last row, or None when every radius keeps the
-    rule.  With at least one point, ``radii`` may be endless: the cells of a
-    shrinking radius fall under the floor.  :func:`anchor_cells` states the
-    rule.  One pass over the cells, in plain floats: on the few points of an
-    exceptional set a numpy pass costs more per radius than it saves.
+    rule.  :func:`anchor_cells` states the rule.  One pass over the cells,
+    in plain floats: on the few points of an exceptional set a numpy pass
+    costs more per radius than it saves.
     """
     a, b = span.lo, span.hi
     pts = tuple(points)

@@ -134,9 +134,12 @@ class AnchorTable:
         self.schedule = schedule
         E = model.E.points
         rows = []
-        if E:  # without a point the radii never run under the floor
+        # anchor_grid stops at the first breach; with no point there is none, and a
+        # deep max_depth would run r_n down to 0, which it rejects.  r_n is
+        # ``schedule.at(n).r`` bit for bit, without building each depth's step.
+        if E:
             rows, _ = anchor_grid(model.span, E,
-                                  itertools.islice(schedule.radii(), max(0, max_depth + 1)))
+                                  (schedule.r0 * 0.5**n for n in range(max_depth + 1)))
         cells = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(rows)),
                             float, 3 * len(rows) * len(E))
         cells = cells.reshape(len(rows), len(E), 3)

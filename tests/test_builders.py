@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 import random
 
@@ -99,12 +98,6 @@ class TestSchedule:
                 with pytest.raises(ValueError, match=f"{field} must be positive"):
                     RefinementSchedule(**{"h0": 1.0, "r0": 0.1, field: bad})
 
-    def test_radii_are_the_depth_radii(self):
-        # AnchorTable reads radii(); the ladders' rows read at(n).r
-        sched = RefinementSchedule.for_span(Interval(0.0, 3.0), [0.5, 1.5, 2.5])
-        radii = list(itertools.islice(sched.radii(), 60))
-        assert [r.hex() for r in radii] == [sched.at(n).r.hex() for n in range(60)]
-
 
 class TestBuildAnchored:
     def test_anchor_cell_present_and_fine(self):
@@ -148,6 +141,16 @@ class TestBuildAnchored:
             holds = (part.los <= e) & (e <= part.his)
             assert np.count_nonzero(holds) == 1
             assert part.tags[np.argmax(holds)] == e
+
+    def test_pair_cap(self):
+        # 45 + 1 + 45 pairs: a cap of 91 builds them, a cap of 90 builds none
+        span = Interval(0.0, 1.0)
+        assert len(build_anchored(span, [0.5], r=0.05, h=0.01,
+                                  limits=BuildLimits(max_pairs=91))) == 91
+        with pytest.raises(BudgetExceeded) as exc:
+            build_anchored(span, [0.5], r=0.05, h=0.01, limits=BuildLimits(max_pairs=90))
+        assert str(exc.value) == "anchored build needs 91 pairs (cap 90)"
+        assert exc.value.pairs_built == 0
 
     def test_widths_capped_by_mesh(self):
         part = build_anchored(Interval(0.0, 1.0), [0.5], r=0.0625, h=0.2)

@@ -248,6 +248,18 @@ class TestExitCodes:
         assert "1.5" in out.stdout
         assert "verified       True" in out.stdout
 
+    def test_failed_rows_in_json_are_three(self):
+        # f = x is not F' for F = x^2: every row's build fails, and the JSON
+        # rows carry the error with a null residual
+        out = run_cli("verify", "--function", "x^2", "--derivative", "x", "--span", "0,1",
+                      "--exceptional=", "--output", "json")
+        assert out.returncode == 3
+        rows = json.loads(out.stdout)["verification"]
+        assert [row["epsilon"] for row in rows] == list(EPSILONS)
+        for row in rows:
+            assert row["residual"] is None
+            assert "declared derivative does not match F" in row["error"]
+
     def test_anchor_overlap_fails_every_row_is_three(self):
         # radius larger than the span: no partition can be anchored at all
         out = run_cli("verify", "--catalog", "reciprocal", "--anchor", "1.5")
@@ -562,6 +574,17 @@ class TestResiduesCommand:
             "0,0.050000000000000003,0,",
         ]
 
+    @pytest.mark.parametrize("argv,rows", [
+        (("--catalog", "staircase3"), ["0.5,converged,0.5,0,3,", "1.5,converged,1,0,3,",
+                                        "2.5,converged,-0.25,0,3,"]),
+        (("--catalog", "reciprocal", "--max-depth", "45"), ["0,diverged,,,,+"]),
+        (("--catalog", "osc_sin_inv"), ["0,inconclusive,,,,"]),
+    ], ids=["converged", "diverged", "inconclusive"])
+    def test_csv_row_per_verdict_kind(self, argv, rows):
+        out = run_cli("residues", *argv, "--output", "csv")
+        assert out.returncode == 0
+        assert out.stdout.splitlines() == ["point,kind,value,error_estimate,depth,sign", *rows]
+
     def test_json(self):
         out = run_cli("residues", "--catalog", "heaviside", "--output", "json")
         doc = json.loads(out.stdout)
@@ -661,6 +684,11 @@ class TestParseCommand:
         out = run_cli("parse", "1/x")
         assert out.returncode == 0
         assert out.stdout.strip() == "1.0 / x"
+
+    def test_json(self):
+        out = run_cli("parse", "--function", "sin(x)^2", "--output", "json")
+        assert out.returncode == 0
+        assert json.loads(out.stdout) == {"ok": True, "canonical": "sin(x)^2.0"}
 
     def test_error_position_on_stderr(self):
         out = run_cli("parse", "piecewise{ x < : 1 }")

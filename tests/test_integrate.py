@@ -640,6 +640,13 @@ class TestDecompose:
         assert report.basic_sum_verdict == Converged(value=0.0, error_estimate=0.0, depth=0)
         assert report.residue_sum_gap == 0.0
 
+    def test_empty_exceptional_set_past_the_radius_underflow(self):
+        # r0 * 2^-n is 0 from depth ~1080 on, and with no point no depth
+        # breaks the anchor rule: the anchor table lays out no depth at all
+        report = decompose(constant_without_points(), max_depth=5000)
+        assert report.kh_verdict == Converged(value=0.0, error_estimate=0.0, depth=3)
+        assert report.basic_sum_verdict == Converged(value=0.0, error_estimate=0.0, depth=0)
+
     @pytest.mark.parametrize("make, filled", [
         (decompose, ENVELOPE),
         (total_kh, {"total", "verification"}),

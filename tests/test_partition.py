@@ -433,7 +433,9 @@ class TestCsvDump:
     @pytest.mark.parametrize("name", sorted(DUMPS))
     def test_matches_reference(self, name):
         part, exceptional = DUMPS[name]()
-        assert partition_to_csv(part, exceptional) == reference_csv(part, exceptional)
+        # row lists: a mismatch names its first bad row without a long string diff
+        assert (partition_to_csv(part, exceptional).splitlines(True)
+                == reference_csv(part, exceptional).splitlines(True))
 
     def test_cousin_dumps_span_several_blocks(self):
         for name in ("cousin heaviside", "cousin staircase3"):
