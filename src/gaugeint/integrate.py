@@ -9,9 +9,10 @@
 * ``plain_kh`` -- the ordinary gauge integral of the extended derivative
   through the paper's identity: the total is F(b) - F(a), so by Hake's
   theorem the plain integral is the total minus the limit of the basic sum
-  B_n.  The ladder classifies kh_n = total - B_n, B_n read from the anchor
-  table, one F call per table.  One straddle build certifies it, testing
-  f against F down to the radius of the last basic sum the verdict read.
+  B_n.  The anchor table runs the ladder over kh_n = total - B_n up to its
+  own ``max_depth``, B_n read from the table, one F call per table.  One
+  straddle build certifies it, testing f against F down to the radius of
+  the last basic sum the verdict read.
   For a converged kh that is the f check, a build at the verdict depth's
   anchor radius, tolerance ``tol`` per span length and the finest mesh cap
   of the schedule; for a diverged kh, the schedule's build at its last
@@ -31,8 +32,9 @@
   the exceptional set, the endpoint difference of the extended function must
   equal the sum of the residuals.
 * ``residue_table`` -- the anchor-only ladders (basic-sum rows and verdict,
-  residual table) shared by ``decompose`` and the ``residues`` command; all
-  of them read one anchor table, one F call per table.
+  residual table) shared by ``decompose`` and the ``residues`` command; one
+  anchor table runs all of them up to its own ``max_depth``, one F call per
+  table.
 * ``report_json`` -- the fixed six-key JSON envelope every report renders to.
 
 Each depth row is an independent pure computation; the tolerance rows read
@@ -51,14 +53,7 @@ import numpy as np
 from .builders import MESH_DEPTHS, BuildLimits, RefinementSchedule, _straddle_runs
 from .errors import BuildError, NotLocallyConstant
 from .models import SingularFunctionModel, increment
-from .sums import (
-    _ANCHOR_STOPS,
-    AnchorTable,
-    KahanAccumulator,
-    _basic_sum_ladder,
-    _kahan_sum,
-    _residuals,
-)
+from .sums import AnchorTable, KahanAccumulator, SequenceRow, _kahan_sum
 from .verdicts import (
     DIV_THRESHOLD,
     MAX_DEPTH,
@@ -67,8 +62,6 @@ from .verdicts import (
     ConvergenceVerdict,
     Diverged,
     Inconclusive,
-    Trace,
-    run_ladder,
     verdict_to_json,
 )
 
@@ -218,18 +211,6 @@ def _verification(model, total, epsilons, r, limits, witness=None) -> TotalRepor
 # Plain integral
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SequenceRow:
-    depth: int
-    r: float      # the anchor radius whose basic sum the depth reads
-    value: float
-
-
-def _rows(schedule: RefinementSchedule, trace: Trace) -> Tuple[SequenceRow, ...]:
-    """A ladder's trace as depth rows with the anchor radius of each depth."""
-    return tuple(SequenceRow(n, schedule.at(n).r, v) for n, v in trace)
-
-
 def _certificate(schedule, length, tol, trace, verdict):
     """The one build that certifies kh's verdict, as ``((r, eps, h), name)``:
     it tests f against F down to the radius of the last basic sum the
@@ -252,7 +233,7 @@ def _certificate(schedule, length, tol, trace, verdict):
     return (r, eps, h), f"in the f check (r {r:.3g}, eps {eps:.3g}, mesh cap {h:.3g})"
 
 
-def _plain_ladder(model, max_depth, tol, div_threshold, total, table, limits):
+def _plain_ladder(tol, div_threshold, total, table, limits):
     """``(trace, verdict, sums)``: kh_n = total - B_n, B_n being depth n's
     basic sum from ``table``, classified up to the first verdict, and the
     :func:`_straddle_sums` of the one build that certifies it.
@@ -260,8 +241,8 @@ def _plain_ladder(model, max_depth, tol, div_threshold, total, table, limits):
     A failed certificate build ends the ladder with that build's note, no
     trace and no sums: no value is shown that the build did not certify.
     """
-    trace, verdict = run_ladder(lambda n: (n, total - table.basic(n)), max_depth, tol,
-                                div_threshold, _ANCHOR_STOPS)
+    model = table.model
+    trace, verdict = table.ladder(lambda n: total - table.basic(n), tol, div_threshold)
     (r, eps, h), name = _certificate(table.schedule, model.span.length, tol, trace, verdict)
     try:
         sums = _straddle_sums(model, r, eps, limits, h)
@@ -294,9 +275,8 @@ def plain_kh(
     F on a mesh of the finest cap (the span length / 4096), so a mismatch on
     a narrower region can go unseen.
     """
-    return _plain_ladder(model, max_depth, tol, div_threshold, increment(model, model.span),
-                         AnchorTable(model, RefinementSchedule.for_model(model), max_depth),
-                         limits)[1]
+    table = AnchorTable(model, RefinementSchedule.for_model(model), max_depth)
+    return _plain_ladder(tol, div_threshold, increment(model, model.span), table, limits)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -351,18 +331,18 @@ def residue_table(
     depth up to ``max_depth`` or the first that breaks the anchor rule.
     With an empty exceptional set the basic sum is exactly 0 at depth 0.
     """
-    return _anchor_ladders(model, max_depth, tol, div_threshold,
+    return _anchor_ladders(tol, div_threshold,
                            AnchorTable(model, RefinementSchedule.for_model(model), max_depth))
 
 
-def _anchor_ladders(model, max_depth, tol, div_threshold, table):
+def _anchor_ladders(tol, div_threshold, table):
     """:func:`residue_table` on the anchor table ``table``."""
-    if len(model.E) > 0:
-        trace, bs_verdict = _basic_sum_ladder(table, max_depth, tol, div_threshold)
+    E = table.model.E
+    if len(E) > 0:
+        trace, bs_verdict = table.ladder(table.basic, tol, div_threshold)
     else:
         trace, bs_verdict = ((0, 0.0),), Converged(value=0.0, error_estimate=0.0, depth=0)
-    return _rows(table.schedule, trace), bs_verdict, _residuals(
-        table, model.E, max_depth, tol, div_threshold)
+    return table.rows(trace), bs_verdict, table.residuals(E, tol, div_threshold)
 
 
 def decompose(
@@ -394,12 +374,10 @@ def decompose(
     table = AnchorTable(model, RefinementSchedule.for_model(model), max_depth)
     total = increment(model, model.span)
 
-    kh_trace, kh_verdict, certificate = _plain_ladder(
-        model, max_depth, tol, div_threshold, total, table, limits)
+    kh_trace, kh_verdict, certificate = _plain_ladder(tol, div_threshold, total, table, limits)
     verification = _verification(model, total, epsilons, anchor_r, limits, certificate)
 
-    bs_rows, bs_verdict, residuals = _anchor_ladders(model, max_depth, tol, div_threshold,
-                                                     table)
+    bs_rows, bs_verdict, residuals = _anchor_ladders(tol, div_threshold, table)
 
     identity_gap = None
     if isinstance(kh_verdict, Converged) and isinstance(bs_verdict, Converged):
@@ -426,7 +404,7 @@ def decompose(
         identity_tolerance=2 * tol,
         residue_sum_gap=residue_sum_gap,
         lemma_consistent=not one_sided,
-        kh_rows=_rows(table.schedule, kh_trace),
+        kh_rows=table.rows(kh_trace),
         bs_rows=bs_rows,
     )
 
@@ -485,8 +463,8 @@ def residue_check(
         raise NotLocallyConstant(nonzero[:4].tolist())
 
     lhs = increment(model, model.span)
-    residuals = _residuals(AnchorTable(model, RefinementSchedule.for_model(model), max_depth),
-                           model.E, max_depth, tol, div_threshold)
+    table = AnchorTable(model, RefinementSchedule.for_model(model), max_depth)
+    residuals = table.residuals(model.E, tol, div_threshold)
     rhs = _residual_sum(residuals)
     gap = None if rhs is None else abs(lhs - rhs)
     return ResidueReport(lhs=lhs, rhs=rhs, gap=gap, residuals=residuals)

@@ -10,10 +10,11 @@
   singular F.
 * ``basic_sum_sequence``, ``residual_estimate`` -- the anchor-only limits.
   In an anchored fine partition the restriction to the exceptional set is
-  exactly the anchor cells, so nothing else needs to be built.  A ladder
-  reads one :class:`AnchorTable`, the cell increments of every depth from
-  one F call per table: entry i of depth n's row is the residual term of
-  E's point i, and the row's Kahan sum is the basic-sum term.
+  exactly the anchor cells, so nothing else needs to be built.  One
+  :class:`AnchorTable` holds the cell increments of every depth from one F
+  call per table: entry i of depth n's row is the residual term of E's
+  point i, and the row's Kahan sum is the basic-sum term.  The table runs
+  every anchor ladder, up to its own ``max_depth``.
 
 Restricted sums cannot telescope, so they use compensated accumulation:
 numpy's pairwise reduction within a batch and a Kahan accumulator across
@@ -112,8 +113,16 @@ def _kahan_rows(values: np.ndarray) -> np.ndarray:
     return total
 
 
+@dataclass(frozen=True)
+class SequenceRow:
+    depth: int
+    r: float      # the anchor radius whose basic sum the depth reads
+    value: float
+
+
 class AnchorTable:
-    """The anchor-cell increments of depths 0 to D, from one F call.
+    """The anchor-cell increments of depths 0 to D, from one F call, and the
+    ladders that read them.
 
     D is ``max_depth`` or the first depth whose cells break the anchor rule,
     whichever comes first: every anchor ladder stops there, and the anchor
@@ -130,16 +139,17 @@ class AnchorTable:
     """
 
     def __init__(self, model: SingularFunctionModel, schedule, max_depth: int):
+        if max_depth < 0:
+            raise ValueError("max_depth must be nonnegative")
         self.model = model
         self.schedule = schedule
+        self.max_depth = max_depth
         E = model.E.points
         rows = []
         # anchor_grid stops at the first breach; with no point there is none, and a
-        # deep max_depth would run r_n down to 0, which it rejects.  r_n is
-        # ``schedule.at(n).r`` bit for bit, without building each depth's step.
+        # deep max_depth would run r_n down to 0, which it rejects
         if E:
-            rows, _ = anchor_grid(model.span, E,
-                                  (schedule.r0 * 0.5**n for n in range(max_depth + 1)))
+            rows, _ = anchor_grid(model.span, E, map(self.radius, range(max_depth + 1)))
         cells = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(rows)),
                             float, 3 * len(rows) * len(E))
         cells = cells.reshape(len(rows), len(E), 3)
@@ -164,6 +174,11 @@ class AnchorTable:
         self._row_ok = finite.all(axis=1).tolist()
         self._sums = sums.tolist()
 
+    def radius(self, n: int) -> float:
+        """Depth n's anchor radius r0 * 2^-n, ``schedule.at(n).r`` bit for bit
+        without building the depth's step."""
+        return self.schedule.r0 * 0.5**n
+
     def basic(self, n: int) -> float:
         """Depth n's basic-sum term."""
         if n < self.depths and self._row_ok[n]:
@@ -176,30 +191,33 @@ class AnchorTable:
             return self._terms[n][i]
         return self._alone(n, i)[0]
 
+    def ladder(self, value_at, tol, div_threshold) -> Tuple[Trace, ConvergenceVerdict]:
+        """Classify ``value_at(n)`` for depths 0 to ``max_depth`` up to the
+        first verdict; a depth that breaks the anchor rule or has a
+        non-finite F value ends the ladder inconclusive."""
+        return run_ladder(lambda n: (n, value_at(n)), self.max_depth, tol, div_threshold,
+                          _ANCHOR_STOPS)
+
+    def rows(self, trace: Trace) -> Tuple[SequenceRow, ...]:
+        """A ladder's trace as depth rows with the anchor radius of each depth."""
+        return tuple(SequenceRow(n, self.radius(n), v) for n, v in trace)
+
+    def residuals(self, points, tol, div_threshold) -> dict:
+        """Residual verdict per point of ``points`` (points of E), in order,
+        each ladder reading its point's terms, so it stops only where its own
+        cell fails."""
+        index = self.model.E.points.index
+        return {e: self.ladder(lambda n, i=index(e): self.term(n, i), tol, div_threshold)[1]
+                for e in points}
+
     def _alone(self, n: int, i: int | None = None) -> list:
         """Depth n's increments of the extended F from an F call of their
         own: every cell's, or point i's alone."""
-        cells = anchor_cells(self.model.span, self.model.E, self.schedule.at(n).r)
+        cells = anchor_cells(self.model.span, self.model.E, self.radius(n))
         if i is not None:
             cells = cells[i:i + 1]
         F = self.model.extended_values([x for lo, hi, _ in cells for x in (lo, hi)])
         return (F[1::2] - F[0::2]).tolist()
-
-
-def _basic_sum_ladder(table, max_depth, tol, div_threshold) -> Tuple[Trace, ConvergenceVerdict]:
-    return run_ladder(lambda n: (n, table.basic(n)), max_depth, tol, div_threshold,
-                      _ANCHOR_STOPS)
-
-
-def _residuals(table, points, max_depth, tol, div_threshold) -> dict:
-    """Residual verdict per point of ``points`` (points of E), in order, each
-    ladder reading its point's terms from ``table``, so it stops only where
-    its own cell fails."""
-    def verdict(i):
-        return run_ladder(lambda n: (n, table.term(n, i)), max_depth, tol, div_threshold,
-                          _ANCHOR_STOPS)[1]
-
-    return {e: verdict(table.model.E.points.index(e)) for e in points}
 
 
 def basic_sum_sequence(
@@ -220,8 +238,8 @@ def basic_sum_sequence(
     """
     if len(model.E) == 0:
         raise ValueError("basic sum requires a nonempty exceptional set")
-    return _basic_sum_ladder(AnchorTable(model, schedule, max_depth), max_depth, tol,
-                             div_threshold)
+    table = AnchorTable(model, schedule, max_depth)
+    return table.ladder(table.basic, tol, div_threshold)
 
 
 def residual_estimate(
@@ -245,5 +263,4 @@ def residual_estimate(
     """
     if e not in model.E:
         raise ValueError(f"{e!r} is not an exceptional point of the model")
-    table = AnchorTable(model, schedule, max_depth)
-    return _residuals(table, [e], max_depth, tol, div_threshold)[e]
+    return AnchorTable(model, schedule, max_depth).residuals([e], tol, div_threshold)[e]

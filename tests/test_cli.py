@@ -329,6 +329,33 @@ class TestIntegrateOutput:
         ]
         assert all(len(line.split(",")) == 4 for line in data_lines)
 
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_csv_radius_is_the_schedules(self, name, tmp_path):
+        # every row's r reads back as its depth's schedule radius, bit for bit
+        sched = RefinementSchedule.for_model(catalog(name))
+        target = tmp_path / "conv.csv"
+        integrate = run_cli("integrate", "--catalog", name, "--output", "csv")
+        residues = run_cli("residues", "--catalog", name, "--emit-convergence", str(target))
+        assert residues.returncode == 0
+        series = convergence_rows(integrate.stdout) + convergence_rows(target.read_text())
+        assert [title for title, _ in series] == ["kh", "basic_sum", "basic_sum"]
+        assert all(rows for _, rows in series)
+        for title, rows in series:
+            for depth, r in rows:
+                assert repr(float(r)) == repr(sched.at(depth).r), (title, depth, r)
+
+
+def convergence_rows(text):
+    """The series of a convergence CSV as ``(name, [(depth, r text), ...])``."""
+    series = []
+    for line in text.splitlines():
+        if line.startswith("# series: "):
+            series.append((line[len("# series: "):], []))
+        elif line != "depth,r,value,delta":
+            depth, r, _, _ = line.split(",")
+            series[-1][1].append((int(depth), r))
+    return series
+
 
 class TestJobFiles:
     def test_job_file_round(self, tmp_path):

@@ -1,6 +1,6 @@
 """Every name a module of the package or of its tests imports is used in
-that module, and every private module-level function or class is read
-somewhere in the package.
+that module, and every private module-level function, class or constant and
+every private method is read somewhere in the package.
 
 ``__init__.py`` is exempt from the import check, since its imports are the
 package's public names, and so are imports from ``__future__``.
@@ -30,10 +30,28 @@ def unused_imports(source: str) -> list:
     return [name for name in imported if name not in used]
 
 
+def definitions(tree) -> list:
+    """The module-level ``def``, ``class`` and assigned names of ``tree`` and
+    the ``def`` names in its classes, as ``(qualified name, name)`` pairs in
+    definition order."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append((node.name, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [(t.id, t.id) for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            names += [(f"{node.name}.{item.name}", item.name) for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return names
+
+
 def dead_private_helpers(sources: dict) -> list:
-    """The private module-level ``def`` and ``class`` names of ``sources``
-    (module name to source) that no module reads as a name, an attribute or
-    an import, as ``module.name`` in module and definition order."""
+    """The private module-level functions, classes and constants and the
+    private methods of ``sources`` (module name to source) that no module
+    reads as a name, an attribute or an import, as ``module.name`` or
+    ``module.Class.name`` in module and definition order."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set()
     for tree in trees.values():
@@ -44,10 +62,9 @@ def dead_private_helpers(sources: dict) -> list:
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(a.name for a in node.names)
-    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")
-            and node.name not in read]
+    return [f"{module}.{qualified}" for module, tree in trees.items()
+            for qualified, name in definitions(tree)
+            if name.startswith("_") and not name.startswith("__") and name not in read]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -74,9 +91,17 @@ def test_guard_sees_dead_helpers():
                      "class _Shared:\n    pass\n"
                      "def _by_attribute():\n    pass\n"
                      "def __getattr__(name):\n    pass\n"
-                     "x = _local()\n"),
+                     "_UNREAD = 1\n"
+                     "_READ: int = 2\n"
+                     "__all__ = []\n"
+                     "x = _local() + _READ\n"),
                "b": ("from . import a\n"
                      "from .a import _Shared\n"
                      "a._by_attribute()\n"
-                     "def _self_only(n):\n    _self_only = n\n")}
-    assert dead_private_helpers(sources) == ["a._dead", "b._self_only"]
+                     "def _self_only(n):\n    _self_only = n\n"
+                     "class C:\n"
+                     "    def __init__(self):\n        self._called()\n"
+                     "    def _called(self):\n        pass\n"
+                     "    def _uncalled(self):\n        pass\n")}
+    assert dead_private_helpers(sources) == ["a._dead", "a._UNREAD", "b._self_only",
+                                             "b.C._uncalled"]

@@ -23,6 +23,7 @@ from gaugeint import (
     decompose,
     increment,
     increment_sum,
+    plain_kh,
     residual_estimate,
     residue_check,
     residue_table,
@@ -374,6 +375,12 @@ class TestAnchorTable:
             return run_ladder(lambda n: (n, value(n)), max_depth, TOL, DIV_THRESHOLD,
                               _ANCHOR_STOPS)
 
+        def radii(trace):
+            return repr(tuple((n, sched.at(n).r, v) for n, v in trace))
+
+        def rows(sequence_rows):
+            return repr(tuple((row.depth, row.r, row.value) for row in sequence_rows))
+
         basic = ladder(lambda n: _kahan_sum(reference_row(model, sched, n)))
         residuals = {e: ladder(lambda n, i=i: reference_term(model, sched, n, i))[1]
                      for i, e in enumerate(model.E)}
@@ -384,6 +391,17 @@ class TestAnchorTable:
         assert repr(table) == repr(residuals)
         assert repr({e: residual_estimate(model, e, sched, max_depth=max_depth)
                      for e in model.E}) == repr(residuals)
+        report = decompose(model, max_depth=max_depth)
+        assert rows(report.bs_rows) == radii(basic[0])
+        assert repr(report.basic_sum_verdict) == repr(basic[1])
+        assert repr(report.residuals) == repr(residuals)
+        if report.kh_rows:
+            total = increment(model, model.span)
+            kh = ladder(lambda n: total - _kahan_sum(reference_row(model, sched, n)))
+            assert rows(report.kh_rows) == radii(kh[0])
+            assert repr(report.kh_verdict) == repr(kh[1])
+        else:
+            assert report.kh_verdict.note.startswith("build failed")
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_huge_max_depth_stops_at_the_anchor_floor(self, name):
@@ -392,6 +410,23 @@ class TestAnchorTable:
         _, bs_verdict, _ = residue_table(model, 10**8, TOL, DIV_THRESHOLD)
         assert sum(calls) <= 2 * len(model.E) * (anchor_floor_depth(model, sched) + 1)
         assert bs_verdict == basic_sum_sequence(catalog(name), sched, max_depth=60)[1]
+
+    @pytest.mark.parametrize("entry", [
+        lambda model, sched: basic_sum_sequence(model, sched, max_depth=-1),
+        lambda model, sched: residual_estimate(model, 0.5, sched, max_depth=-1),
+        lambda model, sched: plain_kh(model, max_depth=-1),
+        lambda model, sched: decompose(model, max_depth=-1),
+        lambda model, sched: residue_table(model, -1, TOL, DIV_THRESHOLD),
+        lambda model, sched: residue_check(model, max_depth=-1),
+    ], ids=["basic_sum_sequence", "residual_estimate", "plain_kh", "decompose",
+            "residue_table", "residue_check"])
+    def test_negative_max_depth_is_rejected(self, entry):
+        # before F meets an anchor cell: no ladder runs and no certificate is
+        # built; residue_check has only read its endpoint difference
+        model, calls = counting(catalog("staircase3"))
+        with pytest.raises(ValueError, match="^max_depth must be nonnegative$"):
+            entry(model, RefinementSchedule.for_model(model))
+        assert sum(calls) <= 2
 
 
 class TestAnchorStops:
