@@ -63,7 +63,8 @@ import numpy as np
 
 from .errors import BudgetExceeded, FloorReached, StraddleFailure
 from .models import SingularFunctionModel
-from .partition import Gauge, Interval, TaggedPartition, anchor_cells, anchored_gauge, validate
+from .partition import (Gauge, Interval, TaggedPartition, anchor_cells, anchored_gauge,
+                        first_anchor_radius, validate)
 
 _WAVE = 4096
 
@@ -126,9 +127,7 @@ class RefinementSchedule:
 
     @classmethod
     def for_span(cls, span: Interval, points: Sequence[float] = ()) -> "RefinementSchedule":
-        walls = sorted({span.lo, span.hi, *map(float, points)})
-        min_gap = min(b - a for a, b in zip(walls, walls[1:]))
-        return cls(h0=span.length, r0=min(0.05 * span.length, 0.5 * min_gap))
+        return cls(h0=span.length, r0=first_anchor_radius(span, points))
 
     @classmethod
     def for_model(cls, model: SingularFunctionModel) -> "RefinementSchedule":

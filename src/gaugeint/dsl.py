@@ -155,10 +155,16 @@ FUNCTIONS = {
     "sqrt": 1, "abs": 1, "sign": 1, "min": 2, "max": 2,
 }
 
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_PUNCT = ("<=", ">=", "==", "!=", "+", "-", "*", "/", "^",
-          "(", ")", "{", "}", ";", ":", ",", "<", ">")
+# One match skips the spaces before a token and reads it; the group that
+# matched names the token's kind, and none matches where no token starts.
+# ``\s`` accepts exactly the characters ``str.isspace`` does, and the
+# two-character operators come before their one-character prefixes.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<NUM>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+    r"|(?P<NAME>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<PUNCT><=|>=|==|!=|[-+*/^(){};:,<>])"
+    r"|(?P<END>\Z))?"
+)
 
 
 @dataclass(frozen=True)
@@ -169,31 +175,13 @@ class _Token:
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(_Token("NUM", m.group(), i))
-            i = m.end()
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            tokens.append(_Token("NAME", m.group(), i))
-            i = m.end()
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(_Token("PUNCT", p, i))
-                i += len(p)
-                break
-        else:
-            raise ParseError(i, ("a token",), found=repr(c))
-    tokens.append(_Token("END", "", n))
+    tokens, kind, i = [], None, 0
+    while kind != "END":
+        m = _TOKEN_RE.match(text, i)
+        kind, i = m.lastgroup, m.end()
+        if kind is None:
+            raise ParseError(i, ("a token",), found=repr(text[i]))
+        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
     return tokens
 
 
@@ -357,12 +345,7 @@ def parse(text: str) -> FunctionDef:
 # ---------------------------------------------------------------------------
 
 # precedence levels: additive 1, multiplicative 2, unary 3, power 4, atom 5
-def _level(node: Node) -> int:
-    if isinstance(node, Bin):
-        return {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}[node.op]
-    if isinstance(node, Unary):
-        return 3
-    return 5
+_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 
 
 def _render(node: Node, min_level: int = 1) -> str:
@@ -374,9 +357,9 @@ def _render(node: Node, min_level: int = 1) -> str:
         return node.name
     if isinstance(node, Unary):
         text = "-" + _render(node.operand, 3)
-        return f"({text})" if _level(node) < min_level else text
+        return f"({text})" if 3 < min_level else text
     if isinstance(node, Bin):
-        lvl = _level(node)
+        lvl = _LEVEL[node.op]
         if node.op == "^":
             # left operand must be an atom; right may be a unary chain
             text = _render(node.left, 5) + "^" + _render(node.right, 3)
@@ -533,13 +516,14 @@ def _compile_piecewise(node: Piecewise, prims: dict):
 
 
 def _run(fn, x):
-    """``fn`` on ``x`` as a float array; a float back for a scalar ``x``."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    """``fn`` on ``x`` as a float array; a float back for a scalar ``x``.
+    The one assignment broadcasts a constant result and copies one that
+    is the input itself."""
+    arr = np.asarray(x, dtype=float)
+    out = np.empty(arr.size)
     with np.errstate(all="ignore"):
-        out = fn(arr)
-    if np.shape(out) != arr.shape:  # a constant expression
-        out = np.broadcast_to(out, arr.shape)
-    return float(out[0]) if np.ndim(x) == 0 else np.array(out)
+        out[:] = fn(arr.reshape(-1))
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def evaluate(defn: FunctionDef, x: float):

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Tuple
 import numpy as np
 
 from .errors import EvaluationError
-from .partition import Interval
+from .partition import Interval, first_anchor_radius
 
 
 @dataclass(frozen=True)
@@ -145,11 +145,9 @@ def consistency_check(
     Warn-level only: a noisy derivative near a steep feature is the user's
     call to judge.
     """
-    from .builders import RefinementSchedule  # local import avoids a cycle
-
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
-    r0 = RefinementSchedule.for_model(model).r0
+    r0 = first_anchor_radius(model.span, model.E)
     h = 1e-6 * model.span.length
     rng = random.Random(seed)
     xs = []

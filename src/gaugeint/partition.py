@@ -180,6 +180,15 @@ def validate(partition: TaggedPartition, span: Interval) -> ValidationReport:
     return ValidationReport(ok=not v, violations=tuple(v))
 
 
+def first_anchor_radius(span: Interval, points: Sequence[float] = ()) -> float:
+    """The anchor radius the refinement schedules start from: 5% of the span,
+    at most half the smallest gap between the span's ends and ``points``, so
+    that the first anchor cells keep the rule of :func:`anchor_cells`."""
+    walls = sorted({span.lo, span.hi, *map(float, points)})
+    min_gap = min(b - a for a, b in zip(walls, walls[1:]))
+    return min(0.05 * span.length, 0.5 * min_gap)
+
+
 def anchor_grid(
     span: Interval, points: Sequence[float], radii: Iterable[float]
 ) -> Tuple[list, AnchorOverlapError | None]:

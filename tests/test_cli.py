@@ -122,7 +122,10 @@ class TestExitCodes:
          "exceptional point 2.0 outside span [0.0, 1.0]"),
         (["integrate", "--catalog", "heaviside", "--span=0.5,1"], 2,
          "exceptional point 0.0 outside span [0.5, 1.0]"),
-    ], ids=["left-edge", "right-edge", "catalog-edge-point", "outside", "span-drops-catalog-point"])
+        (["integrate", "--catalog", "heaviside", "--exceptional", "nan"], 2,
+         "exceptional points must be finite"),
+    ], ids=["left-edge", "right-edge", "catalog-edge-point", "outside", "span-drops-catalog-point",
+            "nan"])
     def test_exceptional_on_catalog_span_edge_is_two(self, argv, code, message):
         # the job's points, or the catalog's own under the job's span, must lie
         # in the closed span: a point on an edge gets a one-sided anchor, and

@@ -4,10 +4,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaugeint import UNDEFINED, CompiledFunction, ParseError, catalog_entry, evaluate, parse, render
 from gaugeint.catalog import CATALOG_NAMES
-from gaugeint.dsl import Bin, Call, Chain, Cond, Const, FunctionDef, Num, Piecewise, Unary, Var
+from gaugeint.dsl import (Bin, Call, Chain, Cond, Const, FunctionDef, Num, Piecewise, Unary, Var,
+                          _tokenize)
 
 HEAVISIDE_TEXT = "piecewise{ x <= 0 : 0 ; 0 < x : 1 }"
 
@@ -148,6 +151,54 @@ class TestParse:
         defn = parse("piecewise{ -0.5 <= x : 7 }")
         assert evaluate(defn, 0.0) == 7.0
         assert evaluate(defn, -1.0) is UNDEFINED
+
+    @pytest.mark.parametrize("text,position,expected,found", [
+        ("x @ 2", 2, ("a token",), "'@'"),
+        ("2 = 3", 2, ("a token",), "'='"),
+        ("sin(x", 5, ("')'",), "'end of input'"),
+        ("piecewise x", 10, ("'{'",), "'x'"),
+        ("piecewise{ x : 1 }", 13, ("a comparison operator",), "':'"),
+        ("piecewise{ -x < 0 : 1 }", 12, ("a number",), "'x'"),
+    ], ids=["no-token", "lone-equals", "unclosed-call", "piecewise-without-brace",
+            "chain-without-operator", "minus-without-number"])
+    def test_error_position_and_expected(self, text, position, expected, found):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.position, exc.value.expected, exc.value.found) == (
+            position, expected, found)
+
+    def test_any_unicode_space_separates_tokens(self):
+        assert parse("x\u2003+\u20031").ast == Bin("+", Var(), Num(1.0))
+
+
+# the DSL's tokens and characters, characters no token starts with, spaces
+# beyond ASCII's that str.isspace accepts (the separators \x1c and \x1e,
+# NEL, no-break, em and ideographic spaces) and a Unicode digit
+_TOKEN_PIECES = ("x", "pi", "sin", "piecewise", "and", "1", "0.5", "1e-3", "2E+4", "e", ".",
+                 "<=", ">=", "==", "!=", "<", ">", "+", "-", "*", "/", "^", "(", ")",
+                 "{", "}", ";", ":", ",", " ", "\t", "\n", "@", "#", "=", "!", "\u00e9",
+                 "\x1c", "\u2003", "\u3000", "\x85", "\xa0", "\x1e", "\u0663")
+
+
+@given(st.lists(st.sampled_from(_TOKEN_PIECES), max_size=12).map("".join))
+@settings(max_examples=300)
+def test_tokens_cover_the_text(text):
+    # tokens sit at increasing positions, spell the text they cover, and
+    # leave only spaces between them; a failure names the first character
+    # no token starts with
+    try:
+        tokens = _tokenize(text)
+    except ParseError as exc:
+        i = exc.position
+        assert not text[i].isspace() and exc.found == repr(text[i])
+        assert _tokenize(text[:i])[-1].pos == i  # the text before it tokenizes
+        return
+    assert tokens[-1].kind == "END" and tokens[-1].pos == len(text)
+    end = 0
+    for tok in tokens:
+        assert tok.pos >= end and all(c.isspace() for c in text[end:tok.pos])
+        assert text[tok.pos:tok.pos + len(tok.text)] == tok.text
+        end = tok.pos + len(tok.text)
 
 
 class TestPrecedence:
@@ -351,6 +402,23 @@ class TestAgreement:
         vec = fn(xs)
         assert vec.tolist() == [2.0, 0.5, 0.0, 0.25, 4.0]
         assert fn(0.5) == 0.25
+
+    @pytest.mark.parametrize("text", ["0", "x", "x^2", "piecewise{ x < 0.5 : 1 ; x >= 0.5 : x }"])
+    def test_compiled_function_result_contract(self, text):
+        # a fresh writable float64 array of the input's shape, also where the
+        # tree is a constant or the input itself; a Python float for a scalar
+        fn = CompiledFunction(text)
+        flat = np.linspace(-1.0, 2.0, 12)
+        want = fn(flat)
+        frozen = flat.copy()
+        frozen.setflags(write=False)  # as TaggedPartition holds its tags
+        for x in (frozen, flat.reshape(3, 4), flat[:0], flat.tolist()):
+            got = fn(x)
+            assert got.dtype == np.float64 and got.shape == np.shape(x)
+            assert got.flags.writeable and not np.shares_memory(got, x)
+            assert np.array_equal(got.ravel(), want[:got.size])
+        for x in (0.9, np.float64(0.9)):
+            assert type(fn(x)) is float and fn(x) == fn(np.asarray([x]))[0]
 
     def test_compiled_function_undefined_maps_to_nonfinite(self):
         fn = CompiledFunction("1/x")

@@ -1,6 +1,7 @@
 """Every name a module of the package or of its tests imports is used in
 that module, and every private module-level function, class or constant and
-every private method is read somewhere in the package.
+every private method is read somewhere in the package.  No module of the
+package imports inside a function: its imports are all read when it loads.
 
 ``__init__.py`` is exempt from the import check, since its imports are the
 package's public names, and so are imports from ``__future__``.
@@ -28,6 +29,14 @@ def unused_imports(source: str) -> list:
             imported += [a.asname or a.name for a in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [name for name in imported if name not in used]
+
+
+def function_imports(source: str) -> list:
+    """The line numbers of the imports ``source`` makes inside a function,
+    in order."""
+    return sorted({node.lineno for fn in ast.walk(ast.parse(source))
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))})
 
 
 def definitions(tree) -> list:
@@ -78,6 +87,26 @@ def test_guard_sees_unused_names():
               "from typing import Iterator, Tuple\n"
               "x: Tuple\n")
     assert unused_imports(source) == ["os", "Iterator"]
+
+
+def test_no_function_level_imports():
+    found = [f"{p.name}:{line}" for p in sorted(PACKAGE.glob("*.py"))
+             for line in function_imports(p.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_guard_sees_function_level_imports():
+    source = ("import os\n"
+              "def f():\n"
+              "    from . import builders\n"
+              "    def g():\n"
+              "        import sys\n"
+              "    return os\n"
+              "class C:\n"
+              "    def m(self):\n"
+              "        import json\n"
+              "x = [os for _ in ()]\n")
+    assert function_imports(source) == [3, 5, 9]
 
 
 def test_no_dead_private_helpers():

@@ -67,6 +67,11 @@ class TestExceptionalSet:
         with pytest.raises(ValueError):
             ExceptionalSet([0.5, 0.5])
 
+    @pytest.mark.parametrize("point", [math.inf, math.nan])
+    def test_nonfinite_point_rejected(self, point):
+        with pytest.raises(ValueError, match="^exceptional points must be finite$"):
+            ExceptionalSet([point])
+
     def test_membership_is_exact(self):
         E = ExceptionalSet([0.1])
         assert 0.1 in E
@@ -122,6 +127,10 @@ class TestIncrement:
     def test_reciprocal_touching_pole(self):
         # extension by zero at the pole: F_ex(0.5) - F_ex(0) = 2 - 0
         assert increment(catalog("reciprocal"), Interval(0.0, 0.5)) == 2.0
+
+    def test_interval_outside_span_rejected(self):
+        with pytest.raises(ValueError, match="^interval outside model span$"):
+            increment(catalog("parabola"), Interval(0.5, 2.0))
 
     def test_additivity_on_shared_endpoint(self):
         model = catalog("parabola")

@@ -109,6 +109,14 @@ class TestValidate:
             assert not got.flags.writeable
             assert not np.shares_memory(got, given)
 
+    @pytest.mark.parametrize("los,his,tags", [
+        ([0.0, 0.5], [0.5, 1.0], [0.25]),
+        ([[0.0, 0.5]], [[0.5, 1.0]], [[0.25, 0.75]]),
+    ], ids=["unequal-lengths", "2-d"])
+    def test_malformed_arrays_rejected(self, los, his, tags):
+        with pytest.raises(ValueError, match="^los, his, tags must be 1-d arrays of equal length$"):
+            TaggedPartition(los, his, tags, UNIT)
+
     def test_tied_left_endpoints_keep_their_order(self):
         # unsorted input with ties is sorted stably: the degenerate pair
         # [0.5, 0.5] stays ahead of [0.5, 1]
@@ -238,6 +246,15 @@ class TestAnchoredGauge:
         assert gauge(0.01) == pytest.approx(0.01)
         plain = anchored_gauge(mesh=0.25, anchor_radii={0.0: 0.1}, isolating=False)
         assert plain(0.01) == 0.5
+
+    @pytest.mark.parametrize("mesh", [0.0, np.nan])
+    def test_nonpositive_mesh_rejected(self, mesh):
+        with pytest.raises(ValueError, match="^gauge mesh must be positive$"):
+            anchored_gauge(mesh)
+
+    def test_nonpositive_anchor_radius_rejected(self):
+        with pytest.raises(ValueError, match="^anchor radius at 0.0 must be positive$"):
+            anchored_gauge(1.0, {0.0: 0.0})
 
 
 def anchored_reference(mesh, anchor_radii, isolating):
