@@ -55,7 +55,6 @@ when its rejected errors only reflect rounding, and with
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -340,27 +339,19 @@ def _straddle_errors(model, positions, lo=slice(None, -1)):
     return F_pos, tags, f_tags, widths, f_widths, errs
 
 
-def _wave_layout(x, stop, w, cells):
-    """``(n_cells, step, spread)`` of the wave at x of width w toward stop:
-    ``cells`` cells of width w, or, when at most ``cells + 1`` cells of
-    width w reach stop, cells spread evenly to end exactly at stop.  The
-    step carries the walk's direction.  Spread widths stay within a factor 2
-    of w, so a full pass never strands a sub-width sliver."""
+def _wave_positions(x, stop, w, cells):
+    """The breakpoints, in walk order, of the wave at x of width w toward
+    stop: ``cells`` cells of width w, or, when at most ``cells + 1`` cells of
+    width w reach stop, cells spread evenly to end exactly at stop.  Spread
+    widths stay within a factor 2 of w, so a full pass never strands a
+    sub-width sliver."""
     remaining = stop - x
     n_cells = math.ceil(abs(remaining) / w)
-    if n_cells <= cells + 1:
-        return n_cells, remaining / n_cells, True
-    return cells, math.copysign(w, remaining), False
-
-
-def _wave_positions(x, stop, layout):
-    """The breakpoints of a wave laid out by :func:`_wave_layout`, in walk
-    order."""
-    n_cells, step, spread = layout
-    positions = x + step * _STEPS[: n_cells + 1]
-    if spread:
-        positions[0] = x
-        positions[-1] = stop
+    if n_cells > cells + 1:
+        return x + math.copysign(w, remaining) * _STEPS[: cells + 1]
+    positions = x + (remaining / n_cells) * _STEPS[: n_cells + 1]
+    positions[0] = x
+    positions[-1] = stop
     return positions
 
 
@@ -399,9 +390,9 @@ def _halving_chain(model, x, stop, w, eps, min_width, cells=_WAVE):
     m_w, e_w = math.frexp(w)
     m_min, e_min = math.frexp(min_width)
     candidates = np.ldexp(w, -np.arange(max(1, e_w - e_min + (m_w >= m_min))))
-    # each candidate's first breakpoint as _wave_layout and _wave_positions
-    # lay it out: a spread step when cells + 1 of its width reach stop, and
-    # stop itself for one cell
+    # each candidate's first breakpoint as _wave_positions lays it out: a
+    # spread step when cells + 1 of its width reach stop, and stop itself
+    # for one cell
     n_cells = np.ceil(abs(remaining) / candidates)
     firsts = np.empty(len(candidates) + 1)
     firsts[0] = x
@@ -413,8 +404,7 @@ def _halving_chain(model, x, stop, w, eps, min_width, cells=_WAVE):
     rejected: list[float] = []
     for j, c in enumerate(candidates.tolist()):
         if c < rise:
-            _check_rising(_wave_positions(x, stop, _wave_layout(x, stop, c, cells)), d, c,
-                          rejected)
+            _check_rising(_wave_positions(x, stop, c, cells), d, c, rejected)
         if j and passed[j]:
             return c
         if errs[j] > _eval_floor(F_pos[0], F_pos[j + 1], f_tags[j], tags[j]):
@@ -477,9 +467,8 @@ def _gap_waves(model, start, stop, eps, counter, h_cap, min_width):
     searched = False
     while d * (stop - x) > 0:
         w = min(w, abs(stop - x))
-        layout = _wave_layout(x, stop, w, cells)
-        n_cells = layout[0]
-        positions = _wave_positions(x, stop, layout)
+        positions = _wave_positions(x, stop, w, cells)
+        n_cells = len(positions) - 1
         if w < _RISE * max(abs(x), abs(stop)):
             # no rejected error is pending here: right after a chain this
             # repeats the check the chain passed on the same layout
@@ -576,7 +565,6 @@ def straddle_chunks(
 
 def build_straddle_verified(
     model: SingularFunctionModel,
-    span: Interval | None = None,
     r: float = 0.05,
     eps: float = 1e-3,
     limits: BuildLimits | None = None,
@@ -593,12 +581,12 @@ def build_straddle_verified(
     it bottoms out on a real mismatch (wrong derivative or undeclared jump)
     and ``BudgetExceeded`` when the pair cap is passed.
     """
-    span = span or model.span
-    chunks = [_chunk_arrays(item) for item in straddle_chunks(model, span, r, eps, limits, h)]
+    chunks = [_chunk_arrays(item)
+              for item in straddle_chunks(model, model.span, r, eps, limits, h)]
     # runs in span order hand TaggedPartition presorted input, which it
     # takes without sorting
     chunks.sort(key=lambda chunk: chunk[0][0])
-    return _materialize(span, chunks)
+    return _materialize(model.span, chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -608,15 +596,12 @@ def build_straddle_verified(
 def build_cousin(
     span: Interval,
     gauge: Gauge,
-    tag_policy: str = "midpoint",
-    seed: int = 0,
     limits: BuildLimits | None = None,
 ) -> TaggedPartition:
     """Bisect until every piece strictly fits a candidate tag's gauge ball.
 
-    Candidate tags are tried in order: the policy's pick (left endpoint,
-    midpoint, or a seeded-random point), then midpoint, left, right.  A piece
-    whose width falls below the minimum relative width raises
+    Candidate tags are tried in order: the midpoint, the left end, the right
+    end.  A piece whose width falls below the minimum relative width raises
     ``BudgetExceeded`` -- the gauge is effectively zero at floating point.
 
     The frontier starts from the span cut at the gauge's ``anchors``
@@ -632,13 +617,10 @@ def build_cousin(
     is the one a left-to-right depth-first walk builds, and so is the error:
     the leftmost failure (a piece under the minimum width or past bisection,
     or the (cap+1)-th pair) is raised once every piece to its left is
-    settled.  The random policy draws one tag per piece in frontier order.
+    settled.
     """
-    if tag_policy not in ("left", "midpoint", "random"):
-        raise ValueError(f"unknown tag policy {tag_policy!r}")
     limits = limits or BuildLimits()
     cap = limits.max_pairs
-    rng = random.Random(seed)
     min_width = limits.min_width(span.length)
 
     chunks = []      # accepted (los, his, tags), all left of the failure
@@ -654,18 +636,11 @@ def build_cousin(
     while len(fu):
         u, v, fu, fv = fu[:_WAVE], fv[:_WAVE], fu[_WAVE:], fv[_WAVE:]
         mid = 0.5 * (u + v)
-        if tag_policy == "left":
-            candidates = (u, mid, v)
-        elif tag_policy == "midpoint":
-            candidates = (mid, u, v)
-        else:
-            draws = np.array([rng.random() for _ in range(len(u))])
-            candidates = (u + (v - u) * draws, mid, u, v)
         narrow = v - u < min_width
         tags = np.empty(len(u))
         done = ~narrow
         rejected = np.flatnonzero(done)
-        for x in candidates:
+        for x in (mid, u, v):
             if not len(rejected):
                 break
             xs = x[rejected]

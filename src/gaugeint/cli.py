@@ -25,6 +25,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -177,6 +178,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         ("parse", "syntax-check a function expression"),
     ):
         cmd = sub.add_parser(name, help=text)
+        # a word that starts with one minus sign ("-1/x", "-1,1") is a value:
+        # every option but -h is a long one
+        cmd._negative_number_matcher = re.compile(r"^-[^-]")
         if name == "parse":
             cmd.add_argument("expression", nargs="?", help="expression text (or use --function)")
             cmd.add_argument("--function", dest="function")

@@ -182,11 +182,14 @@ def validate(partition: TaggedPartition, span: Interval) -> ValidationReport:
 
 def first_anchor_radius(span: Interval, points: Sequence[float] = ()) -> float:
     """The anchor radius the refinement schedules start from: 5% of the span,
-    at most half the smallest gap between the span's ends and ``points``, so
-    that the first anchor cells keep the rule of :func:`anchor_cells`."""
+    at most a third of the smallest gap between the span's ends and
+    ``points``, so that the first anchor cells keep the rule of
+    :func:`anchor_cells` and two neighbouring cells never meet: at half the
+    gap their rounded ends can leave a one-ulp sliver between them, which no
+    straddle cell can cover."""
     walls = sorted({span.lo, span.hi, *map(float, points)})
     min_gap = min(b - a for a, b in zip(walls, walls[1:]))
-    return min(0.05 * span.length, 0.5 * min_gap)
+    return min(0.05 * span.length, min_gap / 3)
 
 
 def anchor_grid(

@@ -165,9 +165,10 @@ def test_criterion_5_property_suites():
 
         # builders: validate-ok and, where the gauge is explicit, fine
         span = Interval(-1.0, 1.0)
-        gauge = Gauge(lambda x: max(0.1, abs(x)))
         for seed in range(100):
-            part = build_cousin(span, gauge, tag_policy="random", seed=seed)
+            c = random.Random(seed).uniform(0.01, 0.3)
+            gauge = Gauge(lambda x, c=c: max(c, abs(x)))
+            part = build_cousin(span, gauge)
             assert validate(part, span).ok
             assert is_fine(part, gauge)
         sweep = random.Random(55)

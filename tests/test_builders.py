@@ -79,9 +79,9 @@ class TestSchedule:
         assert [sched.at(n).h for n in (MESH_DEPTHS, 14, 40)] == [3.0] * 3
 
     def test_r0_respects_min_gap(self):
-        # min gap between {0, 0.02, 3} walls is 0.02, so r0 <= 0.01
+        # min gap between {0, 0.02, 3} walls is 0.02, so r0 <= 0.02 / 3
         sched = RefinementSchedule.for_span(Interval(0.0, 3.0), [0.02])
-        assert sched.r0 == pytest.approx(0.01, rel=1e-15)
+        assert sched.r0 == pytest.approx(0.02 / 3, rel=1e-15)
 
     def test_anchor_pair_fits_gap(self):
         sched = RefinementSchedule.for_span(Interval(0.0, 1.0), [0.3, 0.4])
@@ -162,6 +162,16 @@ class TestBuildAnchored:
         part = build_anchored(span, [0.0], r=0.125, h=0.25)
         assert validate(part, span).ok
         assert part.los[0] == 0.0 and part.his[0] == 0.125 and part.tags[0] == 0.0
+
+    def test_rounded_cell_count_gains_a_cell(self):
+        # ceil(L / h) = 702 cells of the computed width L / 702 are wider
+        # than h, so the gap takes 703
+        g0, g1, h = -4.645303596781149, -4.03678509094426, 0.0008668354784001266
+        assert (g1 - g0) / math.ceil((g1 - g0) / h) > h
+        part = build_anchored(Interval(g0, g1), [], r=0.01, h=h)
+        assert len(part) == 703
+        assert np.all(part.widths <= h)
+        assert is_fine(part, anchored_gauge_for([], 0.01, h))
 
     @pytest.mark.parametrize("h", [0.0, -1.0, np.nan])
     def test_nonpositive_or_nan_mesh_width_rejected(self, h):
@@ -342,27 +352,17 @@ class TestBuildCousin:
     def test_whole_span_gauge_single_pair_any_policy(self):
         span = Interval(0.0, 1.0)
         gauge = Gauge(lambda x: span.length)
-        for policy in ("left", "midpoint", "random"):
-            part = build_cousin(span, gauge, tag_policy=policy, seed=9)
-            assert len(part) == 1
-            assert validate(part, span).ok
-            assert is_fine(part, gauge)
-
-    def test_random_policy_hundred_seeds(self):
-        span = Interval(-1.0, 1.0)
-        gauge = Gauge(lambda x: max(0.1, abs(x)))
-        for seed in range(100):
-            part = build_cousin(span, gauge, tag_policy="random", seed=seed)
-            assert validate(part, span).ok
-            assert is_fine(part, gauge)
+        part = build_cousin(span, gauge)
+        assert len(part) == 1
+        assert validate(part, span).ok
+        assert is_fine(part, gauge)
 
     def test_left_and_midpoint_policies(self):
         span = Interval(0.0, 2.0)
         gauge = Gauge(lambda x: 0.3)
-        for policy in ("left", "midpoint"):
-            part = build_cousin(span, gauge, tag_policy=policy)
-            assert validate(part, span).ok
-            assert is_fine(part, gauge)
+        part = build_cousin(span, gauge)
+        assert validate(part, span).ok
+        assert is_fine(part, gauge)
 
     def test_effectively_zero_gauge(self):
         with pytest.raises(BudgetExceeded):
@@ -376,27 +376,24 @@ class TestBuildCousin:
     def test_seed_determinism(self):
         span = Interval(-1.0, 1.0)
         gauge = Gauge(lambda x: max(0.05, abs(x) / 2))
-        a = build_cousin(span, gauge, tag_policy="random", seed=42)
-        b = build_cousin(span, gauge, tag_policy="random", seed=42)
+        a = build_cousin(span, gauge)
+        b = build_cousin(span, gauge)
         assert np.array_equal(a.tags, b.tags)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            build_cousin(Interval(0.0, 1.0), Gauge(lambda x: 1.0), tag_policy="best")
 
     def test_isolating_gauge_forces_anchor_tags(self):
         span = Interval(-1.0, 1.0)
         gauge = anchored_gauge(mesh=0.2, anchor_radii={0.0: 0.05}, isolating=True)
-        part = build_cousin(span, gauge, tag_policy="midpoint")
+        part = build_cousin(span, gauge)
         holds = (part.los <= 0.0) & (0.0 <= part.his)
         assert np.all(part.tags[holds] == 0.0)
 
 
-def cousin_depth_first(span, gauge, tag_policy="midpoint", limits=None):
-    """Reference Cousin bisection: the one-piece-at-a-time depth-first walk
-    (left and midpoint policies) that ``build_cousin`` must reproduce.  It
-    walks the pieces of the span cut at the gauge's anchors, left to right,
-    skipping a cut that would leave a piece under the minimum width."""
+def cousin_depth_first(span, gauge, limits=None):
+    """Reference Cousin bisection: the one-piece-at-a-time depth-first walk,
+    trying the midpoint, the left end and the right end as tags, that
+    ``build_cousin`` must reproduce.  It walks the pieces of the span cut at
+    the gauge's anchors, left to right, skipping a cut that would leave a
+    piece under the minimum width."""
     limits = limits or BuildLimits()
     min_width = limits.min_width(span.length)
     los, his, tags = [], [], []
@@ -415,9 +412,8 @@ def cousin_depth_first(span, gauge, tag_policy="midpoint", limits=None):
                 pairs_built=len(los),
                 position=u,
             )
-        first = u if tag_policy == "left" else 0.5 * (u + v)
         accepted = None
-        for x in (first, 0.5 * (u + v), u, v):
+        for x in (0.5 * (u + v), u, v):
             delta = gauge(x)
             if delta > 0 and x - delta < u and v < x + delta:
                 accepted = x
@@ -495,9 +491,9 @@ class TestCousinAnchorCuts:
         gauge = anchored_gauge(mesh=0.1, anchor_radii={1e-20: 0.01, 2e-20: 0.01},
                                isolating=False)
         uncut = dataclasses.replace(gauge, anchors=())
-        outcome = cousin_outcome(build_cousin, span, gauge, "midpoint", None)
+        outcome = cousin_outcome(build_cousin, span, gauge, None)
         assert outcome[0] == "ok"
-        assert outcome == cousin_outcome(build_cousin, span, uncut, "midpoint", None)
+        assert outcome == cousin_outcome(build_cousin, span, uncut, None)
 
     @pytest.mark.xfail(raises=Stalled, reason=(
         "the cut leaves black-box gauges alone: a zero gauge's descent to the "
@@ -517,10 +513,10 @@ class TestCousinAnchorCuts:
             build_cousin(Interval(0.0, 1.0), Gauge(zero))
 
 
-def cousin_outcome(build, span, gauge, policy, cap):
+def cousin_outcome(build, span, gauge, cap):
     limits = BuildLimits(max_pairs=cap) if cap else None
     try:
-        result = build(span, gauge, tag_policy=policy, limits=limits)
+        result = build(span, gauge, limits=limits)
     except BudgetExceeded as exc:
         return ("error", type(exc), str(exc), exc.pairs_built, exc.position)
     if isinstance(result, tuple):
@@ -546,18 +542,19 @@ def seeded_anchored_cases(count, seed):
 
 class TestCousinMatchesDepthFirst:
     """The batched frontier gives the depth-first walk's partition and error,
-    bit for bit, under the left and midpoint policies."""
+    bit for bit.  The ``order`` id names the one tag order both try: the
+    midpoint, then the left end, then the right end."""
 
-    @pytest.mark.parametrize("policy", ["left", "midpoint"])
-    def test_seeded_anchored_gauges(self, policy):
+    @pytest.mark.parametrize("order", ["midpoint"])
+    def test_seeded_anchored_gauges(self, order):
         failures = 0
         for span, gauge, cap in seeded_anchored_cases(200, seed=2024):
-            expected = cousin_outcome(cousin_depth_first, span, gauge, policy, cap)
-            assert cousin_outcome(build_cousin, span, gauge, policy, cap) == expected
+            expected = cousin_outcome(cousin_depth_first, span, gauge, cap)
+            assert cousin_outcome(build_cousin, span, gauge, cap) == expected
             failures += expected[0] == "error"
         assert 0 < failures < 200
 
-    @pytest.mark.parametrize("policy", ["left", "midpoint"])
+    @pytest.mark.parametrize("order", ["midpoint"])
     @pytest.mark.parametrize("cap", [None, 100, 1000])
     @pytest.mark.parametrize("span", [Interval(0.0, 1.0), Interval(-1.0, 1.0), Interval(0.0, 2.0)])
     @pytest.mark.parametrize("fn", [
@@ -568,12 +565,12 @@ class TestCousinMatchesDepthFirst:
         lambda x: 1e-3,
         lambda x: 0.05 if 0.1 < x < 0.9 else 1.1,  # both ends fit where the midpoint does not
     ], ids=["whole", "constant", "abs", "half_abs", "fine", "ends_only"])
-    def test_generic_gauges(self, fn, span, cap, policy):
+    def test_generic_gauges(self, fn, span, cap, order):
         gauge = Gauge(fn)
-        assert (cousin_outcome(build_cousin, span, gauge, policy, cap)
-                == cousin_outcome(cousin_depth_first, span, gauge, policy, cap))
+        assert (cousin_outcome(build_cousin, span, gauge, cap)
+                == cousin_outcome(cousin_depth_first, span, gauge, cap))
 
-    @pytest.mark.parametrize("policy", ["left", "midpoint"])
+    @pytest.mark.parametrize("order", ["midpoint"])
     @pytest.mark.parametrize("fn,span,message", [
         (lambda x: 0.0, Interval(0.0, 1.0), "gauge is effectively zero"),
         (lambda x: 1e-400, Interval(0.0, 1.0), "gauge is effectively zero"),
@@ -581,9 +578,9 @@ class TestCousinMatchesDepthFirst:
         # near 1 adjacent floats come before the width floor
         (lambda x: 0.0, Interval(1.0, 2.0), "cannot bisect"),
     ], ids=["zero", "underflow", "zero_on_left", "zero_unbisectable"])
-    def test_zero_gauges(self, fn, span, message, policy):
-        outcome = cousin_outcome(build_cousin, span, Gauge(fn), policy, None)
-        assert outcome == cousin_outcome(cousin_depth_first, span, Gauge(fn), policy, None)
+    def test_zero_gauges(self, fn, span, message, order):
+        outcome = cousin_outcome(build_cousin, span, Gauge(fn), None)
+        assert outcome == cousin_outcome(cousin_depth_first, span, Gauge(fn), None)
         assert outcome[0] == "error" and message in outcome[2]
         assert outcome[3] == 0 and outcome[4] == span.lo
 
@@ -591,8 +588,8 @@ class TestCousinMatchesDepthFirst:
     def test_cap_before_zero_side(self, cap, pairs_built):
         gauge = Gauge(lambda x: 0.0 if x > 0.5 else 1e-4)
         span = Interval(0.0, 1.0)
-        outcome = cousin_outcome(build_cousin, span, gauge, "midpoint", cap)
-        assert outcome == cousin_outcome(cousin_depth_first, span, gauge, "midpoint", cap)
+        outcome = cousin_outcome(build_cousin, span, gauge, cap)
+        assert outcome == cousin_outcome(cousin_depth_first, span, gauge, cap)
         assert outcome[1] is BudgetExceeded and outcome[3] == pairs_built
 
     @pytest.mark.parametrize("span", [Interval(0.0, 2.0), Interval(0.0, 1.5)])
@@ -601,23 +598,23 @@ class TestCousinMatchesDepthFirst:
         # pieces ending at 1 never fit and bisect down to adjacent floats,
         # accepting one left sibling per level on the way
         gauge = Gauge(lambda x: (1.0 - x) / 2 if x < 1.0 else 0.0)
-        outcome = cousin_outcome(build_cousin, span, gauge, "midpoint", cap)
-        assert outcome == cousin_outcome(cousin_depth_first, span, gauge, "midpoint", cap)
+        outcome = cousin_outcome(build_cousin, span, gauge, cap)
+        assert outcome == cousin_outcome(cousin_depth_first, span, gauge, cap)
         assert outcome[0] == "error"
 
     def test_zero_side_before_cap(self):
         gauge = Gauge(lambda x: 0.0 if x < 0.5 else 1e-4)
         span = Interval(0.0, 1.0)
-        outcome = cousin_outcome(build_cousin, span, gauge, "midpoint", 1000)
-        assert outcome == cousin_outcome(cousin_depth_first, span, gauge, "midpoint", 1000)
+        outcome = cousin_outcome(build_cousin, span, gauge, 1000)
+        assert outcome == cousin_outcome(cousin_depth_first, span, gauge, 1000)
         assert outcome[3] == 0 and outcome[4] == 0.0
         assert "effectively zero" in outcome[2]
 
     def test_zero_gauge_on_right_end(self):
         gauge = Gauge(lambda x: 0.0 if 0.7 <= x <= 1.0 else 0.01)
         span = Interval(0.0, 1.0)
-        outcome = cousin_outcome(build_cousin, span, gauge, "midpoint", None)
-        assert outcome == cousin_outcome(cousin_depth_first, span, gauge, "midpoint", None)
+        outcome = cousin_outcome(build_cousin, span, gauge, None)
+        assert outcome == cousin_outcome(cousin_depth_first, span, gauge, None)
         assert outcome[0] == "error" and 0 < outcome[3] and 0.7 <= outcome[4] < 0.75
 
     def test_catalog_dump_gauges(self):
@@ -625,8 +622,8 @@ class TestCousinMatchesDepthFirst:
             model = catalog(name)
             r0 = RefinementSchedule.for_model(model).r0
             gauge = anchored_gauge(mesh=1e-3, anchor_radii={e: r0 for e in model.E})
-            expected = cousin_outcome(cousin_depth_first, model.span, gauge, "midpoint", None)
-            assert cousin_outcome(build_cousin, model.span, gauge, "midpoint", None) == expected
+            expected = cousin_outcome(cousin_depth_first, model.span, gauge, None)
+            assert cousin_outcome(build_cousin, model.span, gauge, None) == expected
 
 
 def gap_waves_in_full(model, start, stop, eps, counter, h_cap, min_width):
@@ -1062,8 +1059,7 @@ def first_wave_points():
     """The breakpoints and midpoint tags of the first wave of the gap
     [0.55, 1] of ``punctured`` at h = 0.01: 45 cells spread to 1, which
     walk left to right as the gap has its anchor on the left."""
-    positions = builders._wave_positions(
-        0.55, 1.0, builders._wave_layout(0.55, 1.0, 0.01, _WAVE))
+    positions = builders._wave_positions(0.55, 1.0, 0.01, _WAVE)
     return positions, _midpoints(positions)
 
 
@@ -1181,8 +1177,7 @@ class TestBuilderSweep:
                 part = build_anchored(span, [e], r=r, h=h)
             elif kind == 1:
                 base = rng.uniform(0.05, 0.5)
-                part = build_cousin(span, Gauge(lambda x, b=base: b),
-                                    tag_policy="random", seed=i)
+                part = build_cousin(span, Gauge(lambda x, b=base: b))
             else:
                 model = catalog("parabola")
                 part = build_straddle_verified(model, r=rng.uniform(0.01, 0.2),

@@ -270,12 +270,61 @@ class TestExitCodes:
         assert "build failed" in out.stdout
 
     def test_catalog_span_override(self):
-        # spans starting with a negative number need the --span=a,b form
         out = run_cli("integrate", "--catalog", "parabola", "--span=-1,1",
                       "--output", "json")
         assert out.returncode == 0
         doc = json.loads(out.stdout)
         assert doc["total"] == 0.0  # F(1) - F(-1) for x^2
+
+
+class TestMinusSignValues:
+    """A word that starts with one minus sign is a value, also without the
+    ``=`` form; ``-h`` still asks for help, and an unknown word is still an
+    unrecognized argument."""
+
+    def test_parse_expression(self):
+        out = run_cli("parse", "-1/x^2")
+        assert (out.returncode, out.stdout, out.stderr) == (0, "-1.0 / x^2.0\n", "")
+
+    def test_function_flag(self):
+        out = run_cli("verify", "--function", "-1/x", "--derivative", "1/x^2",
+                      "--span", "1,2", "--output", "json")
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["total"] == 0.5
+
+    def test_span_flag(self):
+        out = run_cli("verify", "--catalog", "heaviside", "--span", "-1,1")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == run_cli("verify", "--catalog", "heaviside", "--span=-1,1").stdout
+
+    def test_help_still_prints(self):
+        out = run_cli("parse", "-h")
+        assert out.returncode == 0
+        assert out.stdout.startswith("usage: gaugeint parse")
+
+    def test_stray_word_is_two(self):
+        out = run_cli("verify", "--catalog", "heaviside", "-x")
+        assert out.returncode == 2
+        assert "unrecognized arguments: -x" in out.stderr
+
+
+class TestCloseExceptionalPoints:
+    """Points a tenth of the span apart: their first anchor cells keep room
+    between them, so every verification row builds."""
+
+    @pytest.mark.parametrize("command,argv", [
+        ("verify", ["--function", "x^2", "--derivative", "2*x", "--span", "0,1",
+                    "--exceptional", "0.3,0.4,0.5"]),
+        ("integrate", ["--function",
+                       "piecewise{ x < 0.3 : x ; x < 0.4 : x + 1 ; x >= 0.4 : x + 3 }",
+                       "--derivative", "1", "--span", "0,1", "--exceptional", "0.3,0.4"]),
+    ], ids=["parabola", "two-jumps"])
+    def test_every_row_ok(self, command, argv):
+        out = run_cli(command, *argv, "--output", "json")
+        assert out.returncode == 0, out.stdout
+        doc = json.loads(out.stdout)
+        assert [row.get("error") for row in doc["verification"]] == [None] * len(EPSILONS)
+        assert all(row["residual"] <= row["bound"] for row in doc["verification"])
 
 
 class TestIntegrateOutput:

@@ -104,6 +104,21 @@ class TestTotalKH:
         assert len(bad_rows) == 1
         assert not report.verified
 
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-1.0, 1.0), (0.0, 3.0)])
+    def test_equally_spaced_points_verify(self, lo, hi):
+        # the first anchor cells of points n equal parts apart leave room
+        # between them: at half the gap their rounded ends could leave a
+        # one-ulp sliver that no straddle cell covers (82 of these 114 grids
+        # failed so)
+        for n in range(2, 40):
+            model = SingularFunctionModel(
+                F=lambda x: np.asarray(x, dtype=float) ** 2,
+                f=lambda x: 2.0 * np.asarray(x, dtype=float),
+                E=ExceptionalSet(np.linspace(lo, hi, n + 1)[1:-1].tolist()),
+                span=Interval(lo, hi))
+            report = total_kh(model, epsilons=[1e-3])
+            assert report.verified, (n, report.rows[0].error)
+
     def test_sqrt_edge_singularity_verifies(self):
         report = total_kh(catalog("sqrt_singular"))
         assert report.total == 1.0
