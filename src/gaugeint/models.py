@@ -48,7 +48,7 @@ class ExceptionalSet:
         return iter(self.points)
 
     def __contains__(self, x) -> bool:
-        return float(x) in set(self.points)
+        return float(x) in self.points
 
 
 def _finite_values(name: str, fn: Callable, xs) -> np.ndarray:

@@ -235,6 +235,8 @@ def basic_sum_sequence(
     (``depth n: <reason>``) rather than raising, and a depth with a
     non-finite F value ends it as a residual ladder ends
     (``F evaluation failed at depth n: <reason>``).
+
+    Raises ``ValueError`` when E is empty or ``max_depth`` is negative.
     """
     if len(model.E) == 0:
         raise ValueError("basic sum requires a nonempty exceptional set")
@@ -257,9 +259,10 @@ def residual_estimate(
     each term is ``e``'s term of the basic sum, read from one
     :class:`AnchorTable` of all of E.
 
-    Raises only on bad arguments (``e`` outside E, a nonpositive radius):
-    evaluation failures and cells that break the anchor rule end the
-    sequence and are named in the verdict's note.
+    Raises ``ValueError`` only on bad arguments: ``e`` not in E (so always
+    when E is empty) or a negative ``max_depth``.  Evaluation failures and
+    cells that break the anchor rule end the sequence and are named in the
+    verdict's note.
     """
     if e not in model.E:
         raise ValueError(f"{e!r} is not an exceptional point of the model")

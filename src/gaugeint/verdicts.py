@@ -11,6 +11,13 @@ such a sequence into a single verdict:
 * ``Inconclusive`` -- neither rule fired before the sequence ran out; the
   verdict carries the full trace for inspection.
 
+The rules read only the last three deltas and the last five magnitudes, so
+:class:`SequenceClassifier` keeps them as constant state: a count of the
+trailing deltas within tolerance, a count of the trailing strict rises of
+``|s_n|``, the last value and the last three deltas.  Each push does the
+same work however long the sequence.  Each value is stored as
+``float(s_n)``, and the deltas are taken between the stored floats.
+
 One driver, :func:`run_ladder`, runs every such sequence: it pushes
 ``(depth, value)`` pairs into a :class:`SequenceClassifier` and stops at the
 first verdict.  A depth that raises one of the ladder's stop exceptions ends
@@ -20,6 +27,8 @@ cause.  The three limit ladders and :func:`classify` all go through it.
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Tuple, Union
 
@@ -96,8 +105,9 @@ class SequenceClassifier:
     """Incremental form of :func:`classify`; lets drivers stop early.
 
     Push ``(depth, value)`` pairs in order.  ``push`` returns a verdict as
-    soon as one of the rules fires, else ``None``.  Call ``finish`` with
-    the note that says why no more depths will be produced.
+    soon as one of the rules fires, else ``None``; pushes may go on after a
+    verdict, and each is judged on the whole sequence so far.  Call
+    ``finish`` with the note that says why no more depths will be produced.
     """
 
     def __init__(self, tol: float, div_threshold: float):
@@ -108,28 +118,28 @@ class SequenceClassifier:
         self.tol = tol
         self.div_threshold = div_threshold
         self.trace: list[tuple[int, float]] = []
-        self._deltas: list[float] = []
+        # A nan last value makes the first delta nan and the first rise
+        # false, so the first push needs no branch of its own.
+        self._last = math.nan
+        self._mag = math.nan
+        self._recent: deque[float] = deque(maxlen=CONVERGE_RUN)
+        self._small = 0  # trailing deltas within tol
+        self._rises = 0  # trailing strict rises of |value|
 
     def push(self, depth: int, value: float) -> ConvergenceVerdict | None:
-        if self.trace:
-            self._deltas.append(abs(value - self.trace[-1][1]))
-        self.trace.append((depth, float(value)))
+        value = float(value)
+        self.trace.append((depth, value))
+        delta = abs(value - self._last)
+        mag = abs(value)
+        self._recent.append(delta)
+        small = self._small = self._small + 1 if delta <= self.tol else 0
+        rises = self._rises = self._rises + 1 if mag > self._mag else 0
+        self._last = value
+        self._mag = mag
 
-        if len(self._deltas) >= CONVERGE_RUN and all(
-            d <= self.tol for d in self._deltas[-CONVERGE_RUN:]
-        ):
-            return Converged(
-                value=float(value),
-                error_estimate=max(self._deltas[-CONVERGE_RUN:]),
-                depth=depth,
-            )
-
-        mags = [abs(v) for _, v in self.trace[-DIVERGE_RUN:]]
-        if (
-            len(mags) == DIVERGE_RUN
-            and abs(value) > self.div_threshold
-            and all(a < b for a, b in zip(mags, mags[1:]))
-        ):
+        if small >= CONVERGE_RUN:
+            return Converged(value=value, error_estimate=max(self._recent), depth=depth)
+        if rises >= DIVERGE_RUN - 1 and mag > self.div_threshold:
             return Diverged(sign=1 if value > 0 else -1)
         return None
 
@@ -162,12 +172,13 @@ def run_ladder(
             depth, value = pair_at(n)
         except tuple(stops) as exc:
             template = next(t for cls, t in stops.items() if isinstance(exc, cls))
-            return tuple(clf.trace), clf.finish(template.format(depth=n, exc=exc))
+            verdict = clf.finish(template.format(depth=n, exc=exc))
+            return verdict.trace, verdict
         verdict = clf.push(depth, value)
         if verdict is not None:
             return tuple(clf.trace), verdict
-    note = MAX_DEPTH_NOTE.format(depth=clf.trace[-1][0]) if clf.trace else ""
-    return tuple(clf.trace), clf.finish(note)
+    verdict = clf.finish(MAX_DEPTH_NOTE.format(depth=clf.trace[-1][0]) if clf.trace else "")
+    return verdict.trace, verdict
 
 
 def classify(

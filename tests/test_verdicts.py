@@ -4,12 +4,88 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaugeint import Converged, Diverged, Inconclusive, classify
-from gaugeint.verdicts import SequenceClassifier, run_ladder
+from gaugeint import (
+    CATALOG_NAMES,
+    Converged,
+    Diverged,
+    Inconclusive,
+    RefinementSchedule,
+    basic_sum_sequence,
+    catalog,
+    classify,
+    decompose,
+    increment,
+    residual_estimate,
+    residue_table,
+)
+from gaugeint.sums import _ANCHOR_STOPS, AnchorTable
+from gaugeint.verdicts import (
+    CONVERGE_RUN,
+    DIV_THRESHOLD,
+    DIVERGE_RUN,
+    MAX_DEPTH,
+    MAX_DEPTH_NOTE,
+    TOL,
+    SequenceClassifier,
+    run_ladder,
+)
 
 
 def seq(values):
     return [(i, v) for i, v in enumerate(values)]
+
+
+class WindowedClassifier:
+    """The reference classifier: it keeps every delta and rereads the last
+    three deltas and the last five trace values on every push."""
+
+    def __init__(self, tol, div_threshold):
+        self.tol = tol
+        self.div_threshold = div_threshold
+        self.trace = []
+        self._deltas = []
+
+    def push(self, depth, value):
+        if self.trace:
+            self._deltas.append(abs(value - self.trace[-1][1]))
+        self.trace.append((depth, float(value)))
+
+        if len(self._deltas) >= CONVERGE_RUN and all(
+            d <= self.tol for d in self._deltas[-CONVERGE_RUN:]
+        ):
+            return Converged(
+                value=float(value),
+                error_estimate=max(self._deltas[-CONVERGE_RUN:]),
+                depth=depth,
+            )
+
+        mags = [abs(v) for _, v in self.trace[-DIVERGE_RUN:]]
+        if (
+            len(mags) == DIVERGE_RUN
+            and abs(value) > self.div_threshold
+            and all(a < b for a, b in zip(mags, mags[1:]))
+        ):
+            return Diverged(sign=1 if value > 0 else -1)
+        return None
+
+    def finish(self, note=""):
+        return Inconclusive(trace=tuple(self.trace), note=note)
+
+
+def windowed_ladder(value_at, max_depth):
+    """An anchor ladder over ``value_at(n)`` at the default tolerance and
+    threshold, driven by the reference classifier."""
+    clf = WindowedClassifier(TOL, DIV_THRESHOLD)
+    for n in range(max_depth + 1):
+        try:
+            value = value_at(n)
+        except tuple(_ANCHOR_STOPS) as exc:
+            template = next(t for cls, t in _ANCHOR_STOPS.items() if isinstance(exc, cls))
+            return tuple(clf.trace), clf.finish(template.format(depth=n, exc=exc))
+        verdict = clf.push(n, value)
+        if verdict is not None:
+            return tuple(clf.trace), verdict
+    return tuple(clf.trace), clf.finish(MAX_DEPTH_NOTE.format(depth=clf.trace[-1][0]))
 
 
 class TestClassify:
@@ -183,6 +259,96 @@ class TestRunLadder:
         _, verdict = run_ladder(sequence.__getitem__, len(sequence) - 1, tol=tol,
                                 div_threshold=1e12, stops={})
         assert classify(sequence, tol=tol, div_threshold=1e12) == verdict
+
+
+# Exact in binary: a delta of 0.5 equals TIE_TOL and |8.0| equals
+# TIE_THRESHOLD, so the ties of both rules are drawn.
+TIE_TOL = 0.5
+TIE_THRESHOLD = 8.0
+SPECIAL_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 0.5, 1.0, 1.5, 2.0,
+                  TIE_THRESHOLD, -TIE_THRESHOLD, 16.0]
+
+# Each step makes the next value from the last: a special value, any float,
+# the same value again, a step of exactly TIE_TOL, or a growth by 2 or 3
+# that may flip the sign.
+steps = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(SPECIAL_VALUES)),
+    st.tuples(st.just("set"), st.floats()),
+    st.tuples(st.just("add"), st.sampled_from([0.0, TIE_TOL, -TIE_TOL])),
+    st.tuples(st.just("mul"), st.sampled_from([2.0, -2.0, 3.0, -3.0])),
+)
+
+
+def walk(start, moves):
+    values, v = [], start
+    for op, x in moves:
+        v = x if op == "set" else v + x if op == "add" else v * x
+        values.append(v)
+    return values
+
+
+class TestMatchesWindowedClassifier:
+    @given(
+        st.sampled_from(SPECIAL_VALUES),
+        st.lists(steps, max_size=30),
+        st.sampled_from([TIE_TOL, 1e-6]),
+        st.sampled_from([TIE_THRESHOLD, 1e12]),
+    )
+    @settings(max_examples=500)
+    def test_every_push_matches(self, start, moves, tol, div_threshold):
+        clf = SequenceClassifier(tol=tol, div_threshold=div_threshold)
+        ref = WindowedClassifier(tol, div_threshold)
+        # keeps pushing after a verdict, as a replayed ladder may
+        for depth, value in enumerate([start] + walk(start, moves)):
+            assert repr(clf.push(depth, value)) == repr(ref.push(depth, value))
+            assert repr(clf.trace) == repr(ref.trace)
+        assert repr(clf.finish("end")) == repr(ref.finish("end"))
+
+    @pytest.mark.parametrize("values, verdict", [
+        ([0.0, 0.5, 1.0, 1.5], Converged(value=1.5, error_estimate=0.5, depth=3)),
+        ([1.0, 2.0, 4.0, -8.0, 16.0], None),
+        ([1.0, 2.0, 4.0, -8.0, 16.0, -32.0], Diverged(sign=-1)),
+    ])
+    def test_ties(self, values, verdict):
+        # a delta equal to tol is within it; |v| equal to the threshold is not past it
+        clf = SequenceClassifier(tol=TIE_TOL, div_threshold=16.0)
+        results = [clf.push(d, v) for d, v in enumerate(values)]
+        assert results[-1] == verdict
+        assert results[:-1] == [None] * (len(values) - 1)
+
+
+def as_trace(rows):
+    return tuple((row.depth, row.value) for row in rows)
+
+
+class TestCatalogLaddersMatchWindowedClassifier:
+    @pytest.mark.parametrize("max_depth", [MAX_DEPTH, 60])
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_anchor_ladders(self, name, max_depth):
+        model = catalog(name)
+        sched = RefinementSchedule.for_model(model)
+        table = AnchorTable(model, sched, max_depth)
+        bs = windowed_ladder(table.basic, max_depth)
+        assert repr(basic_sum_sequence(model, sched, max_depth=max_depth)) == repr(bs)
+        residuals = {}
+        for i, e in enumerate(model.E):
+            residuals[e] = windowed_ladder(lambda n: table.term(n, i), max_depth)[1]
+            assert repr(residual_estimate(model, e, sched, max_depth=max_depth)) == repr(
+                residuals[e])
+        bs_rows, bs_verdict, got = residue_table(model, max_depth, TOL, DIV_THRESHOLD)
+        assert repr((as_trace(bs_rows), bs_verdict)) == repr(bs)
+        assert repr(got) == repr(residuals)
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_decompose_ladders(self, name):
+        model = catalog(name)
+        table = AnchorTable(model, RefinementSchedule.for_model(model), MAX_DEPTH)
+        total = increment(model, model.span)
+        report = decompose(model)
+        kh = windowed_ladder(lambda n: total - table.basic(n), MAX_DEPTH)
+        assert repr((as_trace(report.kh_rows), report.kh_verdict)) == repr(kh)
+        bs = windowed_ladder(table.basic, MAX_DEPTH)
+        assert repr((as_trace(report.bs_rows), report.basic_sum_verdict)) == repr(bs)
 
 
 class TestJson:
