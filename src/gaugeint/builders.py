@@ -27,9 +27,14 @@ width search that fails there fails within the first few cells; its runs
 come in walk order, each one ascending.  Width control is geometric with
 factor 2 downward.  Upward, a wave that passes in full steps the width as
 an ODE step-size controller does: the midpoint rule's error per unit width
-grows as w^2, so the share h of its bound that the wave's worst cell used
-predicts a width 1 / sqrt(h) times wider, and the next wave takes 0.9 times
-that, at most 4x and never narrower.  A prefix that ends on a cell failing
+grows as w^2, so the share h of its bound that the wave used predicts a
+width 1 / sqrt(h) times wider, and the next wave takes 0.9 times that, at
+most 4x and never narrower.  h is read mainly from the wave's tail, where
+the next wave starts: it is the cube root of t^2 m, where t is the largest
+error over bound among the wave's last quarter of cells and m the largest
+over the whole wave.  Walking away from a point of E the worst cell is the
+wave's first, so m alone would size each wave for where the one before it
+began.  A prefix that ends on a cell failing
 only by rounding doubles the width instead, and the gap's first width
 search shortens the next wave to ``_FIRST_WAVE`` cells, growing back to
 ``_WAVE`` with every accepting wave.  A wave whose first cell fails only
@@ -71,10 +76,11 @@ _WAVE = 4096
 _FIRST_WAVE = 64
 
 # Width control after a wave passes in full: the midpoint rule's error per
-# unit width grows as w^2, so a wave whose worst cell used the share
-# ``headroom`` of its bound predicts the width sqrt(1 / headroom) times
-# wider to use all of it.  The next wave steps to _SAFETY times that, at
-# most _MAX_GROWTH times wider and never narrower.
+# unit width grows as w^2, so a wave that used the share ``headroom`` of its
+# bound predicts the width sqrt(1 / headroom) times wider to use all of it.
+# The next wave steps to _SAFETY times that, at most _MAX_GROWTH times wider
+# and never narrower.  ``headroom`` weighs the wave's last quarter of cells
+# twice and the whole wave once (see _gap_waves).
 _SAFETY = 0.9
 _MAX_GROWTH = 4.0
 
@@ -439,10 +445,16 @@ def _gap_waves(model, start, stop, eps, counter, h_cap, min_width):
       narrower cells only sink deeper into rounding, so the width doubles
       (capped by ``h_cap``).  A wave that passes in full steps the width
       to ``_SAFETY / sqrt(headroom)`` times itself, within 1x to
-      ``_MAX_GROWTH`` and capped by ``h_cap``, where ``headroom`` is its
-      largest error over bound: the midpoint rule's error over bound grows
-      as the width squared, so this aims the next wave's worst cell at 0.81
-      of its bound.
+      ``_MAX_GROWTH`` and capped by ``h_cap``: the midpoint rule's error
+      over bound grows as the width squared, so this aims the next wave's
+      cells at 0.81 of their bound.  ``headroom`` is the cube root of
+      ``tail^2 * worst``, where ``tail`` is the largest error over bound
+      among the wave's last ``ceil(n / 4)`` of its n cells and ``worst``
+      the largest over all of them.  The next wave starts where the tail
+      ends, and walking away from a point of E the error over bound falls
+      along the wave, so its worst cell, the first, would size the next
+      wave for the previous one's start; ``worst`` still holds the step
+      back where the ratio swings within a wave, as on an oscillating F.
     * A wave proposes ``cells`` cells, spread to end at stop when
       ``cells + 1`` of them reach it.  The gap's first width search cuts the
       proposal to ``_FIRST_WAVE`` cells, so a walk that starts at a settled
@@ -502,7 +514,9 @@ def _gap_waves(model, start, stop, eps, counter, h_cap, min_width):
                 w *= 0.5
         else:
             cells = min(4 * cells, _WAVE)
-            headroom = float((errs / bounds).max())
+            ratios = errs / bounds
+            tail = float(ratios[(3 * n_cells) // 4:].max())
+            headroom = (tail * tail * float(ratios.max())) ** (1 / 3)
             growth = _SAFETY / math.sqrt(headroom) if headroom > 0 else _MAX_GROWTH
             w = min(h_cap, w * min(_MAX_GROWTH, max(1.0, growth)))
 

@@ -26,6 +26,7 @@ from gaugeint import (
     catalog,
     decompose,
     is_fine,
+    total_kh,
     validate,
 )
 from gaugeint import builders
@@ -215,9 +216,11 @@ class TestBuildStraddle:
         off = ~restriction_mask(part, tuple(model.E))
         assert np.all(part.tags[off] == 0.5 * (part.los[off] + part.his[off]))
         # both sides walk away from the pole; measured median utilization
-        # 0.0117 right and 0.046 left (0.0081 and 0.037 with fixed 2x / 1.3x
-        # growth after a full pass), and each floor sits between the two
-        for side, floor in ((1, 0.01), (-1, 0.04)):
+        # 0.0416 right and 0.0706 left (0.0117 and 0.046 growing from a
+        # wave's worst cell rather than its tail; 0.0081 and 0.037 with fixed
+        # 2x / 1.3x growth after a full pass), and each floor sits a few
+        # percent under its measured value
+        for side, floor in ((1, 0.04), (-1, 0.068)):
             sel = side * part.tags >= 0.06
             lo, hi, t = part.los[sel], part.his[sel], part.tags[sel]
             cap = 2 * np.abs(t) * np.sqrt(eps * lo * hi)
@@ -285,7 +288,7 @@ def first_ladder_failure(model):
 class TestMidpointTags:
     # the pair counts of the width controller, a few percent over the
     # measured ones; `most` is the ceiling that midpoint tags have always met
-    MOST_PAIRS = {"parabola": 5, "reciprocal": 20_000, "sqrt_singular": 400}
+    MOST_PAIRS = {"parabola": 5, "reciprocal": 13_800, "sqrt_singular": 280}
 
     @pytest.mark.parametrize("name, eps, most", [
         ("parabola", 1e-6, 5),
@@ -293,8 +296,9 @@ class TestMidpointTags:
         ("sqrt_singular", 1e-4, 1_000),
     ])
     def test_pair_count(self, name, eps, most):
-        # measured 3, 18,247 and 369 pairs (23,608 and 417 with fixed 2x /
-        # 1.3x growth after a full pass; 20,082 and 513 with that growth and
+        # measured 3, 13,370 and 271 pairs (18,247 and 369 growing from a
+        # wave's worst cell rather than its tail; 23,608 and 417 with fixed
+        # 2x / 1.3x growth after a full pass; 20,082 and 513 with that growth and
         # every gap walked left to right; 1,048,577, 5,514,958 and 33,358
         # with left-endpoint tags)
         pairs = len(build_straddle_verified(catalog(name), r=0.05, eps=eps))
@@ -635,10 +639,12 @@ def gap_waves_in_full(model, start, stop, eps, counter, h_cap, min_width):
     0.9 / sqrt(headroom) times, within 1x to 4x, after a full pass, and
     propose ``_FIRST_WAVE`` cells after the gap's first rejected first cell,
     growing the proposal back to ``_WAVE`` 2x per partial and 4x per full
-    pass.  Each run's Riemann parts are taken on its ascending cells, as a
-    consumer of ``straddle_chunks`` takes them.  ``_gap_waves`` must
-    reproduce its chunks, their Riemann parts, its rejected errors and the
-    errors it raises bit for bit."""
+    pass.  ``headroom`` is the cube root of tail^2 * worst: the largest
+    error over bound among the wave's last ceil(n / 4) of its n cells,
+    squared, times the largest among all n.  Each run's Riemann parts are
+    taken on its ascending cells, as a consumer of ``straddle_chunks`` takes
+    them.  ``_gap_waves`` must reproduce its chunks, their Riemann parts,
+    its rejected errors and the errors it raises bit for bit."""
     d = 1.0 if stop > start else -1.0
     x = start
     w = min(h_cap, abs(stop - start))
@@ -701,7 +707,9 @@ def gap_waves_in_full(model, start, stop, eps, counter, h_cap, min_width):
             w = min(w * 2.0, h_cap) if at_floor else w * 0.5
         else:
             cells = min(4 * cells, _WAVE)
-            headroom = float(np.max(errs / bounds))
+            ratios = errs / bounds
+            tail = float(np.max(ratios[-math.ceil(n_cells / 4):]))
+            headroom = (tail * tail * float(np.max(ratios))) ** (1 / 3)
             growth = 4.0 if headroom == 0 else min(4.0, max(1.0, 0.9 / math.sqrt(headroom)))
             w = min(h_cap, w * growth)
 
@@ -944,9 +952,9 @@ class TestFloorWalk:
 
 class TestHalvingWavesNotEvaluated:
     # F calls and points per decompose, a few percent over the measured
-    # 52 / 20 / 64 calls and 43,190 / 8,954 / 95,500 points
-    MOST_CALLS = {"reciprocal": 55, "sqrt_singular": 21, "osc_sin_inv": 67}
-    MOST_POINTS = {"reciprocal": 45_000, "sqrt_singular": 9_300, "osc_sin_inv": 99_000}
+    # 19 / 8 / 26 calls and 30,439 / 7,953 / 58,812 points
+    MOST_CALLS = {"reciprocal": 20, "sqrt_singular": 9, "osc_sin_inv": 27}
+    MOST_POINTS = {"reciprocal": 31_400, "sqrt_singular": 8_200, "osc_sin_inv": 60_600}
 
     @pytest.mark.parametrize("name", ["reciprocal", "sqrt_singular", "osc_sin_inv"])
     def test_decompose_F_points(self, name):
@@ -966,14 +974,14 @@ class TestHalvingWavesNotEvaluated:
         assert calls <= self.MOST_CALLS[name]
 
     @pytest.mark.parametrize("name, most_points, most_calls", [
-        ("reciprocal", 270_000, 140), ("sqrt_singular", 300_000, 145),
-        ("osc_sin_inv", 1_450_000, 420),
+        ("reciprocal", 227_000, 126), ("sqrt_singular", 252_000, 129),
+        ("osc_sin_inv", 1_424_000, 411),
     ])
     def test_unpruned_ladder_F_points(self, name, most_points, most_calls):
         # decompose no longer builds these models' ladders, so count the
         # builds the ladder would make: straddle_chunks at each schedule
-        # depth until a build raises.  Measured 262,412 / 291,911 /
-        # 1,408,873 F points in 134 / 138 / 403 calls, each ladder stopping
+        # depth until a build raises.  Measured 219,814 / 244,347 /
+        # 1,382,413 F points in 122 / 125 / 399 calls, each ladder stopping
         # with FloorReached at depth 6 / 11 / 5
         model = catalog(name)
         schedule = RefinementSchedule.for_model(model)
@@ -995,6 +1003,32 @@ class TestHalvingWavesNotEvaluated:
                 break
         assert points <= most_points
         assert calls <= most_calls
+
+
+class TestTailSizedWaves:
+    """A wave that passes in full sizes the next one mainly from its tail,
+    where the next wave starts.  Pair ceilings a few percent over the
+    measured counts; sizing from each wave's worst cell, its first when
+    the walk leaves a point of E, built 15,913 / 3,737 / 369 pairs for the
+    rows and 1,431 / 2,147 for the two builds at r0."""
+
+    @pytest.mark.parametrize("name, most", [
+        ("osc_sin_inv", 11_800), ("reciprocal", 2_710), ("sqrt_singular", 280),
+    ])
+    def test_total_kh_row_pairs(self, name, most):
+        # measured 11,455 / 2,627 / 271: one witness build serves every row
+        rows = total_kh(catalog(name)).rows
+        assert all(row.ok for row in rows)
+        assert all(row.pairs <= most for row in rows)
+
+    @pytest.mark.parametrize("name, eps, most", [
+        ("reciprocal", 1e-3, 905), ("osc_sin_inv", 1e-2, 1_120),
+    ])
+    def test_build_at_first_anchor_radius(self, name, eps, most):
+        # measured 876 and 1,083 pairs
+        model = catalog(name)
+        r0 = RefinementSchedule.for_model(model).r0
+        assert len(build_straddle_verified(model, r=r0, eps=eps)) <= most
 
 
 class TestChainCandidatesEvaluated:
