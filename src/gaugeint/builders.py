@@ -15,8 +15,9 @@ Three builders:
 * ``build_cousin`` -- bisection until every piece admits a tag whose gauge
   ball strictly contains it (a constructive proof of nonemptiness for any
   positive gauge).  It bisects a sorted frontier of open pieces, leftmost
-  ``_WAVE`` at a time, with one bulk gauge evaluation per candidate tag,
-  starting from the span cut at the gauge's anchor points.
+  ``_WAVE`` at a time, with two bulk gauge evaluations per level (the
+  midpoints, then both ends of the pieces the midpoint rejects), starting
+  from the span cut at the gauge's anchor points.
 
 The straddle builder walks each gap between anchors in vectorized waves: it
 proposes a batch of equal-width cells, checks the inequality on the whole
@@ -607,6 +608,48 @@ def build_straddle_verified(
 # Cousin bisection
 # ---------------------------------------------------------------------------
 
+def _interleave(a, b, rest):
+    """``a[0], b[0], a[1], b[1], ...`` followed by ``rest``."""
+    if not len(a):
+        return rest
+    n = 2 * len(a)
+    out = np.empty(n + len(rest))
+    out[0:n:2] = a
+    out[1:n:2] = b
+    if len(rest):
+        out[n:] = rest
+    return out
+
+
+def _bisect_level(gauge: Gauge, u, v) -> tuple:
+    """One bisection level on the sorted pieces [u, v]: ``(accepted, lo,
+    mid, hi)``, the accepted ``(los, his, tags)`` chunks and the rejected
+    pieces with their midpoints.
+
+    One ``gauge.at`` call takes the midpoints, and one more the left and
+    right ends of the pieces the midpoint rejects; a fitting left end wins
+    over a fitting right end.  A NaN or non-positive width fits nowhere."""
+    mid = 0.5 * (u + v)
+    delta = gauge.at(mid)
+    fits = (delta > 0) & (mid - delta < u) & (v < mid + delta)
+    n_fit = np.count_nonzero(fits)
+    if n_fit == len(u):
+        return [(u, v, mid)], u[:0], u[:0], u[:0]
+    accepted = [(u[fits], v[fits], mid[fits])] if n_fit else []
+    rejected = ~fits
+    u, v, mid = u[rejected], v[rejected], mid[rejected]
+    ends = np.concatenate((u, v))
+    delta = gauge.at(ends).reshape(2, -1)
+    ends = ends.reshape(2, -1)
+    left, right = (delta > 0) & (ends - delta < u) & (v < ends + delta)
+    fits = left | right
+    if fits.any():
+        accepted.append((u[fits], v[fits], np.where(left, u, v)[fits]))
+        rejected = ~fits
+        u, v, mid = u[rejected], v[rejected], mid[rejected]
+    return accepted, u, mid, v
+
+
 def build_cousin(
     span: Interval,
     gauge: Gauge,
@@ -624,18 +667,25 @@ def build_cousin(
     leave a piece narrower than the minimum width is skipped, and a
     black-box gauge, which has no anchors, starts from the whole span.
 
-    The open pieces form a frontier sorted by left endpoint.  Each step takes
-    its leftmost ``_WAVE`` pieces, makes one ``gauge.at`` call per candidate
-    on the pieces still open, and puts the halves of the rejected pieces back
-    in front.  A piece's fate does not depend on the order, so the partition
-    is the one a left-to-right depth-first walk builds, and so is the error:
-    the leftmost failure (a piece under the minimum width or past bisection,
-    or the (cap+1)-th pair) is raised once every piece to its left is
-    settled.
+    The open pieces form a frontier sorted by left endpoint.  Each level
+    takes its leftmost ``_WAVE`` pieces and makes two ``gauge.at`` calls:
+    one on their midpoints, then one on both ends of the pieces the midpoint
+    rejects.  The halves of the pieces no candidate fits go back in front.
+    A piece's fate does not depend on the order, so the partition is the
+    one a left-to-right depth-first walk builds, and so is the error: the
+    leftmost failure (a piece under the minimum width or past bisection, or
+    the (cap+1)-th pair) is raised once every piece to its left is settled.
+    Like every batched level, the end call evaluates the gauge where a
+    depth-first walk does not: at the right end of a piece whose left end
+    fits.
     """
     limits = limits or BuildLimits()
     cap = limits.max_pairs
     min_width = limits.min_width(span.length)
+    # a piece at least 4 ulp(2M) wide, M the span's largest magnitude, is
+    # bisectable: its computed midpoint lies within ulp(2M) of the exact one,
+    # 2 ulp(2M) from either end (where 2M overflows every level checks)
+    floor = max(min_width, 4.0 * math.ulp(2.0 * max(abs(span.lo), abs(span.hi))))
 
     chunks = []      # accepted (los, his, tags), all left of the failure
     pairs = 0
@@ -649,37 +699,29 @@ def build_cousin(
     fv = np.array(edges[1:], dtype=float)
     while len(fu):
         u, v, fu, fv = fu[:_WAVE], fv[:_WAVE], fu[_WAVE:], fv[_WAVE:]
-        mid = 0.5 * (u + v)
-        narrow = v - u < min_width
-        tags = np.empty(len(u))
-        done = ~narrow
-        rejected = np.flatnonzero(done)
-        for x in (mid, u, v):
-            if not len(rejected):
-                break
-            xs = x[rejected]
-            delta = gauge.at(xs)
-            fits = (delta > 0) & (xs - delta < u[rejected]) & (v[rejected] < xs + delta)
-            tags[rejected[fits]] = xs[fits]
-            rejected = rejected[~fits]
-        done[rejected] = False
-        chunks.append((u[done], v[done], tags[done]))
-        pairs += len(chunks[-1][0])
-        ru, rm, rv = u[rejected], mid[rejected], v[rejected]
-        fu = np.concatenate([np.stack((ru, rm), axis=1).ravel(), fu])
-        fv = np.concatenate([np.stack((rm, rv), axis=1).ravel(), fv])
-
         event = None
-        stuck = np.zeros(len(u), dtype=bool)
-        stuck[rejected[~((ru < rm) & (rm < rv))]] = True
-        if (narrow | stuck).any():
-            i = int(np.argmax(narrow | stuck))
-            u_i, v_i = float(u[i]), float(v[i])
-            if narrow[i]:
-                event = (u_i, f"bisection width {v_i - u_i:.3e} below minimum "
-                              f"{min_width:.3e}; gauge is effectively zero here")
-            else:
-                event = (u_i, f"cannot bisect [{u_i!r}, {v_i!r}] further at floating point")
+        widths = v - u
+        near_floor = widths.min() < floor
+        if near_floor:
+            narrow = widths < min_width
+            if narrow.any():
+                # the pieces from here on lie right of the failure
+                i = int(narrow.argmax())
+                event = (float(u[i]), f"bisection width {float(widths[i]):.3e} below minimum "
+                                      f"{min_width:.3e}; gauge is effectively zero here")
+                u, v = u[:i], v[:i]
+        if len(u):
+            accepted, ru, rm, rv = _bisect_level(gauge, u, v)
+            chunks += accepted
+            pairs += sum(len(chunk[0]) for chunk in accepted)
+            if near_floor:
+                stuck = ~((ru < rm) & (rm < rv))
+                if stuck.any():
+                    i = int(stuck.argmax())
+                    u_i, v_i = float(ru[i]), float(rv[i])
+                    event = (u_i, f"cannot bisect [{u_i!r}, {v_i!r}] further at floating point")
+            fu = _interleave(ru, rm, fu)
+            fv = _interleave(rm, rv, fv)
         if pairs > cap:
             position = float(np.partition(np.concatenate([c[0] for c in chunks]), cap)[cap])
             if event is None or position < event[0]:
@@ -687,10 +729,11 @@ def build_cousin(
         if event is not None:
             # the new failure lies left of the old one; drop what lies right of it
             failure = event
-            accepted = [np.concatenate(parts) for parts in zip(*chunks)]
-            left = accepted[0] < event[0]
-            chunks = [tuple(a[left] for a in accepted)]
-            pairs = len(chunks[0][0])
+            if chunks:
+                accepted = [np.concatenate(parts) for parts in zip(*chunks)]
+                left = accepted[0] < event[0]
+                chunks = [tuple(a[left] for a in accepted)]
+                pairs = len(chunks[0][0])
             keep = int(np.searchsorted(fu, event[0]))
             fu, fv = fu[:keep], fv[:keep]
     if failure is not None:

@@ -287,16 +287,23 @@ class Gauge:
     in the bisection builder rather than as a construction-time error.
 
     ``at`` evaluates a gauge by its vectorized ``widths`` when it has one,
-    and a black-box gauge one point at a time.
+    and a black-box gauge one point at a time, on Python floats.
 
-    ``anchors`` are the sorted points the gauge singles out; the Cousin
-    builder starts its bisection from the span cut at those strictly inside
-    it.  A black-box gauge has none.
+    ``anchors`` are the points the gauge singles out, stored as sorted
+    floats; a NaN anchor raises ``ValueError``.  The Cousin builder starts
+    its bisection from the span cut at those strictly inside the span.  A
+    black-box gauge has none.
     """
 
     evaluator: Callable[[float], float]
     widths: Callable[[np.ndarray], np.ndarray] | None = None
     anchors: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        anchors = [float(e) for e in self.anchors]
+        if any(math.isnan(e) for e in anchors):
+            raise ValueError("gauge anchors must not be NaN")
+        object.__setattr__(self, "anchors", tuple(sorted(anchors)))
 
     def __call__(self, x: float) -> float:
         return float(self.evaluator(x))
@@ -304,7 +311,8 @@ class Gauge:
     def at(self, xs) -> np.ndarray:
         if self.widths is not None:
             return self.widths(xs)
-        return np.array([self.evaluator(float(x)) for x in xs], dtype=float)
+        return np.array([self.evaluator(x) for x in np.asarray(xs, dtype=float).tolist()],
+                        dtype=float)
 
 
 def anchored_gauge(mesh: float, anchor_radii: Mapping[float, float] | None = None,
@@ -337,8 +345,7 @@ def anchored_gauge(mesh: float, anchor_radii: Mapping[float, float] | None = Non
             out[xs == e] = 2.0 * r
         return out
 
-    return Gauge(evaluator=lambda x: widths([x])[0], widths=widths,
-                 anchors=tuple(sorted(map(float, radii))))
+    return Gauge(evaluator=lambda x: widths([x])[0], widths=widths, anchors=tuple(radii))
 
 
 def is_fine(partition: TaggedPartition, gauge: Gauge) -> bool:

@@ -484,9 +484,27 @@ class TestCousinAnchorCuts:
         assert part.widths.min() >= 2.0**-20
 
     def test_gauge_calls(self):
-        # bisecting toward 0.5 and 2.5 instead of cutting there takes 160
+        # two calls per level, 25 in all; bisecting toward 0.5 and 2.5
+        # instead of cutting there takes 160, and one call per candidate 37
         *_, calls = self.staircase3_dump()
-        assert len(calls) <= 40
+        assert len(calls) <= 26
+        assert sum(calls) <= 24_610
+
+    def test_unsorted_anchors_build_the_sorted_partition(self):
+        span = Interval(0.0, 1.0)
+        gauge = anchored_gauge(mesh=1e-3, anchor_radii={0.3: 0.01, 0.7: 0.01})
+        unsorted = dataclasses.replace(gauge, anchors=(0.7, 0.3))
+        assert unsorted.anchors == (0.3, 0.7)
+        part = build_cousin(span, gauge)
+        assert part.his.tolist().count(0.3) == 1 and len(part) == 364
+        assert (cousin_outcome(build_cousin, span, unsorted, None)
+                == cousin_outcome(build_cousin, span, gauge, None))
+
+    def test_nan_anchor_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            Gauge(lambda x: 1.0, anchors=(0.5, math.nan))
+        with pytest.raises(ValueError, match="NaN"):
+            anchored_gauge(mesh=0.1, anchor_radii={math.nan: 0.01})
 
     def test_cut_under_minimum_width_is_skipped(self):
         # cuts at 1e-20 and 2e-20 would leave pieces under 2^-60; the build
@@ -568,7 +586,11 @@ class TestCousinMatchesDepthFirst:
         lambda x: max(0.05, abs(x) / 2),
         lambda x: 1e-3,
         lambda x: 0.05 if 0.1 < x < 0.9 else 1.1,  # both ends fit where the midpoint does not
-    ], ids=["whole", "constant", "abs", "half_abs", "fine", "ends_only"])
+        # deeper pieces ending at 1 fit only at their right end
+        lambda x: 0.3 if x >= 0.9 else 0.05,
+        # a NaN width fits nowhere, also at a piece's end
+        lambda x: math.nan if x == 0.5 else 0.2,
+    ], ids=["whole", "constant", "abs", "half_abs", "fine", "ends_only", "right_only", "nan_at_half"])
     def test_generic_gauges(self, fn, span, cap, order):
         gauge = Gauge(fn)
         assert (cousin_outcome(build_cousin, span, gauge, cap)
