@@ -213,9 +213,10 @@ def _chunk_arrays(item) -> tuple:
 
 def _materialize(span: Interval, chunks) -> TaggedPartition:
     """Concatenate ``(los, his, tags)`` chunks into a partition and check the
-    partition laws, which every builder guarantees by construction."""
+    partition laws, which every builder guarantees by construction.  The
+    partition owns the concatenated arrays, so they are not copied again."""
     los, his, tags = (np.concatenate(parts) for parts in zip(*chunks))
-    part = TaggedPartition(los, his, tags, span)
+    part = TaggedPartition._owning(los, his, tags, span)
     report = validate(part, span)
     if not report.ok:  # pragma: no cover - construction guarantees validity
         raise AssertionError(f"build produced invalid partition: {report.violations[:3]}")

@@ -16,11 +16,13 @@
   For a converged kh that is the f check, a build at the verdict depth's
   anchor radius, tolerance ``tol`` per span length and the finest mesh cap
   of the schedule; for a diverged kh, the schedule's build at its last
-  depth; for an inconclusive kh, the f check at depth 0.  Each cell of a
-  straddle build keeps its Riemann part within eps times its width of its
-  increment of F, so a build at radius r has its Riemann sum within eps
-  times the span length of total - B(r).  A certificate build that fails
-  ends kh inconclusive with that build's note and no row.
+  depth; for an inconclusive kh, which claims no value, the f check at
+  depth 0 and the finest tolerance of the verification rows it witnesses,
+  never finer than ``tol`` per span length.  Each cell of a straddle build
+  keeps its Riemann part within eps times its width of its increment of F,
+  so a build at radius r has its Riemann sum within eps times the span
+  length of total - B(r).  A certificate build that fails ends kh
+  inconclusive with that build's note and no row.
 * ``decompose`` -- assembles the total value, the plain-integral verdict, the
   basic-sum verdict and the residual table, and reports the identity gap,
   the f check's distance |Riemann - (total - B_n)| at kh's depth n, when
@@ -211,7 +213,7 @@ def _verification(model, total, epsilons, r, limits, witness=None) -> TotalRepor
 # Plain integral
 # ---------------------------------------------------------------------------
 
-def _certificate(schedule, length, tol, trace, verdict):
+def _certificate(schedule, length, tol, trace, verdict, row_eps):
     """The one build that certifies kh's verdict, as ``((r, eps, h), name)``:
     it tests f against F down to the radius of the last basic sum the
     verdict read.
@@ -222,28 +224,35 @@ def _certificate(schedule, length, tol, trace, verdict):
     value and gets the schedule's build at its last depth, the last build
     the Riemann-sum ladder would make.  An inconclusive kh claims no value
     either; the f check at depth 0 names a wrong derivative off the first
-    anchor cells.
+    anchor cells.  It backs only the verification rows it witnesses, so it
+    runs at ``row_eps``, their finest tolerance, but never finer than
+    ``tol`` per span length (``row_eps`` 0 means no rows).
     """
     if isinstance(verdict, Diverged):
         depth = trace[-1][0]
         step = schedule.at(depth)
         return (step.r, step.eps, step.h), f"at depth {depth}"
-    depth = verdict.depth if isinstance(verdict, Converged) else 0
-    r, eps, h = schedule.at(depth).r, tol / length, schedule.at(MESH_DEPTHS - 1).h
+    if isinstance(verdict, Converged):
+        depth, eps = verdict.depth, tol / length
+    else:
+        depth, eps = 0, max(row_eps, tol / length)
+    r, h = schedule.at(depth).r, schedule.at(MESH_DEPTHS - 1).h
     return (r, eps, h), f"in the f check (r {r:.3g}, eps {eps:.3g}, mesh cap {h:.3g})"
 
 
-def _plain_ladder(tol, div_threshold, total, table, limits):
+def _plain_ladder(tol, div_threshold, total, table, limits, row_eps):
     """``(trace, verdict, sums)``: kh_n = total - B_n, B_n being depth n's
     basic sum from ``table``, classified up to the first verdict, and the
-    :func:`_straddle_sums` of the one build that certifies it.
+    :func:`_straddle_sums` of the one build that certifies it, an
+    inconclusive kh's at the rows' finest tolerance ``row_eps``.
 
     A failed certificate build ends the ladder with that build's note, no
     trace and no sums: no value is shown that the build did not certify.
     """
     model = table.model
     trace, verdict = table.ladder(lambda n: total - table.basic(n), tol, div_threshold)
-    (r, eps, h), name = _certificate(table.schedule, model.span.length, tol, trace, verdict)
+    (r, eps, h), name = _certificate(table.schedule, model.span.length, tol, trace, verdict,
+                                     row_eps)
     try:
         sums = _straddle_sums(model, r, eps, limits, h)
     except BuildError as exc:
@@ -268,15 +277,22 @@ def plain_kh(
     build at tolerance ``tol`` per span length and the finest mesh cap,
     whose Riemann sum lies within ``tol`` of kh; a diverged kh's is the
     schedule's build at its last depth; an inconclusive kh's is the f check
-    at depth 0.  A certificate build that fails (a ``BuildError``) ends the
-    verdict inconclusive with no trace and the note ``build failed at depth
-    n: ...`` (diverged) or ``build failed in the f check (...): ...``; an
-    ``EvaluationError`` from f or F propagates.  The f check tests f against
-    F on a mesh of the finest cap (the span length / 4096), so a mismatch on
-    a narrower region can go unseen.
+    at depth 0.  That one claims no value and backs only verification
+    rows; a standalone plain_kh has none, so it runs at ``min(EPSILONS)``,
+    the finest default row (or at ``tol`` per span length, if that is
+    looser), as in a ``decompose`` at default rows.  A derivative wrong by
+    less than that per unit width passes it, and the verdict keeps the
+    ladder's own note ``no verdict by max depth n``.  A certificate build
+    that fails (a ``BuildError``) ends the verdict inconclusive with no
+    trace and the note ``build failed at depth n: ...`` (diverged) or
+    ``build failed in the f check (...): ...``; an ``EvaluationError`` from
+    f or F propagates.  The f check tests f against F on a mesh of the
+    finest cap (the span length / 4096), so a mismatch on a narrower region
+    can go unseen.
     """
     table = AnchorTable(model, RefinementSchedule.for_model(model), max_depth)
-    return _plain_ladder(tol, div_threshold, increment(model, model.span), table, limits)[1]
+    return _plain_ladder(tol, div_threshold, increment(model, model.span), table, limits,
+                         min(EPSILONS))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +384,17 @@ def decompose(
     ladder, and only the kh verdict's note records it; an
     ``EvaluationError`` from f or F propagates, first from kh's
     certificate.  The certificate witnesses the verification rows when it
-    ran at their radius and meets their tolerances, as an inconclusive
-    kh's f check at r0 does.
+    ran at their radius and meets their tolerances.  An inconclusive kh's f
+    check runs at r0 and the finest of ``epsilons``, so at the default
+    radius it witnesses every row.  It never runs finer than ``tol`` per
+    span length, the converged f check's tolerance, and runs at
+    that when ``epsilons`` is empty.
     """
     table = AnchorTable(model, RefinementSchedule.for_model(model), max_depth)
     total = increment(model, model.span)
 
-    kh_trace, kh_verdict, certificate = _plain_ladder(tol, div_threshold, total, table, limits)
+    kh_trace, kh_verdict, certificate = _plain_ladder(tol, div_threshold, total, table, limits,
+                                                      min(epsilons, default=0.0))
     verification = _verification(model, total, epsilons, anchor_r, limits, certificate)
 
     bs_rows, bs_verdict, residuals = _anchor_ladders(tol, div_threshold, table)

@@ -92,15 +92,21 @@ class TaggedPartition:
     __slots__ = ("los", "his", "tags", "span")
 
     def __init__(self, los, his, tags, span: Interval):
-        los = np.asarray(los, dtype=float)
-        his = np.asarray(his, dtype=float)
-        tags = np.asarray(tags, dtype=float)
+        self._adopt(*(np.array(a, dtype=float) for a in (los, his, tags)), span)
+
+    @classmethod
+    def _owning(cls, los, his, tags, span: Interval) -> TaggedPartition:
+        """A partition that takes ownership of ``los``, ``his`` and ``tags``,
+        fresh float arrays nothing else holds, instead of copying them."""
+        part = cls.__new__(cls)
+        part._adopt(los, his, tags, span)
+        return part
+
+    def _adopt(self, los, his, tags, span):
         if not (los.shape == his.shape == tags.shape) or los.ndim != 1:
             raise ValueError("los, his, tags must be 1-d arrays of equal length")
         # builders hand over ordered pairs; a NaN fails the check and sorts
-        if (los[:-1] <= los[1:]).all():
-            los, his, tags = los.copy(), his.copy(), tags.copy()
-        else:
+        if not (los[:-1] <= los[1:]).all():
             order = np.argsort(los, kind="stable")
             los, his, tags = los[order], his[order], tags[order]
         for arr in (los, his, tags):
@@ -263,7 +269,7 @@ def restrict(
     """
     mask = restriction_mask(partition, points)
     los, his, tags = partition.los, partition.his, partition.tags
-    return tuple(TaggedPartition(los[m], his[m], tags[m], partition.span)
+    return tuple(TaggedPartition._owning(los[m], his[m], tags[m], partition.span)
                  for m in (mask, ~mask))
 
 

@@ -109,6 +109,17 @@ class TestBuildAnchored:
         assert part.los[idx] == -0.25 and part.his[idx] == 0.25
         assert is_fine(part, anchored_gauge_for([0.0], r=0.25, h=0.5))
 
+    @pytest.mark.parametrize("build", [
+        lambda: build_anchored(Interval(0.0, 1.0), [0.5], r=0.1, h=0.25),
+        lambda: build_straddle_verified(catalog("parabola")),
+        lambda: build_cousin(Interval(0.0, 1.0), anchored_gauge_for([0.5], r=0.1, h=0.25)),
+    ], ids=["anchored", "straddle", "cousin"])
+    def test_built_arrays_are_read_only(self, build):
+        # the partition owns its concatenated arrays; none is writeable
+        part = build()
+        assert validate(part, part.span).ok
+        assert not any(a.flags.writeable for a in (part.los, part.his, part.tags))
+
     def test_empty_points_equal_cells(self):
         span = Interval(0.0, 1.0)
         part = build_anchored(span, [], r=0.1, h=0.25)

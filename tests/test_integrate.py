@@ -31,7 +31,8 @@ from gaugeint import (
     total_kh,
 )
 from gaugeint.builders import straddle_chunks
-from gaugeint.integrate import _straddle_sums
+from gaugeint import integrate
+from gaugeint.integrate import EPSILONS, _straddle_sums
 from gaugeint.sums import AnchorTable
 from gaugeint.verdicts import DIV_THRESHOLD, MAX_DEPTH, TOL, SequenceClassifier
 from gaugeint.cli import ResidualsSummary
@@ -482,7 +483,7 @@ class TestReachabilityPrune:
     def test_f_check_finds_a_narrow_bump(self, name, lo):
         # f wrong by 1e-3 on [lo, lo + 0.0015), where F is right: a build at
         # eps 1e-2 or 1e-3 passes over it, and the Riemann-sum ladder failed
-        # at depth 2-4; the f check at eps tol / L fails on it
+        # at depth 2-4; the f check at eps 1e-4 fails on it
         base = catalog(name)
         model = dataclasses.replace(base, f=lambda x: base.f(x) + 1e-3 * (
             (np.asarray(x) >= lo) & (np.asarray(x) < lo + 0.0015)))
@@ -593,8 +594,8 @@ class TestDecompose:
     @pytest.mark.parametrize("name", ["osc_sin_inv", "reciprocal", "sqrt_singular"])
     def test_certificate_witnesses_the_rows(self, name):
         # an inconclusive kh's certificate is the f check at r0 and eps
-        # tol / L = 1e-6, finer than every default row, so the rows build
-        # nothing of their own (standalone plain_kh: 28 / 21 / 8 F calls)
+        # 1e-4, the finest default row, so the rows build nothing of their
+        # own (standalone plain_kh: 16 / 13 / 3 F calls)
         model, calls = counting_calls(catalog(name))
         plain_kh(model)
         alone = calls["F"]
@@ -686,6 +687,85 @@ def constant_without_points():
         f=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         E=ExceptionalSet(), span=Interval(0.0, 1.0),
     )
+
+
+def recorded_builds(monkeypatch):
+    """The ``(r, eps, h)`` of every straddle build ``integrate`` makes from
+    now on, in order."""
+    builds = []
+
+    def record(model, r, eps, limits, h=None):
+        builds.append((r, eps, h))
+        return _straddle_sums(model, r, eps, limits, h)
+
+    monkeypatch.setattr(integrate, "_straddle_sums", record)
+    return builds
+
+
+def offset_f(model, c):
+    """``model`` with c added to its declared derivative everywhere."""
+    return dataclasses.replace(model, f=lambda x, m=model, c=c: np.asarray(m.f(x)) + c)
+
+
+class TestInconclusiveCertificate:
+    """An inconclusive kh claims no value, so its one certificate, the f check
+    at depth 0, runs at the finest tolerance of the verification rows it
+    witnesses, never finer than tol / L."""
+
+    def test_default_rows_set_the_tolerance(self):
+        note = decompose(offset_f(catalog("osc_sin_inv"), 1e-3)).kh_verdict.note
+        assert note.startswith("build failed in the f check (r 0.1, eps 0.0001, ")
+
+    def test_finest_row_sizes_the_one_build(self, monkeypatch):
+        # reciprocal's span length is 3: the finest row, 5e-5, is looser
+        # than tol / L = 3.3e-7 (26,594 pairs), and both rows read the one
+        # build at 5e-5
+        builds = recorded_builds(monkeypatch)
+        report = decompose(catalog("reciprocal"), epsilons=(1e-3, 5e-5))
+        assert builds == [(pytest.approx(0.15), 5e-5, 3.0 / 4096)]
+        assert [(row.pairs, row.ok) for row in report.verification.rows] == [
+            (4714, True), (4714, True)]
+
+    def test_plain_kh_runs_at_the_finest_default_row(self, monkeypatch):
+        builds = recorded_builds(monkeypatch)
+        assert plain_kh(catalog("reciprocal")).note == "no verdict by max depth 20"
+        assert [eps for _, eps, _ in builds] == [min(EPSILONS)]
+
+    def test_no_rows_fall_back_to_tol_per_length(self, monkeypatch):
+        builds = recorded_builds(monkeypatch)
+        report = decompose(catalog("reciprocal"), epsilons=())
+        assert report.verification.rows == () and not report.verification.verified
+        assert report.kh_verdict.note == "no verdict by max depth 20"
+        assert [eps for _, eps, _ in builds] == [TOL / 3.0]
+
+    def test_rows_finer_than_tol_per_length_build_their_own(self, monkeypatch):
+        # the f check stays at tol / L = 1e-6, and the 1e-7 row, which it
+        # cannot witness, builds at its own tolerance
+        builds = recorded_builds(monkeypatch)
+        report = decompose(catalog("sqrt_singular"), epsilons=(1e-7,))
+        assert [eps for _, eps, _ in builds] == [TOL, 1e-7]
+        assert report.kh_verdict.note == "no verdict by max depth 20"
+        assert report.verification.verified
+
+    @pytest.mark.parametrize("name, oks", [
+        ("osc_sin_inv", [True, False, False]), ("reciprocal", [True, False, False]),
+        ("sqrt_singular", [True, True, False]),
+    ])
+    def test_wrong_derivative_is_still_named(self, name, oks):
+        # f off by 1e-3 per unit width fails the f check at the finest row,
+        # 1e-4, and each row is ok exactly when its own build passes
+        report = decompose(offset_f(catalog(name), 1e-3))
+        assert report.kh_verdict.note.startswith("build failed in the f check ")
+        assert [row.ok for row in report.verification.rows] == oks
+
+    @pytest.mark.parametrize("name", ["osc_sin_inv", "reciprocal", "sqrt_singular"])
+    def test_error_within_the_finest_row_reads_max_depth(self, name):
+        # f off by 1e-5 per unit width is within every row's tolerance, so
+        # the f check passes and the ladder's own stop is the note; an f
+        # check at tol / L failed on it
+        report = decompose(offset_f(catalog(name), 1e-5))
+        assert report.kh_verdict.note == "no verdict by max depth 20"
+        assert all(row.ok for row in report.verification.rows)
 
 
 class TestResidueCheck:

@@ -109,6 +109,28 @@ class TestValidate:
             assert not got.flags.writeable
             assert not np.shares_memory(got, given)
 
+    def test_caller_arrays_stay_writeable_and_unshared(self):
+        # only builders hand their arrays over; a caller's stay its own
+        los, his, tags = np.array([0.0, 0.5]), np.array([0.5, 1.0]), np.array([0.2, 0.7])
+        part = TaggedPartition(los, his, tags, UNIT)
+        los[0] = his[0] = tags[0] = 0.1
+        for got, given in ((part.los, los), (part.his, his), (part.tags, tags)):
+            assert given.flags.writeable
+            assert not np.shares_memory(got, given)
+        assert (part.los[0], part.his[0], part.tags[0]) == (0.0, 0.5, 0.2)
+
+    @pytest.mark.parametrize("los, order", [([0.0, 0.5], [0, 1]), ([0.5, 0.0], [1, 0])],
+                             ids=["ordered", "unordered"])
+    def test_owning_construction(self, los, order):
+        # ordered arrays are kept and made read-only in place; unordered
+        # ones still sort
+        los, his, tags = np.array(los), np.array(los) + 0.5, np.array(los) + 0.25
+        part = TaggedPartition._owning(los, his, tags, UNIT)
+        assert list(part.los) == [0.0, 0.5] and list(part.tags) == [0.25, 0.75]
+        for got, given in ((part.los, los), (part.his, his), (part.tags, tags)):
+            assert not got.flags.writeable
+            assert (got is given) == (order == [0, 1])
+
     @pytest.mark.parametrize("los,his,tags", [
         ([0.0, 0.5], [0.5, 1.0], [0.25]),
         ([[0.0, 0.5]], [[0.5, 1.0]], [[0.25, 0.75]]),
