@@ -112,15 +112,14 @@ class RefinementSchedule:
     The geometric family h_n = h0 * 2^-n, r_n = r0 * 2^-n, eps_n = 1e-2 * 4^-n,
     except that the mesh cap is lifted to h0 (the span length, from
     ``for_span``) from depth ``MESH_DEPTHS`` on.  The reports build theirs
-    with ``for_model``; only the low-level ladders take one.
+    with ``for_model`` and read only its radii; only the low-level ladders
+    take one.
 
-    The plain integral's f check builds at depth 12's cap, L/4096, so its
-    midpoint tags sample f densely enough to test f against F: a model whose
-    f is wrong on a region a few such caps wide fails it.  The per-cell
-    bound eps_n * h_n shrinks 8x per depth and, on a unit span with
-    |F| ~ 1, meets the 8-ulp evaluation floor of F near depth 14, so the cap
-    is lifted at depth 13; the deeper steps, which the diverged certificate
-    and the benchmark's replayed ladder build, converge on a few wide cells.
+    The per-cell bound eps_n * h_n shrinks 8x per depth and, on a unit span
+    with |F| ~ 1, meets the 8-ulp evaluation floor of F near depth 14, so
+    the cap is lifted at depth 13; the deeper steps, which only the
+    benchmark's replayed ladder and the tests build, converge on a few wide
+    cells.
     """
 
     h0: float

@@ -11,18 +11,18 @@
   theorem the plain integral is the total minus the limit of the basic sum
   B_n.  The anchor table runs the ladder over kh_n = total - B_n up to its
   own ``max_depth``, B_n read from the table, one F call per table.  One
-  straddle build certifies it, testing f against F down to the radius of
-  the last basic sum the verdict read.
-  For a converged kh that is the f check, a build at the verdict depth's
-  anchor radius, tolerance ``tol`` per span length and the finest mesh cap
-  of the schedule; for a diverged kh, the schedule's build at its last
-  depth; for an inconclusive kh, which claims no value, the f check at
-  depth 0 and the finest tolerance of the verification rows it witnesses,
-  never finer than ``tol`` per span length.  Each cell of a straddle build
-  keeps its Riemann part within eps times its width of its increment of F,
-  so a build at radius r has its Riemann sum within eps times the span
-  length of total - B(r).  A certificate build that fails ends kh
-  inconclusive with that build's note and no row.
+  straddle build, the f check, certifies every verdict: it tests f against
+  F down to the anchor radius of a depth m, with the mesh cap L/4096 (L the
+  span length).  m is the verdict's depth for a converged kh, the last
+  depth for a diverged kh and 0 for an inconclusive kh.  A converged kh
+  claims a value and is checked at ``tol`` per span length; a diverged or
+  inconclusive kh claims none and is checked at the finest tolerance of
+  the verification rows it witnesses, never finer than ``tol`` per span
+  length.  Each cell of a straddle build keeps its Riemann part within eps
+  times its width of its increment of F, so a build at radius r has its
+  Riemann sum within eps times the span length of total - B(r).  A
+  certificate build that fails ends kh inconclusive with that build's note
+  and no row.
 * ``decompose`` -- assembles the total value, the plain-integral verdict, the
   basic-sum verdict and the residual table, and reports the identity gap,
   the f check's distance |Riemann - (total - B_n)| at kh's depth n, when
@@ -52,7 +52,7 @@ from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .builders import MESH_DEPTHS, BuildLimits, RefinementSchedule, _straddle_runs
+from .builders import BuildLimits, RefinementSchedule, _straddle_runs
 from .errors import BuildError, NotLocallyConstant
 from .models import SingularFunctionModel, increment
 from .sums import AnchorTable, KahanAccumulator, SequenceRow, _kahan_sum
@@ -213,50 +213,48 @@ def _verification(model, total, epsilons, r, limits, witness=None) -> TotalRepor
 # Plain integral
 # ---------------------------------------------------------------------------
 
-def _certificate(schedule, length, tol, trace, verdict, row_eps):
-    """The one build that certifies kh's verdict, as ``((r, eps, h), name)``:
-    it tests f against F down to the radius of the last basic sum the
-    verdict read.
+# The f check's mesh cap is L / _F_CHECK_MESH: its midpoint tags sample f so densely
+# that an f wrong on a region a few caps wide fails it; a narrower one can go unseen.
+_F_CHECK_MESH = 4096
 
-    A converged kh gets the f check at its depth: that depth's anchor
-    radius, tolerance ``tol`` per span length and the finest mesh cap, so
-    its Riemann sum lies within ``tol`` of kh.  A diverged kh claims no
-    value and gets the schedule's build at its last depth, the last build
-    the Riemann-sum ladder would make.  An inconclusive kh claims no value
-    either; the f check at depth 0 names a wrong derivative off the first
-    anchor cells.  It backs only the verification rows it witnesses, so it
-    runs at ``row_eps``, their finest tolerance, but never finer than
-    ``tol`` per span length (``row_eps`` 0 means no rows).
+
+def _certificate(tol, length, trace, verdict, epsilons):
+    """``(depth, eps)`` of the f check that certifies kh's verdict: it tests
+    f against F down to depth's anchor radius.
+
+    A converged kh claims a value, so it is checked at its own depth and at
+    ``tol`` per span length: its Riemann sum lies within ``tol`` of kh.  A
+    diverged kh (at its last depth) and an inconclusive kh (at depth 0)
+    claim none.  An f wrong by d per unit width moves the plain integral by
+    at most d times the span length, which neither makes nor unmakes a
+    divergence, so their check backs only the verification rows it
+    witnesses: it runs at the rows' finest tolerance (with no rows, the
+    finest default row), never finer than ``tol`` per span length.
     """
-    if isinstance(verdict, Diverged):
-        depth = trace[-1][0]
-        step = schedule.at(depth)
-        return (step.r, step.eps, step.h), f"at depth {depth}"
     if isinstance(verdict, Converged):
-        depth, eps = verdict.depth, tol / length
-    else:
-        depth, eps = 0, max(row_eps, tol / length)
-    r, h = schedule.at(depth).r, schedule.at(MESH_DEPTHS - 1).h
-    return (r, eps, h), f"in the f check (r {r:.3g}, eps {eps:.3g}, mesh cap {h:.3g})"
+        return verdict.depth, tol / length
+    depth = trace[-1][0] if isinstance(verdict, Diverged) else 0
+    return depth, max(min(epsilons, default=min(EPSILONS)), tol / length)
 
 
-def _plain_ladder(tol, div_threshold, total, table, limits, row_eps):
+def _plain_ladder(tol, div_threshold, total, table, limits, epsilons):
     """``(trace, verdict, sums)``: kh_n = total - B_n, B_n being depth n's
     basic sum from ``table``, classified up to the first verdict, and the
-    :func:`_straddle_sums` of the one build that certifies it, an
-    inconclusive kh's at the rows' finest tolerance ``row_eps``.
+    :func:`_straddle_sums` of the f check that certifies it, sized by the
+    verification rows' tolerances ``epsilons`` unless kh converged.
 
     A failed certificate build ends the ladder with that build's note, no
     trace and no sums: no value is shown that the build did not certify.
     """
     model = table.model
     trace, verdict = table.ladder(lambda n: total - table.basic(n), tol, div_threshold)
-    (r, eps, h), name = _certificate(table.schedule, model.span.length, tol, trace, verdict,
-                                     row_eps)
+    depth, eps = _certificate(tol, model.span.length, trace, verdict, epsilons)
+    r, h = table.radius(depth), model.span.length / _F_CHECK_MESH
     try:
         sums = _straddle_sums(model, r, eps, limits, h)
     except BuildError as exc:
-        return (), Inconclusive(trace=(), note=f"build failed {name}: {exc}"), None
+        note = f"build failed in the f check (r {r:.3g}, eps {eps:.3g}, mesh cap {h:.3g}): {exc}"
+        return (), Inconclusive(trace=(), note=note), None
     return trace, verdict, sums
 
 
@@ -271,28 +269,24 @@ def plain_kh(
 
     The ladder classifies kh_n = total - B_n, the total F(b) - F(a) less
     depth n's basic sum; converged means kh_n settled to the integral's
-    value, and divergence is an honest outcome.  One straddle build
-    certifies the verdict, testing f against F down to the radius of the
-    verdict's last depth.  A converged kh's is the f check at its depth, a
-    build at tolerance ``tol`` per span length and the finest mesh cap,
-    whose Riemann sum lies within ``tol`` of kh; a diverged kh's is the
-    schedule's build at its last depth; an inconclusive kh's is the f check
-    at depth 0.  That one claims no value and backs only verification
-    rows; a standalone plain_kh has none, so it runs at ``min(EPSILONS)``,
-    the finest default row (or at ``tol`` per span length, if that is
-    looser), as in a ``decompose`` at default rows.  A derivative wrong by
-    less than that per unit width passes it, and the verdict keeps the
-    ladder's own note ``no verdict by max depth n``.  A certificate build
-    that fails (a ``BuildError``) ends the verdict inconclusive with no
-    trace and the note ``build failed at depth n: ...`` (diverged) or
-    ``build failed in the f check (...): ...``; an ``EvaluationError`` from
-    f or F propagates.  The f check tests f against F on a mesh of the
-    finest cap (the span length / 4096), so a mismatch on a narrower region
-    can go unseen.
+    value, and divergence is an honest outcome.  One straddle build, the f
+    check, certifies the verdict, testing f against F down to the radius of
+    a depth m on a mesh of the span length / 4096; a mismatch on a narrower
+    region can go unseen.  A converged kh is checked at its depth and at
+    ``tol`` per span length, so its Riemann sum lies within ``tol`` of kh.
+    A diverged kh (m its last depth) and an inconclusive kh (m = 0) claim no
+    value, and the check backs only verification rows; a standalone
+    plain_kh has none, so it runs at ``min(EPSILONS)``, the finest default
+    row (or at ``tol`` per span length, if that is looser), as in a
+    ``decompose`` at default rows.  A derivative wrong by less than that per
+    unit width passes it, and the verdict keeps the ladder's own: a
+    divergence, or the note ``no verdict by max depth n``.  A certificate
+    build that fails (a ``BuildError``) ends the verdict inconclusive with
+    no trace and the note ``build failed in the f check (...): ...``; an
+    ``EvaluationError`` from f or F propagates.
     """
     table = AnchorTable(model, RefinementSchedule.for_model(model), max_depth)
-    return _plain_ladder(tol, div_threshold, increment(model, model.span), table, limits,
-                         min(EPSILONS))[1]
+    return _plain_ladder(tol, div_threshold, increment(model, model.span), table, limits, ())[1]
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +378,17 @@ def decompose(
     ladder, and only the kh verdict's note records it; an
     ``EvaluationError`` from f or F propagates, first from kh's
     certificate.  The certificate witnesses the verification rows when it
-    ran at their radius and meets their tolerances.  An inconclusive kh's f
-    check runs at r0 and the finest of ``epsilons``, so at the default
-    radius it witnesses every row.  It never runs finer than ``tol`` per
-    span length, the converged f check's tolerance, and runs at
-    that when ``epsilons`` is empty.
+    ran at their radius and meets their tolerances.  A diverged or
+    inconclusive kh's f check runs at the finest of ``epsilons`` (with none,
+    at ``min(EPSILONS)``, as in ``plain_kh``), never finer than ``tol`` per
+    span length, the converged f check's tolerance; an inconclusive kh's
+    runs at r0, so at the default radius it witnesses every row.
     """
     table = AnchorTable(model, RefinementSchedule.for_model(model), max_depth)
     total = increment(model, model.span)
 
     kh_trace, kh_verdict, certificate = _plain_ladder(tol, div_threshold, total, table, limits,
-                                                      min(epsilons, default=0.0))
+                                                      epsilons)
     verification = _verification(model, total, epsilons, anchor_r, limits, certificate)
 
     bs_rows, bs_verdict, residuals = _anchor_ladders(tol, div_threshold, table)

@@ -554,14 +554,15 @@ class TestDecompose:
 
     def test_divergence_over_a_wrong_derivative_is_not_shown(self):
         # f wrong by 1 on [0.05, 0.06), inside the first anchor cell
-        # (-0.15, 0.15): the build at depth 4, the divergence's last depth,
-        # fails on it
+        # (-0.15, 0.15): the f check at depth 4, the divergence's last
+        # depth, fails on it
         base = catalog("reciprocal")
         model = dataclasses.replace(base, f=lambda x: base.f(x) + 1.0 * (
             (np.asarray(x) >= 0.05) & (np.asarray(x) < 0.06)))
         verdict = decompose(model, max_depth=12, div_threshold=100.0).kh_verdict
         assert isinstance(verdict, Inconclusive) and verdict.trace == ()
-        assert verdict.note.startswith("build failed at depth 4: ")
+        assert verdict.note.startswith(
+            "build failed in the f check (r 0.00938, eps 0.0001, mesh cap 0.000732): ")
 
     def test_staircase_decomposition(self):
         report = decompose(catalog("staircase3"))
@@ -731,12 +732,13 @@ class TestInconclusiveCertificate:
         assert plain_kh(catalog("reciprocal")).note == "no verdict by max depth 20"
         assert [eps for _, eps, _ in builds] == [min(EPSILONS)]
 
-    def test_no_rows_fall_back_to_tol_per_length(self, monkeypatch):
+    def test_no_rows_run_at_the_finest_default_row(self, monkeypatch):
+        # as in plain_kh: with no rows the f check runs at min(EPSILONS)
         builds = recorded_builds(monkeypatch)
         report = decompose(catalog("reciprocal"), epsilons=())
         assert report.verification.rows == () and not report.verification.verified
         assert report.kh_verdict.note == "no verdict by max depth 20"
-        assert [eps for _, eps, _ in builds] == [TOL / 3.0]
+        assert [eps for _, eps, _ in builds] == [min(EPSILONS)]
 
     def test_rows_finer_than_tol_per_length_build_their_own(self, monkeypatch):
         # the f check stays at tol / L = 1e-6, and the 1e-7 row, which it
@@ -766,6 +768,74 @@ class TestInconclusiveCertificate:
         report = decompose(offset_f(catalog(name), 1e-5))
         assert report.kh_verdict.note == "no verdict by max depth 20"
         assert all(row.ok for row in report.verification.rows)
+
+
+# reciprocal diverges by depth 4 at this threshold
+DIVERGING = dict(max_depth=12, div_threshold=100.0)
+
+
+class TestDivergedCertificate:
+    """A diverged kh claims no value either: its certificate is the f check
+    at the last depth's anchor radius, sized by the rows like an
+    inconclusive kh's."""
+
+    def test_f_check_at_the_last_depth(self, monkeypatch):
+        builds = recorded_builds(monkeypatch)
+        report = decompose(catalog("reciprocal"), **DIVERGING)
+        assert report.kh_verdict == Diverged(sign=-1)
+        assert builds == [(0.05 * 3 / 16, 1e-4, 3.0 / 4096), (0.05 * 3, 1e-4, None)]
+
+    def test_error_within_the_finest_row_stays_diverged(self):
+        report = decompose(offset_f(catalog("reciprocal"), 1e-5), **DIVERGING)
+        assert report.kh_verdict == Diverged(sign=-1)
+        assert all(row.ok for row in report.verification.rows)
+
+    def test_wrong_derivative_is_named(self):
+        report = decompose(offset_f(catalog("reciprocal"), 1e-3), **DIVERGING)
+        verdict = report.kh_verdict
+        assert isinstance(verdict, Inconclusive) and verdict.trace == ()
+        assert verdict.note.startswith(
+            "build failed in the f check (r 0.00938, eps 0.0001, mesh cap 0.000732): ")
+        assert [row.ok for row in report.verification.rows] == [True, False, False]
+
+    def test_fine_rows_keep_the_divergence(self, monkeypatch):
+        # the f check follows the rows down to 1e-6 (171,410 pairs)
+        builds = recorded_builds(monkeypatch)
+        report = decompose(catalog("reciprocal"), epsilons=(1e-6,), **DIVERGING)
+        assert report.kh_verdict == Diverged(sign=-1)
+        assert builds[0] == (0.05 * 3 / 16, 1e-6, 3.0 / 4096)
+
+    def test_no_rows_make_one_build(self, monkeypatch):
+        builds = recorded_builds(monkeypatch)
+        report = decompose(catalog("reciprocal"), epsilons=(), **DIVERGING)
+        assert report.kh_verdict == Diverged(sign=-1)
+        assert builds == [(0.05 * 3 / 16, min(EPSILONS), 3.0 / 4096)]
+
+
+# The catalog's build plan at defaults: (r0, depth, eps) of kh's f check.  A
+# converged kh's runs at its depth and tol / L, the others at depth 0 and
+# the finest row.  r0 is 5% of the span length, 0.05 * 3 on [-1, 2] and
+# [0, 3].
+CATALOG_PLAN = {
+    "heaviside": (0.1, 3, 5e-7), "jump_linear": (0.1, 20, 5e-7),
+    "parabola": (0.05, 19, 1e-6), "staircase3": (0.05 * 3, 3, 1e-6 / 3),
+    "osc_sin_inv": (0.1, 0, 1e-4), "reciprocal": (0.05 * 3, 0, 1e-4),
+    "sqrt_singular": (0.05, 0, 1e-4),
+}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_build_plan_at_defaults(name, monkeypatch):
+    # the f check at r0 * 2^-depth with the cap L / 4096, then, unless it
+    # witnessed them, the rows' own build at r0 and the finest row
+    model = catalog(name)
+    r0, depth, eps = CATALOG_PLAN[name]
+    builds = recorded_builds(monkeypatch)
+    decompose(model)
+    plan = [(r0 * 0.5**depth, eps, model.span.length / 4096)]
+    if depth:
+        plan.append((r0, 1e-4, None))
+    assert builds == plan
 
 
 class TestResidueCheck:
