@@ -111,9 +111,11 @@ class RefinementSchedule:
 
     The geometric family h_n = h0 * 2^-n, r_n = r0 * 2^-n, eps_n = 1e-2 * 4^-n,
     except that the mesh cap is lifted to h0 (the span length, from
-    ``for_span``) from depth ``MESH_DEPTHS`` on.  The reports build theirs
-    with ``for_model`` and read only its radii; only the low-level ladders
-    take one.
+    ``for_model``) from depth ``MESH_DEPTHS`` on.  The reports read their
+    radii from ``sums.AnchorTable`` and build none.  Its remaining readers
+    are the two low-level ladders, ``basic_sum_sequence`` and
+    ``residual_estimate``, which read its r0, and the benchmark's replayed
+    Riemann-sum ladder, which reads ``at(n)``.
 
     The per-cell bound eps_n * h_n shrinks 8x per depth and, on a unit span
     with |F| ~ 1, meets the 8-ulp evaluation floor of F near depth 14, so
@@ -131,12 +133,8 @@ class RefinementSchedule:
                 raise ValueError(f"{name} must be positive")
 
     @classmethod
-    def for_span(cls, span: Interval, points: Sequence[float] = ()) -> "RefinementSchedule":
-        return cls(h0=span.length, r0=first_anchor_radius(span, points))
-
-    @classmethod
     def for_model(cls, model: SingularFunctionModel) -> "RefinementSchedule":
-        return cls.for_span(model.span, tuple(model.E))
+        return cls(h0=model.span.length, r0=first_anchor_radius(model.span, model.E))
 
     def at(self, n: int) -> ScheduleStep:
         if n < 0:

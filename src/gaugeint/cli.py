@@ -29,13 +29,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 
-from .builders import (
-    RefinementSchedule,
-    anchored_gauge_for,
-    build_anchored,
-    build_cousin,
-    build_straddle_verified,
-)
+from .builders import anchored_gauge_for, build_anchored, build_cousin, build_straddle_verified
 from .catalog import CATALOG_NAMES, catalog
 from .dsl import CompiledFunction, ParseError, parse, render
 from .errors import BuildError, EvaluationError, GaugeIntError
@@ -49,7 +43,7 @@ from .integrate import (
     total_kh,
 )
 from .models import ExceptionalSet, SingularFunctionModel, consistency_check
-from .partition import Interval, partition_to_csv
+from .partition import Interval, first_anchor_radius, partition_to_csv
 from .verdicts import DIV_THRESHOLD, MAX_DEPTH, TOL, Converged
 
 EXIT_OK = 0
@@ -152,7 +146,7 @@ _FIELDS = (
     ("epsilon", "--epsilon", "epsilons",
      dict(type=_float_list, help='tolerance list "1e-2,1e-3"'), list),
     ("anchor", "--anchor", "anchor",
-     dict(type=float, help="anchor radius (default: schedule r0)"), (*_NUMBER, type(None))),
+     dict(type=float, help="anchor radius (default: the model's r0)"), (*_NUMBER, type(None))),
     ("max_depth", "--max-depth", "max_depth", dict(type=int), int),
     ("tol", "--tol", "tol", dict(type=float), _NUMBER),
     ("div_threshold", "--div-threshold", "div_threshold", dict(type=float), _NUMBER),
@@ -460,8 +454,7 @@ def cmd_residues(job: Job) -> int:
 
 def cmd_partition(job: Job) -> int:
     model = job.resolve_model()
-    schedule = RefinementSchedule.for_model(model)
-    r = job.anchor if job.anchor is not None else schedule.r0
+    r = job.anchor if job.anchor is not None else first_anchor_radius(model.span, model.E)
     h = model.span.length / 8
     if job.builder == "anchored":
         part = build_anchored(model.span, tuple(model.E), r=r, h=h)

@@ -52,9 +52,10 @@ from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .builders import BuildLimits, RefinementSchedule, _straddle_runs
+from .builders import BuildLimits, _straddle_runs
 from .errors import BuildError, NotLocallyConstant
 from .models import SingularFunctionModel, increment
+from .partition import first_anchor_radius
 from .sums import AnchorTable, KahanAccumulator, SequenceRow, _kahan_sum
 from .verdicts import (
     DIV_THRESHOLD,
@@ -192,7 +193,7 @@ def _verification(model, total, epsilons, r, limits, witness=None) -> TotalRepor
     """:func:`total_kh`'s report of ``total``; ``witness``, a build already
     made, serves every row at radius ``r`` whose tolerance it meets."""
     if r is None:
-        r = RefinementSchedule.for_model(model).r0
+        r = first_anchor_radius(model.span, model.E)
     by_eps = {}
     for eps in sorted(set(epsilons)):
         bound = eps * model.span.length
@@ -218,38 +219,34 @@ def _verification(model, total, epsilons, r, limits, witness=None) -> TotalRepor
 _F_CHECK_MESH = 4096
 
 
-def _certificate(tol, length, trace, verdict, epsilons):
-    """``(depth, eps)`` of the f check that certifies kh's verdict: it tests
-    f against F down to depth's anchor radius.
-
-    A converged kh claims a value, so it is checked at its own depth and at
-    ``tol`` per span length: its Riemann sum lies within ``tol`` of kh.  A
-    diverged kh (at its last depth) and an inconclusive kh (at depth 0)
-    claim none.  An f wrong by d per unit width moves the plain integral by
-    at most d times the span length, which neither makes nor unmakes a
-    divergence, so their check backs only the verification rows it
-    witnesses: it runs at the rows' finest tolerance (with no rows, the
-    finest default row), never finer than ``tol`` per span length.
-    """
-    if isinstance(verdict, Converged):
-        return verdict.depth, tol / length
-    depth = trace[-1][0] if isinstance(verdict, Diverged) else 0
-    return depth, max(min(epsilons, default=min(EPSILONS)), tol / length)
-
-
 def _plain_ladder(tol, div_threshold, total, table, limits, epsilons):
     """``(trace, verdict, sums)``: kh_n = total - B_n, B_n being depth n's
     basic sum from ``table``, classified up to the first verdict, and the
-    :func:`_straddle_sums` of the f check that certifies it, sized by the
-    verification rows' tolerances ``epsilons`` unless kh converged.
+    :func:`_straddle_sums` of the f check that certifies it: a build that
+    tests f against F down to the anchor radius of a depth m.
+
+    A converged kh claims a value, so it is checked at its own depth and at
+    ``tol`` per span length: its Riemann sum lies within ``tol`` of kh.  A
+    diverged kh (m its last depth) and an inconclusive kh (m = 0) claim
+    none.  An f wrong by d per unit width moves the plain integral by at
+    most d times the span length, which neither makes nor unmakes a
+    divergence, so their check backs only the verification rows it
+    witnesses: it runs at the finest of the rows' tolerances ``epsilons``
+    (with no rows, the finest default row), never finer than ``tol`` per
+    span length.
 
     A failed certificate build ends the ladder with that build's note, no
     trace and no sums: no value is shown that the build did not certify.
     """
     model = table.model
+    length = model.span.length
     trace, verdict = table.ladder(lambda n: total - table.basic(n), tol, div_threshold)
-    depth, eps = _certificate(tol, model.span.length, trace, verdict, epsilons)
-    r, h = table.radius(depth), model.span.length / _F_CHECK_MESH
+    if isinstance(verdict, Converged):
+        depth, eps = verdict.depth, tol / length
+    else:
+        depth = trace[-1][0] if isinstance(verdict, Diverged) else 0
+        eps = max(min(epsilons, default=min(EPSILONS)), tol / length)
+    r, h = table.radius(depth), length / _F_CHECK_MESH
     try:
         sums = _straddle_sums(model, r, eps, limits, h)
     except BuildError as exc:
@@ -285,7 +282,7 @@ def plain_kh(
     no trace and the note ``build failed in the f check (...): ...``; an
     ``EvaluationError`` from f or F propagates.
     """
-    table = AnchorTable(model, RefinementSchedule.for_model(model), max_depth)
+    table = AnchorTable(model, max_depth)
     return _plain_ladder(tol, div_threshold, increment(model, model.span), table, limits, ())[1]
 
 
@@ -341,8 +338,7 @@ def residue_table(
     depth up to ``max_depth`` or the first that breaks the anchor rule.
     With an empty exceptional set the basic sum is exactly 0 at depth 0.
     """
-    return _anchor_ladders(tol, div_threshold,
-                           AnchorTable(model, RefinementSchedule.for_model(model), max_depth))
+    return _anchor_ladders(tol, div_threshold, AnchorTable(model, max_depth))
 
 
 def _anchor_ladders(tol, div_threshold, table):
@@ -384,7 +380,7 @@ def decompose(
     span length, the converged f check's tolerance; an inconclusive kh's
     runs at r0, so at the default radius it witnesses every row.
     """
-    table = AnchorTable(model, RefinementSchedule.for_model(model), max_depth)
+    table = AnchorTable(model, max_depth)
     total = increment(model, model.span)
 
     kh_trace, kh_verdict, certificate = _plain_ladder(tol, div_threshold, total, table, limits,
@@ -477,7 +473,7 @@ def residue_check(
         raise NotLocallyConstant(nonzero[:4].tolist())
 
     lhs = increment(model, model.span)
-    table = AnchorTable(model, RefinementSchedule.for_model(model), max_depth)
+    table = AnchorTable(model, max_depth)
     residuals = table.residuals(model.E, tol, div_threshold)
     rhs = _residual_sum(residuals)
     gap = None if rhs is None else abs(lhs - rhs)

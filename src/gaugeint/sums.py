@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import AnchorOverlapError, EvaluationError
 from .models import SingularFunctionModel
-from .partition import TaggedPartition, anchor_cells, anchor_grid, restriction_mask
+from .partition import (TaggedPartition, anchor_cells, anchor_grid, first_anchor_radius,
+                        restriction_mask)
 from .verdicts import DIV_THRESHOLD, MAX_DEPTH, TOL, ConvergenceVerdict, Trace, run_ladder
 
 
@@ -124,9 +125,12 @@ class AnchorTable:
     """The anchor-cell increments of depths 0 to D, from one F call, and the
     ladders that read them.
 
+    Depth n reads the anchor radius r0 * 2^-n; r0 defaults to the model's
+    :func:`first_anchor_radius`.
+
     D is ``max_depth`` or the first depth whose cells break the anchor rule,
     whichever comes first: every anchor ladder stops there, and the anchor
-    floor ends any schedule within a bounded number of depths.  F is
+    floor ends any ladder within a bounded number of depths.  F is
     evaluated once, on every end off E of every cell of E at every depth
     before D.
 
@@ -138,11 +142,11 @@ class AnchorTable:
     everywhere when the batched F call raised.
     """
 
-    def __init__(self, model: SingularFunctionModel, schedule, max_depth: int):
+    def __init__(self, model: SingularFunctionModel, max_depth: int, r0: float | None = None):
         if max_depth < 0:
             raise ValueError("max_depth must be nonnegative")
         self.model = model
-        self.schedule = schedule
+        self.r0 = first_anchor_radius(model.span, model.E) if r0 is None else r0
         self.max_depth = max_depth
         E = model.E.points
         rows = []
@@ -175,9 +179,8 @@ class AnchorTable:
         self._sums = sums.tolist()
 
     def radius(self, n: int) -> float:
-        """Depth n's anchor radius r0 * 2^-n, ``schedule.at(n).r`` bit for bit
-        without building the depth's step."""
-        return self.schedule.r0 * 0.5**n
+        """Depth n's anchor radius r0 * 2^-n."""
+        return self.r0 * 0.5**n
 
     def basic(self, n: int) -> float:
         """Depth n's basic-sum term."""
@@ -229,18 +232,18 @@ def basic_sum_sequence(
 ) -> Tuple[Trace, ConvergenceVerdict]:
     """Depth-indexed anchor-increment sums with their convergence verdict.
 
-    The radius shrinks with the schedule; the sequence stops as soon as the
-    classifier reaches a verdict.  A depth whose cells break the anchor rule
-    ends the sequence and names the breach in the verdict's note
-    (``depth n: <reason>``) rather than raising, and a depth with a
-    non-finite F value ends it as a residual ladder ends
+    Depth n reads the anchor radius ``schedule.r0`` * 2^-n; the sequence
+    stops as soon as the classifier reaches a verdict.  A depth whose cells
+    break the anchor rule ends the sequence and names the breach in the
+    verdict's note (``depth n: <reason>``) rather than raising, and a depth
+    with a non-finite F value ends it as a residual ladder ends
     (``F evaluation failed at depth n: <reason>``).
 
     Raises ``ValueError`` when E is empty or ``max_depth`` is negative.
     """
     if len(model.E) == 0:
         raise ValueError("basic sum requires a nonempty exceptional set")
-    table = AnchorTable(model, schedule, max_depth)
+    table = AnchorTable(model, max_depth, schedule.r0)
     return table.ladder(table.basic, tol, div_threshold)
 
 
@@ -254,8 +257,9 @@ def residual_estimate(
 ) -> ConvergenceVerdict:
     """Limit of extended-F increments over shrinking brackets around ``e``.
 
-    Brackets are the anchor cells ``[e - r_n, e + r_n]`` of
-    :func:`anchor_cells` (one-sided at a span endpoint, counting F(e) = 0);
+    Brackets are the anchor cells ``[e - r_n, e + r_n]``, r_n =
+    ``schedule.r0`` * 2^-n, of :func:`anchor_cells` (one-sided at a span
+    endpoint, counting F(e) = 0);
     each term is ``e``'s term of the basic sum, read from one
     :class:`AnchorTable` of all of E.
 
@@ -266,4 +270,4 @@ def residual_estimate(
     """
     if e not in model.E:
         raise ValueError(f"{e!r} is not an exceptional point of the model")
-    return AnchorTable(model, schedule, max_depth).residuals([e], tol, div_threshold)[e]
+    return AnchorTable(model, max_depth, schedule.r0).residuals([e], tol, div_threshold)[e]

@@ -39,7 +39,7 @@ from gaugeint.builders import (
     anchored_gauge_for,
     straddle_chunks,
 )
-from gaugeint.partition import restriction_mask
+from gaugeint.partition import first_anchor_radius, restriction_mask
 from gaugeint.verdicts import MAX_DEPTH
 
 
@@ -55,41 +55,42 @@ def model_from(F, f, points, lo, hi):
 
 class TestSchedule:
     def test_defaults_depth_zero(self):
-        sched = RefinementSchedule.for_span(Interval(-1.0, 1.0), [0.0])
+        sched = RefinementSchedule(h0=2.0, r0=first_anchor_radius(Interval(-1.0, 1.0), [0.0]))
         step = sched.at(0)
         assert step.h == 2.0
         assert step.r == pytest.approx(min(0.1, 0.5), rel=1e-15)
         assert step.eps == 1e-2
 
     def test_depth_three(self):
-        sched = RefinementSchedule.for_span(Interval(-1.0, 1.0), [0.0])
+        sched = RefinementSchedule(h0=2.0, r0=first_anchor_radius(Interval(-1.0, 1.0), [0.0]))
         step = sched.at(3)
         assert step.h == pytest.approx(0.25, rel=1e-15)
         assert step.r == pytest.approx(0.1 / 8, rel=1e-15)
         assert step.eps == pytest.approx(1e-2 / 64, rel=1e-15)
 
     def test_strictly_decreasing(self):
-        sched = RefinementSchedule.for_span(Interval(0.0, 3.0), [0.5, 1.5, 2.5])
+        sched = RefinementSchedule(
+            h0=3.0, r0=first_anchor_radius(Interval(0.0, 3.0), [0.5, 1.5, 2.5]))
         for n in range(8):
             a, b = sched.at(n), sched.at(n + 1)
             assert b.h < a.h and b.r < a.r and b.eps < a.eps
 
     def test_mesh_cap_lifts_at_mesh_depths(self):
-        sched = RefinementSchedule.for_span(Interval(0.0, 3.0), [1.5])
+        sched = RefinementSchedule(h0=3.0, r0=first_anchor_radius(Interval(0.0, 3.0), [1.5]))
         assert sched.at(12).h == 3.0 / 4096
         assert [sched.at(n).h for n in (MESH_DEPTHS, 14, 40)] == [3.0] * 3
 
     def test_r0_respects_min_gap(self):
         # min gap between {0, 0.02, 3} walls is 0.02, so r0 <= 0.02 / 3
-        sched = RefinementSchedule.for_span(Interval(0.0, 3.0), [0.02])
-        assert sched.r0 == pytest.approx(0.02 / 3, rel=1e-15)
+        r0 = first_anchor_radius(Interval(0.0, 3.0), [0.02])
+        assert r0 == pytest.approx(0.02 / 3, rel=1e-15)
 
     def test_anchor_pair_fits_gap(self):
-        sched = RefinementSchedule.for_span(Interval(0.0, 1.0), [0.3, 0.4])
-        assert 2 * sched.at(0).r <= 0.1 + 1e-15
+        r0 = first_anchor_radius(Interval(0.0, 1.0), [0.3, 0.4])
+        assert 2 * r0 <= 0.1 + 1e-15
 
     def test_negative_depth_rejected(self):
-        sched = RefinementSchedule.for_span(Interval(0.0, 1.0))
+        sched = RefinementSchedule(h0=1.0, r0=first_anchor_radius(Interval(0.0, 1.0)))
         with pytest.raises(ValueError):
             sched.at(-1)
 

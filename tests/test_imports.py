@@ -5,9 +5,17 @@ package imports inside a function: its imports are all read when it loads.
 
 ``__init__.py`` is exempt from the import check, since its imports are the
 package's public names, and so are imports from ``__future__``.
+
+The benchmark under ``perfbench/`` reads the package too: every name it
+reads must exist, and its checker, its traced layer and every op of its
+workloads must run.
 """
 
 import ast
+import importlib
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -134,3 +142,94 @@ def test_guard_sees_dead_helpers():
                      "    def _uncalled(self):\n        pass\n")}
     assert dead_private_helpers(sources) == ["a._dead", "a._UNREAD", "b._self_only",
                                              "b.C._uncalled"]
+
+
+ROOT = PACKAGE.parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+
+def bound_by(module: str, name: str):
+    """What ``from module import name`` binds, or None when it raises."""
+    try:
+        return getattr(importlib.import_module(module), name)
+    except AttributeError:
+        try:
+            return importlib.import_module(f"{module}.{name}")
+        except ModuleNotFoundError:
+            return None
+
+
+def gaugeint_reads(source: str) -> list:
+    """The ``(module, name)`` pairs ``source`` reads from the package: each
+    name it imports from ``gaugeint`` or a submodule, and each attribute it
+    reads off a submodule it imports as a name, sorted."""
+    tree = ast.parse(source)
+    modules, reads = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gaugeint"):
+            for alias in node.names:
+                value = bound_by(node.module, alias.name)
+                if isinstance(value, types.ModuleType):
+                    modules[alias.asname or alias.name] = value.__name__
+                else:
+                    reads.append((node.module, alias.name))
+    reads += [(modules[node.value.id], node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules]
+    return sorted(set(reads))
+
+
+def missing_reads(source: str) -> list:
+    """The reads of :func:`gaugeint_reads` that the package does not bind,
+    as ``module.name``."""
+    return [f"{module}.{name}" for module, name in gaugeint_reads(source)
+            if bound_by(module, name) is None]
+
+
+def test_benchmark_reads_only_names_the_package_has():
+    # a rename in the package that the benchmark still reads fails here, not
+    # only in a benchmark run
+    missing = [f"{path.name}: {read}" for path in sorted(PERFBENCH.glob("*.py"))
+               for read in missing_reads(path.read_text(encoding="utf-8"))]
+    assert missing == []
+
+
+def test_guard_sees_missing_benchmark_reads():
+    source = ("from gaugeint import cli, catalog, decompose\n"
+              "from gaugeint.builders import build_cousin, build_nothing as nothing\n"
+              "x = cli.run(catalog('heaviside'))\n"
+              "y = cli.walk\n")
+    assert gaugeint_reads(source) == [
+        ("gaugeint", "catalog"), ("gaugeint", "decompose"),
+        ("gaugeint.builders", "build_cousin"), ("gaugeint.builders", "build_nothing"),
+        ("gaugeint.cli", "run"), ("gaugeint.cli", "walk")]
+    assert missing_reads(source) == ["gaugeint.builders.build_nothing", "gaugeint.cli.walk"]
+
+
+# Every op of every benchmark workload, run once and judged by its checker.
+RUN_EVERY_OP = """
+import json, sys, tempfile
+sys.path[:0] = ['perfbench', 'src']
+import workloads as wl
+with open('BENCHMARK.json') as fh:
+    names = [workload['name'] for workload in json.load(fh)['workloads']]
+with tempfile.TemporaryDirectory() as work_dir:
+    for workload in names:
+        for op in wl.build_ops(workload, work_dir):
+            outcome = op.check(op.run(wl.Plain()))
+            assert outcome.ok, (workload, op.name, outcome.reason)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["perfbench/run.py", "--self-test"],
+    ["-c", "import sys; sys.path[:0] = ['perfbench', 'src']; import tracing"],
+    ["-c", RUN_EVERY_OP],
+], ids=["self-test", "import-tracing", "every-op"])
+def test_benchmark_runs(argv):
+    # the benchmark's checker, its traced layer and its workloads run against
+    # the package as it stands, so a rename or a signature change that the
+    # benchmark still reads fails here, not only in a benchmark run
+    done = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -31,11 +31,12 @@ from gaugeint import (
     total_kh,
 )
 from gaugeint.builders import straddle_chunks
+from gaugeint.partition import anchor_cells
 from gaugeint import integrate
 from gaugeint.integrate import EPSILONS, _straddle_sums
 from gaugeint.sums import AnchorTable
 from gaugeint.verdicts import DIV_THRESHOLD, MAX_DEPTH, TOL, SequenceClassifier
-from gaugeint.cli import ResidualsSummary
+from gaugeint.cli import ResidualsSummary, run
 from test_builders import JUMP_LINEAR_VARIANTS, PROBE_MODELS, call_budgeted
 
 ENVELOPE = {"total", "verification", "kh", "basic_sum", "residuals", "identity_gap"}
@@ -59,6 +60,25 @@ def shifted_model(model, c):
         F=lambda x, m=model, c=c: np.asarray(m.F(x)) + c,
         f=model.f, E=model.E, span=model.span,
     )
+
+
+# f wrong by c on [lo, hi): each bump moves the integral of f by 1e-2, 33-100x
+# the bound of a 1e-4 verification row, on a region narrower than its cells
+BLIND_SPOTS = {
+    "heaviside": (0.6, 0.61, 1.0),
+    "jump_linear": (0.3, 0.31, 1.0),
+    "parabola": (0.6, 0.61, 1.0),
+    "sqrt_singular": (0.6, 0.601, 10.0),
+    "staircase3": (0.2, 0.21, 1.0),
+}
+
+
+def bumped_f(model, lo, hi, c):
+    """``model`` with c added to its declared derivative on [lo, hi)."""
+    def f(x, m=model):
+        x = np.asarray(x, dtype=float)
+        return np.asarray(m.f(x), dtype=float) + np.where((lo <= x) & (x < hi), c, 0.0)
+    return dataclasses.replace(model, f=f)
 
 
 class TestTotalKH:
@@ -181,6 +201,27 @@ class TestTotalKH:
         assert [row.bound for row in report.rows] == epsilons  # span length 1
         assert calls == alone
         assert report.verified
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
+        "ROADMAP item 15: the rows build with no mesh cap, so their few midpoint "
+        "tags can skip a narrow region where f is wrong"))
+    @pytest.mark.parametrize("name", sorted(BLIND_SPOTS))
+    def test_rows_fail_on_a_narrow_wrong_f(self, name):
+        assert not total_kh(bumped_f(catalog(name), *BLIND_SPOTS[name])).verified
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
+        "ROADMAP item 15: the verify command reads the same uncapped rows"))
+    def test_verify_command_fails_on_a_narrow_wrong_f(self, capsys):
+        code = run(["verify", "--function", "x^2", "--derivative",
+                    "piecewise{ x < 0.6 : 2*x ; x < 0.61 : 2*x + 1 ; x <= 1 : 2*x }",
+                    "--span", "0,1", "--exceptional="])
+        assert code != 0, capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", sorted(BLIND_SPOTS))
+    def test_f_check_fails_on_a_narrow_wrong_f(self, name):
+        # the f check's mesh cap of L/4096 samples the bump
+        note = decompose(bumped_f(catalog(name), *BLIND_SPOTS[name])).kh_verdict.note
+        assert note.startswith("build failed in the f check ")
 
 
 def counting_calls(model):
@@ -416,7 +457,7 @@ class TestReachabilityPrune:
         model = catalog(name)
         sched = RefinementSchedule.for_model(model)
         total = increment(model, model.span)
-        table = AnchorTable(model, sched, 20)
+        table = AnchorTable(model, 20)
         rows, _, _ = unpruned_ladder(model)
         assert rows
         for n, value in rows:
@@ -937,3 +978,33 @@ class TestExtensionRule:
             for e in model.E:
                 acc.add(residual_estimate(model, e, at_n, max_depth=0).trace[0][1])
             assert acc.total == value
+
+
+class TestAnchorRadii:
+    """The reports read their anchor radii from the anchor table and build no
+    refinement schedule; a schedule handed to a low-level ladder still sets
+    its radius."""
+
+    def test_reports_build_no_schedule(self, monkeypatch, capsys):
+        def refuse(self):
+            raise AssertionError("a report built a RefinementSchedule")
+
+        monkeypatch.setattr(RefinementSchedule, "__post_init__", refuse)
+        for name in CATALOG_NAMES:
+            model = catalog(name)
+            decompose(model)
+            plain_kh(model)
+            total_kh(model)
+            residue_table(model, MAX_DEPTH, TOL, DIV_THRESHOLD)
+        for name in ("heaviside", "staircase3"):
+            residue_check(catalog(name))
+        assert run(["partition", "--catalog", "heaviside"]) == 0
+        assert capsys.readouterr().out
+
+    def test_schedule_sets_the_basic_sum_radius(self):
+        model = catalog("parabola")
+        trace, _ = basic_sum_sequence(model, RefinementSchedule(h0=1.0, r0=0.02), max_depth=0)
+        (lo, hi, _), = anchor_cells(model.span, model.E, 0.02)
+        assert trace == ((0, increment(model, Interval(lo, hi))),)
+        assert trace != basic_sum_sequence(model, RefinementSchedule.for_model(model),
+                                           max_depth=0)[0]

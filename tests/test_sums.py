@@ -352,7 +352,7 @@ class TestAnchorTable:
     def test_rows_match_the_per_depth_rows(self, name, max_depth):
         model = ANCHOR_MODELS[name]
         sched = RefinementSchedule.for_model(model)
-        table = AnchorTable(model, sched, max_depth)
+        table = AnchorTable(model, max_depth)
         breach = next((n for n in range(max_depth + 1)
                        if isinstance(outcome(lambda: anchor_cells(model.span, model.E,
                                                                   sched.at(n).r)), tuple)),

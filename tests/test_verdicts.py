@@ -327,7 +327,7 @@ class TestCatalogLaddersMatchWindowedClassifier:
     def test_anchor_ladders(self, name, max_depth):
         model = catalog(name)
         sched = RefinementSchedule.for_model(model)
-        table = AnchorTable(model, sched, max_depth)
+        table = AnchorTable(model, max_depth)
         bs = windowed_ladder(table.basic, max_depth)
         assert repr(basic_sum_sequence(model, sched, max_depth=max_depth)) == repr(bs)
         residuals = {}
@@ -342,7 +342,7 @@ class TestCatalogLaddersMatchWindowedClassifier:
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_decompose_ladders(self, name):
         model = catalog(name)
-        table = AnchorTable(model, RefinementSchedule.for_model(model), MAX_DEPTH)
+        table = AnchorTable(model, MAX_DEPTH)
         total = increment(model, model.span)
         report = decompose(model)
         kh = windowed_ladder(lambda n: total - table.basic(n), MAX_DEPTH)
