@@ -146,7 +146,9 @@ _FIELDS = (
     ("epsilon", "--epsilon", "epsilons",
      dict(type=_float_list, help='tolerance list "1e-2,1e-3"'), list),
     ("anchor", "--anchor", "anchor",
-     dict(type=float, help="anchor radius (default: the model's r0)"), (*_NUMBER, type(None))),
+     dict(type=float, help="anchor radius (default: the model's r0; unset, "
+                           "integrate's verification rows read kh's f check)"),
+     (*_NUMBER, type(None))),
     ("max_depth", "--max-depth", "max_depth", dict(type=int), int),
     ("tol", "--tol", "tol", dict(type=float), _NUMBER),
     ("div_threshold", "--div-threshold", "div_threshold", dict(type=float), _NUMBER),
@@ -252,6 +254,12 @@ def _fmt(x) -> str:
     return format(x, ".6g")
 
 
+def _point(e) -> str:
+    """An exceptional point's label: its shortest round-trip form, so two
+    distinct points never print alike."""
+    return repr(float(e)).removesuffix(".0")
+
+
 def _json_dump(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -284,7 +292,7 @@ def _verification_lines(report: TotalReport) -> list:
 
 
 def _residual_lines(residuals) -> list:
-    return [f"  R({_fmt(e)}) = {verdict.describe()}" for e, verdict in residuals.items()]
+    return [f"  R({_point(e)}) = {verdict.describe()}" for e, verdict in residuals.items()]
 
 
 def _residuals_csv(residuals) -> str:
@@ -327,7 +335,7 @@ def emit(report, output_format: str, model=None) -> str:
             lines.append(
                 f"model          {model.provenance or 'user function'} on "
                 f"[{_fmt(model.span.lo)}, {_fmt(model.span.hi)}], "
-                f"E = {{{', '.join(_fmt(e) for e in model.E)}}}"
+                f"E = {{{', '.join(map(_point, model.E))}}}"
             )
         lines += [
             f"total          {_fmt(report.total)}",

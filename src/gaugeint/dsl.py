@@ -155,6 +155,19 @@ FUNCTIONS = {
     "sqrt": 1, "abs": 1, "sign": 1, "min": 2, "max": 2,
 }
 
+# The grammar's tables: the parser reads each, and the printer or the
+# compiler reads it too.
+_CONSTANTS = {"pi": math.pi, "e": math.e}
+
+_REL = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt,
+    ">=": operator.ge, "==": operator.eq, "!=": operator.ne,
+}
+
+# precedence levels: additive 1, multiplicative 2, unary 3, power 4, atom 5
+_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_UNARY_LEVEL, _ATOM_LEVEL = 3, 5
+
 # One match skips the spaces before a token and reads it; the group that
 # matched names the token's kind, and none matches where no token starts.
 # ``\s`` accepts exactly the characters ``str.isspace`` does, and the
@@ -212,6 +225,14 @@ class _Parser:
     def at_punct(self, *texts: str) -> bool:
         return self.cur.kind == "PUNCT" and self.cur.text in texts
 
+    def separated(self, item, sep: str) -> list:
+        """``item (sep item)*``; no token but ``sep`` itself has its text."""
+        items = [item()]
+        while self.cur.text == sep:
+            self.advance()
+            items.append(item())
+        return items
+
     # definition ------------------------------------------------------------
 
     def parse_def(self) -> Node:
@@ -226,10 +247,7 @@ class _Parser:
     def parse_piecewise(self) -> Piecewise:
         self.advance()  # "piecewise"
         self.expect("{")
-        branches = [self.parse_branch()]
-        while self.at_punct(";"):
-            self.advance()
-            branches.append(self.parse_branch())
+        branches = self.separated(self.parse_branch, ";")
         self.expect("}")
         return Piecewise(branches=tuple(branches))
 
@@ -239,18 +257,14 @@ class _Parser:
         return cond, self.parse_expr()
 
     def parse_cond(self) -> Cond:
-        chains = [self.parse_chain()]
-        while self.cur.kind == "NAME" and self.cur.text == "and":
-            self.advance()
-            chains.append(self.parse_chain())
-        return Cond(chains=tuple(chains))
+        return Cond(chains=tuple(self.separated(self.parse_chain, "and")))
 
     def parse_chain(self) -> Chain:
         operands = [self.parse_comp_operand()]
         ops = []
-        if not self.at_punct("<", "<=", ">", ">=", "==", "!="):
+        if not self.at_punct(*_REL):
             self.fail("a comparison operator")
-        while self.at_punct("<", "<=", ">", ">=", "==", "!="):
+        while self.at_punct(*_REL):
             ops.append(self.advance().text)
             operands.append(self.parse_comp_operand())
         return Chain(operands=tuple(operands), ops=tuple(ops))
@@ -271,18 +285,13 @@ class _Parser:
 
     # expressions -----------------------------------------------------------
 
-    def parse_expr(self) -> Node:
-        node = self.parse_mul()
-        while self.at_punct("+", "-"):
-            op = self.advance().text
-            node = Bin(op, node, self.parse_mul())
-        return node
-
-    def parse_mul(self) -> Node:
+    def parse_expr(self, level: int = 1) -> Node:
+        """Precedence climbing over unary operands: the left-associative
+        binary operators of ``level`` and up, below ``_UNARY_LEVEL``."""
         node = self.parse_unary()
-        while self.at_punct("*", "/"):
+        while self.cur.kind == "PUNCT" and level <= _LEVEL.get(self.cur.text, 0) < _UNARY_LEVEL:
             op = self.advance().text
-            node = Bin(op, node, self.parse_unary())
+            node = Bin(op, node, self.parse_expr(_LEVEL[op] + 1))
         return node
 
     def parse_unary(self) -> Node:
@@ -307,16 +316,13 @@ class _Parser:
             if tok.text == "x":
                 self.advance()
                 return Var()
-            if tok.text in ("pi", "e"):
+            if tok.text in _CONSTANTS:
                 self.advance()
                 return Const(tok.text)
             if tok.text in FUNCTIONS:
                 self.advance()
                 self.expect("(")
-                args = [self.parse_expr()]
-                while self.at_punct(","):
-                    self.advance()
-                    args.append(self.parse_expr())
+                args = self.separated(self.parse_expr, ",")
                 closing = self.cur
                 self.expect(")")
                 if len(args) != FUNCTIONS[tok.text]:
@@ -326,7 +332,7 @@ class _Parser:
                         found=f"{len(args)}",
                     )
                 return Call(tok.text, tuple(args))
-            self.fail("a number", "'x'", "'pi'", "'e'", "a function name")
+            self.fail("a number", "'x'", *(f"'{c}'" for c in _CONSTANTS), "a function name")
         if self.at_punct("("):
             self.advance()
             node = self.parse_expr()
@@ -344,10 +350,6 @@ def parse(text: str) -> FunctionDef:
 # Canonical printer
 # ---------------------------------------------------------------------------
 
-# precedence levels: additive 1, multiplicative 2, unary 3, power 4, atom 5
-_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-
-
 def _render(node: Node, min_level: int = 1) -> str:
     if isinstance(node, Num):
         return repr(node.value)
@@ -356,13 +358,13 @@ def _render(node: Node, min_level: int = 1) -> str:
     if isinstance(node, Const):
         return node.name
     if isinstance(node, Unary):
-        text = "-" + _render(node.operand, 3)
-        return f"({text})" if 3 < min_level else text
+        text = "-" + _render(node.operand, _UNARY_LEVEL)
+        return f"({text})" if _UNARY_LEVEL < min_level else text
     if isinstance(node, Bin):
         lvl = _LEVEL[node.op]
         if node.op == "^":
             # left operand must be an atom; right may be a unary chain
-            text = _render(node.left, 5) + "^" + _render(node.right, 3)
+            text = _render(node.left, _ATOM_LEVEL) + "^" + _render(node.right, _UNARY_LEVEL)
         else:
             text = (
                 _render(node.left, lvl)
@@ -383,20 +385,14 @@ def _render(node: Node, min_level: int = 1) -> str:
 def _render_cond(cond: Cond) -> str:
     chains = []
     for chain in cond.chains:
-        bits = [_render_operand(chain.operands[0])]
+        for node in chain.operands:
+            if not isinstance(node, (Num, Var)):
+                raise TypeError(f"comparison operand must be a literal or x: {node!r}")
+        bits = [_render(chain.operands[0])]
         for op, operand in zip(chain.ops, chain.operands[1:]):
-            bits.append(op)
-            bits.append(_render_operand(operand))
+            bits += [op, _render(operand)]
         chains.append(" ".join(bits))
     return " and ".join(chains)
-
-
-def _render_operand(node: Node) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return "x"
-    raise TypeError(f"comparison operand must be a literal or x: {node!r}")
 
 
 def render(defn: FunctionDef | Node) -> str:
@@ -408,11 +404,6 @@ def render(defn: FunctionDef | Node) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
-
-_REL = {
-    "<": operator.lt, "<=": operator.le, ">": operator.gt,
-    ">=": operator.ge, "==": operator.eq, "!=": operator.ne,
-}
 
 _OPS = {
     "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
@@ -459,7 +450,7 @@ def _compile(node: Node, prims: dict):
         value = np.float64(node.value)
         return lambda xs: value
     if isinstance(node, Const):
-        value = np.float64(math.pi if node.name == "pi" else math.e)
+        value = np.float64(_CONSTANTS[node.name])
         return lambda xs: value
     if isinstance(node, Var):
         return lambda xs: xs

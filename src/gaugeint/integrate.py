@@ -28,8 +28,10 @@
   the f check's distance |Riemann - (total - B_n)| at kh's depth n, when
   both limits converge.  Within one call kh reads the anchor table that the
   basic sum and the residuals read, and its certificate's sums give the
-  identity gap; a certificate at the rows' radius and tolerance witnesses
-  the verification rows as well.
+  identity gap.  Unless the caller sets an anchor radius, the certificate
+  witnesses every verification row whose tolerance it meets, whatever its
+  radius, so a default ``decompose`` reads every number it takes from a
+  partition from one build.
 * ``residue_check`` -- the degenerate case: when the derivative vanishes off
   the exceptional set, the endpoint difference of the extended function must
   equal the sum of the residuals.
@@ -110,8 +112,7 @@ class _StraddleSums:
     riemann: float       # integrand(tag) * width over all pairs
     off_increments: float  # extended-F increments over off-anchor pairs
     pairs: int
-    r: float             # the build's anchor radius
-    eps: float           # and its per-cell tolerance
+    eps: float           # the build's per-cell tolerance
 
 
 def _straddle_sums(model, r, eps, limits, h=None) -> _StraddleSums:
@@ -127,7 +128,7 @@ def _straddle_sums(model, r, eps, limits, h=None) -> _StraddleSums:
             xi.add(float(np.add.reduce(f_widths)))
             off.add(float(F_pos[-1] - F_pos[0]))  # run telescopes exactly
             pairs += len(f_tags)
-    return _StraddleSums(riemann=xi.total, off_increments=off.total, pairs=pairs, r=r, eps=eps)
+    return _StraddleSums(riemann=xi.total, off_increments=off.total, pairs=pairs, eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +191,17 @@ def total_kh(
 
 
 def _verification(model, total, epsilons, r, limits, witness=None) -> TotalReport:
-    """:func:`total_kh`'s report of ``total``; ``witness``, a build already
-    made, serves every row at radius ``r`` whose tolerance it meets."""
+    """:func:`total_kh`'s report of ``total``, the rows' own builds at
+    radius ``r``.  ``witness``, a build already made, serves every row
+    whose tolerance it meets, whatever its radius: each of its cells is
+    within eps' * width of its increment, eps' <= eps, so by Saks-Henstock
+    its Riemann sum is within eps * L of its off-anchor increments."""
     if r is None:
         r = first_anchor_radius(model.span, model.E)
     by_eps = {}
     for eps in sorted(set(epsilons)):
         bound = eps * model.span.length
-        if not (witness is not None and witness.r == r and witness.eps <= eps):
+        if not (witness is not None and witness.eps <= eps):
             try:
                 witness = _straddle_sums(model, r, eps, limits)
             except BuildError as exc:
@@ -373,19 +377,25 @@ def decompose(
     converges.  A certificate build that dies ends the plain-integral
     ladder, and only the kh verdict's note records it; an
     ``EvaluationError`` from f or F propagates, first from kh's
-    certificate.  The certificate witnesses the verification rows when it
-    ran at their radius and meets their tolerances.  A diverged or
-    inconclusive kh's f check runs at the finest of ``epsilons`` (with none,
-    at ``min(EPSILONS)``, as in ``plain_kh``), never finer than ``tol`` per
-    span length, the converged f check's tolerance; an inconclusive kh's
-    runs at r0, so at the default radius it witnesses every row.
+    certificate.  A converged kh's f check runs at ``tol`` per span length,
+    a diverged or inconclusive kh's at the finest of ``epsilons`` (with
+    none, at ``min(EPSILONS)``, as in ``plain_kh``), never finer than
+    ``tol`` per span length.  With no ``anchor_r`` the certificate
+    witnesses every verification row whose tolerance it meets, at its own
+    radius: r0 * 2^-m for a kh converged at depth m, the last depth's
+    radius for a diverged kh and r0 for an inconclusive one.  On a
+    converged kh the rows' residual is then the identity gap.  A row finer
+    than the certificate, every row after a failed certificate, and every
+    row when ``anchor_r`` is set builds its own partition at ``anchor_r``
+    (default r0), as in ``total_kh``.
     """
     table = AnchorTable(model, max_depth)
     total = increment(model, model.span)
 
     kh_trace, kh_verdict, certificate = _plain_ladder(tol, div_threshold, total, table, limits,
                                                       epsilons)
-    verification = _verification(model, total, epsilons, anchor_r, limits, certificate)
+    verification = _verification(model, total, epsilons, anchor_r, limits,
+                                 certificate if anchor_r is None else None)
 
     bs_rows, bs_verdict, residuals = _anchor_ladders(tol, div_threshold, table)
 

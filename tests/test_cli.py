@@ -310,7 +310,8 @@ class TestMinusSignValues:
 
 class TestCloseExceptionalPoints:
     """Points a tenth of the span apart: their first anchor cells keep room
-    between them, so every verification row builds."""
+    between them, so every verification row builds.  Points one ulp apart
+    still print as two points."""
 
     @pytest.mark.parametrize("command,argv", [
         ("verify", ["--function", "x^2", "--derivative", "2*x", "--span", "0,1",
@@ -325,6 +326,18 @@ class TestCloseExceptionalPoints:
         doc = json.loads(out.stdout)
         assert [row.get("error") for row in doc["verification"]] == [None] * len(EPSILONS)
         assert all(row["residual"] <= row["bound"] for row in doc["verification"])
+
+    @pytest.mark.parametrize("command", ["integrate", "residues"])
+    def test_one_ulp_apart_print_apart(self, command):
+        # each point is labelled by its shortest round-trip form, as its
+        # JSON key is; six significant digits printed both as 0.5
+        out = run_cli(command, "--function", "x^2", "--derivative", "2*x", "--span", "0,1",
+                      "--exceptional", "0.5,0.5000000000000001")
+        labels = [line.split(" = ")[0].strip() for line in out.stdout.splitlines()
+                  if line.lstrip().startswith("R(")]
+        assert labels == ["R(0.5)", "R(0.5000000000000001)"]
+        if command == "integrate":
+            assert "E = {0.5, 0.5000000000000001}" in out.stdout
 
 
 class TestIntegrateOutput:

@@ -8,13 +8,15 @@ package's public names, and so are imports from ``__future__``.
 
 The benchmark under ``perfbench/`` reads the package too: every name it
 reads must exist, and its checker, its traced layer and every op of its
-workloads must run.
+workloads must run.  The CI workflow's inline Python programs must compile.
 """
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
+import textwrap
 import types
 from pathlib import Path
 
@@ -233,3 +235,15 @@ def test_benchmark_runs(argv):
     done = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_workflow_programs_compile():
+    # each ``python3 -c '...'`` program of the CI workflow is one single-quoted
+    # shell word: an apostrophe inside it, even in a comment, ends the word
+    # early, and the step fails before any of its checks runs
+    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    programs = re.findall(r"python3 -c '\n(.*?)\n *'", text, re.S)
+    assert len(programs) == 3
+    for program in programs:
+        assert "'" not in program, program
+        compile(textwrap.dedent(program), "tests.yml", "exec")

@@ -62,6 +62,10 @@ def shifted_model(model, c):
     )
 
 
+# The catalog and the probes, the latter as "probe:<name>" on punctured_model.
+ROW_MODELS = [*CATALOG_NAMES, *(f"probe:{p}" for p in PROBE_MODELS)]
+
+
 # f wrong by c on [lo, hi): each bump moves the integral of f by 1e-2, 33-100x
 # the bound of a 1e-4 verification row, on a region narrower than its cells
 BLIND_SPOTS = {
@@ -166,12 +170,11 @@ class TestTotalKH:
         assert {(row.pairs, row.residual) for row in report.rows} == {
             (finest.rows[0].pairs, finest.rows[0].residual)}
 
-    @pytest.mark.parametrize("name", [*CATALOG_NAMES, *(f"probe:{p}" for p in PROBE_MODELS)])
+    @pytest.mark.parametrize("name", ROW_MODELS)
     def test_rows_match_one_tolerance_builds(self, name):
         # a shared witness never turns a row's outcome: each row is ok, or
         # carries an error, exactly when its own build alone does
-        model = (punctured_model(*PROBE_MODELS[name[len("probe:"):]])
-                 if name.startswith("probe:") else catalog(name))
+        model = row_model(name)
         report = total_kh(model)
         alone = [total_kh(model, epsilons=[eps]).rows[0] for eps in (1e-2, 1e-3, 1e-4)]
         assert [(row.ok, row.error is None) for row in report.rows] == [
@@ -222,6 +225,13 @@ class TestTotalKH:
         # the f check's mesh cap of L/4096 samples the bump
         note = decompose(bumped_f(catalog(name), *BLIND_SPOTS[name])).kh_verdict.note
         assert note.startswith("build failed in the f check ")
+
+
+def row_model(name):
+    """The model a ``ROW_MODELS`` name stands for."""
+    if name.startswith("probe:"):
+        return punctured_model(*PROBE_MODELS[name[len("probe:"):]])
+    return catalog(name)
 
 
 def counting_calls(model):
@@ -289,23 +299,24 @@ class TestPlainKH:
     @pytest.mark.parametrize("name, most_F, most_f", [
         ("heaviside", 4, 2), ("jump_linear", 4, 2), ("parabola", 4, 2), ("staircase3", 6, 4),
     ])
-    def test_one_certificate_build(self, name, most_F, most_f):
+    def test_one_certificate_build(self, name, most_F, most_f, monkeypatch):
         # a standalone plain_kh makes the anchor table's F call and the
         # calls of one build, the f check (measured 4 / 4 / 4 / 6 F and
         # 2 / 2 / 2 / 4 f calls; 6 / 6 / 6 / 10 F calls when depth 0's
-        # schedule build was made too).  A converged kh's f check runs at
-        # its depth's radius and witnesses no verification row, so decompose
-        # makes the rows' one build at the finest tolerance and the f check,
-        # at r0 or at its own anchor radius alike
+        # schedule build was made too).  A converged kh's f check, at tol / L,
+        # witnesses every verification row at its own anchor radius, so a
+        # default decompose makes exactly plain_kh's calls; an anchor radius
+        # set by the caller adds the rows' own build there
         model, calls = counting_calls(catalog(name))
         plain_kh(model)
         assert calls["F"] <= most_F and calls["f"] <= most_f
-        calls["F"] = 0
+        alone = dict(calls)
+        calls.update(F=0, f=0)
         decompose(model)
-        at_r0 = calls["F"]
-        calls["F"] = 0
+        assert calls == alone
+        builds = recorded_builds(monkeypatch)
         decompose(model, anchor_r=0.01)
-        assert calls["F"] == at_r0
+        assert builds[1:] == [(0.01, 1e-4, None)]
 
 
     @pytest.mark.parametrize("name, value, depth", [("parabola", 1.0, 19), ("jump_linear", 2.0, 20)])
@@ -498,11 +509,11 @@ class TestReachabilityPrune:
         ("staircase3", 20, 18),
     ])
     def test_converging_decompose_calls(self, name, most_F, most_f):
-        # the F and f calls of one decompose: the anchor table, the
-        # verification rows' one witness build and the f check, no call per
-        # depth (measured 6 / 6 / 6 / 10 F and 4 / 4 / 4 / 8 f calls; 10 /
-        # 10 / 10 / 18 F when each row built its own; 14 / 48 / 46 / 26 F
-        # calls when each depth was built)
+        # the F and f calls of one decompose: the anchor table and the f
+        # check, which witnesses the verification rows, no call per depth
+        # (measured 4 / 4 / 4 / 6 F and 2 / 2 / 2 / 4 f calls; 6 / 6 / 6 / 10
+        # F when the rows made a build of their own, 10 / 10 / 10 / 18 F when
+        # each row did; 14 / 48 / 46 / 26 F calls when each depth was built)
         model, calls = counting_calls(catalog(name))
         decompose(model)
         assert calls["F"] <= most_F and calls["f"] <= most_f
@@ -645,14 +656,51 @@ class TestDecompose:
         report = decompose(model)
         assert calls["F"] <= alone + 1
         assert len({row.pairs for row in report.verification.rows}) == 1
-        # at another anchor radius the certificate witnesses no row, and
-        # the rows read their own build at the finest tolerance
+        # with an anchor radius set the certificate witnesses no row, and
+        # the rows read their own build there at the finest tolerance
         calls["F"] = 0
         report = decompose(model, anchor_r=0.01)
         assert calls["F"] > alone + 1
         own = total_kh(catalog(name), epsilons=[1e-4], r=0.01).rows[0]
         assert {(row.pairs, row.residual) for row in report.verification.rows} == {
             (own.pairs, own.residual)}
+
+    def test_anchor_radius_at_the_f_check_builds_the_rows(self, monkeypatch):
+        # osc_sin_inv's inconclusive kh runs its f check at r0 = 0.1; an
+        # anchor radius the caller sets, even that one, gets the rows' own
+        # build there
+        builds = recorded_builds(monkeypatch)
+        decompose(catalog("osc_sin_inv"), anchor_r=0.1)
+        assert builds[1:] == [(0.1, 1e-4, None)]
+
+    @pytest.mark.parametrize("name", CONVERGING)
+    def test_rows_read_the_identity_gap(self, name):
+        # the converged kh's f check witnesses the rows, so their residual,
+        # |Riemann - off-anchor increments| of that build, is the identity
+        # gap |Riemann - (total - B_n)| to rounding (bit for bit, measured)
+        model = catalog(name)
+        report = decompose(model)
+        b = AnchorTable(model, MAX_DEPTH).basic(report.kh_verdict.depth)
+        bound = ROUNDING * (abs(report.total) + abs(b))
+        assert report.verification.rows
+        for row in report.verification.rows:
+            assert abs(row.residual - report.identity_gap) <= bound
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-3])
+    @pytest.mark.parametrize("name", ROW_MODELS)
+    def test_rows_no_worse_than_total_kh(self, name, offset):
+        # a witness that built meets every row it serves, whatever its
+        # radius, so no row fails that total_kh's own build passes; after a
+        # failed f check the rows build as total_kh's do
+        model = offset_f(row_model(name), offset)
+        report = decompose(model)
+        alone = total_kh(model).rows
+        assert [row.epsilon for row in report.verification.rows] == [
+            row.epsilon for row in alone]
+        assert not any(own.ok and not row.ok
+                       for row, own in zip(report.verification.rows, alone))
+        if report.kh_rows == ():
+            assert report.verification.rows == alone
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_defaults_stay_under_pair_cap(self, name):
@@ -824,7 +872,8 @@ class TestDivergedCertificate:
         builds = recorded_builds(monkeypatch)
         report = decompose(catalog("reciprocal"), **DIVERGING)
         assert report.kh_verdict == Diverged(sign=-1)
-        assert builds == [(0.05 * 3 / 16, 1e-4, 3.0 / 4096), (0.05 * 3, 1e-4, None)]
+        # the f check witnesses the rows at its own radius too
+        assert builds == [(0.05 * 3 / 16, 1e-4, 3.0 / 4096)]
 
     def test_error_within_the_finest_row_stays_diverged(self):
         report = decompose(offset_f(catalog("reciprocal"), 1e-5), **DIVERGING)
@@ -867,16 +916,13 @@ CATALOG_PLAN = {
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_catalog_build_plan_at_defaults(name, monkeypatch):
-    # the f check at r0 * 2^-depth with the cap L / 4096, then, unless it
-    # witnessed them, the rows' own build at r0 and the finest row
+    # the f check alone, at r0 * 2^-depth with the cap L / 4096: at eps no
+    # coarser than the finest row, it witnesses every row
     model = catalog(name)
     r0, depth, eps = CATALOG_PLAN[name]
     builds = recorded_builds(monkeypatch)
     decompose(model)
-    plan = [(r0 * 0.5**depth, eps, model.span.length / 4096)]
-    if depth:
-        plan.append((r0, 1e-4, None))
-    assert builds == plan
+    assert builds == [(r0 * 0.5**depth, eps, model.span.length / 4096)]
 
 
 class TestResidueCheck:
