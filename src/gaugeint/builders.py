@@ -67,7 +67,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, FloorReached, StraddleFailure
-from .models import SingularFunctionModel
+from .models import SingularFunctionModel, _shaped_values
 from .partition import (Gauge, Interval, TaggedPartition, anchor_cells, anchored_gauge,
                         first_anchor_radius, validate)
 
@@ -334,8 +334,8 @@ def _straddle_errors(model, positions, lo=slice(None, -1)):
     widths = positions[1:] - los
     tags = 0.5 * (los + positions[1:])
     with np.errstate(all="ignore"):
-        F_pos = np.asarray(model.F(positions), dtype=float)
-        f_tags = np.asarray(model.f(tags), dtype=float)
+        F_pos = _shaped_values(model.F, positions)
+        f_tags = _shaped_values(model.f, tags)
         f_widths = f_tags * widths
         errs = np.abs((F_pos[1:] - F_pos[lo]) - f_widths)
     if not math.isfinite(np.add.reduce(errs)):

@@ -146,8 +146,8 @@ _FIELDS = (
     ("epsilon", "--epsilon", "epsilons",
      dict(type=_float_list, help='tolerance list "1e-2,1e-3"'), list),
     ("anchor", "--anchor", "anchor",
-     dict(type=float, help="anchor radius (default: the model's r0; unset, "
-                           "integrate's verification rows read kh's f check)"),
+     dict(type=float, help="anchor radius (default: the model's r0) of a row that builds "
+                           "its own partition; integrate's rows read kh's f check first"),
      (*_NUMBER, type(None))),
     ("max_depth", "--max-depth", "max_depth", dict(type=int), int),
     ("tol", "--tol", "tol", dict(type=float), _NUMBER),

@@ -28,10 +28,10 @@
   the f check's distance |Riemann - (total - B_n)| at kh's depth n, when
   both limits converge.  Within one call kh reads the anchor table that the
   basic sum and the residuals read, and its certificate's sums give the
-  identity gap.  Unless the caller sets an anchor radius, the certificate
-  witnesses every verification row whose tolerance it meets, whatever its
-  radius, so a default ``decompose`` reads every number it takes from a
-  partition from one build.
+  identity gap.  The certificate witnesses every verification row whose
+  tolerance it meets, whatever its radius, so at default rows ``decompose``
+  reads every number it takes from a partition from one build.  The anchor
+  radius ``anchor_r`` is read only by the rows that build their own.
 * ``residue_check`` -- the degenerate case: when the derivative vanishes off
   the exceptional set, the endpoint difference of the extended function must
   equal the sum of the residuals.
@@ -380,22 +380,20 @@ def decompose(
     certificate.  A converged kh's f check runs at ``tol`` per span length,
     a diverged or inconclusive kh's at the finest of ``epsilons`` (with
     none, at ``min(EPSILONS)``, as in ``plain_kh``), never finer than
-    ``tol`` per span length.  With no ``anchor_r`` the certificate
-    witnesses every verification row whose tolerance it meets, at its own
-    radius: r0 * 2^-m for a kh converged at depth m, the last depth's
-    radius for a diverged kh and r0 for an inconclusive one.  On a
+    ``tol`` per span length.  The certificate witnesses every verification
+    row whose tolerance it meets, at its own radius, whether or not
+    ``anchor_r`` is set: r0 * 2^-m for a kh converged at depth m, the last
+    depth's radius for a diverged kh and r0 for an inconclusive one.  On a
     converged kh the rows' residual is then the identity gap.  A row finer
-    than the certificate, every row after a failed certificate, and every
-    row when ``anchor_r`` is set builds its own partition at ``anchor_r``
-    (default r0), as in ``total_kh``.
+    than the certificate, and every row after a failed certificate, builds
+    its own partition at ``anchor_r`` (default r0), as in ``total_kh``.
     """
     table = AnchorTable(model, max_depth)
     total = increment(model, model.span)
 
     kh_trace, kh_verdict, certificate = _plain_ladder(tol, div_threshold, total, table, limits,
                                                       epsilons)
-    verification = _verification(model, total, epsilons, anchor_r, limits,
-                                 certificate if anchor_r is None else None)
+    verification = _verification(model, total, epsilons, anchor_r, limits, certificate)
 
     bs_rows, bs_verdict, residuals = _anchor_ladders(tol, div_threshold, table)
 

@@ -51,11 +51,18 @@ class ExceptionalSet:
         return float(x) in self.points
 
 
+def _shaped_values(fn: Callable, xs) -> np.ndarray:
+    """``fn(xs)`` as floats; a scalar return stands for every point of
+    ``xs`` and is spread to its shape."""
+    out = np.asarray(fn(xs), dtype=float)
+    return out if out.ndim else np.full(np.shape(xs), out)
+
+
 def _finite_values(name: str, fn: Callable, xs) -> np.ndarray:
     """``fn(xs)`` as floats; a non-finite value raises ``EvaluationError``
     naming up to four offending points."""
     with np.errstate(all="ignore"):
-        out = np.asarray(fn(xs), dtype=float)
+        out = _shaped_values(fn, xs)
     bad = ~np.isfinite(out)
     if bad.any():
         pts = np.atleast_1d(xs)[np.atleast_1d(bad)][:4]
@@ -69,7 +76,9 @@ def _finite_values(name: str, fn: Callable, xs) -> np.ndarray:
 class SingularFunctionModel:
     """F, its derivative f off E, the exceptional set, and the working span.
 
-    ``F`` and ``f`` are called with a 1-d ndarray of floats.
+    ``F`` and ``f`` are called with a 1-d ndarray of floats and return
+    either an array of its shape or one scalar, which stands for every
+    point.
     Models are immutable and evaluation is pure, so concurrent use is safe.
     """
 

@@ -30,7 +30,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import AnchorOverlapError, EvaluationError
-from .models import SingularFunctionModel
+from .models import SingularFunctionModel, _shaped_values
 from .partition import (TaggedPartition, anchor_cells, anchor_grid, first_anchor_radius,
                         restriction_mask)
 from .verdicts import DIV_THRESHOLD, MAX_DEPTH, TOL, ConvergenceVerdict, Trace, run_ladder
@@ -164,7 +164,7 @@ class AnchorTable:
             try:
                 if off.any():
                     x = ends[off]
-                    F[off] = np.asarray(model.F(x), dtype=float).reshape(x.shape)
+                    F[off] = _shaped_values(model.F, x)
             except Exception:
                 # F raised on the batch: each term is evaluated alone when read,
                 # so the error shows at the depth where a ladder reads it, if any

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from gaugeint.integrate import EPSILONS
 from test_partition import reference_csv
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+JOB_COMMANDS = ("integrate", "verify", "residues", "partition")
 
 
 def run_cli(*argv):
@@ -230,7 +232,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,failed", [
         (("--function", "x^2", "--derivative", "2*x", "--span", "0,1",
-          "--exceptional", "0.5", "--anchor", "0.6"), "0.01, 0.001, 0.0001"),
+          "--exceptional", "0.5", "--anchor", "0.6", "--epsilon", "1e-3,1e-12"), "1e-12"),
     ], ids=["anchor-leaves-span"])
     def test_integrate_unverified_row_is_one(self, argv, failed):
         out = run_cli("integrate", *argv)
@@ -275,6 +277,55 @@ class TestExitCodes:
         assert out.returncode == 0
         doc = json.loads(out.stdout)
         assert doc["total"] == 0.0  # F(1) - F(-1) for x^2
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, job_text, message", [
+        (("integrate", "--job", "{missing}"), None, "error: cannot read job file: [Errno 2] "),
+        (("integrate", "--job", "{job}"), "not json", "error: cannot read job file: "),
+        (("integrate", "--job", "{job}"), "[1]", "error: job file must hold a JSON object"),
+        (("integrate", "--job", "{job}"), '{"F": "heaviside", "output": "xml"}',
+         "error: output must be one of "),
+        (("integrate", "--catalog", "heaviside", "--epsilon", "1e-3,1e-3"), None,
+         "error: epsilon values must be distinct"),
+        (("integrate", "--catalog", "heaviside", "--max-depth", "-1"), None,
+         "error: max-depth must be nonnegative"),
+        (("integrate",), None, "error: no function given: "),
+        (("integrate", "--function", "x", "--derivative", "1"), None,
+         "error: --span is required "),
+        (("integrate", "--catalog", "heaviside", "--epsilon", "1e-3,abc"), None,
+         "gaugeint integrate: error: argument --epsilon: "
+         "could not convert string to float: 'abc'"),
+        (("parse",), None, "error: parse needs "),
+        (("integrate", "--catalog", "heaviside", "--function", "x"), None,
+         "error: give either --catalog or --function, not both"),
+    ], ids=["missing-job-file", "invalid-json", "json-list", "unknown-output",
+            "repeated-epsilon", "negative-max-depth", "no-function", "no-span",
+            "epsilon-not-a-number", "parse-no-expression", "catalog-and-function"])
+    def test_exit_two(self, tmp_path, argv, job_text, message):
+        job = tmp_path / "job.json"
+        if job_text is not None:
+            job.write_text(job_text)
+        out = run_cli(*(arg.format(job=job, missing=tmp_path / "missing.json") for arg in argv))
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr.splitlines()[-1].startswith(message)
+
+    def test_job_command_key_is_ignored(self, tmp_path):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"F": "heaviside", "command": "verify"}))
+        from_file = run_cli("integrate", "--job", str(job))
+        plain = run_cli("integrate", "--catalog", "heaviside")
+        assert (from_file.returncode, from_file.stdout, from_file.stderr) == (
+            plain.returncode, plain.stdout, plain.stderr)
+
+    def test_skipped_consistency_check_warns_first(self):
+        # with E empty, f = 1/(2 sqrt(x)) is non-finite at sample points
+        # x < 0, so the consistency check is skipped with a warning; then
+        # the build meets a non-finite value and the run exits 3
+        out = run_cli("verify", "--function", "sqrt(x)", "--derivative", "1/(2*sqrt(x))",
+                      "--span=-1,1", "--exceptional=")
+        assert out.returncode == 3
+        assert out.stderr.startswith("warning: derivative consistency check skipped: ")
 
 
 class TestMinusSignValues:
@@ -363,6 +414,16 @@ class TestIntegrateOutput:
         assert doc["basic_sum"]["kind"] == "converged"
         assert doc["basic_sum"]["value"] == 1.0
 
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_anchor_radius_leaves_served_rows_alone(self, name):
+        # kh's f check witnesses every default row whatever the anchor
+        # radius, so an anchor radius no row builds at changes no byte
+        argv = ("integrate", "--catalog", name, "--output", "json")
+        anchored = run_cli(*argv, "--anchor", "0.01")
+        plain = run_cli(*argv)
+        assert (anchored.returncode, anchored.stdout, anchored.stderr) == (
+            plain.returncode, plain.stdout, plain.stderr)
+
     def test_csv_output_sections(self):
         out = run_cli("integrate", "--catalog", "heaviside", "--output", "csv")
         assert "# series: kh" in out.stdout
@@ -444,7 +505,7 @@ class TestJobFiles:
             "F": "sqrt(x)", "f": "1/(2*sqrt(x))", "E": [0], "span": [0, 1], "output": "json",
         }))
         outs = {command: run_cli(command, "--job", str(job))
-                for command in ("integrate", "verify", "residues", "partition")}
+                for command in JOB_COMMANDS}
         assert {command: out.returncode for command, out in outs.items()} == dict.fromkeys(outs, 0)
         doc = json.loads(outs["integrate"].stdout)
         expected = decompose(catalog("sqrt_singular")).to_json()
@@ -728,6 +789,21 @@ def readme_cli_lines():
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("gaugeint ")]
 
 
+def readme_ignored_fields():
+    """``(command, key, flag)`` for each job command and each field of
+    README's job-field table whose "read by" cell neither says ``all`` nor
+    names the command."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = text.split("| job-file key |", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    ignored = []
+    for row in rows:
+        key, flag, _, read_by = (cell.strip() for cell in re.split(r"(?<!\\)\|", row)[1:-1])
+        readers = read_by.split(", ")
+        ignored += [(command, key.strip("`"), flag.strip("`").split()[0])
+                    for command in JOB_COMMANDS if "all" not in readers and command not in readers]
+    return ignored
+
+
 def readme_tour_values():
     """Run README's library tour; the value of each bare expression line,
     keyed by its source text."""
@@ -769,6 +845,24 @@ class TestReadme:
     def test_cli_line_exits_zero(self, argv):
         out = run_cli(*argv)
         assert out.returncode == 0, out.stderr
+
+    @pytest.mark.parametrize("name", ["heaviside", "reciprocal"])
+    @pytest.mark.parametrize("command, key, flag", readme_ignored_fields(),
+                             ids=[f"{command}-{key}" for command, key, _ in readme_ignored_fields()])
+    def test_field_not_read_is_ignored(self, command, key, flag, name):
+        # README's job-field table says which commands read each field; a
+        # command that does not read one runs as if it were absent
+        value = TestJobFiles.FIELD_VALUES[key][0]
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        without = run_cli(command, "--catalog", name)
+        given = run_cli(command, "--catalog", name, f"{flag}={text}")
+        assert (given.returncode, given.stdout, given.stderr) == (
+            without.returncode, without.stdout, without.stderr)
+
+    def test_table_names_every_field(self):
+        keys = {key for _, key, _ in readme_ignored_fields()}
+        assert keys == {"epsilon", "anchor", "max_depth", "tol", "div_threshold", "seed",
+                        "output", "builder"}
 
 
 class TestParseCommand:

@@ -223,18 +223,32 @@ with tempfile.TemporaryDirectory() as work_dir:
 """
 
 
+# One traced layer pass: its replay of the CLI jobs calls the library with
+# the keywords cli.run passes, and prints a warning where the two differ.
+LAYER_PASS = """
+import os, sys, tempfile
+sys.path[:0] = ['perfbench', 'src']
+import tracing
+with tempfile.TemporaryDirectory() as work_dir:
+    tracing.layer_pass(0, os.path.join(work_dir, 'jobs'))
+"""
+
+
 @pytest.mark.parametrize("argv", [
     ["perfbench/run.py", "--self-test"],
     ["-c", "import sys; sys.path[:0] = ['perfbench', 'src']; import tracing"],
     ["-c", RUN_EVERY_OP],
-], ids=["self-test", "import-tracing", "every-op"])
+    ["-c", LAYER_PASS],
+], ids=["self-test", "import-tracing", "every-op", "layer-pass"])
 def test_benchmark_runs(argv):
     # the benchmark's checker, its traced layer and its workloads run against
     # the package as it stands, so a rename or a signature change that the
     # benchmark still reads fails here, not only in a benchmark run
     done = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True,
                           timeout=60)
-    assert done.returncode == 0, done.stdout + done.stderr
+    output = done.stdout + done.stderr
+    assert done.returncode == 0, output
+    assert not [line for line in output.splitlines() if line.startswith("warning:")], output
 
 
 def test_workflow_programs_compile():

@@ -305,8 +305,8 @@ class TestPlainKH:
         # 2 / 2 / 2 / 4 f calls; 6 / 6 / 6 / 10 F calls when depth 0's
         # schedule build was made too).  A converged kh's f check, at tol / L,
         # witnesses every verification row at its own anchor radius, so a
-        # default decompose makes exactly plain_kh's calls; an anchor radius
-        # set by the caller adds the rows' own build there
+        # decompose makes exactly plain_kh's calls, and an anchor radius set
+        # by the caller adds no build: no row is left for it
         model, calls = counting_calls(catalog(name))
         plain_kh(model)
         assert calls["F"] <= most_F and calls["f"] <= most_f
@@ -316,7 +316,7 @@ class TestPlainKH:
         assert calls == alone
         builds = recorded_builds(monkeypatch)
         decompose(model, anchor_r=0.01)
-        assert builds[1:] == [(0.01, 1e-4, None)]
+        assert builds[1:] == []
 
 
     @pytest.mark.parametrize("name, value, depth", [("parabola", 1.0, 19), ("jump_linear", 2.0, 20)])
@@ -656,22 +656,26 @@ class TestDecompose:
         report = decompose(model)
         assert calls["F"] <= alone + 1
         assert len({row.pairs for row in report.verification.rows}) == 1
-        # with an anchor radius set the certificate witnesses no row, and
-        # the rows read their own build there at the finest tolerance
+        # an anchor radius set by the caller changes nothing: the
+        # certificate still witnesses every row, and no row builds there
         calls["F"] = 0
-        report = decompose(model, anchor_r=0.01)
-        assert calls["F"] > alone + 1
-        own = total_kh(catalog(name), epsilons=[1e-4], r=0.01).rows[0]
-        assert {(row.pairs, row.residual) for row in report.verification.rows} == {
-            (own.pairs, own.residual)}
+        anchored = decompose(model, anchor_r=0.01)
+        assert calls["F"] <= alone + 1
+        assert anchored.verification.rows == report.verification.rows
 
     def test_anchor_radius_at_the_f_check_builds_the_rows(self, monkeypatch):
-        # osc_sin_inv's inconclusive kh runs its f check at r0 = 0.1; an
-        # anchor radius the caller sets, even that one, gets the rows' own
-        # build there
+        # osc_sin_inv's inconclusive kh runs its f check at r0 = 0.1 and the
+        # finest row's tolerance, never finer than tol / L; at the default
+        # rows it witnesses them all, so the anchor radius builds nothing.
+        # A row finer than the check builds its own partition there
+        model = catalog("osc_sin_inv")
         builds = recorded_builds(monkeypatch)
-        decompose(catalog("osc_sin_inv"), anchor_r=0.1)
-        assert builds[1:] == [(0.1, 1e-4, None)]
+        decompose(model, anchor_r=0.1)
+        assert builds[1:] == []
+        builds.clear()
+        decompose(model, epsilons=(1e-3, 1e-9), anchor_r=0.1)
+        assert builds == [(0.1, TOL / model.span.length, model.span.length / 4096),
+                          (0.1, 1e-9, None)]
 
     @pytest.mark.parametrize("name", CONVERGING)
     def test_rows_read_the_identity_gap(self, name):

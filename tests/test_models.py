@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -14,14 +15,23 @@ from gaugeint import (
     RefinementSchedule,
     SingularFunctionModel,
     CompiledFunction,
+    build_straddle_verified,
     catalog,
     catalog_entry,
     consistency_check,
+    decompose,
     evaluate_extended,
     increment,
+    partition_to_csv,
+    plain_kh,
     residual_estimate,
+    residue_table,
+    riemann_sum,
+    total_kh,
 )
+from gaugeint.builders import straddle_chunks
 from gaugeint.models import DerivativeMismatch
+from gaugeint.verdicts import DIV_THRESHOLD, MAX_DEPTH, TOL
 
 
 def consistency_one_point(model, sample_count=64, seed=0):
@@ -263,3 +273,48 @@ class TestConsistencyCheck:
             assert outcome[0] == "error"
             if named:
                 assert outcome[1].startswith(f"{named} is non-finite")
+
+
+# Models whose F or f return one scalar for a whole array of points, with
+# the value of their integral over the span.
+SCALAR_MODELS = {
+    "slope-two": (SingularFunctionModel(F=lambda x: 2 * x, f=lambda x: 2.0,
+                                        E=ExceptionalSet(), span=Interval(0, 1)), 2.0),
+    "constant": (SingularFunctionModel(F=lambda x: 1.0, f=lambda x: 0.0,
+                                       E=ExceptionalSet([0.5]), span=Interval(0, 1)), 0.0),
+}
+
+# Each entry point on a model, as a value that compares with ==.
+ENTRY_POINTS = {
+    "total_kh": total_kh,
+    "plain_kh": plain_kh,
+    "decompose": lambda m: decompose(m).to_json(),
+    "build_straddle_verified": lambda m: partition_to_csv(build_straddle_verified(m, 0.1)),
+    "straddle_chunks": lambda m: [[np.asarray(v).tolist() for v in item]
+                                  for item in straddle_chunks(m, m.span, 0.1)],
+    "consistency_check": consistency_check,
+    "riemann_sum": lambda m: riemann_sum(m, build_straddle_verified(m, 0.1)),
+    "residue_table": lambda m: residue_table(m, MAX_DEPTH, TOL, DIV_THRESHOLD),
+}
+
+
+class TestScalarReturn:
+    """F and f may return one scalar standing for every point."""
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("name", SCALAR_MODELS)
+    def test_same_as_array_return(self, name, entry):
+        model, _ = SCALAR_MODELS[name]
+        twin = dataclasses.replace(
+            model, F=lambda x: np.full(np.shape(x), model.F(x), dtype=float),
+            f=lambda x: np.full(np.shape(x), model.f(x), dtype=float))
+        run = ENTRY_POINTS[entry]
+        assert run(model) == run(twin)
+
+    @pytest.mark.parametrize("name", SCALAR_MODELS)
+    def test_verified_and_converged(self, name):
+        model, value = SCALAR_MODELS[name]
+        assert total_kh(model).verified
+        verdict = plain_kh(model)
+        assert isinstance(verdict, Converged) and verdict.value == value
+        assert consistency_check(model) == []
