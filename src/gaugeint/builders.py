@@ -178,13 +178,18 @@ def _gaps(span: Interval, anchors) -> Iterator[tuple]:
         yield ("gap", prev, span.hi)
 
 
+def _mesh_cells(length: float, h: float) -> int:
+    """The number of equal cells of width <= h that :func:`_mesh_positions`
+    lays over a gap of ``length``."""
+    n = max(1, math.ceil(length / h))
+    return n + 1 if length / n > h else n
+
+
 def _mesh_positions(g0: float, g1: float, h: float) -> np.ndarray:
     """Equal-width breakpoints covering [g0, g1] with width <= h, endpoints
     exact."""
     length = g1 - g0
-    n = max(1, math.ceil(length / h))
-    if length / n > h:
-        n += 1
+    n = _mesh_cells(length, h)
     positions = g0 + (length / n) * np.arange(n + 1)
     positions[0] = g0
     positions[-1] = g1
@@ -241,20 +246,20 @@ def build_anchored(
     if not h > 0:
         raise ValueError("mesh width must be positive")
     limits = limits or BuildLimits()
-    anchors = anchor_cells(span, sorted(map(float, points)), r)
-    chunks = []
-    for item in _gaps(span, anchors):
-        if item[0] == "gap":
-            positions = _mesh_positions(item[1], item[2], h)
-            chunks.append((positions[:-1], positions[1:], positions[:-1]))
-        else:
-            chunks.append(_chunk_arrays(item))
-    pairs = sum(len(chunk[0]) for chunk in chunks)
+    items = list(_gaps(span, anchor_cells(span, sorted(map(float, points)), r)))
+    pairs = sum(_mesh_cells(item[2] - item[1], h) if item[0] == "gap" else 1 for item in items)
     if pairs > limits.max_pairs:
         raise BudgetExceeded(
             f"anchored build needs {pairs} pairs (cap {limits.max_pairs})",
             pairs_built=0,
         )
+    chunks = []
+    for item in items:
+        if item[0] == "gap":
+            positions = _mesh_positions(item[1], item[2], h)
+            chunks.append((positions[:-1], positions[1:], positions[:-1]))
+        else:
+            chunks.append(_chunk_arrays(item))
     return _materialize(span, chunks)
 
 

@@ -44,11 +44,9 @@ class CatalogEntry:
     kh_value: float | None
     basic_sum: float | None
     residuals: Mapping[float, float | None]
-    notes: str = ""
 
 
-def _entry(name, F, f, dsl_F, dsl_f, span, points, total, kh_value, basic_sum,
-           residuals, notes=""):
+def _entry(name, F, f, dsl_F, dsl_f, span, points, total, kh_value, basic_sum, residuals):
     model = SingularFunctionModel(
         F=F,
         f=f,
@@ -59,13 +57,13 @@ def _entry(name, F, f, dsl_F, dsl_f, span, points, total, kh_value, basic_sum,
     return CatalogEntry(
         name=name, model=model, dsl_F=dsl_F, dsl_f=dsl_f, total=total,
         kh_value=kh_value, basic_sum=basic_sum, residuals=dict(residuals),
-        notes=notes,
     )
 
 
 def _build_entries():
     entries = {}
 
+    # unit step: the whole endpoint difference sits in the residual
     entries["heaviside"] = _entry(
         "heaviside",
         F=lambda x: np.where(x <= 0.0, 0.0, 1.0),
@@ -78,9 +76,9 @@ def _build_entries():
         kh_value=0.0,
         basic_sum=1.0,
         residuals={0.0: 1.0},
-        notes="unit step: the whole endpoint difference sits in the residual",
     )
 
+    # pole: plain integral and basic sum both diverge, total stays finite
     entries["reciprocal"] = _entry(
         "reciprocal",
         F=lambda x: 1.0 / x,
@@ -93,9 +91,9 @@ def _build_entries():
         kh_value=None,
         basic_sum=None,
         residuals={0.0: None},
-        notes="pole: plain integral and basic sum both diverge, total stays finite",
     )
 
+    # integrable edge singularity at the left endpoint (one-sided anchor)
     entries["sqrt_singular"] = _entry(
         "sqrt_singular",
         F=lambda x: np.sqrt(x),
@@ -108,9 +106,9 @@ def _build_entries():
         kh_value=1.0,
         basic_sum=0.0,
         residuals={0.0: 0.0},
-        notes="integrable edge singularity at the left endpoint (one-sided anchor)",
     )
 
+    # smooth control: the puncture at 1/2 contributes nothing
     entries["parabola"] = _entry(
         "parabola",
         F=lambda x: x**2,
@@ -123,9 +121,9 @@ def _build_entries():
         kh_value=1.0,
         basic_sum=0.0,
         residuals={0.5: 0.0},
-        notes="smooth control: the puncture at 1/2 contributes nothing",
     )
 
+    # three-step staircase; residue-theorem showcase
     # jumps 1/2, 1, -1/4 -> levels 0, 1/2, 3/2, 5/4 (all exact binary64)
     entries["staircase3"] = _entry(
         "staircase3",
@@ -139,9 +137,9 @@ def _build_entries():
         kh_value=0.0,
         basic_sum=1.25,
         residuals={0.5: 0.5, 1.5: 1.0, 2.5: -0.25},
-        notes="three-step staircase; residue-theorem showcase",
     )
 
+    # bounded oscillation at 0: bracket increments are 2 sin(1/r)
     entries["osc_sin_inv"] = _entry(
         "osc_sin_inv",
         F=lambda x: np.sin(1.0 / x),
@@ -154,9 +152,9 @@ def _build_entries():
         kh_value=None,
         basic_sum=None,
         residuals={0.0: None},
-        notes="bounded oscillation at 0: bracket increments are 2 sin(1/r)",
     )
 
+    # unit slope with a jump of 2
     entries["jump_linear"] = _entry(
         "jump_linear",
         F=lambda x: np.where(x < 1.0, x, x + 2.0),
@@ -169,7 +167,6 @@ def _build_entries():
         kh_value=2.0,
         basic_sum=2.0,
         residuals={1.0: 2.0},
-        notes="unit slope with a jump of 2",
     )
 
     return entries

@@ -421,7 +421,7 @@ def cmd_integrate(job: Job) -> int:
     )
     _write_convergence(job, [("kh", report.kh_rows), ("basic_sum", report.bs_rows)])
     sys.stdout.write(emit(report, job.output, model=model))
-    if not report.kh_rows:  # a certificate build failed, and the kh note says how
+    if not report.kh_rows:  # no certificate, or a stop at depth 0: the kh note says which
         print(f"error: {report.kh_verdict.note}", file=sys.stderr)
         return EXIT_BUILD
     failed = [row.epsilon for row in report.verification.rows if not row.ok]

@@ -446,12 +446,13 @@ class ResidueReport:
 _PRECONDITION_SAMPLES = 256
 
 
-def _sample_off_points(model: SingularFunctionModel, count: int) -> np.ndarray:
-    """Stratified sample points between adjacent exceptional points (span
-    endpoints included as strata walls), excluding the walls themselves."""
+def _sample_off_points(model: SingularFunctionModel) -> np.ndarray:
+    """At least ``_PRECONDITION_SAMPLES`` stratified sample points between
+    adjacent exceptional points (span endpoints included as strata walls),
+    excluding the walls themselves."""
     walls = sorted({model.span.lo, model.span.hi, *model.E})
     gaps = list(zip(walls, walls[1:]))
-    per_gap = max(1, -(-count // len(gaps)))
+    per_gap = max(1, -(-_PRECONDITION_SAMPLES // len(gaps)))
     xs = []
     for g0, g1 in gaps:
         xs.append(np.linspace(g0, g1, per_gap + 2)[1:-1])
@@ -474,7 +475,7 @@ def residue_check(
     ``_PRECONDITION_SAMPLES`` stratified points and raising
     ``NotLocallyConstant`` on the first nonzero values found.
     """
-    xs = _sample_off_points(model, _PRECONDITION_SAMPLES)
+    xs = _sample_off_points(model)
     values = model.f_values(xs)
     nonzero = xs[values != 0.0]
     if nonzero.size:

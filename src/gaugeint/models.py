@@ -135,11 +135,18 @@ def evaluate_extended(model: SingularFunctionModel, x: float) -> Tuple[float, fl
 
 
 def increment(model: SingularFunctionModel, interval: Interval) -> float:
-    """Interval increment of the extended F: value at hi minus value at lo."""
+    """Interval increment of the extended F: value at hi minus value at lo.
+
+    Raises ``EvaluationError`` where F is not finite at an end off E, and
+    where the difference of two finite values overflows binary64.
+    """
     if not (model.span.lo <= interval.lo and interval.hi <= model.span.hi):
         raise ValueError("interval outside model span")
-    lo, hi = model.extended_values([interval.lo, interval.hi])
-    return float(hi - lo)
+    lo, hi = model.extended_values([interval.lo, interval.hi]).tolist()
+    if not math.isfinite(hi - lo):
+        raise EvaluationError(f"F increment over [{interval.lo!r}, {interval.hi!r}] overflows",
+                              (interval.lo, interval.hi))
+    return hi - lo
 
 
 def consistency_check(

@@ -24,15 +24,16 @@ batches.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from .errors import AnchorOverlapError, EvaluationError
-from .models import SingularFunctionModel, _shaped_values
-from .partition import (TaggedPartition, anchor_cells, anchor_grid, first_anchor_radius,
-                        restriction_mask)
+from .models import SingularFunctionModel, _shaped_values, increment
+from .partition import (Interval, TaggedPartition, anchor_cells, anchor_grid,
+                        first_anchor_radius, restriction_mask)
 from .verdicts import DIV_THRESHOLD, MAX_DEPTH, TOL, ConvergenceVerdict, Trace, run_ladder
 
 
@@ -87,7 +88,7 @@ def increment_sum(model: SingularFunctionModel, partition: TaggedPartition) -> f
 
 
 # The stops of every anchor ladder: a depth whose cells break the anchor rule,
-# and a cell whose F value is not finite.
+# and a cell whose F value is not finite or whose increment overflows.
 _ANCHOR_STOPS = {
     AnchorOverlapError: "depth {depth}: {exc}",
     EvaluationError: "F evaluation failed at depth {depth}: {exc}",
@@ -135,11 +136,14 @@ class AnchorTable:
     before D.
 
     ``basic(n)`` is depth n's basic-sum term, the Kahan sum of its row, and
-    ``term(n, i)`` the residual term of E's point i.  A term the table does
-    not hold is read alone through the extended F, from the depth's cells or
-    from the point's own cell, and raises what that evaluation raises: at a
-    depth that breaks the anchor rule, where an F value is not finite, and
-    everywhere when the batched F call raised.
+    ``term(n, i)`` the residual term of E's point i.  A held value is served
+    when it is finite.  Any other term is re-read from its own cell by
+    :func:`models.increment`, and ``basic(n)`` sums those terms, so it
+    raises what its first failing cell raises.  A re-read raises
+    ``AnchorOverlapError`` at a depth that breaks the anchor rule,
+    ``EvaluationError`` where an F value is not finite or the increment
+    overflows, and whatever F itself raises on the cell, as after a batched
+    F call that raised.
     """
 
     def __init__(self, model: SingularFunctionModel, max_depth: int, r0: float | None = None):
@@ -171,11 +175,8 @@ class AnchorTable:
                 F = F[:0]
             terms = F[..., 1] - F[..., 0]
             sums = _kahan_rows(terms)
-        finite = np.isfinite(F).all(axis=-1)
         self.depths = len(F)
         self._terms = terms.tolist()
-        self._finite = finite.tolist()
-        self._row_ok = finite.all(axis=1).tolist()
         self._sums = sums.tolist()
 
     def radius(self, n: int) -> float:
@@ -184,20 +185,22 @@ class AnchorTable:
 
     def basic(self, n: int) -> float:
         """Depth n's basic-sum term."""
-        if n < self.depths and self._row_ok[n]:
+        if n < self.depths and math.isfinite(self._sums[n]):
             return self._sums[n]
-        return _kahan_sum(self._alone(n))
+        return _kahan_sum(self.term(n, i) for i in range(len(self.model.E)))
 
     def term(self, n: int, i: int) -> float:
         """Depth n's residual term of E's point i."""
-        if n < self.depths and self._finite[n][i]:
+        if n < self.depths and math.isfinite(self._terms[n][i]):
             return self._terms[n][i]
-        return self._alone(n, i)[0]
+        lo, hi, _ = anchor_cells(self.model.span, self.model.E, self.radius(n))[i]
+        return increment(self.model, Interval(lo, hi))
 
     def ladder(self, value_at, tol, div_threshold) -> Tuple[Trace, ConvergenceVerdict]:
         """Classify ``value_at(n)`` for depths 0 to ``max_depth`` up to the
-        first verdict; a depth that breaks the anchor rule or has a
-        non-finite F value ends the ladder inconclusive."""
+        first verdict; a depth that breaks the anchor rule, has a
+        non-finite F value or an F increment that overflows ends the ladder
+        inconclusive."""
         return run_ladder(lambda n: (n, value_at(n)), self.max_depth, tol, div_threshold,
                           _ANCHOR_STOPS)
 
@@ -213,15 +216,6 @@ class AnchorTable:
         return {e: self.ladder(lambda n, i=index(e): self.term(n, i), tol, div_threshold)[1]
                 for e in points}
 
-    def _alone(self, n: int, i: int | None = None) -> list:
-        """Depth n's increments of the extended F from an F call of their
-        own: every cell's, or point i's alone."""
-        cells = anchor_cells(self.model.span, self.model.E, self.radius(n))
-        if i is not None:
-            cells = cells[i:i + 1]
-        F = self.model.extended_values([x for lo, hi, _ in cells for x in (lo, hi)])
-        return (F[1::2] - F[0::2]).tolist()
-
 
 def basic_sum_sequence(
     model: SingularFunctionModel,
@@ -236,8 +230,8 @@ def basic_sum_sequence(
     stops as soon as the classifier reaches a verdict.  A depth whose cells
     break the anchor rule ends the sequence and names the breach in the
     verdict's note (``depth n: <reason>``) rather than raising, and a depth
-    with a non-finite F value ends it as a residual ladder ends
-    (``F evaluation failed at depth n: <reason>``).
+    with a non-finite F value or an overflowing increment ends it as a
+    residual ladder ends (``F evaluation failed at depth n: <reason>``).
 
     Raises ``ValueError`` when E is empty or ``max_depth`` is negative.
     """

@@ -165,6 +165,14 @@ class TestBuildAnchored:
         assert str(exc.value) == "anchored build needs 91 pairs (cap 90)"
         assert exc.value.pairs_built == 0
 
+    def test_pair_cap_checked_before_the_mesh_is_laid(self):
+        # a mesh of 1e-15 would take petabytes to lay out: the cap is met on
+        # the cell count alone, which follows the mesh's own rounding rule
+        with pytest.raises(BudgetExceeded) as exc:
+            build_anchored(Interval(0.0, 1.0), [0.5], r=0.01, h=1e-15)
+        assert str(exc.value) == "anchored build needs 980000000000001 pairs (cap 10000000)"
+        assert exc.value.pairs_built == 0
+
     def test_widths_capped_by_mesh(self):
         part = build_anchored(Interval(0.0, 1.0), [0.5], r=0.0625, h=0.2)
         off = part.tags != 0.5

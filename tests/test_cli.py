@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import io
 import json
 import math
@@ -82,6 +83,23 @@ class TestProcess:
 # x^2 with an undeclared jump of 1e-3 at 0.3
 UNDECLARED_JUMP = ("--function", "piecewise{ x < 0.3 : x^2 ; x >= 0.3 : x^2 + 0.001 }",
                    "--derivative", "2*x", "--exceptional", "0.5", "--span", "0,1")
+
+# F is finite everywhere, but an increment it makes overflows binary64: over
+# the anchor cell [0.7, 0.8] of the first, over the whole span of the second
+OVERFLOWING_CELL = ("integrate", "--function",
+                    "piecewise{ x < 0.25 : 0 ; x < 0.75 : 1.7e308 ; x <= 1 : -1.7e308 }",
+                    "--derivative", "0", "--span", "0,1", "--exceptional", "0.25,0.75")
+OVERFLOWING_TOTAL = ("verify", "--function", "piecewise{ x < 0.5 : -1.7e308 ; x <= 1 : 1.7e308 }",
+                     "--derivative", "0", "--span", "0,1", "--exceptional", "0.5")
+
+
+def strict_json(text):
+    """``text`` parsed as JSON, raising ``ValueError`` on the ``NaN`` and
+    ``Infinity`` that Python writes and strict parsers reject."""
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestExitCodes:
@@ -264,6 +282,35 @@ class TestExitCodes:
         for row in rows:
             assert row["residual"] is None
             assert "declared derivative does not match F" in row["error"]
+
+    def test_overflowing_anchor_increment_is_three(self):
+        note = "F evaluation failed at depth 0: F increment over [0.7, 0.8] overflows"
+        out = run_cli(*OVERFLOWING_CELL, "--output", "json")
+        assert out.returncode == 3
+        doc = strict_json(out.stdout)
+        for verdict in (doc["kh"], doc["basic_sum"], doc["residuals"]["0.75"]):
+            assert verdict == {"kind": "inconclusive", "note": note, "trace": []}
+        assert doc["residuals"]["0.25"]["value"] == 1.7e308
+        assert out.stderr == f"error: {note}\n"
+
+    def test_overflowing_total_is_three(self):
+        out = run_cli(*OVERFLOWING_TOTAL, "--output", "json")
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert out.stderr == "evaluation error: F increment over [0.0, 1.0] overflows\n"
+
+    @pytest.mark.parametrize("argv", [
+        *[pytest.param((command, "--catalog", name), id=f"{command}-{name}")
+          for name in CATALOG_NAMES for command in ("integrate", "verify", "residues")],
+        pytest.param(OVERFLOWING_CELL, id="overflowing-cell"),
+        pytest.param(OVERFLOWING_TOTAL, id="overflowing-total"),
+    ])
+    def test_json_report_is_strict_json(self, argv):
+        # a report is printed unless an evaluation error ends the run
+        out = run_cli(*argv, "--output", "json")
+        assert out.stdout or out.returncode == 3
+        if out.stdout:
+            strict_json(out.stdout)
 
     def test_anchor_overlap_fails_every_row_is_three(self):
         # radius larger than the span: no partition can be anchored at all
@@ -771,6 +818,13 @@ class TestEmit:
         assert as_json["kh"]["kind"] == "diverged"
         assert as_json["basic_sum"]["kind"] == "diverged"
         assert "# series: kh" in csv_text and "# series: basic_sum" in csv_text
+
+    def test_disagreeing_verdicts_warn_last(self):
+        # reached from the CLI only where a monotone convergent kh ladder
+        # passes a low --div-threshold and is called diverged
+        report = dataclasses.replace(decompose(catalog("heaviside")), lemma_consistent=False)
+        assert cli.emit(report, "table").endswith(
+            "\nWARNING        kh and basic_sum verdicts disagree on convergence\n")
 
     def test_empty_residual_table_csv_header_only(self):
         from gaugeint import Converged

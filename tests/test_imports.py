@@ -6,6 +6,9 @@ package imports inside a function: its imports are all read when it loads.
 ``__init__.py`` is exempt from the import check, since its imports are the
 package's public names, and so are imports from ``__future__``.
 
+Every field of a ``@dataclass`` of the package is read as an attribute
+somewhere in the package, its tests or its benchmark.
+
 The benchmark under ``perfbench/`` reads the package too: every name it
 reads must exist, and its checker, its traced layer and every op of its
 workloads must run.  The CI workflow's inline Python programs must compile.
@@ -24,6 +27,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gaugeint"
 TESTS = Path(__file__).resolve().parent
+ROOT = PACKAGE.parents[1]
+PERFBENCH = ROOT / "perfbench"
 MODULES = (sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
            + sorted(TESTS.glob("*.py")))
 
@@ -146,8 +151,51 @@ def test_guard_sees_dead_helpers():
                                              "b.C._uncalled"]
 
 
-ROOT = PACKAGE.parents[1]
-PERFBENCH = ROOT / "perfbench"
+
+def unread_fields(sources: dict, others=()) -> list:
+    """The fields of the ``@dataclass`` classes of ``sources`` (module name to
+    source) that neither those sources nor the sources in ``others`` read as
+    an attribute, as ``module.Class.field`` in module and definition order."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {node.attr for tree in [*trees.values(), *map(ast.parse, others)]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+    def is_dataclass(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+    return [f"{module}.{node.name}.{item.target.id}"
+            for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            and item.target.id not in read]
+
+
+def test_no_unread_dataclass_fields():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    others = [p.read_text(encoding="utf-8")
+              for p in sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))]
+    assert unread_fields(sources, others) == []
+
+
+def test_guard_sees_unread_fields():
+    sources = {"a": ("import dataclasses\n"
+                     "from dataclasses import dataclass\n"
+                     "@dataclass(frozen=True)\n"
+                     "class A:\n"
+                     "    read: int\n"
+                     "    unread: str = ''\n"
+                     "    def double(self):\n        return 2 * self.read\n"
+                     "@dataclasses.dataclass\n"
+                     "class B:\n"
+                     "    elsewhere: int\n"
+                     "    written: int\n"
+                     "class Plain:\n"
+                     "    never: int\n")}
+    others = ["def f(b):\n    b.written = 1\n    return b.elsewhere\n"]
+    assert unread_fields(sources, others) == ["a.A.unread", "a.B.written"]
 
 
 def bound_by(module: str, name: str):

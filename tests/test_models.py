@@ -152,6 +152,17 @@ class TestIncrement:
         model = catalog("jump_linear")
         assert increment(model, model.span) == 4.0
 
+    def test_overflowing_difference_raises(self):
+        # both F values are finite; their difference is not a binary64
+        model = SingularFunctionModel(F=lambda x: np.where(x < 0.5, -1.7e308, 1.7e308),
+                                      f=lambda x: np.zeros_like(x), E=ExceptionalSet([0.5]),
+                                      span=Interval(0.0, 1.0))
+        with pytest.raises(EvaluationError,
+                           match=r"^F increment over \[0\.0, 1\.0\] overflows$") as exc:
+            increment(model, model.span)
+        assert exc.value.points == (0.0, 1.0)
+        assert increment(model, Interval(0.0, 0.25)) == 0.0
+
 
 class TestResidualEstimate:
     def test_heaviside_unit_residual(self):

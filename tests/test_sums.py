@@ -10,6 +10,7 @@ from gaugeint import (
     CATALOG_NAMES,
     Converged,
     Diverged,
+    EvaluationError,
     ExceptionalSet,
     Inconclusive,
     Interval,
@@ -287,6 +288,16 @@ def exp_model():
     )
 
 
+def overflow_model():
+    """Steps of 1.7e308 and -3.4e308 at E = {0.25, 0.75} on [0, 1]: F is
+    finite everywhere, but the increment over 0.75's cell overflows."""
+    return SingularFunctionModel(
+        F=lambda x: np.select([x < 0.25, x < 0.75], [0.0, 1.7e308], default=-1.7e308),
+        f=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        E=ExceptionalSet([0.25, 0.75]), span=Interval(0.0, 1.0),
+    )
+
+
 def lorentz_model():
     """x/(x^2 + 1e-12) at E = {0} on [-1, 2]: the basic sum rises to 1e6, falls
     and ends at the anchor floor."""
@@ -444,6 +455,21 @@ class TestAnchorStops:
         assert bs_verdict == verdict
         assert residuals == {0.5: verdict} == {0.5: residual_estimate(model, 0.5, sched)}
         assert decompose(model).basic_sum_verdict == verdict
+
+    def test_overflowing_increment_stops_where_it_overflows(self):
+        # the held term of 0.75's cell is -inf: re-read, it names its cell,
+        # and every ladder that reads the cell stops at depth 0
+        model = overflow_model()
+        sched = RefinementSchedule.for_model(model)
+        stop = Inconclusive(trace=(), note="F evaluation failed at depth 0: "
+                                           "F increment over [0.7, 0.8] overflows")
+        assert basic_sum_sequence(model, sched) == ((), stop)
+        assert residual_estimate(model, 0.75, sched) == stop
+        assert residual_estimate(model, 0.25, sched).value == 1.7e308
+        report = decompose(model)
+        assert report.kh_verdict == report.basic_sum_verdict == report.residuals[0.75] == stop
+        with pytest.raises(EvaluationError, match=r"\[0\.7, 0\.8\] overflows$"):
+            AnchorTable(model, 0).basic(0)
 
     def test_F_raising_below_the_verdicts_changes_none(self):
         # every heaviside ladder converges at depth 3; F raises from depth 10
