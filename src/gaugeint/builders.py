@@ -459,6 +459,8 @@ def _gap_waves(model, start, stop, eps, counter, h_cap, min_width):
       along the wave, so its worst cell, the first, would size the next
       wave for the previous one's start; ``worst`` still holds the step
       back where the ratio swings within a wave, as on an oscillating F.
+      A wave that passes in full and ends at stop ends the walk as soon as
+      its run is yielded: no next wave follows, so none is sized.
     * A wave proposes ``cells`` cells, spread to end at stop when
       ``cells + 1`` of them reach it.  The gap's first width search cuts the
       proposal to ``_FIRST_WAVE`` cells, so a walk that starts at a settled
@@ -517,6 +519,8 @@ def _gap_waves(model, start, stop, eps, counter, h_cap, min_width):
             else:
                 w *= 0.5
         else:
+            if x == stop:  # the wave ended its gap: no next wave to size
+                return
             cells = min(4 * cells, _WAVE)
             ratios = errs / bounds
             tail = float(ratios[(3 * n_cells) // 4:].max())

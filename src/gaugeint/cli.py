@@ -397,10 +397,8 @@ def _surface_warnings(model, seed: int) -> None:
 
 
 def _write_convergence(job: Job, sections) -> None:
-    """Write the ladders to the job's ``--emit-convergence`` path, if any;
-    a path that cannot be written is a usage error."""
-    if not job.emit_convergence:
-        return
+    """Write the ladders to the job's ``--emit-convergence`` path; a path
+    that cannot be written is a usage error."""
     try:
         with open(job.emit_convergence, "w", encoding="utf-8") as fh:
             fh.write(convergence_csv(sections))
@@ -419,9 +417,10 @@ def cmd_integrate(job: Job) -> int:
         div_threshold=job.div_threshold,
         anchor_r=job.anchor,
     )
-    _write_convergence(job, [("kh", report.kh_rows), ("basic_sum", report.bs_rows)])
+    if job.emit_convergence:
+        _write_convergence(job, [("kh", report.kh_rows), ("basic_sum", report.bs_rows)])
     sys.stdout.write(emit(report, job.output, model=model))
-    if not report.kh_rows:  # no certificate, or a stop at depth 0: the kh note says which
+    if not report.kh_trace:  # no certificate, or a stop at depth 0: the kh note says which
         print(f"error: {report.kh_verdict.note}", file=sys.stderr)
         return EXIT_BUILD
     failed = [row.epsilon for row in report.verification.rows if not row.ok]
@@ -455,7 +454,8 @@ def cmd_residues(job: Job) -> int:
     bs_rows, bs_verdict, residuals = residue_table(model, job.max_depth, job.tol,
                                                    job.div_threshold)
     summary = ResidualsSummary(basic_sum_verdict=bs_verdict, residuals=residuals)
-    _write_convergence(job, [("basic_sum", bs_rows)])
+    if job.emit_convergence:
+        _write_convergence(job, [("basic_sum", bs_rows)])
     sys.stdout.write(emit(summary, job.output))
     return EXIT_OK
 

@@ -36,9 +36,9 @@
   the exceptional set, the endpoint difference of the extended function must
   equal the sum of the residuals.
 * ``residue_table`` -- the anchor-only ladders (basic-sum rows and verdict,
-  residual table) shared by ``decompose`` and the ``residues`` command; one
-  anchor table runs all of them up to its own ``max_depth``, one F call per
-  table.
+  residual table) of the ``residues`` command; ``decompose`` runs the same
+  ladders and keeps the basic sum's trace, not its rows.  One anchor table
+  runs all of them up to its own ``max_depth``, one F call per table.
 * ``report_json`` -- the fixed six-key JSON envelope every report renders to.
 
 Each depth row is an independent pure computation; the tolerance rows read
@@ -58,7 +58,7 @@ from .builders import BuildLimits, _straddle_runs
 from .errors import BuildError, NotLocallyConstant
 from .models import SingularFunctionModel, increment
 from .partition import first_anchor_radius
-from .sums import AnchorTable, KahanAccumulator, SequenceRow, _kahan_sum
+from .sums import AnchorTable, KahanAccumulator, SequenceRow, _kahan_sum, depth_rows
 from .verdicts import (
     DIV_THRESHOLD,
     MAX_DEPTH,
@@ -67,6 +67,7 @@ from .verdicts import (
     ConvergenceVerdict,
     Diverged,
     Inconclusive,
+    Trace,
     verdict_to_json,
 )
 
@@ -195,13 +196,15 @@ def _verification(model, total, epsilons, r, limits, witness=None) -> TotalRepor
     radius ``r``.  ``witness``, a build already made, serves every row
     whose tolerance it meets, whatever its radius: each of its cells is
     within eps' * width of its increment, eps' <= eps, so by Saks-Henstock
-    its Riemann sum is within eps * L of its off-anchor increments."""
-    if r is None:
-        r = first_anchor_radius(model.span, model.E)
+    its Riemann sum is within eps * L of its off-anchor increments.  With
+    ``r`` None a row builds at the model's first anchor radius, worked out
+    only when a row builds."""
     by_eps = {}
     for eps in sorted(set(epsilons)):
         bound = eps * model.span.length
         if not (witness is not None and witness.eps <= eps):
+            if r is None:
+                r = first_anchor_radius(model.span, model.E)
             try:
                 witness = _straddle_sums(model, r, eps, limits)
             except BuildError as exc:
@@ -296,6 +299,16 @@ def plain_kh(
 
 @dataclass(frozen=True)
 class DecompositionReport:
+    """What :func:`decompose` found.
+
+    ``kh_trace`` and ``bs_trace`` are the kh and basic-sum ladders'
+    ``(depth, value)`` pairs, and ``r0`` the anchor radius of depth 0.  The
+    depth rows ``kh_rows`` and ``bs_rows`` are derived from them when read,
+    depth n at the radius r0 * 2^-n; ``to_json`` reads neither.  An empty
+    ``kh_trace`` means kh has no row: its f check failed, or its ladder
+    stopped at depth 0.
+    """
+
     total: float
     verification: TotalReport
     kh_verdict: ConvergenceVerdict
@@ -305,8 +318,17 @@ class DecompositionReport:
     identity_tolerance: float
     residue_sum_gap: float | None
     lemma_consistent: bool
-    kh_rows: Tuple[SequenceRow, ...] = ()
-    bs_rows: Tuple[SequenceRow, ...] = ()
+    kh_trace: Trace
+    bs_trace: Trace
+    r0: float
+
+    @property
+    def kh_rows(self) -> Tuple[SequenceRow, ...]:
+        return depth_rows(self.r0, self.kh_trace)
+
+    @property
+    def bs_rows(self) -> Tuple[SequenceRow, ...]:
+        return depth_rows(self.r0, self.bs_trace)
 
     def to_json(self) -> dict:
         return report_json(
@@ -342,17 +364,20 @@ def residue_table(
     depth up to ``max_depth`` or the first that breaks the anchor rule.
     With an empty exceptional set the basic sum is exactly 0 at depth 0.
     """
-    return _anchor_ladders(tol, div_threshold, AnchorTable(model, max_depth))
+    table = AnchorTable(model, max_depth)
+    bs_trace, bs_verdict, residuals = _anchor_ladders(tol, div_threshold, table)
+    return table.rows(bs_trace), bs_verdict, residuals
 
 
 def _anchor_ladders(tol, div_threshold, table):
-    """:func:`residue_table` on the anchor table ``table``."""
+    """:func:`residue_table` on the anchor table ``table``, the basic sum's
+    trace in place of its rows."""
     E = table.model.E
     if len(E) > 0:
         trace, bs_verdict = table.ladder(table.basic, tol, div_threshold)
     else:
         trace, bs_verdict = ((0, 0.0),), Converged(value=0.0, error_estimate=0.0, depth=0)
-    return table.rows(trace), bs_verdict, table.residuals(E, tol, div_threshold)
+    return trace, bs_verdict, table.residuals(E, tol, div_threshold)
 
 
 def decompose(
@@ -387,6 +412,9 @@ def decompose(
     converged kh the rows' residual is then the identity gap.  A row finer
     than the certificate, and every row after a failed certificate, builds
     its own partition at ``anchor_r`` (default r0), as in ``total_kh``.
+
+    The report keeps the kh and basic-sum ladders' traces and r0; their
+    depth rows are built only when ``kh_rows`` or ``bs_rows`` is read.
     """
     table = AnchorTable(model, max_depth)
     total = increment(model, model.span)
@@ -395,7 +423,7 @@ def decompose(
                                                       epsilons)
     verification = _verification(model, total, epsilons, anchor_r, limits, certificate)
 
-    bs_rows, bs_verdict, residuals = _anchor_ladders(tol, div_threshold, table)
+    bs_trace, bs_verdict, residuals = _anchor_ladders(tol, div_threshold, table)
 
     identity_gap = None
     if isinstance(kh_verdict, Converged) and isinstance(bs_verdict, Converged):
@@ -422,8 +450,9 @@ def decompose(
         identity_tolerance=2 * tol,
         residue_sum_gap=residue_sum_gap,
         lemma_consistent=not one_sided,
-        kh_rows=table.rows(kh_trace),
-        bs_rows=bs_rows,
+        kh_trace=kh_trace,
+        bs_trace=bs_trace,
+        r0=table.r0,
     )
 
 

@@ -4,8 +4,9 @@ extensions of both by zero onto that set.
 The exceptional set E collects the finitely many points where F may be
 undefined or unbounded.  The extended functions are defined to be exactly 0
 on E, where F and f are never evaluated: extended values go through one
-mask, and ``sums.AnchorTable``'s batch over every depth of a ladder skips
-the cell ends on E.  Off E a non-finite value from F or f is an error (an
+mask, ``increment`` tests its two ends against E itself, and
+``sums.AnchorTable``'s batch over every depth of a ladder skips the cell
+ends on E.  Off E a non-finite value from F or f is an error (an
 undeclared singularity).
 It holds no limit ladder: the basic sum and the residuals are in ``sums``.
 
@@ -137,12 +138,19 @@ def evaluate_extended(model: SingularFunctionModel, x: float) -> Tuple[float, fl
 def increment(model: SingularFunctionModel, interval: Interval) -> float:
     """Interval increment of the extended F: value at hi minus value at lo.
 
+    The values are those of :meth:`SingularFunctionModel.extended_values`,
+    read directly: an end on E is 0, and F is called once, on the ends off
+    E in ``[lo, hi]`` order, or not at all when both ends lie on E.
+
     Raises ``EvaluationError`` where F is not finite at an end off E, and
     where the difference of two finite values overflows binary64.
     """
     if not (model.span.lo <= interval.lo and interval.hi <= model.span.hi):
         raise ValueError("interval outside model span")
-    lo, hi = model.extended_values([interval.lo, interval.hi]).tolist()
+    ends, E = (interval.lo, interval.hi), model.E.points
+    off = [x for x in ends if x not in E]
+    values = iter(model.F_values(np.array(off, dtype=float)).tolist() if off else ())
+    lo, hi = [0.0 if x in E else next(values) for x in ends]
     if not math.isfinite(hi - lo):
         raise EvaluationError(f"F increment over [{interval.lo!r}, {interval.hi!r}] overflows",
                               (interval.lo, interval.hi))

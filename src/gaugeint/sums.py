@@ -122,6 +122,13 @@ class SequenceRow:
     value: float
 
 
+def depth_rows(r0: float, trace: Trace) -> Tuple[SequenceRow, ...]:
+    """A ladder's trace as depth rows, depth n at the anchor radius r0 * 2^-n
+    (the expression of :meth:`AnchorTable.radius`, so the radii agree bit
+    for bit)."""
+    return tuple(SequenceRow(n, r0 * 0.5**n, v) for n, v in trace)
+
+
 class AnchorTable:
     """The anchor-cell increments of depths 0 to D, from one F call, and the
     ladders that read them.
@@ -206,7 +213,7 @@ class AnchorTable:
 
     def rows(self, trace: Trace) -> Tuple[SequenceRow, ...]:
         """A ladder's trace as depth rows with the anchor radius of each depth."""
-        return tuple(SequenceRow(n, self.radius(n), v) for n, v in trace)
+        return depth_rows(self.r0, trace)
 
     def residuals(self, points, tol, div_threshold) -> dict:
         """Residual verdict per point of ``points`` (points of E), in order,

@@ -1,0 +1,86 @@
+"""Print one digest of the ``gaugeint`` command line's outputs on the catalog.
+
+    python tests/output_digest.py               # this tree's src/
+    python tests/output_digest.py SRC [SRC...]  # each of these src/ trees
+
+Each tree runs in a fresh interpreter, so a parent and a change compare in
+one command.
+
+Per catalog model it runs ``integrate``, ``verify`` and ``residues`` with
+each ``--output`` (json, csv, table); ``integrate`` at ``--max-depth 45``
+(csv), ``--tol 2e-3`` (json), ``--max-depth 0`` and ``--anchor 0.01``;
+``partition`` with each builder; and ``integrate`` and ``residues`` with
+``--emit-convergence``: 126 runs, in process.  Each run's argv, exit code,
+standard output, standard error and convergence file go into one SHA-256,
+with the convergence file's temporary path replaced by a fixed name.  The
+script prints ``<runs> runs <sha256>``; two trees that print the same line
+print the same bytes on every one of these runs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+CONVERGENCE = "CONVERGENCE.csv"  # the name hashed in place of the temporary path
+
+
+def argvs(names):
+    """The argv of every run, in order; ``CONVERGENCE`` marks the path."""
+    for name in names:
+        model = ["--catalog", name]
+        for command in ("integrate", "verify", "residues"):
+            for output in ("json", "csv", "table"):
+                yield [command, *model, "--output", output]
+        yield ["integrate", *model, "--max-depth", "45", "--output", "csv"]
+        yield ["integrate", *model, "--tol", "2e-3", "--output", "json"]
+        yield ["integrate", *model, "--max-depth", "0"]
+        yield ["integrate", *model, "--anchor", "0.01"]
+        for builder in ("anchored", "straddle", "cousin"):
+            yield ["partition", *model, "--builder", builder]
+        for command in ("integrate", "residues"):
+            yield [command, *model, "--emit-convergence", CONVERGENCE]
+
+
+def digest() -> str:
+    from gaugeint import cli
+    from gaugeint.catalog import CATALOG_NAMES
+
+    sha = hashlib.sha256()
+    runs = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, CONVERGENCE)
+        for argv in argvs(CATALOG_NAMES):
+            if os.path.exists(path):
+                os.remove(path)
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.run([path if a == CONVERGENCE else a for a in argv])
+            written = Path(path).read_text(encoding="utf-8") if os.path.exists(path) else None
+            record = [argv, code, out.getvalue(), err.getvalue(), written]
+            sha.update(json.dumps(record).encode() + b"\n")
+            runs += 1
+    return f"{runs} runs {sha.hexdigest()}"
+
+
+def main(args) -> None:
+    if args[:1] == ["--one"]:  # a child: digest the src/ it was handed
+        sys.path.insert(0, args[1])
+        print(digest())
+        return
+    own = str(Path(__file__).resolve().parents[1] / "src")
+    for src in args or [own]:
+        line = subprocess.run([sys.executable, __file__, "--one", os.path.abspath(src)],
+                              check=True, capture_output=True, text=True).stdout.strip()
+        print(f"{line}  {src}" if args else line)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

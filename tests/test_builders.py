@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from gaugeint import (
     BudgetExceeded,
     BuildError,
     BuildLimits,
+    Converged,
     EvaluationError,
     ExceptionalSet,
     FloorReached,
@@ -26,6 +28,7 @@ from gaugeint import (
     catalog,
     decompose,
     is_fine,
+    plain_kh,
     total_kh,
     validate,
 )
@@ -1074,6 +1077,19 @@ class TestTailSizedWaves:
         model = catalog(name)
         r0 = RefinementSchedule.for_model(model).r0
         assert len(build_straddle_verified(model, r=r0, eps=eps)) <= most
+
+    @pytest.mark.parametrize("name", ["parabola", "jump_linear"])
+    def test_wave_ending_its_gap_sizes_none(self, name, monkeypatch):
+        # the default f check walks each gap in one wave that passes in full
+        # and ends at the gap's end: no next wave follows, so the growth
+        # step's square root is never taken.  These models' cells have
+        # rounding-level errors, which sizing would take it on; heaviside's
+        # errors are all 0, which size a wave without it
+        def sqrt(x):
+            raise AssertionError("a next wave was sized")
+        monkeypatch.setattr(builders, "math",
+                            types.SimpleNamespace(**{**vars(math), "sqrt": sqrt}))
+        assert isinstance(plain_kh(catalog(name)), Converged)
 
 
 class TestChainCandidatesEvaluated:

@@ -79,6 +79,19 @@ class TestProcess:
             counts.append(len(built) - before)
         assert counts[0] > 0 and counts[1:] == [0, 0]
 
+    def test_catalog_outputs_repeat_across_hash_seeds(self):
+        # output_digest.py hashes 126 catalog runs of every command, each in
+        # a fresh interpreter; reports must stay byte-identical across runs
+        lines = []
+        for seed in ("1", "2"):
+            done = subprocess.run([sys.executable, str(Path(__file__).parent / "output_digest.py")],
+                                  capture_output=True, text=True, timeout=120,
+                                  env={**os.environ, "PYTHONHASHSEED": seed})
+            assert done.returncode == 0, done.stderr
+            lines.append(done.stdout)
+        assert re.fullmatch(r"126 runs [0-9a-f]{64}\n", lines[0])
+        assert lines[1] == lines[0]
+
 
 # x^2 with an undeclared jump of 1e-3 at 0.3
 UNDECLARED_JUMP = ("--function", "piecewise{ x < 0.3 : x^2 ; x >= 0.3 : x^2 + 0.001 }",

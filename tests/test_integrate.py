@@ -1,4 +1,6 @@
 import dataclasses
+import io
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from gaugeint import (
 )
 from gaugeint.builders import straddle_chunks
 from gaugeint.partition import anchor_cells
-from gaugeint import integrate
+from gaugeint import integrate, sums
 from gaugeint.integrate import EPSILONS, _straddle_sums
 from gaugeint.sums import AnchorTable
 from gaugeint.verdicts import DIV_THRESHOLD, MAX_DEPTH, TOL, SequenceClassifier
@@ -772,6 +774,41 @@ class TestDecompose:
             assert doc["kh"]["kind"] == "converged"
         if "residuals" in filled:
             assert doc["residuals"]["0.0"]["value"] == 1.0
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_json_reports_build_no_depth_row(self, name, monkeypatch):
+        # the report keeps the ladders' traces: its JSON document, and the
+        # integrate command's JSON output, read no depth row
+        model = catalog(name)
+        argv = ["integrate", "--catalog", name, "--output", "json"]
+        want = repr(decompose(model).to_json()), run_captured(argv)
+
+        def no_row(*args):
+            raise AssertionError("a depth row was built")
+
+        monkeypatch.setattr(sums, "SequenceRow", no_row)
+        monkeypatch.setattr(integrate, "SequenceRow", no_row)
+        assert (repr(decompose(model).to_json()), run_captured(argv)) == want
+
+    @pytest.mark.parametrize("max_depth", [12, 20, 40])
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_rows_are_the_anchor_table_rows(self, name, max_depth):
+        model = catalog(name)
+        report = decompose(model, max_depth=max_depth)
+        table = AnchorTable(model, max_depth)
+        for rows, trace in ((report.kh_rows, report.kh_trace),
+                            (report.bs_rows, report.bs_trace)):
+            assert repr(list(map(dataclasses.astuple, rows))) == repr(
+                list(map(dataclasses.astuple, table.rows(trace))))
+
+
+def run_captured(argv):
+    """``(exit code, stdout, stderr)`` of ``gaugeint *argv`` run in this
+    process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def constant_without_points():

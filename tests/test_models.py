@@ -163,6 +163,34 @@ class TestIncrement:
         assert exc.value.points == (0.0, 1.0)
         assert increment(model, Interval(0.0, 0.25)) == 0.0
 
+    @pytest.mark.parametrize("lo, hi, called", [
+        (0.1, 0.9, [[0.1, 0.9]]), (0.25, 0.9, [[0.9]]), (0.1, 0.75, [[0.1]]), (0.25, 0.75, []),
+    ])
+    def test_one_F_call_on_the_ends_off_E(self, lo, hi, called):
+        calls = []
+
+        def F(x):
+            calls.append(np.asarray(x).tolist())
+            return np.asarray(x) ** 2
+
+        model = simple_model(F, np.zeros_like, [0.25, 0.75], 0.0, 1.0)
+        got = increment(model, Interval(lo, hi))
+        assert calls == called
+        F_lo, F_hi = (0.0 if x in (0.25, 0.75) else x * x for x in (lo, hi))
+        assert got == F_hi - F_lo
+
+    @pytest.mark.parametrize("lo, hi", [(0.1, 0.9), (0.6, 0.9), (0.25, 0.9), (0.1, 0.75)])
+    def test_non_finite_end_raises_as_extended_values(self, lo, hi):
+        # F is infinite above 0.5 and NaN under 0.2
+        model = simple_model(lambda x: np.where(x > 0.5, np.inf, np.where(x < 0.2, np.nan, x)),
+                             np.zeros_like, [0.25, 0.75], 0.0, 1.0)
+        with pytest.raises(EvaluationError) as want:
+            model.extended_values([lo, hi])
+        with pytest.raises(EvaluationError) as got:
+            increment(model, Interval(lo, hi))
+        assert str(got.value) == str(want.value)
+        assert np.asarray(got.value.points).tolist() == np.asarray(want.value.points).tolist()
+
 
 class TestResidualEstimate:
     def test_heaviside_unit_residual(self):
