@@ -264,16 +264,19 @@ def _json_dump(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def convergence_csv(sections) -> str:
+def convergence_csv(r0: float, sections) -> str:
+    """The ladders' depth rows, one section per ``(name, trace)``: depth n
+    renders at the anchor radius r0 * 2^-n, the expression of
+    :meth:`AnchorTable.radius`, so the radii are the table's bit for bit."""
     lines = []
-    for name, rows in sections:
+    for name, trace in sections:
         lines.append(f"# series: {name}")
         lines.append("depth,r,value,delta")
         prev = None
-        for row in rows:
-            delta = "" if prev is None else format(abs(row.value - prev), ".17g")
-            lines.append(f"{row.depth},{row.r:.17g},{row.value:.17g},{delta}")
-            prev = row.value
+        for depth, value in trace:
+            delta = "" if prev is None else format(abs(value - prev), ".17g")
+            lines.append(f"{depth},{r0 * 0.5**depth:.17g},{value:.17g},{delta}")
+            prev = value
     return "\n".join(lines) + "\n"
 
 
@@ -329,7 +332,8 @@ def emit(report, output_format: str, model=None) -> str:
 
     if isinstance(report, DecompositionReport):
         if output_format == "csv":
-            return convergence_csv([("kh", report.kh_rows), ("basic_sum", report.bs_rows)])
+            return convergence_csv(report.r0, [("kh", report.kh_trace),
+                                               ("basic_sum", report.bs_trace)])
         lines = []
         if model is not None:
             lines.append(
@@ -396,12 +400,12 @@ def _surface_warnings(model, seed: int) -> None:
         print(f"warning: derivative consistency check skipped: {exc}", file=sys.stderr)
 
 
-def _write_convergence(job: Job, sections) -> None:
-    """Write the ladders to the job's ``--emit-convergence`` path; a path
-    that cannot be written is a usage error."""
+def _write_convergence(job: Job, text: str) -> None:
+    """Write the ladders' CSV ``text`` to the job's ``--emit-convergence``
+    path; a path that cannot be written is a usage error."""
     try:
         with open(job.emit_convergence, "w", encoding="utf-8") as fh:
-            fh.write(convergence_csv(sections))
+            fh.write(text)
     except OSError as exc:
         raise JobError(f"cannot write {job.emit_convergence}: {exc.strerror}") from None
 
@@ -418,7 +422,7 @@ def cmd_integrate(job: Job) -> int:
         anchor_r=job.anchor,
     )
     if job.emit_convergence:
-        _write_convergence(job, [("kh", report.kh_rows), ("basic_sum", report.bs_rows)])
+        _write_convergence(job, emit(report, "csv"))
     sys.stdout.write(emit(report, job.output, model=model))
     if not report.kh_trace:  # no certificate, or a stop at depth 0: the kh note says which
         print(f"error: {report.kh_verdict.note}", file=sys.stderr)
@@ -451,11 +455,12 @@ def cmd_verify(job: Job) -> int:
 def cmd_residues(job: Job) -> int:
     model = job.resolve_model()
     _surface_warnings(model, job.seed)
-    bs_rows, bs_verdict, residuals = residue_table(model, job.max_depth, job.tol,
-                                                   job.div_threshold)
+    bs_trace, bs_verdict, residuals = residue_table(model, job.max_depth, job.tol,
+                                                    job.div_threshold)
     summary = ResidualsSummary(basic_sum_verdict=bs_verdict, residuals=residuals)
-    if job.emit_convergence:
-        _write_convergence(job, [("basic_sum", bs_rows)])
+    if job.emit_convergence:  # at the anchor table's default r0
+        _write_convergence(job, convergence_csv(first_anchor_radius(model.span, model.E),
+                                                [("basic_sum", bs_trace)]))
     sys.stdout.write(emit(summary, job.output))
     return EXIT_OK
 

@@ -35,16 +35,19 @@
 * ``residue_check`` -- the degenerate case: when the derivative vanishes off
   the exceptional set, the endpoint difference of the extended function must
   equal the sum of the residuals.
-* ``residue_table`` -- the anchor-only ladders (basic-sum rows and verdict,
-  residual table) of the ``residues`` command; ``decompose`` runs the same
-  ladders and keeps the basic sum's trace, not its rows.  One anchor table
-  runs all of them up to its own ``max_depth``, one F call per table.
+* ``residue_table`` -- the anchor-only ladders (basic-sum trace and
+  verdict, residual table) of the ``residues`` command; ``decompose`` runs
+  the same ladders.  One anchor table runs all of them up to its own
+  ``max_depth``, one F call per table.
 * ``report_json`` -- the fixed six-key JSON envelope every report renders to.
 
 Each depth row is an independent pure computation; the tolerance rows read
 one witness build, the finest that succeeds.  Reports are assembled
 deterministically by index.  Each stop is read from one record: a failed
 row's from the raised ``BuildError``, a ladder's from its verdict's note.
+Every anchor ladder is handed back as one record, its ``(trace, verdict)``;
+the depth rows with their radii are a rendering of the command line's
+convergence CSV.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from .builders import BuildLimits, _straddle_runs
 from .errors import BuildError, NotLocallyConstant
 from .models import SingularFunctionModel, increment
 from .partition import first_anchor_radius
-from .sums import AnchorTable, KahanAccumulator, SequenceRow, _kahan_sum, depth_rows
+from .sums import AnchorTable, KahanAccumulator, _kahan_sum
 from .verdicts import (
     DIV_THRESHOLD,
     MAX_DEPTH,
@@ -302,11 +305,10 @@ class DecompositionReport:
     """What :func:`decompose` found.
 
     ``kh_trace`` and ``bs_trace`` are the kh and basic-sum ladders'
-    ``(depth, value)`` pairs, and ``r0`` the anchor radius of depth 0.  The
-    depth rows ``kh_rows`` and ``bs_rows`` are derived from them when read,
-    depth n at the radius r0 * 2^-n; ``to_json`` reads neither.  An empty
-    ``kh_trace`` means kh has no row: its f check failed, or its ladder
-    stopped at depth 0.
+    ``(depth, value)`` pairs, and ``r0`` the anchor radius of depth 0, so
+    depth n reads the radius r0 * 2^-n; ``to_json`` reads none of them.  An
+    empty ``kh_trace`` means kh has no row: its f check failed, or its
+    ladder stopped at depth 0.
     """
 
     total: float
@@ -321,14 +323,6 @@ class DecompositionReport:
     kh_trace: Trace
     bs_trace: Trace
     r0: float
-
-    @property
-    def kh_rows(self) -> Tuple[SequenceRow, ...]:
-        return depth_rows(self.r0, self.kh_trace)
-
-    @property
-    def bs_rows(self) -> Tuple[SequenceRow, ...]:
-        return depth_rows(self.r0, self.bs_trace)
 
     def to_json(self) -> dict:
         return report_json(
@@ -355,29 +349,20 @@ def residue_table(
     max_depth: int,
     tol: float,
     div_threshold: float,
-) -> Tuple[Tuple[SequenceRow, ...], ConvergenceVerdict, dict]:
-    """The anchor-only ladders: ``(bs_rows, bs_verdict, residuals)``.
+) -> Tuple[Trace, ConvergenceVerdict, dict]:
+    """The anchor-only ladders: ``(bs_trace, bs_verdict, residuals)``.
 
-    ``bs_rows`` are the basic-sum depth rows, ``bs_verdict`` their verdict
-    and ``residuals`` maps each exceptional point to its residual verdict.
-    All the ladders read one anchor table, one F call per table, over every
-    depth up to ``max_depth`` or the first that breaks the anchor rule.
-    With an empty exceptional set the basic sum is exactly 0 at depth 0.
+    ``bs_trace`` is the basic-sum ladder's ``(depth, value)`` pairs,
+    ``bs_verdict`` its verdict (both from :meth:`AnchorTable.basic_ladder`,
+    as in ``basic_sum_sequence`` and ``decompose``) and ``residuals`` maps
+    each exceptional point to its residual verdict.  All the ladders read
+    one anchor table, one F call per table, over every depth up to
+    ``max_depth`` or the first that breaks the anchor rule.  With an empty
+    exceptional set the basic sum is exactly 0 at depth 0.
     """
     table = AnchorTable(model, max_depth)
-    bs_trace, bs_verdict, residuals = _anchor_ladders(tol, div_threshold, table)
-    return table.rows(bs_trace), bs_verdict, residuals
-
-
-def _anchor_ladders(tol, div_threshold, table):
-    """:func:`residue_table` on the anchor table ``table``, the basic sum's
-    trace in place of its rows."""
-    E = table.model.E
-    if len(E) > 0:
-        trace, bs_verdict = table.ladder(table.basic, tol, div_threshold)
-    else:
-        trace, bs_verdict = ((0, 0.0),), Converged(value=0.0, error_estimate=0.0, depth=0)
-    return trace, bs_verdict, table.residuals(E, tol, div_threshold)
+    bs_trace, bs_verdict = table.basic_ladder(tol, div_threshold)
+    return bs_trace, bs_verdict, table.residuals(model.E, tol, div_threshold)
 
 
 def decompose(
@@ -413,8 +398,7 @@ def decompose(
     than the certificate, and every row after a failed certificate, builds
     its own partition at ``anchor_r`` (default r0), as in ``total_kh``.
 
-    The report keeps the kh and basic-sum ladders' traces and r0; their
-    depth rows are built only when ``kh_rows`` or ``bs_rows`` is read.
+    The report keeps the kh and basic-sum ladders' traces and r0.
     """
     table = AnchorTable(model, max_depth)
     total = increment(model, model.span)
@@ -423,7 +407,8 @@ def decompose(
                                                       epsilons)
     verification = _verification(model, total, epsilons, anchor_r, limits, certificate)
 
-    bs_trace, bs_verdict, residuals = _anchor_ladders(tol, div_threshold, table)
+    bs_trace, bs_verdict = table.basic_ladder(tol, div_threshold)
+    residuals = table.residuals(model.E, tol, div_threshold)
 
     identity_gap = None
     if isinstance(kh_verdict, Converged) and isinstance(bs_verdict, Converged):

@@ -14,7 +14,8 @@
   :class:`AnchorTable` holds the cell increments of every depth from one F
   call per table: entry i of depth n's row is the residual term of E's
   point i, and the row's Kahan sum is the basic-sum term.  The table runs
-  every anchor ladder, up to its own ``max_depth``.
+  every anchor ladder, up to its own ``max_depth``, and hands each back as
+  one record, ``(trace, verdict)``.
 
 Restricted sums cannot telescope, so they use compensated accumulation:
 numpy's pairwise reduction within a batch and a Kahan accumulator across
@@ -34,7 +35,8 @@ from .errors import AnchorOverlapError, EvaluationError
 from .models import SingularFunctionModel, _shaped_values, increment
 from .partition import (Interval, TaggedPartition, anchor_cells, anchor_grid,
                         first_anchor_radius, restriction_mask)
-from .verdicts import DIV_THRESHOLD, MAX_DEPTH, TOL, ConvergenceVerdict, Trace, run_ladder
+from .verdicts import (DIV_THRESHOLD, MAX_DEPTH, TOL, Converged, ConvergenceVerdict, Trace,
+                       run_ladder)
 
 
 class KahanAccumulator:
@@ -113,20 +115,6 @@ def _kahan_rows(values: np.ndarray) -> np.ndarray:
         carry = (t - total) - y
         total = t
     return total
-
-
-@dataclass(frozen=True)
-class SequenceRow:
-    depth: int
-    r: float      # the anchor radius whose basic sum the depth reads
-    value: float
-
-
-def depth_rows(r0: float, trace: Trace) -> Tuple[SequenceRow, ...]:
-    """A ladder's trace as depth rows, depth n at the anchor radius r0 * 2^-n
-    (the expression of :meth:`AnchorTable.radius`, so the radii agree bit
-    for bit)."""
-    return tuple(SequenceRow(n, r0 * 0.5**n, v) for n, v in trace)
 
 
 class AnchorTable:
@@ -211,9 +199,13 @@ class AnchorTable:
         return run_ladder(lambda n: (n, value_at(n)), self.max_depth, tol, div_threshold,
                           _ANCHOR_STOPS)
 
-    def rows(self, trace: Trace) -> Tuple[SequenceRow, ...]:
-        """A ladder's trace as depth rows with the anchor radius of each depth."""
-        return depth_rows(self.r0, trace)
+    def basic_ladder(self, tol, div_threshold) -> Tuple[Trace, ConvergenceVerdict]:
+        """The basic-sum ladder: :meth:`ladder` over :meth:`basic`.  The sum
+        over an empty E is exactly 0, so with no point it converges to 0.0
+        at depth 0, trace ``((0, 0.0),)``."""
+        if not self.model.E:
+            return ((0, 0.0),), Converged(value=0.0, error_estimate=0.0, depth=0)
+        return self.ladder(self.basic, tol, div_threshold)
 
     def residuals(self, points, tol, div_threshold) -> dict:
         """Residual verdict per point of ``points`` (points of E), in order,
@@ -239,13 +231,13 @@ def basic_sum_sequence(
     verdict's note (``depth n: <reason>``) rather than raising, and a depth
     with a non-finite F value or an overflowing increment ends it as a
     residual ladder ends (``F evaluation failed at depth n: <reason>``).
+    The sum over an empty E is exactly 0: trace ``((0, 0.0),)``, converged
+    at depth 0.  This is :meth:`AnchorTable.basic_ladder`, the ladder that
+    ``residue_table`` and ``decompose`` run.
 
-    Raises ``ValueError`` when E is empty or ``max_depth`` is negative.
+    Raises ``ValueError`` when ``max_depth`` is negative.
     """
-    if len(model.E) == 0:
-        raise ValueError("basic sum requires a nonempty exceptional set")
-    table = AnchorTable(model, max_depth, schedule.r0)
-    return table.ladder(table.basic, tol, div_threshold)
+    return AnchorTable(model, max_depth, schedule.r0).basic_ladder(tol, div_threshold)
 
 
 def residual_estimate(

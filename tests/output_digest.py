@@ -1,4 +1,5 @@
-"""Print one digest of the ``gaugeint`` command line's outputs on the catalog.
+"""Print a digest of ``gaugeint``'s outputs on the catalog: the command line's,
+then the library reports'.
 
     python tests/output_digest.py               # this tree's src/
     python tests/output_digest.py SRC [SRC...]  # each of these src/ trees
@@ -15,6 +16,14 @@ standard output, standard error and convergence file go into one SHA-256,
 with the convergence file's temporary path replaced by a fixed name.  The
 script prints ``<runs> runs <sha256>``; two trees that print the same line
 print the same bytes on every one of these runs.
+
+A second line, ``<reports> reports <sha256>``, hashes the library reports
+the command line does not print in full: per catalog model, ``decompose``
+at ``max_depth`` 12, 20, 40 and 60, each at ``div_threshold`` 1e12 and 100
+(its JSON document, kh and basic-sum traces, identity gap and residue-sum
+gap), ``total_kh``'s rows and ``plain_kh``'s verdict: 70 reports.  It reads
+only report fields that have not changed since traces replaced depth rows,
+so a parent tree from then on runs it too.
 """
 
 from __future__ import annotations
@@ -70,16 +79,40 @@ def digest() -> str:
     return f"{runs} runs {sha.hexdigest()}"
 
 
+def library_digest() -> str:
+    from gaugeint import decompose, plain_kh, total_kh
+    from gaugeint.catalog import CATALOG_NAMES, catalog
+
+    sha = hashlib.sha256()
+    reports = 0
+    for name in CATALOG_NAMES:
+        model = catalog(name)
+        for max_depth in (12, 20, 40, 60):
+            for div_threshold in (1e12, 100.0):
+                report = decompose(model, max_depth=max_depth, div_threshold=div_threshold)
+                record = [name, max_depth, div_threshold, report.to_json(), report.kh_trace,
+                          report.bs_trace, report.identity_gap, report.residue_sum_gap]
+                sha.update(json.dumps(record).encode() + b"\n")
+                reports += 1
+        rows = [row.to_json() for row in total_kh(model).rows]
+        sha.update(json.dumps([name, "total_kh", rows]).encode() + b"\n")
+        sha.update(json.dumps([name, "plain_kh", repr(plain_kh(model))]).encode() + b"\n")
+        reports += 2
+    return f"{reports} reports {sha.hexdigest()}"
+
+
 def main(args) -> None:
     if args[:1] == ["--one"]:  # a child: digest the src/ it was handed
         sys.path.insert(0, args[1])
         print(digest())
+        print(library_digest())
         return
     own = str(Path(__file__).resolve().parents[1] / "src")
     for src in args or [own]:
-        line = subprocess.run([sys.executable, __file__, "--one", os.path.abspath(src)],
-                              check=True, capture_output=True, text=True).stdout.strip()
-        print(f"{line}  {src}" if args else line)
+        lines = subprocess.run([sys.executable, __file__, "--one", os.path.abspath(src)],
+                               check=True, capture_output=True, text=True).stdout.splitlines()
+        for line in lines:
+            print(f"{line}  {src}" if args else line)
 
 
 if __name__ == "__main__":

@@ -60,10 +60,10 @@ def test_criterion_1_heaviside_complete_decomposition():
         assert abs(report.total - 1.0) <= 1e-12
         assert isinstance(report.kh_verdict, Converged)
         assert report.kh_verdict.value == 0.0
-        assert all(row.value == 0.0 for row in report.kh_rows)
+        assert all(value == 0.0 for _, value in report.kh_trace)
         assert isinstance(report.basic_sum_verdict, Converged)
         assert report.basic_sum_verdict.value == 1.0
-        assert all(row.value == 1.0 for row in report.bs_rows)
+        assert all(value == 1.0 for _, value in report.bs_trace)
         assert report.residuals[0.0] == Converged(value=1.0, error_estimate=0.0, depth=3)
         assert report.identity_gap <= 1e-12
 

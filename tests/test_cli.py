@@ -80,8 +80,9 @@ class TestProcess:
         assert counts[0] > 0 and counts[1:] == [0, 0]
 
     def test_catalog_outputs_repeat_across_hash_seeds(self):
-        # output_digest.py hashes 126 catalog runs of every command, each in
-        # a fresh interpreter; reports must stay byte-identical across runs
+        # output_digest.py hashes 126 catalog runs of every command and 70
+        # library reports, each in a fresh interpreter; reports must stay
+        # byte-identical across runs
         lines = []
         for seed in ("1", "2"):
             done = subprocess.run([sys.executable, str(Path(__file__).parent / "output_digest.py")],
@@ -89,7 +90,7 @@ class TestProcess:
                                   env={**os.environ, "PYTHONHASHSEED": seed})
             assert done.returncode == 0, done.stderr
             lines.append(done.stdout)
-        assert re.fullmatch(r"126 runs [0-9a-f]{64}\n", lines[0])
+        assert re.fullmatch(r"126 runs [0-9a-f]{64}\n70 reports [0-9a-f]{64}\n", lines[0])
         assert lines[1] == lines[0]
 
 
@@ -258,7 +259,7 @@ class TestExitCodes:
         assert out.returncode == 3
         report = decompose(cli.job_from_args(
             cli.build_arg_parser().parse_args(("integrate",) + argv)).resolve_model())
-        assert report.kh_rows == () and report.kh_verdict.note.startswith(note)
+        assert report.kh_trace == () and report.kh_verdict.note.startswith(note)
         assert out.stderr.splitlines()[-1] == f"error: {report.kh_verdict.note}"
 
     @pytest.mark.parametrize("argv,failed", [

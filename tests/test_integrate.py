@@ -34,7 +34,7 @@ from gaugeint import (
 )
 from gaugeint.builders import straddle_chunks
 from gaugeint.partition import anchor_cells
-from gaugeint import integrate, sums
+from gaugeint import cli, integrate
 from gaugeint.integrate import EPSILONS, _straddle_sums
 from gaugeint.sums import AnchorTable
 from gaugeint.verdicts import DIV_THRESHOLD, MAX_DEPTH, TOL, SequenceClassifier
@@ -45,7 +45,7 @@ ENVELOPE = {"total", "verification", "kh", "basic_sum", "residuals", "identity_g
 
 
 def residues_summary(model):
-    bs_rows, bs_verdict, residuals = residue_table(model, 20, 1e-6, 1e12)
+    _, bs_verdict, residuals = residue_table(model, 20, 1e-6, 1e12)
     return ResidualsSummary(basic_sum_verdict=bs_verdict, residuals=residuals)
 
 
@@ -416,7 +416,7 @@ class TestBuildDiagnostic:
     def test_equals_kh_note_when_a_build_fails(self):
         # the f check passes the pair cap, so kh shows no row
         report = decompose(catalog("parabola"), limits=BuildLimits(max_pairs=50))
-        assert report.kh_rows == ()
+        assert report.kh_trace == ()
         assert kh_note(report).startswith("build failed in the f check ")
 
     @pytest.mark.parametrize("name, max_depth, kind", [
@@ -525,7 +525,7 @@ class TestReachabilityPrune:
         # the basic sum still moves by more than tol at depth 20
         report = decompose(catalog(name))
         assert report.kh_verdict.note == "no verdict by max depth 20"
-        assert [row.depth for row in report.kh_rows] == list(range(21))
+        assert [depth for depth, _ in report.kh_trace] == list(range(21))
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_plain_kh_agrees_with_decompose(self, name):
@@ -705,7 +705,7 @@ class TestDecompose:
             row.epsilon for row in alone]
         assert not any(own.ok and not row.ok
                        for row, own in zip(report.verification.rows, alone))
-        if report.kh_rows == ():
+        if report.kh_trace == ():
             assert report.verification.rows == alone
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -777,29 +777,57 @@ class TestDecompose:
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_json_reports_build_no_depth_row(self, name, monkeypatch):
-        # the report keeps the ladders' traces: its JSON document, and the
-        # integrate command's JSON output, read no depth row
+        # depth rows are the convergence CSV's rendering alone: the report's
+        # JSON document and the integrate and residues commands' JSON output
+        # render no ladder
         model = catalog(name)
-        argv = ["integrate", "--catalog", name, "--output", "json"]
-        want = repr(decompose(model).to_json()), run_captured(argv)
+        argvs = [[command, "--catalog", name, "--output", "json"]
+                 for command in ("integrate", "residues")]
 
-        def no_row(*args):
-            raise AssertionError("a depth row was built")
+        def outputs():
+            return repr(decompose(model).to_json()), [run_captured(argv) for argv in argvs]
 
-        monkeypatch.setattr(sums, "SequenceRow", no_row)
-        monkeypatch.setattr(integrate, "SequenceRow", no_row)
-        assert (repr(decompose(model).to_json()), run_captured(argv)) == want
+        want = outputs()
 
-    @pytest.mark.parametrize("max_depth", [12, 20, 40])
+        def no_rows(*args):
+            raise AssertionError("a ladder was rendered")
+
+        monkeypatch.setattr(cli, "convergence_csv", no_rows)
+        assert outputs() == want
+
+    @pytest.mark.parametrize("max_depth", [12, 20, 40, 45])
     @pytest.mark.parametrize("name", CATALOG_NAMES)
-    def test_rows_are_the_anchor_table_rows(self, name, max_depth):
+    def test_rows_are_the_anchor_table_rows(self, name, max_depth, tmp_path):
+        # every convergence CSV row is its ladder's (depth, value), at the
+        # anchor radius of its depth, bit for bit
         model = catalog(name)
+        sched = RefinementSchedule.for_model(model)
         report = decompose(model, max_depth=max_depth)
-        table = AnchorTable(model, max_depth)
-        for rows, trace in ((report.kh_rows, report.kh_trace),
-                            (report.bs_rows, report.bs_trace)):
-            assert repr(list(map(dataclasses.astuple, rows))) == repr(
-                list(map(dataclasses.astuple, table.rows(trace))))
+        bs_trace, _, _ = residue_table(model, max_depth, TOL, DIV_THRESHOLD)
+        path = tmp_path / "convergence.csv"
+        for command, want in (("integrate", {"kh": report.kh_trace,
+                                             "basic_sum": report.bs_trace}),
+                              ("residues", {"basic_sum": bs_trace})):
+            run_captured([command, "--catalog", name, "--max-depth", str(max_depth),
+                          "--emit-convergence", str(path)])
+            sections = convergence_sections(path.read_text(encoding="utf-8"))
+            assert list(sections) == list(want)
+            for series, rows in sections.items():
+                assert repr([(depth, value) for depth, _, value in rows]) == repr(
+                    list(want[series]))
+                assert all(r == sched.at(depth).r for depth, r, _ in rows)
+
+
+def convergence_sections(text):
+    """``{series: [(depth, r, value), ...]}`` of a convergence CSV."""
+    sections = {}
+    for line in text.splitlines():
+        if line.startswith("# series: "):
+            rows = sections[line.removeprefix("# series: ")] = []
+        elif line != "depth,r,value,delta":
+            depth, r, value, _ = line.split(",")
+            rows.append((int(depth), float(r), float(value)))
+    return sections
 
 
 def run_captured(argv):

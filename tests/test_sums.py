@@ -1,7 +1,10 @@
 import dataclasses
+import io
 import itertools
+import json
 import random
 import sys
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -39,7 +42,8 @@ from gaugeint.sums import (
     SumBreakdown,
     _kahan_sum,
 )
-from gaugeint.verdicts import DIV_THRESHOLD, TOL, run_ladder
+from gaugeint.cli import run
+from gaugeint.verdicts import DIV_THRESHOLD, TOL, run_ladder, verdict_to_json
 
 
 def random_partition(rng, span, max_cells=40):
@@ -194,15 +198,29 @@ class TestBasicSumSequence:
         assert isinstance(verdict, Converged)
         assert abs(verdict.value) <= 1e-4
 
-    def test_empty_exceptional_set_rejected(self):
+    def test_empty_exceptional_set_sums_to_zero(self):
+        # the sum over an empty E is exactly 0: every basic-sum ladder gives
+        # the one answer, converged at depth 0
         model = SingularFunctionModel(
-            F=lambda x: np.asarray(x, dtype=float),
-            f=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+            F=lambda x: np.asarray(x, dtype=float) ** 2,
+            f=lambda x: 2.0 * np.asarray(x, dtype=float),
             E=ExceptionalSet(), span=Interval(0.0, 1.0),
         )
         sched = RefinementSchedule.for_model(model)
-        with pytest.raises(ValueError):
-            basic_sum_sequence(model, sched)
+        converged = Converged(value=0.0, error_estimate=0.0, depth=0)
+        zero = repr((((0, 0.0),), converged))
+        for max_depth in (0, 20):
+            assert repr(basic_sum_sequence(model, sched, max_depth=max_depth)) == zero
+            assert repr(residue_table(model, max_depth, TOL, DIV_THRESHOLD)[:2]) == zero
+            report = decompose(model, max_depth=max_depth)
+            assert repr((report.bs_trace, report.basic_sum_verdict)) == zero
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = run(["residues", "--function", "x^2", "--derivative", "2*x",
+                            "--span", "0,1", "--exceptional=", "--max-depth", str(max_depth),
+                            "--output", "json"])
+            assert code == 0
+            assert json.loads(out.getvalue())["basic_sum"] == verdict_to_json(converged)
 
     def test_anchor_increments_matches_restricted_sum(self):
         model = catalog("staircase3")
@@ -247,8 +265,8 @@ class TestSharedAnchorRow:
     def test_residue_table_makes_one_F_call_per_table(self, name, depths):
         # the ladders read ``depths`` depths of the 21 the one call covers
         model, calls = counting(catalog(name))
-        bs_rows, _, _ = residue_table(model, 20, 1e-6, 1e12)
-        assert len(bs_rows) == depths
+        bs_trace, _, _ = residue_table(model, 20, 1e-6, 1e12)
+        assert len(bs_trace) == depths
         assert calls == [2 * len(model.E) * 21]
 
     def test_residue_check_shares_the_row(self):
@@ -386,31 +404,23 @@ class TestAnchorTable:
             return run_ladder(lambda n: (n, value(n)), max_depth, TOL, DIV_THRESHOLD,
                               _ANCHOR_STOPS)
 
-        def radii(trace):
-            return repr(tuple((n, sched.at(n).r, v) for n, v in trace))
-
-        def rows(sequence_rows):
-            return repr(tuple((row.depth, row.r, row.value) for row in sequence_rows))
-
         basic = ladder(lambda n: _kahan_sum(reference_row(model, sched, n)))
         residuals = {e: ladder(lambda n, i=i: reference_term(model, sched, n, i))[1]
                      for i, e in enumerate(model.E)}
         assert repr(basic_sum_sequence(model, sched, max_depth=max_depth)) == repr(basic)
-        bs_rows, bs_verdict, table = residue_table(model, max_depth, TOL, DIV_THRESHOLD)
-        assert repr(tuple((row.depth, row.value) for row in bs_rows)) == repr(basic[0])
-        assert repr(bs_verdict) == repr(basic[1])
+        bs_trace, bs_verdict, table = residue_table(model, max_depth, TOL, DIV_THRESHOLD)
+        assert repr((bs_trace, bs_verdict)) == repr(basic)
         assert repr(table) == repr(residuals)
         assert repr({e: residual_estimate(model, e, sched, max_depth=max_depth)
                      for e in model.E}) == repr(residuals)
         report = decompose(model, max_depth=max_depth)
-        assert rows(report.bs_rows) == radii(basic[0])
-        assert repr(report.basic_sum_verdict) == repr(basic[1])
+        assert report.r0 == sched.r0
+        assert repr((report.bs_trace, report.basic_sum_verdict)) == repr(basic)
         assert repr(report.residuals) == repr(residuals)
-        if report.kh_rows:
+        if report.kh_trace:
             total = increment(model, model.span)
             kh = ladder(lambda n: total - _kahan_sum(reference_row(model, sched, n)))
-            assert rows(report.kh_rows) == radii(kh[0])
-            assert repr(report.kh_verdict) == repr(kh[1])
+            assert repr((report.kh_trace, report.kh_verdict)) == repr(kh)
         else:
             assert report.kh_verdict.note.startswith("build failed")
 

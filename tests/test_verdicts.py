@@ -317,10 +317,6 @@ class TestMatchesWindowedClassifier:
         assert results[:-1] == [None] * (len(values) - 1)
 
 
-def as_trace(rows):
-    return tuple((row.depth, row.value) for row in rows)
-
-
 class TestCatalogLaddersMatchWindowedClassifier:
     @pytest.mark.parametrize("max_depth", [MAX_DEPTH, 60])
     @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -335,8 +331,8 @@ class TestCatalogLaddersMatchWindowedClassifier:
             residuals[e] = windowed_ladder(lambda n: table.term(n, i), max_depth)[1]
             assert repr(residual_estimate(model, e, sched, max_depth=max_depth)) == repr(
                 residuals[e])
-        bs_rows, bs_verdict, got = residue_table(model, max_depth, TOL, DIV_THRESHOLD)
-        assert repr((as_trace(bs_rows), bs_verdict)) == repr(bs)
+        bs_trace, bs_verdict, got = residue_table(model, max_depth, TOL, DIV_THRESHOLD)
+        assert repr((bs_trace, bs_verdict)) == repr(bs)
         assert repr(got) == repr(residuals)
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -346,9 +342,9 @@ class TestCatalogLaddersMatchWindowedClassifier:
         total = increment(model, model.span)
         report = decompose(model)
         kh = windowed_ladder(lambda n: total - table.basic(n), MAX_DEPTH)
-        assert repr((as_trace(report.kh_rows), report.kh_verdict)) == repr(kh)
+        assert repr((report.kh_trace, report.kh_verdict)) == repr(kh)
         bs = windowed_ladder(table.basic, MAX_DEPTH)
-        assert repr((as_trace(report.bs_rows), report.basic_sum_verdict)) == repr(bs)
+        assert repr((report.bs_trace, report.basic_sum_verdict)) == repr(bs)
 
 
 class TestJson:
