@@ -18,8 +18,17 @@ Grammar (whitespace insignificant)::
                 | NAME "(" expr ("," expr)* ")" | "(" expr ")"
 
 Numeric literals: decimal digits with optional fraction and optional
-exponent (``1``, ``0.5``, ``1e-3``).  Calls: sin cos tan exp log sqrt abs
+exponent (``1``, ``0.5``, ``1e-3``).  A literal is finite: one that
+overflows binary64 (``1e400``) is a :class:`ParseError`, and one that
+underflows (``1e-400``) reads as 0.  Calls: sin cos tan exp log sqrt abs
 sign (1-argument), min max (2-argument).  ``log`` is the natural logarithm.
+
+A text nests at most 200 levels deep, or it is a :class:`ParseError` at the
+token that opens level 201.  Each parenthesis, call, unary minus and binary
+operator opens a level that lasts to the end of its operand, and an
+operator's to the end of its chain, so ``x+x+x`` is 2 deep.  Every tree
+:func:`parse` returns is then printed, compiled and evaluated well inside
+Python's default recursion limit.
 
 Evaluation is real-valued.  A point is undefined where any subexpression
 is: division by zero, log of a nonpositive value, sqrt of a negative value, a
@@ -168,6 +177,19 @@ _REL = {
 _LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 _UNARY_LEVEL, _ATOM_LEVEL = 3, 5
 
+
+def _operand_levels(op: str) -> Tuple[int, int]:
+    """The levels ``op``'s left and right operands are read at, and printed
+    at without parentheses: a left-associative operator binds its right
+    operand one level tighter; ``^`` takes an atom and a unary."""
+    return (_ATOM_LEVEL, _UNARY_LEVEL) if op == "^" else (_LEVEL[op], _LEVEL[op] + 1)
+
+
+# The deepest tree a text may nest (see ``_Parser.parse_expr``): deep enough
+# for any hand-written function, shallow enough that printing, compiling
+# and evaluating the tree stay far inside Python's default recursion limit.
+_MAX_DEPTH = 200
+
 # One match skips the spaces before a token and reads it; the group that
 # matched names the token's kind, and none matches where no token starts.
 # ``\s`` accepts exactly the characters ``str.isspace`` does, and the
@@ -225,12 +247,13 @@ class _Parser:
     def at_punct(self, *texts: str) -> bool:
         return self.cur.kind == "PUNCT" and self.cur.text in texts
 
-    def separated(self, item, sep: str) -> list:
-        """``item (sep item)*``; no token but ``sep`` itself has its text."""
-        items = [item()]
+    def separated(self, item, sep: str, *args) -> list:
+        """``item (sep item)*``, each ``item`` called with ``args``; no token
+        but ``sep`` itself has its text."""
+        items = [item(*args)]
         while self.cur.text == sep:
             self.advance()
-            items.append(item())
+            items.append(item(*args))
         return items
 
     # definition ------------------------------------------------------------
@@ -273,45 +296,54 @@ class _Parser:
         # literal (optionally signed) or the variable; sign folds into the literal
         if self.at_punct("-"):
             self.advance()
-            if self.cur.kind != "NUM":
-                self.fail("a number")
-            return Num(-float(self.advance().text))
+            return self.parse_number(-1.0)
         if self.cur.kind == "NUM":
-            return Num(float(self.advance().text))
+            return self.parse_number()
         if self.cur.kind == "NAME" and self.cur.text == "x":
             self.advance()
             return Var()
         self.fail("a number", "'x'")
 
+    def parse_number(self, sign: float = 1.0) -> Num:
+        """The literal here times ``sign``; one that overflows binary64 is an
+        error (one that underflows reads as zero)."""
+        if self.cur.kind != "NUM":
+            self.fail("a number")
+        if float(self.cur.text) == math.inf:
+            self.fail("a finite number")
+        return Num(sign * float(self.advance().text))
+
     # expressions -----------------------------------------------------------
 
-    def parse_expr(self, level: int = 1) -> Node:
-        """Precedence climbing over unary operands: the left-associative
-        binary operators of ``level`` and up, below ``_UNARY_LEVEL``."""
-        node = self.parse_unary()
-        while self.cur.kind == "PUNCT" and level <= _LEVEL.get(self.cur.text, 0) < _UNARY_LEVEL:
+    def nest(self, depth: int) -> int:
+        """``depth + 1``, the level the current token opens."""
+        if depth == _MAX_DEPTH:
+            self.fail(f"at most {_MAX_DEPTH} nested levels")
+        return depth + 1
+
+    def parse_expr(self, level: int = 1, depth: int = 0) -> Node:
+        """Precedence climbing: an operand, then every operator of ``level``
+        and up, each taking its right operand at the level
+        :func:`_operand_levels` gives.  A unary minus, an operator, a
+        parenthesis and a call each open one level of ``depth``; an
+        operator's level lasts to the end of its chain, as deep as the
+        chain stacks its operands."""
+        if self.at_punct("-"):
+            depth = self.nest(depth)
+            self.advance()
+            node = Unary("-", self.parse_expr(_UNARY_LEVEL, depth))
+        else:
+            node = self.parse_atom(depth)
+        while _LEVEL.get(self.cur.text, 0) >= level:
+            depth = self.nest(depth)
             op = self.advance().text
-            node = Bin(op, node, self.parse_expr(_LEVEL[op] + 1))
+            node = Bin(op, node, self.parse_expr(_operand_levels(op)[1], depth))
         return node
 
-    def parse_unary(self) -> Node:
-        if self.at_punct("-"):
-            self.advance()
-            return Unary("-", self.parse_unary())
-        return self.parse_power()
-
-    def parse_power(self) -> Node:
-        base = self.parse_atom()
-        if self.at_punct("^"):
-            self.advance()
-            return Bin("^", base, self.parse_unary())
-        return base
-
-    def parse_atom(self) -> Node:
+    def parse_atom(self, depth: int) -> Node:
         tok = self.cur
         if tok.kind == "NUM":
-            self.advance()
-            return Num(float(tok.text))
+            return self.parse_number()
         if tok.kind == "NAME":
             if tok.text == "x":
                 self.advance()
@@ -320,9 +352,10 @@ class _Parser:
                 self.advance()
                 return Const(tok.text)
             if tok.text in FUNCTIONS:
+                inner = self.nest(depth)
                 self.advance()
                 self.expect("(")
-                args = self.separated(self.parse_expr, ",")
+                args = self.separated(self.parse_expr, ",", 1, inner)
                 closing = self.cur
                 self.expect(")")
                 if len(args) != FUNCTIONS[tok.text]:
@@ -334,8 +367,9 @@ class _Parser:
                 return Call(tok.text, tuple(args))
             self.fail("a number", "'x'", *(f"'{c}'" for c in _CONSTANTS), "a function name")
         if self.at_punct("("):
+            inner = self.nest(depth)
             self.advance()
-            node = self.parse_expr()
+            node = self.parse_expr(1, inner)
             self.expect(")")
             return node
         self.fail("a number", "'x'", "'('")
@@ -361,17 +395,10 @@ def _render(node: Node, min_level: int = 1) -> str:
         text = "-" + _render(node.operand, _UNARY_LEVEL)
         return f"({text})" if _UNARY_LEVEL < min_level else text
     if isinstance(node, Bin):
-        lvl = _LEVEL[node.op]
-        if node.op == "^":
-            # left operand must be an atom; right may be a unary chain
-            text = _render(node.left, _ATOM_LEVEL) + "^" + _render(node.right, _UNARY_LEVEL)
-        else:
-            text = (
-                _render(node.left, lvl)
-                + f" {node.op} "
-                + _render(node.right, lvl + 1)
-            )
-        return f"({text})" if lvl < min_level else text
+        left, right = _operand_levels(node.op)
+        sep = "^" if node.op == "^" else f" {node.op} "
+        text = _render(node.left, left) + sep + _render(node.right, right)
+        return f"({text})" if _LEVEL[node.op] < min_level else text
     if isinstance(node, Call):
         return node.name + "(" + ", ".join(_render(a, 1) for a in node.args) + ")"
     if isinstance(node, Piecewise):

@@ -11,7 +11,11 @@ Per catalog model it runs ``integrate``, ``verify`` and ``residues`` with
 each ``--output`` (json, csv, table); ``integrate`` at ``--max-depth 45``
 (csv), ``--tol 2e-3`` (json), ``--max-depth 0`` and ``--anchor 0.01``;
 ``partition`` with each builder; and ``integrate`` and ``residues`` with
-``--emit-convergence``: 126 runs, in process.  Each run's argv, exit code,
+``--emit-convergence``.  Then, on the mini-language path, it runs ``parse``
+(json and table) of each model's ``dsl_F`` and ``dsl_f``, and ``integrate``,
+``verify`` and ``residues --output json`` with the model's texts, span and
+exceptional points given as flags: 126 + 49 = 175 runs, in process.  Each
+run's argv, exit code,
 standard output, standard error and convergence file go into one SHA-256,
 with the convergence file's temporary path replaced by a fixed name.  The
 script prints ``<runs> runs <sha256>``; two trees that print the same line
@@ -41,10 +45,10 @@ from pathlib import Path
 CONVERGENCE = "CONVERGENCE.csv"  # the name hashed in place of the temporary path
 
 
-def argvs(names):
+def argvs(entries):
     """The argv of every run, in order; ``CONVERGENCE`` marks the path."""
-    for name in names:
-        model = ["--catalog", name]
+    for entry in entries:
+        model = ["--catalog", entry.name]
         for command in ("integrate", "verify", "residues"):
             for output in ("json", "csv", "table"):
                 yield [command, *model, "--output", output]
@@ -56,17 +60,27 @@ def argvs(names):
             yield ["partition", *model, "--builder", builder]
         for command in ("integrate", "residues"):
             yield [command, *model, "--emit-convergence", CONVERGENCE]
+    for entry in entries:
+        for text in (entry.dsl_F, entry.dsl_f):
+            for output in ("json", "table"):
+                yield ["parse", "--function", text, "--output", output]
+        span = entry.model.span
+        model = ["--function", entry.dsl_F, "--derivative", entry.dsl_f,
+                 f"--span={span.lo!r},{span.hi!r}",
+                 "--exceptional=" + ",".join(map(repr, entry.model.E))]
+        for command in ("integrate", "verify", "residues"):
+            yield [command, *model, "--output", "json"]
 
 
 def digest() -> str:
     from gaugeint import cli
-    from gaugeint.catalog import CATALOG_NAMES
+    from gaugeint.catalog import CATALOG_NAMES, catalog_entry
 
     sha = hashlib.sha256()
     runs = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, CONVERGENCE)
-        for argv in argvs(CATALOG_NAMES):
+        for argv in argvs([catalog_entry(name) for name in CATALOG_NAMES]):
             if os.path.exists(path):
                 os.remove(path)
             out, err = io.StringIO(), io.StringIO()

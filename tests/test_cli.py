@@ -28,6 +28,7 @@ from gaugeint import (
 from gaugeint.builders import anchored_gauge_for
 from gaugeint.catalog import CATALOG_NAMES
 from gaugeint.integrate import EPSILONS
+from test_dsl import DEEP_SHAPES, MAX_DEPTH
 from test_partition import reference_csv
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -80,9 +81,9 @@ class TestProcess:
         assert counts[0] > 0 and counts[1:] == [0, 0]
 
     def test_catalog_outputs_repeat_across_hash_seeds(self):
-        # output_digest.py hashes 126 catalog runs of every command and 70
-        # library reports, each in a fresh interpreter; reports must stay
-        # byte-identical across runs
+        # output_digest.py hashes 126 catalog runs of every command, 49 runs
+        # on the catalog's mini-language texts and 70 library reports, each
+        # in a fresh interpreter; reports must stay byte-identical across runs
         lines = []
         for seed in ("1", "2"):
             done = subprocess.run([sys.executable, str(Path(__file__).parent / "output_digest.py")],
@@ -90,7 +91,7 @@ class TestProcess:
                                   env={**os.environ, "PYTHONHASHSEED": seed})
             assert done.returncode == 0, done.stderr
             lines.append(done.stdout)
-        assert re.fullmatch(r"126 runs [0-9a-f]{64}\n70 reports [0-9a-f]{64}\n", lines[0])
+        assert re.fullmatch(r"175 runs [0-9a-f]{64}\n70 reports [0-9a-f]{64}\n", lines[0])
         assert lines[1] == lines[0]
 
 
@@ -949,9 +950,40 @@ class TestParseCommand:
         assert out.returncode == 2
         assert "position 15" in out.stderr
 
+    def test_overflowing_literal_is_two(self):
+        out = run_cli("parse", "1e400")
+        assert (out.returncode, out.stdout) == (2, "")
+        assert "expected a finite number" in out.stderr
+
     def test_consistency_warning_on_stderr(self):
         # mildly wrong derivative passes a loose straddle check at eps=0.05
         # but trips the central-difference warning
         out = run_cli("verify", "--function", "x^2", "--derivative", "2*x + 0.01",
                       "--span", "0,1", "--epsilon", "5e-2")
         assert "warning" in out.stderr
+
+
+class TestDepthBound:
+    # a sum of MAX_DEPTH + 1 terms, MAX_DEPTH levels deep, and its derivative
+    SUM = ("--function", DEEP_SHAPES["sum"][0](MAX_DEPTH), "--derivative", str(MAX_DEPTH + 1),
+           "--span", "0,1", "--exceptional=")
+
+    def test_integrate_at_the_bound(self):
+        out = run_cli("integrate", *self.SUM, "--output", "json")
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["total"] == MAX_DEPTH + 1
+
+    @pytest.mark.parametrize("past", [1, 10 * MAX_DEPTH])
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_parse_past_the_bound_is_two(self, shape, past):
+        # --function= keeps a text of minus signs from reading as an option
+        out = run_cli("parse", f"--function={DEEP_SHAPES[shape][0](MAX_DEPTH + past)}")
+        assert (out.returncode, out.stdout) == (2, "")
+        assert f"expected at most {MAX_DEPTH} nested levels" in out.stderr
+
+    def test_integrate_past_the_bound_is_two(self):
+        terms = 10 * MAX_DEPTH + 1
+        out = run_cli("integrate", "--function", "+".join(["x"] * terms),
+                      "--derivative", str(terms), "--span", "0,1", "--exceptional=")
+        assert (out.returncode, out.stdout) == (2, "")
+        assert f"expected at most {MAX_DEPTH} nested levels" in out.stderr

@@ -133,7 +133,8 @@ class TestParse:
             parse("1 + 2 )")
 
     def test_number_forms(self):
-        for text, value in (("1", 1.0), ("0.5", 0.5), ("1e-3", 1e-3), ("2E+4", 2e4)):
+        for text, value in (("1", 1.0), ("0.5", 0.5), ("1e-3", 1e-3), ("2E+4", 2e4),
+                            ("1e-400", 0.0)):
             assert parse(text).ast == Num(value)
 
     def test_chained_comparison(self):
@@ -159,8 +160,21 @@ class TestParse:
         ("piecewise x", 10, ("'{'",), "'x'"),
         ("piecewise{ x : 1 }", 13, ("a comparison operator",), "':'"),
         ("piecewise{ -x < 0 : 1 }", 12, ("a number",), "'x'"),
+        ("2^", 2, ("a number", "'x'", "'('"), "'end of input'"),
+        ("-", 1, ("a number", "'x'", "'('"), "'end of input'"),
+        ("x*", 2, ("a number", "'x'", "'('"), "'end of input'"),
+        ("2^*3", 2, ("a number", "'x'", "'('"), "'*'"),
+        ("1e400", 0, ("a finite number",), "'1e400'"),
+        ("1/1e400", 2, ("a finite number",), "'1e400'"),
+        ("min(1e400, 5)", 4, ("a finite number",), "'1e400'"),
+        ("sign(1e400)", 5, ("a finite number",), "'1e400'"),
+        ("piecewise{ x < 1e400 : 1 }", 15, ("a finite number",), "'1e400'"),
+        ("piecewise{ -1e400 < x : 1 }", 12, ("a finite number",), "'1e400'"),
     ], ids=["no-token", "lone-equals", "unclosed-call", "piecewise-without-brace",
-            "chain-without-operator", "minus-without-number"])
+            "chain-without-operator", "minus-without-number", "power-without-exponent",
+            "lone-minus", "product-without-operand", "power-of-operator",
+            "overflowing-literal", "overflowing-divisor", "overflowing-min-argument",
+            "overflowing-sign-argument", "overflowing-bound", "overflowing-negative-bound"])
     def test_error_position_and_expected(self, text, position, expected, found):
         with pytest.raises(ParseError) as exc:
             parse(text)
@@ -219,6 +233,20 @@ class TestPrecedence:
 
     def test_power_of_negative_exponent(self):
         assert evaluate(parse("2^-2"), 0.0) == 0.25
+
+    @pytest.mark.parametrize("text,ast", [
+        ("-x^2", Unary("-", Bin("^", Var(), Num(2.0)))),
+        ("--x", Unary("-", Unary("-", Var()))),
+        ("-x*2", Bin("*", Unary("-", Var()), Num(2.0))),
+        ("1+-x", Bin("+", Num(1.0), Unary("-", Var()))),
+        ("2*-3", Bin("*", Num(2.0), Unary("-", Num(3.0)))),
+        ("x^2^3", Bin("^", Var(), Bin("^", Num(2.0), Num(3.0)))),
+        ("2^-2^2", Bin("^", Num(2.0), Unary("-", Bin("^", Num(2.0), Num(2.0))))),
+        ("2^-x*3", Bin("*", Bin("^", Num(2.0), Unary("-", Var())), Num(3.0))),
+        ("(-x)^2", Bin("^", Unary("-", Var()), Num(2.0))),
+    ])
+    def test_unary_minus_and_power_trees(self, text, ast):
+        assert parse(text).ast == ast
 
 
 class TestEvaluate:
@@ -321,8 +349,10 @@ def gen_def(rng):
 class TestRoundTrip:
     def test_500_generated_asts(self):
         rng = random.Random(20160608)
-        for _ in range(500):
-            ast = gen_def(rng)
+        # then deeper trees, where ^ and unary minus nest
+        asts = [gen_def(rng) for _ in range(500)] + [
+            gen_expr(rng, rng.randrange(5, 9)) for _ in range(200)]
+        for ast in asts:
             text = render(ast)
             again = parse(text).ast
             assert again == ast, f"round trip failed for {text!r}"
@@ -330,6 +360,61 @@ class TestRoundTrip:
     def test_render_examples(self):
         assert render(parse("2+3*4^2")) == "2.0 + 3.0 * 4.0^2.0"
         assert parse(render(parse(HEAVISIDE_TEXT))).ast == parse(HEAVISIDE_TEXT).ast
+
+
+# ---------------------------------------------------------------------------
+# the depth bound
+# ---------------------------------------------------------------------------
+
+MAX_DEPTH = 200  # the bound the module docstring and README state
+
+
+def _nested_sum(n):
+    """``(1+(1+(...x)))`` n levels deep: each "(" and each "+" opens one."""
+    return "(1+" * (n // 2) + "(" * (n % 2) + "x" + ")" * (n // 2 + n % 2)
+
+
+# each shape n levels deep, and the position of the token that opens level n
+DEEP_SHAPES = {
+    "sum": (lambda n: "x" + "+x" * n, lambda n: 2 * n - 1),
+    "parentheses": (lambda n: "(" * n + "x" + ")" * n, lambda n: n - 1),
+    "unary": (lambda n: "-" * n + "x", lambda n: n - 1),
+    "power": (lambda n: "x" + "^x" * n, lambda n: 2 * n - 1),
+    "calls": (lambda n: "sin(" * n + "x" + ")" * n, lambda n: 4 * (n - 1)),
+    "nested-sum": (_nested_sum, lambda n: 3 * (n // 2) - 1 + n % 2),
+}
+
+
+def under_frames(n, fn):
+    """``fn()`` called from ``n`` more frames of Python stack."""
+    return fn() if n == 0 else under_frames(n - 1, fn)
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_at_the_bound_every_entry_works(self, shape):
+        text = DEEP_SHAPES[shape][0](MAX_DEPTH)
+        xs = np.asarray([0.25, 0.5])
+
+        def entries():
+            defn = parse(text)
+            canonical = render(defn)
+            assert render(parse(canonical)) == canonical
+            fn = CompiledFunction(text)
+            assert np.array_equal(fn(xs), [fn(0.25), fn(0.5)])
+            assert evaluate(defn, 0.5) == pytest.approx(fn(0.5), rel=1e-12)
+
+        under_frames(200, entries)
+
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    @pytest.mark.parametrize("past", [1, 10 * MAX_DEPTH])
+    def test_past_the_bound_is_a_parse_error(self, shape, past):
+        text_of, position_of = DEEP_SHAPES[shape]
+        for entry in (parse, CompiledFunction):
+            with pytest.raises(ParseError) as exc:
+                entry(text_of(MAX_DEPTH + past))
+            assert exc.value.position == position_of(MAX_DEPTH + 1)
+            assert exc.value.expected == (f"at most {MAX_DEPTH} nested levels",)
 
 
 # ---------------------------------------------------------------------------
