@@ -24,11 +24,12 @@ underflows (``1e-400``) reads as 0.  Calls: sin cos tan exp log sqrt abs
 sign (1-argument), min max (2-argument).  ``log`` is the natural logarithm.
 
 A text nests at most 200 levels deep, or it is a :class:`ParseError` at the
-token that opens level 201.  Each parenthesis, call, unary minus and binary
-operator opens a level that lasts to the end of its operand, and an
-operator's to the end of its chain, so ``x+x+x`` is 2 deep.  Every tree
-:func:`parse` returns is then printed, compiled and evaluated well inside
-Python's default recursion limit.
+token that takes it to level 201.  A text is as deep as its tree is high,
+each parenthesis counting a level: a number, ``x`` or a constant is 0 deep,
+and a parenthesis, call, unary minus or binary operator is one level deeper
+than its deepest operand.  So ``x+x+x``, read as ``(x+x)+x``, is 2 deep, and
+``((x+x)+x)+x`` is 5.  Every tree :func:`parse` returns is then printed,
+compiled and evaluated well inside Python's default recursion limit.
 
 Evaluation is real-valued.  A point is undefined where any subexpression
 is: division by zero, log of a nonpositive value, sqrt of a negative value, a
@@ -46,7 +47,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Tuple, Union
 
 import numpy as np
@@ -247,13 +248,12 @@ class _Parser:
     def at_punct(self, *texts: str) -> bool:
         return self.cur.kind == "PUNCT" and self.cur.text in texts
 
-    def separated(self, item, sep: str, *args) -> list:
-        """``item (sep item)*``, each ``item`` called with ``args``; no token
-        but ``sep`` itself has its text."""
-        items = [item(*args)]
+    def separated(self, item, sep: str) -> list:
+        """``item (sep item)*``; no token but ``sep`` itself has its text."""
+        items = [item()]
         while self.cur.text == sep:
             self.advance()
-            items.append(item(*args))
+            items.append(item())
         return items
 
     # definition ------------------------------------------------------------
@@ -262,7 +262,7 @@ class _Parser:
         if self.cur.kind == "NAME" and self.cur.text == "piecewise":
             node = self.parse_piecewise()
         else:
-            node = self.parse_expr()
+            node = self.parse_expr()[0]
         if self.cur.kind != "END":
             self.fail("end of input")
         return node
@@ -277,7 +277,7 @@ class _Parser:
     def parse_branch(self) -> Tuple[Cond, Node]:
         cond = self.parse_cond()
         self.expect(":")
-        return cond, self.parse_expr()
+        return cond, self.parse_expr()[0]
 
     def parse_cond(self) -> Cond:
         return Cond(chains=tuple(self.separated(self.parse_chain, "and")))
@@ -309,53 +309,62 @@ class _Parser:
         error (one that underflows reads as zero)."""
         if self.cur.kind != "NUM":
             self.fail("a number")
-        if float(self.cur.text) == math.inf:
+        value = float(self.cur.text)
+        if value == math.inf:
             self.fail("a finite number")
-        return Num(sign * float(self.advance().text))
+        self.advance()
+        return Num(sign * value)
 
     # expressions -----------------------------------------------------------
 
     def nest(self, depth: int) -> int:
-        """``depth + 1``, the level the current token opens."""
+        """``depth + 1``, the level the current token reaches."""
         if depth == _MAX_DEPTH:
             self.fail(f"at most {_MAX_DEPTH} nested levels")
         return depth + 1
 
-    def parse_expr(self, level: int = 1, depth: int = 0) -> Node:
+    def parse_expr(self, level: int = 1, depth: int = 0) -> Tuple[Node, int]:
         """Precedence climbing: an operand, then every operator of ``level``
         and up, each taking its right operand at the level
-        :func:`_operand_levels` gives.  A unary minus, an operator, a
-        parenthesis and a call each open one level of ``depth``; an
-        operator's level lasts to the end of its chain, as deep as the
-        chain stacks its operands."""
+        :func:`_operand_levels` gives.  The expression sits ``depth``
+        levels deep; returns it and the deepest level it reaches.  Each
+        operator sinks the chain read so far one level deeper and takes its
+        right operand ``depth + 1`` deep."""
         if self.at_punct("-"):
-            depth = self.nest(depth)
+            inner = self.nest(depth)
             self.advance()
-            node = Unary("-", self.parse_expr(_UNARY_LEVEL, depth))
+            operand, reached = self.parse_expr(_UNARY_LEVEL, inner)
+            node = Unary("-", operand)
         else:
-            node = self.parse_atom(depth)
+            node, reached = self.parse_atom(depth)
         while _LEVEL.get(self.cur.text, 0) >= level:
-            depth = self.nest(depth)
+            reached = self.nest(reached)
             op = self.advance().text
-            node = Bin(op, node, self.parse_expr(_operand_levels(op)[1], depth))
-        return node
+            right, right_reached = self.parse_expr(_operand_levels(op)[1], depth + 1)
+            node = Bin(op, node, right)
+            reached = max(reached, right_reached)
+        return node, reached
 
-    def parse_atom(self, depth: int) -> Node:
+    def parse_atom(self, depth: int) -> Tuple[Node, int]:
+        """The atom here, ``depth`` levels deep, and the deepest level it
+        reaches."""
         tok = self.cur
         if tok.kind == "NUM":
-            return self.parse_number()
+            return self.parse_number(), depth
         if tok.kind == "NAME":
             if tok.text == "x":
                 self.advance()
-                return Var()
+                return Var(), depth
             if tok.text in _CONSTANTS:
                 self.advance()
-                return Const(tok.text)
+                return Const(tok.text), depth
             if tok.text in FUNCTIONS:
                 inner = self.nest(depth)
                 self.advance()
                 self.expect("(")
-                args = self.separated(self.parse_expr, ",", 1, inner)
+                # a partial, unlike a lambda, adds no Python frame per call level
+                parsed = self.separated(partial(self.parse_expr, 1, inner), ",")
+                args = tuple(arg for arg, _ in parsed)
                 closing = self.cur
                 self.expect(")")
                 if len(args) != FUNCTIONS[tok.text]:
@@ -364,14 +373,14 @@ class _Parser:
                         (f"{FUNCTIONS[tok.text]} argument(s) to {tok.text}",),
                         found=f"{len(args)}",
                     )
-                return Call(tok.text, tuple(args))
+                return Call(tok.text, args), max(reached for _, reached in parsed)
             self.fail("a number", "'x'", *(f"'{c}'" for c in _CONSTANTS), "a function name")
         if self.at_punct("("):
             inner = self.nest(depth)
             self.advance()
-            node = self.parse_expr(1, inner)
+            parsed = self.parse_expr(1, inner)
             self.expect(")")
-            return node
+            return parsed
         self.fail("a number", "'x'", "'('")
 
 

@@ -981,9 +981,13 @@ class TestDepthBound:
         assert (out.returncode, out.stdout) == (2, "")
         assert f"expected at most {MAX_DEPTH} nested levels" in out.stderr
 
-    def test_integrate_past_the_bound_is_two(self):
-        terms = 10 * MAX_DEPTH + 1
-        out = run_cli("integrate", "--function", "+".join(["x"] * terms),
+    @pytest.mark.parametrize("function, terms", [
+        ("+".join(["x"] * (10 * MAX_DEPTH + 1)), 10 * MAX_DEPTH + 1),
+        # a left-deep tree of 597 "+" whose every chain is under the bound
+        ("((x" + "+x" * 198 + ")" + "+x" * 199 + ")" + "+x" * 200, 598),
+    ], ids=["sum", "left-nested-sum"])
+    def test_integrate_past_the_bound_is_two(self, function, terms):
+        out = run_cli("integrate", "--function", function,
                       "--derivative", str(terms), "--span", "0,1", "--exceptional=")
         assert (out.returncode, out.stdout) == (2, "")
         assert f"expected at most {MAX_DEPTH} nested levels" in out.stderr

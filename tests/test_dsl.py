@@ -374,7 +374,14 @@ def _nested_sum(n):
     return "(1+" * (n // 2) + "(" * (n % 2) + "x" + ")" * (n // 2 + n % 2)
 
 
-# each shape n levels deep, and the position of the token that opens level n
+def _left_nested_sum(n):
+    """``((x+...+x)+...+x)+...+x`` n levels deep, n >= 134: two parentheses
+    around chains of 66 "+", then n - 134 "+".  Each "+" sinks everything
+    before it in its chain one level, the parenthesised chains included."""
+    return "((x" + "+x" * 66 + ")" + "+x" * 66 + ")" + "+x" * (n - 134)
+
+
+# each shape n levels deep, and the position of the token that reaches level n
 DEEP_SHAPES = {
     "sum": (lambda n: "x" + "+x" * n, lambda n: 2 * n - 1),
     "parentheses": (lambda n: "(" * n + "x" + ")" * n, lambda n: n - 1),
@@ -382,6 +389,7 @@ DEEP_SHAPES = {
     "power": (lambda n: "x" + "^x" * n, lambda n: 2 * n - 1),
     "calls": (lambda n: "sin(" * n + "x" + ")" * n, lambda n: 4 * (n - 1)),
     "nested-sum": (_nested_sum, lambda n: 3 * (n // 2) - 1 + n % 2),
+    "left-nested-sum": (_left_nested_sum, lambda n: 2 * n - 1),
 }
 
 
